@@ -6,11 +6,11 @@ import argparse
 import os
 import sys
 
-from .datastream import SynthConfig, save_embeddings, split_by_frequency, split_random, synth_generate
+from .datastream import (SynthConfig, predicate_counts, save_embeddings, split_by_frequency,
+                         split_random, synth_generate)
 from .harness import (ABLATION_SUITE, ExperimentConfig, load_comparison_csv,
                       load_config_file, report, run_ablation_suite, run_experiment)
-from .metrics import (load_gt, load_predictions, m_at_k, mean_recall_at_k,
-                      recall_at_k, score_wtd, weighted_map)
+from .metrics import load_gt, load_predictions, m_at_k, recall_at_ks, score_wtd, weighted_map
 from .rng import SeededRng
 from .scorer import default_vocab, save_vocab
 
@@ -39,10 +39,7 @@ def _cmd_split(args) -> int:
     dataset = load_embeddings(args.dataset)
     labels = sorted({inst.predicate for inst in dataset})
     if args.mode == "frequency":
-        counts = {label: 0 for label in labels}
-        for inst in dataset:
-            counts[inst.predicate] += 1
-        schedule = split_by_frequency(labels, counts, args.stages)
+        schedule = split_by_frequency(labels, predicate_counts(dataset, labels), args.stages)
     else:
         schedule = split_random(labels, args.stages, SeededRng(args.seed).derive("schedule"))
     with open(args.out, "w") as fh:
@@ -82,8 +79,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     preds = load_predictions(args.dump)
     gt = load_gt(args.gt)
-    r = recall_at_k(preds, gt, args.k, mode=args.mode)
-    mr = mean_recall_at_k(preds, gt, args.k, mode=args.mode)
+    r, mr = recall_at_ks(preds, gt, (args.k,), mode=args.mode)[args.k]
     print(f"R@{args.k}={r:.4f}")
     print(f"mR@{args.k}={mr:.4f}")
     print(f"M@{args.k}={m_at_k(r, mr):.4f}")

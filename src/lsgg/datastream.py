@@ -91,9 +91,6 @@ class StageDataset:
     val: list
     test: list
 
-    def all_instances(self) -> list:
-        return self.train + self.val + self.test
-
 
 def _chunk_sizes(n: int, t: int) -> list:
     base, rem = divmod(n, t)
@@ -111,6 +108,15 @@ def split_random(vocab, t: int, rng: SeededRng) -> TaskSchedule:
         stages.append(tuple(sorted(labels[pos : pos + size])))
         pos += size
     return TaskSchedule(stages)
+
+
+def predicate_counts(dataset, labels) -> dict:
+    """Instances per predicate, keyed by ``labels`` in their order (0 for a
+    label with no instance); a predicate outside ``labels`` raises KeyError."""
+    counts = {label: 0 for label in labels}
+    for inst in dataset:
+        counts[inst.predicate] += 1
+    return counts
 
 
 def split_by_frequency(vocab, counts: dict, t: int) -> TaskSchedule:

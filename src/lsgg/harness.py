@@ -18,10 +18,13 @@ import numpy as np
 
 from . import __version__
 from .datastream import (SynthConfig, TaskSchedule, load_embeddings, make_stage_datasets,
-                         split_by_frequency, split_random, synth_generate)
+                         predicate_counts, split_by_frequency, split_random, synth_generate)
 from .metrics import (AccuracyMatrix, GTRecord, MetricReport, PredRecord,
-                      forgetting_measure, m_at_k, mean_recall_at_k, recall_at_k,
-                      save_gt, save_predictions, score_wtd, weighted_map)
+                      forgetting_measure, m_at_k, recall_at_ks, save_gt, save_predictions,
+                      score_wtd, weighted_map)
+# the single-K metrics stay names of this module: perfbench/probe.py wraps
+# harness.recall_at_k and harness.mean_recall_at_k by name
+from .metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .prompt_pool import init_pool, serialize_pool
 from .rng import SeededRng
 from .scorer import default_vocab, init_scorer, load_vocab, save_vocab
@@ -241,12 +244,12 @@ def _evaluate_instances(instances, gt_ids, pool, tr, vocab, train_cfg, candidate
     """
     ranked = predict_ranked(instances, pool, tr, vocab, train_cfg,
                             candidates=candidates, ab_rng=ab_rng)
+    top = ranked.labels[:, 0].tolist()
+    confs = np.exp(np.ascontiguousarray(ranked.scores[:, 0])).tolist()
     by_image: dict = {}
     gt = []
-    for inst, ranking in zip(instances, ranked):
+    for inst, label, conf in zip(instances, top, confs):
         gid = gt_ids[id(inst)]
-        label, logscore = ranking[0]
-        conf = float(np.exp(logscore))
         by_image.setdefault(inst.image_id, []).append(
             (conf, gid, inst.subject_class, label, inst.object_class))
         gt.append(GTRecord(image_id=inst.image_id, gt_id=gid, subj=inst.subject_class,
@@ -288,10 +291,8 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
 
     labels = list(range(n_pred))
     if config.schedule_mode == "frequency":
-        counts = {label: 0 for label in labels}
-        for inst in dataset:
-            counts[inst.predicate] += 1
-        schedule = split_by_frequency(labels, counts, config.n_stages)
+        schedule = split_by_frequency(labels, predicate_counts(dataset, labels),
+                                      config.n_stages)
     else:
         schedule = split_random(labels, config.n_stages, rng.derive("schedule"))
     schedule = TaskSchedule(schedule.stages)  # re-assert disjointness + coverage
@@ -342,17 +343,16 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
             union_preds.extend(preds)
             union_gt.extend(gt)
             task_metrics = {}
-            for k in config.eval_ks:
-                task_metrics[f"R@{k}"] = recall_at_k(preds, gt, k, mode="ids")
-                task_metrics[f"mR@{k}"] = mean_recall_at_k(preds, gt, k, mode="ids")
-                matrices[k].set(t, j, task_metrics[f"mR@{k}"])
+            for k, (r_k, mr_k) in recall_at_ks(preds, gt, config.eval_ks, mode="ids").items():
+                task_metrics[f"R@{k}"] = r_k
+                task_metrics[f"mR@{k}"] = mr_k
+                matrices[k].set(t, j, mr_k)
             per_task[j] = task_metrics
 
-        r, mr, m = {}, {}, {}
-        for k in config.eval_ks:
-            r[k] = recall_at_k(union_preds, union_gt, k, mode="ids")
-            mr[k] = mean_recall_at_k(union_preds, union_gt, k, mode="ids")
-            m[k] = m_at_k(r[k], mr[k])
+        union = recall_at_ks(union_preds, union_gt, config.eval_ks, mode="ids")
+        r = {k: union[k][0] for k in config.eval_ks}
+        mr = {k: union[k][1] for k in config.eval_ks}
+        m = {k: m_at_k(r[k], mr[k]) for k in config.eval_ks}
         wmap = weighted_map(union_preds, union_gt, mode="ids")
         report = MetricReport(stage=t, r=r, mr=mr, m=m, per_task=per_task,
                               wmap_rel=wmap, wmap_phr=wmap,

@@ -103,7 +103,10 @@ def _match_one(pred: PredRecord, gts, claimed, mode: str, iou_thr: float):
 def _match_topk(records, gt, k: int, mode: str, iou_thr: float = 0.5):
     """Greedy one-claim-per-GT matching of each image's top-K predictions.
 
-    Returns {image_id: set of matched GT indices} plus the grouped GT lists.
+    Returns {image_id: {matched GT index: 0-based rank position of the
+    prediction that claimed it}} plus the grouped GT lists. Predictions are
+    matched in rank order, so for any K' < K the claims made at positions
+    below K' are exactly the top-K' matching.
     """
     if k < 1:
         raise ValueError("K must be >= 1")
@@ -118,46 +121,60 @@ def _match_topk(records, gt, k: int, mode: str, iou_thr: float = 0.5):
     for image_id in sorted(gt_by_img):
         gts = gt_by_img[image_id]
         preds = sorted(preds_by_img.get(image_id, []), key=lambda p: p.rank)
-        claimed: set = set()
-        for pred in preds[:k]:
+        claimed: dict = {}
+        for pos, pred in enumerate(preds[:k]):
             hit = _match_one(pred, gts, claimed, mode, iou_thr)
             if hit is not None:
-                claimed.add(hit)
+                claimed[hit] = pos
         matched[image_id] = claimed
     return matched, gt_by_img
 
 
+def recall_at_ks(records, gt, ks, mode: str = "ids") -> dict:
+    """R@K and mR@K for every K in ``ks`` from one matching pass, as
+    {K: (R@K, mR@K)}, both in [0,100].
+
+    R@K averages over images the fraction of their GT matched in the top K.
+    mR@K pools each predicate class's GT across images and averages the
+    per-class recall unweighted over classes with ground truth.
+    """
+    if not len(ks) or min(ks) < 1:
+        raise ValueError("K must be >= 1")
+    matched, gt_by_img = _match_topk(records, gt, max(ks), mode)
+    images = sorted(gt_by_img)
+    if not images:
+        raise ValueError("no ground truth records")
+    gt_count: dict = {}
+    for image_id in images:
+        for g in gt_by_img[image_id]:
+            gt_count[g.pred] = gt_count.get(g.pred, 0) + 1
+    classes = sorted(gt_count)
+    out = {}
+    for k in ks:
+        image_total = 0.0
+        hit_count: dict = {}
+        for image_id in images:
+            gts = gt_by_img[image_id]
+            hits = [gi for gi, pos in matched[image_id].items() if pos < k]
+            image_total += len(hits) / len(gts)
+            for gi in hits:
+                hit_count[gts[gi].pred] = hit_count.get(gts[gi].pred, 0) + 1
+        class_total = 0.0
+        for c in classes:
+            class_total += hit_count.get(c, 0) / gt_count[c]
+        out[k] = (100.0 * image_total / len(images), 100.0 * class_total / len(classes))
+    return out
+
+
 def recall_at_k(records, gt, k: int, mode: str = "ids") -> float:
     """Image-averaged fraction of GT matched in the top-K, scaled to [0,100]."""
-    matched, gt_by_img = _match_topk(records, gt, k, mode)
-    images = [i for i in sorted(gt_by_img) if gt_by_img[i]]
-    if not images:
-        raise ValueError("no images with ground truth")
-    total = 0.0
-    for image_id in images:
-        total += len(matched[image_id]) / len(gt_by_img[image_id])
-    return 100.0 * total / len(images)
+    return recall_at_ks(records, gt, (k,), mode)[k][0]
 
 
 def mean_recall_at_k(records, gt, k: int, mode: str = "ids") -> float:
     """Per-predicate-class recall (class GT pooled across images), averaged
     unweighted over classes with ground truth; [0,100]."""
-    matched, gt_by_img = _match_topk(records, gt, k, mode)
-    gt_count: dict = {}
-    hit_count: dict = {}
-    for image_id in sorted(gt_by_img):
-        gts = gt_by_img[image_id]
-        for gi, g in enumerate(gts):
-            gt_count[g.pred] = gt_count.get(g.pred, 0) + 1
-            if gi in matched[image_id]:
-                hit_count[g.pred] = hit_count.get(g.pred, 0) + 1
-    classes = sorted(gt_count)
-    if not classes:
-        raise ValueError("no ground truth records")
-    total = 0.0
-    for c in classes:
-        total += hit_count.get(c, 0) / gt_count[c]
-    return 100.0 * total / len(classes)
+    return recall_at_ks(records, gt, (k,), mode)[k][1]
 
 
 def m_at_k(r: float, mr: float) -> float:

@@ -278,12 +278,29 @@ def score(params: ScorerParams, x: AssembledPrompt,
     return out
 
 
+@dataclass
+class Rankings:
+    """Ranked predicates for N distributions: row i of ``labels`` holds the
+    candidate labels best first, and row i of ``scores`` their scores.
+    ``rankings[i]`` is row i as a list of (label, score) pairs."""
+
+    labels: np.ndarray  # (N, C) int64
+    scores: np.ndarray  # (N, C) float64
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i: int) -> list:
+        return list(zip(self.labels[i].tolist(), self.scores[i].tolist()))
+
+
 def rank_predicates(distributions: np.ndarray, vocab: PredicateVocab,
                     candidates=None) -> list:
     """Rank predicates by length-normalized summed log-probability.
 
     Scores each candidate's word tokens against the per-slot distributions
     (slot j scores token j), ignoring padding; ties order by label id.
+    Returns (label, score) pairs, best first.
     """
     dist = np.asarray(distributions, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != vocab.n_mask:
@@ -292,9 +309,8 @@ def rank_predicates(distributions: np.ndarray, vocab: PredicateVocab,
 
 
 def rank_predicates_batch(distributions: np.ndarray, vocab: PredicateVocab,
-                          candidates=None) -> list:
-    """``rank_predicates`` for a stack of (n_mask, V) distributions at once;
-    returns one ranked (label, score) list per stack entry."""
+                          candidates=None) -> Rankings:
+    """``rank_predicates`` for a stack of (n_mask, V) distributions at once."""
     dist = np.asarray(distributions, dtype=float)
     if dist.ndim != 3 or dist.shape[1] != vocab.n_mask:
         raise ValueError(f"need (B, {vocab.n_mask}, V) distributions, got {dist.shape}")
@@ -308,6 +324,5 @@ def rank_predicates_batch(distributions: np.ndarray, vocab: PredicateVocab,
         total[:, scored] += logdist[:, j, toks[scored, j]]
     scores = total / counts
     order = np.argsort(-scores, axis=1, kind="stable")  # labels ascend: ties by id
-    ranked_labels = np.asarray(labels)[order].tolist()
-    ranked_scores = np.take_along_axis(scores, order, axis=1).tolist()
-    return [list(zip(ls, ss)) for ls, ss in zip(ranked_labels, ranked_scores)]
+    return Rankings(np.asarray(labels, dtype=np.int64)[order],
+                    np.take_along_axis(scores, order, axis=1))

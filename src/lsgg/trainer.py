@@ -18,7 +18,8 @@ from .ioutil import pack_floats, unpack_floats
 from .numerics import cosine, softmax
 from .prompt_pool import PromptPool, admit_exemplar
 from .rng import SeededRng
-from .scorer import PredicateVocab, ScorerParams, position_weights, rank_predicates_batch
+from .scorer import (PredicateVocab, Rankings, ScorerParams, position_weights,
+                     rank_predicates_batch)
 from .token_mapper import (KINDS, MapperParams, encode_batch, encode_batch_backward,
                            init_grads)
 
@@ -119,16 +120,6 @@ def loss_key_alignment(f_c_query, keys) -> float:
     if not keys:
         raise ValueError("key-alignment loss needs at least one key")
     return float(sum(1.0 - cosine(f_c_query, k) for k in keys))
-
-
-def d_key_alignment_dk(f_c_query, key) -> np.ndarray:
-    """Gradient of (1 - cosine(f, k)) with respect to k."""
-    f = np.asarray(f_c_query, dtype=float)
-    k = np.asarray(key, dtype=float)
-    nf, nk = np.linalg.norm(f), np.linalg.norm(k)
-    u = f / nf
-    s = float(u @ k / nk)
-    return -(u / nk - s * k / (nk * nk))
 
 
 def loss_predicate_ce(distributions, target: int, vocab: PredicateVocab) -> float:
@@ -329,7 +320,8 @@ class _StoreTable:
 
 class _PassCache:
     """Lookups that live for one ``train_stage`` or ``predict_ranked`` call:
-    the stacked stores and the padded label tokens."""
+    the stacked stores and the padded label tokens, plus, once ``freeze``
+    has run, the token table of an inference call."""
 
     def __init__(self, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab):
         self.stores = _StoreTable(pool, tr.mapper.feat_dims)
@@ -337,6 +329,29 @@ class _PassCache:
         self.label_tokens, self.label_counts = vocab.token_table()
         if self.label_tokens.max() >= tr.scorer.v:
             raise ValueError(f"label tokens exceed the decoder vocabulary of {tr.scorer.v}")
+        self.table = None  # frozen token table, inference only
+        self.slot_rows = None  # (n_t, cap) exemplar index of each filled store slot
+
+    def freeze(self, pool: PromptPool, tr: TrainableSet, config: TrainConfig,
+               max_batch: int) -> None:
+        """Fix the token rows of an inference call, where pool, mapper and
+        decoder do not move: prompts, every filled store slot encoded once
+        (when context segments show exemplars), label embeddings and mask
+        rows, followed by room for ``max_batch`` items' query rows."""
+        stores = self.stores
+        stores.refresh()
+        filled = np.arange(stores.labels.shape[1]) < stores.lengths[:, None]
+        filled &= _n_context(config, pool) > 0  # else no segment shows an exemplar
+        self.slot_rows = np.full(filled.shape, -1, dtype=np.int64)
+        self.slot_rows[filled] = np.arange(np.count_nonzero(filled))
+        d_tok, n_ex_rows = pool.d_tok, tr.mapper.exemplar_rows()
+        parts = [pool.prompts.reshape(-1, d_tok)]
+        if filled.any():
+            ex_blocks, _ = _encode(tr.mapper, {kind: f[filled]
+                                               for kind, f in stores.feats.items()})
+            parts.append(ex_blocks.reshape(-1, d_tok))
+        parts += [tr.scorer.emb, tr.y_mask, np.empty((max_batch * n_ex_rows, d_tok))]
+        self.table = np.concatenate(parts)
 
     def label_rows(self, predicates) -> np.ndarray:
         pos = np.minimum(np.searchsorted(self.label_ids, predicates), len(self.label_ids) - 1)
@@ -430,6 +445,11 @@ def _shuffle_perms(ab_rng: SeededRng | None, n_b: int, n: int) -> np.ndarray:
     return perm
 
 
+def _n_context(config: TrainConfig, pool: PromptPool) -> int:
+    """Context segments per prompt: one per retrieved entry after the first."""
+    return 0 if config.naive else min(config.effective_k(), pool.n_t) - 1
+
+
 def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
             ab_rng: SeededRng | None, stores: _StoreTable):
     """Retrieval for the whole batch.
@@ -448,7 +468,7 @@ def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
         raise ValueError("cosine undefined for zero-norm or non-finite key")
     sims = np.matmul(keys, f_c[:, :, None])[:, :, 0] / (knorms * cnorms[:, None])
     k = min(config.effective_k(), pool.n_t)
-    n_ctx = 0 if config.naive else k - 1
+    n_ctx = _n_context(config, pool)
     stores.refresh()
     if config.random_prompts and config.random_exemplar and n_ctx:
         # both draws share the stream item by item: prompts, then exemplars
@@ -492,7 +512,7 @@ class _Pass:
     knorms: np.ndarray  # (n_t,)
     q_blocks: np.ndarray  # (B, rows_ex, d_tok)
     q_caches: dict
-    ex_caches: dict | None  # None when no context segment shows an exemplar
+    ex_caches: dict | None  # None at inference or when no segment shows an exemplar
     offsets: tuple  # token-table starts: exemplars, label embeddings, masks, queries
 
     def probs(self) -> np.ndarray:
@@ -514,32 +534,40 @@ def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainCon
     selection, sims, slots, cnorms, knorms = _select(batch, pool, config, ab_rng, cache.stores)
     n_ctx = slots.shape[1]
 
-    # exemplars shown in context, encoded once each in first-seen order
+    # the exemplar each context segment shows, as a block of the token table
     stores = cache.stores
     pb, pc = np.nonzero(slots >= 0)
     ent, slot = selection[pb, pc + 1], slots[pb, pc]
-    _, first, inverse = np.unique(stores.ids[ent, slot], return_index=True,
-                                  return_inverse=True)
-    seen = np.argsort(first)
-    rank = np.empty_like(seen)
-    rank[seen] = np.arange(seen.size)
     shown = np.full(slots.shape, -1, dtype=np.int64)
-    shown[pb, pc] = rank[inverse]
     label = np.zeros(slots.shape, dtype=np.int64)
     label[pb, pc] = cache.label_rows(stores.labels[ent, slot])
-    parts = [pool.prompts.reshape(-1, d_tok)]
     ex_caches = None
-    if seen.size:
-        u_ent, u_slot = ent[first[seen]], slot[first[seen]]
-        ex_blocks, ex_caches = _encode(
-            tr.mapper, {kind: f[u_ent, u_slot] for kind, f in stores.feats.items()})
-        parts.append(ex_blocks.reshape(-1, d_tok))
-    parts += [scorer.emb, tr.y_mask, q_blocks.reshape(-1, d_tok)]
-    table = np.concatenate(parts)
+    if cache.table is not None:  # inference: every stored exemplar is encoded
+        shown[pb, pc] = cache.slot_rows[ent, slot]
+        n_shown = np.count_nonzero(cache.slot_rows >= 0)
+        table = cache.table
+    else:  # training: the batch's exemplars, once each in first-seen order
+        _, first, inverse = np.unique(stores.ids[ent, slot], return_index=True,
+                                      return_inverse=True)
+        seen = np.argsort(first)
+        rank = np.empty_like(seen)
+        rank[seen] = np.arange(seen.size)
+        shown[pb, pc] = rank[inverse]
+        n_shown = seen.size
+        parts = [pool.prompts.reshape(-1, d_tok)]
+        if seen.size:
+            u_ent, u_slot = ent[first[seen]], slot[first[seen]]
+            ex_blocks, ex_caches = _encode(
+                tr.mapper, {kind: f[u_ent, u_slot] for kind, f in stores.feats.items()})
+            parts.append(ex_blocks.reshape(-1, d_tok))
+        parts += [scorer.emb, tr.y_mask, q_blocks.reshape(-1, d_tok)]
+        table = np.concatenate(parts)
     off_ex = pool.n_t * n_p
-    off_emb = off_ex + seen.size * n_ex_rows
+    off_emb = off_ex + n_shown * n_ex_rows
     off_mask = off_emb + scorer.v
     off_q = off_mask + n_mask
+    if cache.table is not None:
+        table[off_q : off_q + n_b * n_ex_rows] = q_blocks.reshape(-1, d_tok)
 
     # context segments in ascending similarity, optionally shuffled
     order = np.tile(np.arange(n_ctx)[::-1], (n_b, 1))
@@ -828,25 +856,32 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
 
 def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
                    config: TrainConfig, candidates=None, ab_rng: SeededRng | None = None,
-                   batch_size: int = 256) -> list:
-    """Ranked (predicate, score) lists for a sequence of instances.
+                   batch_size: int = 256) -> Rankings:
+    """Ranked predicates and their scores for a sequence of instances, one
+    ``Rankings`` row per instance.
 
-    Forward-only; never admits or mutates. Ablation randomness (random
-    prompts/exemplars/order) still applies when configured, via ``ab_rng``.
+    Forward-only; never admits or mutates. Pool, mapper and decoder are
+    frozen for the whole call, so the stored exemplars are encoded once per
+    call, not per batch. Ablation randomness (random prompts/exemplars/order)
+    still applies when configured, via ``ab_rng``.
     """
     needs_rng = config.random_prompts or config.random_exemplar or config.shuffle_order
     if needs_rng and ab_rng is None:
         raise ValueError("configured ablations need an rng at inference")
     if not len(instances):
-        return []
+        return rank_predicates_batch(np.empty((0, vocab.n_mask, tr.scorer.v)), vocab,
+                                     candidates=candidates)
     data = _stack_sources(instances, np.zeros(len(instances), dtype=bool))
-    cache = _PassCache(pool, tr, vocab)  # the pool is frozen for the whole call
-    out = []
+    cache = _PassCache(pool, tr, vocab)
+    cache.freeze(pool, tr, config, min(batch_size, len(instances)))
+    labels, scores = [], []
     for start in range(0, len(instances), batch_size):
         fw = _forward(data.take(slice(start, start + batch_size)), pool, tr, config,
                       ab_rng, cache)
-        out.extend(rank_predicates_batch(fw.probs(), vocab, candidates=candidates))
-    return out
+        ranked = rank_predicates_batch(fw.probs(), vocab, candidates=candidates)
+        labels.append(ranked.labels)
+        scores.append(ranked.scores)
+    return Rankings(np.concatenate(labels), np.concatenate(scores))
 
 
 # -- checkpoints -------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_predict_ranked_equals_per_item_reference(label, config_kw, world_kw):
                                   candidates=candidates, ab_rng=rng_a, batch_size=4)
         got = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
                              candidates=candidates, ab_rng=rng_b, batch_size=4)
-        assert got == want
+        assert list(got) == want
         assert rng_b.next_u64() == rng_a.next_u64()
 
 
@@ -98,3 +98,27 @@ def test_train_stage_equals_per_item_reference(label, config_kw, world_kw):
     params_a = dict(w_a.tr.param_items())
     for name, arr in w_b.tr.param_items():
         assert np.array_equal(arr, params_a[name]), name
+
+
+def test_predict_ranked_equals_per_item_reference_at_bench_widths():
+    # At the benchmark's widths (features 64/64/32, d_tok 64) the mapper's
+    # 2-D products leave OpenBLAS's small-matrix path, and `feats @ proj_w.T`
+    # over 1-9 rows rounds differently from the same rows in a taller
+    # product (the stacked per-item products do not depend on the row
+    # count). Every store holds >= 10 exemplars and each reference batch
+    # shows >= 10 distinct ones, so the reference's per-batch exemplar encode
+    # and the once-per-call exemplar table both take the tall path.
+    config = TrainConfig(k_retrieve=3)
+    w = TinyWorld(seed=67, d_tok=64, n_t=6, n_p=4, n_e=14, d_c=64, d_r=64, d_o=32,
+                  n_pred=8, k_retrieve=3, two_word_labels=True, config=config)
+    for e in range(w.pool.n_t):
+        w.fill_store(e, 10 + e % 4, start_pred=e)
+    queries = [w.instance(predicate=i % w.n_pred) for i in range(48)]
+    ctx = ref._RetrievalCtx(w.pool)
+    for start in range(0, len(queries), 16):
+        batch = [_Item(source=q, replay=False) for q in queries[start : start + 16]]
+        state = ref._forward(batch, w.pool, w.tr, w.vocab, config, None, ctx=ctx)
+        assert len(state.uniq_ex) >= 10
+    want = ref.predict_ranked(queries, w.pool, w.tr, w.vocab, config, batch_size=16)
+    got = predict_ranked(queries, w.pool, w.tr, w.vocab, config, batch_size=16)
+    assert list(got) == want

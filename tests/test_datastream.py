@@ -5,8 +5,8 @@ import pytest
 
 from lsgg.datastream import (EmbeddingFormatError, RelationInstance, StageDataset,
                              SynthConfig, TaskSchedule, load_embeddings,
-                             make_stage_datasets, save_embeddings, split_by_frequency,
-                             split_random, synth_generate, zipf_counts)
+                             make_stage_datasets, predicate_counts, save_embeddings,
+                             split_by_frequency, split_random, synth_generate, zipf_counts)
 from lsgg.rng import SeededRng
 
 from conftest import random_instance
@@ -55,6 +55,15 @@ def test_split_by_frequency_head_to_tail():
     assert [sorted(st) for st in equal.stages] == [[0, 1], [2, 3]]
     with pytest.raises(ValueError):
         split_by_frequency([0, 1], {0: 3}, 2)
+
+
+def test_predicate_counts_keeps_label_order_and_zeros():
+    rng = SeededRng(4)
+    dataset = [random_instance(rng, predicate=p) for p in (2, 0, 2, 2, 0)]
+    counts = predicate_counts(dataset, [3, 2, 1, 0])
+    assert list(counts.items()) == [(3, 0), (2, 3), (1, 0), (0, 2)]
+    with pytest.raises(KeyError):
+        predicate_counts(dataset, [0, 1])
 
 
 def test_split_by_frequency_on_zipf_counts_orders_stage_mass():

@@ -7,13 +7,14 @@ AP is recomputed in exact rational arithmetic with the fractions module.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from lsgg.metrics import (AccuracyMatrix, GTRecord, MetricReport, PredRecord,
+from lsgg.metrics import (MATCH_MODES, AccuracyMatrix, GTRecord, MetricReport, PredRecord,
                           forgetting_measure, iou, load_gt, load_predictions,
-                          m_at_k, mean_recall_at_k, recall_at_k, save_gt,
+                          m_at_k, mean_recall_at_k, recall_at_k, recall_at_ks, save_gt,
                           save_predictions, score_wtd, union_box, weighted_map)
 
 
@@ -229,7 +230,7 @@ def test_rel_matches_at_exact_threshold():
     preds = [boxed_pred()]
     matched, _ = __import__("lsgg.metrics", fromlist=["_match_topk"])._match_topk(
         preds, gt, 1, "rel", iou_thr=1.0 / 3.0)
-    assert matched[0] == {0}
+    assert matched[0] == {0: 0}  # GT 0, claimed by the rank-1 prediction
 
 
 def test_rel_picks_highest_quality_gt():
@@ -238,7 +239,7 @@ def test_rel_picks_highest_quality_gt():
     preds = [boxed_pred()]
     matched, _ = __import__("lsgg.metrics", fromlist=["_match_topk"])._match_topk(
         preds, gt, 1, "rel")
-    assert matched[0] == {1}
+    assert matched[0] == {1: 0}
 
 
 def test_box_modes_reject_missing_boxes():
@@ -260,6 +261,50 @@ def test_ids_mode_needs_matching_instance_id():
     assert recall_at_k([hit], gt, 1, "ids") == 100.0
     for p in (wrong_id, wrong_triple, missing):
         assert recall_at_k([p], gt, 1, "ids") == 0.0
+
+
+# -- every K from one matching pass -------------------------------------------------
+
+
+def add_random_boxes(rng, preds, gt):
+    """Boxed copies of a random case: each prediction aimed at an existing
+    GT gets that GT's boxes, nudged a little or a lot; the rest get random
+    boxes."""
+    def box():
+        x, y = rng.uniform(0, 50), rng.uniform(0, 50)
+        return (x, y, x + rng.uniform(5, 30), y + rng.uniform(5, 30))
+
+    def nudge(b):
+        d = rng.choice((0.0, 1.0, 8.0))
+        return (b[0] + d, b[1], b[2] + d, b[3])
+
+    boxed_gt = [replace(g, boxes=(box(), box())) for g in gt]
+    by_id = {(g.image_id, g.gt_id): g.boxes for g in boxed_gt}
+    boxed_preds = []
+    for p in preds:
+        target = by_id.get((p.image_id, p.gt_id))
+        boxes = (box(), box()) if target is None else (nudge(target[0]), nudge(target[1]))
+        boxed_preds.append(replace(p, boxes=boxes))
+    return boxed_preds, boxed_gt
+
+
+@pytest.mark.parametrize("mode", MATCH_MODES)
+def test_recall_at_ks_equals_separate_calls(mode):
+    # up to 10 predictions per image: K = 1, 2, 3 cut inside an image's list
+    rng = random.Random(104 + MATCH_MODES.index(mode))
+    ks = (1, 2, 3, 50, 100)
+    for case in range(40):
+        preds, gt = make_random_case(rng, mode, with_ids=(mode != "triplet"))
+        if mode in ("rel", "phr"):
+            preds, gt = add_random_boxes(rng, preds, gt)
+        table = recall_at_ks(preds, gt, ks, mode)
+        assert list(table) == list(ks)
+        for k in ks:
+            assert table[k] == (recall_at_k(preds, gt, k, mode),
+                                mean_recall_at_k(preds, gt, k, mode)), (case, k)
+            if mode in ("ids", "triplet"):
+                assert table[k] == (oracle_recall(preds, gt, k, mode),
+                                    oracle_mean_recall(preds, gt, k, mode)), (case, k)
 
 
 # -- forgetting measure ------------------------------------------------------------
