@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ioutil import format_float
 from .rng import SeededRng, _mix64
 from .numerics import random_unit_vector
 
@@ -266,10 +267,6 @@ def synth_generate(config: SynthConfig, rng: SeededRng):
 # confidence is '-' when absent; '#' lines are comments.
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_embeddings(dataset, path, n_obj: int | None = None, n_pred: int | None = None) -> None:
     """Write a dataset in LSGG-EMB v1; floats at full round-trip precision."""
     if dataset:
@@ -289,12 +286,12 @@ def save_embeddings(dataset, path, n_obj: int | None = None, n_pred: int | None 
             if inst.boxes is not None:
                 parts.append("1")
                 for box in inst.boxes:
-                    parts.extend(_fmt(v) for v in box)
+                    parts.extend(format_float(v) for v in box)
             else:
                 parts.append("0")
-            parts.append("-" if inst.confidence is None else _fmt(inst.confidence))
+            parts.append("-" if inst.confidence is None else format_float(inst.confidence))
             for vec in (inst.f_c, inst.f_r, inst.f_s, inst.f_o):
-                parts.extend(_fmt(v) for v in vec)
+                parts.extend(format_float(v) for v in vec)
             fh.write(" ".join(parts) + "\n")
 
 

@@ -1,4 +1,4 @@
-"""Bit-exact array serialization shared by the pool and checkpoint formats."""
+"""Bit-exact float serialization shared by the file formats."""
 
 import base64
 
@@ -9,6 +9,11 @@ def pack_floats(arr) -> str:
     """Base64 of the little-endian float64 bytes; round-trips bit-exactly."""
     a = np.ascontiguousarray(arr, dtype="<f8")
     return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def format_float(x) -> str:
+    """Shortest decimal text that reads back as the same float64."""
+    return repr(float(x))
 
 
 def unpack_floats(text: str, shape) -> np.ndarray:

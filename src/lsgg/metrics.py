@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ioutil import format_float
+
 MATCH_MODES = ("ids", "triplet", "rel", "phr")
 
 
@@ -320,18 +322,14 @@ def score_wtd(r50: float, wmap_rel: float, wmap_phr: float) -> float:
 # ground truth:     image_id gt_id subj pred obj [8 box floats]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_predictions(records, path) -> None:
     with open(path, "w") as fh:
         for r in records:
             parts = [str(r.image_id), str(r.rank), str(r.subj), str(r.pred),
-                     str(r.obj), _fmt(r.conf)]
+                     str(r.obj), format_float(r.conf)]
             if r.boxes is not None:
                 for box in r.boxes:
-                    parts.extend(_fmt(v) for v in box)
+                    parts.extend(format_float(v) for v in box)
             parts.append("-" if r.gt_id is None else str(r.gt_id))
             fh.write(" ".join(parts) + "\n")
 
@@ -370,7 +368,7 @@ def save_gt(records, path) -> None:
             parts = [str(g.image_id), str(g.gt_id), str(g.subj), str(g.pred), str(g.obj)]
             if g.boxes is not None:
                 for box in g.boxes:
-                    parts.extend(_fmt(v) for v in box)
+                    parts.extend(format_float(v) for v in box)
             fh.write(" ".join(parts) + "\n")
 
 

@@ -1,8 +1,5 @@
-"""Small dense-vector kernels: cosine similarity, exact top-k, stable softmax.
-
-Everything is float64.  Tie-breaking is always "lower index wins" so that
-retrieval and ranking are fully deterministic.
-"""
+"""Small dense-vector kernels: cosine similarity, stable softmax, and seeded
+unit vectors. Everything is float64."""
 
 from __future__ import annotations
 
@@ -80,22 +77,6 @@ class RowCache:
         return (self.rows @ query) / (self.norms * qnorm)
 
 
-def top_k_indices(query, keys, k: int) -> list:
-    """Indices of the k keys most cosine-similar to query, descending.
-
-    Exact ties broken by lower index first.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(keys) == 0:
-        raise ValueError("empty key list")
-    if k > len(keys):
-        raise ValueError(f"k={k} exceeds number of keys ({len(keys)})")
-    sims = cosine_to_rows(as_vector(query, "query"), np.asarray(keys, dtype=np.float64))
-    order = np.argsort(-sims, kind="stable")  # stable: equal sims keep index order
-    return [int(i) for i in order[:k]]
-
-
 def softmax(logits) -> np.ndarray:
     """Probabilities over the last axis (one distribution per row of a
     stack), stabilized by max subtraction."""
@@ -106,23 +87,6 @@ def softmax(logits) -> np.ndarray:
         raise ValueError("softmax input contains non-finite entries")
     z = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return z / np.sum(z, axis=-1, keepdims=True)
-
-
-def log_softmax(logits) -> np.ndarray:
-    x = np.asarray(logits, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("log_softmax of empty input")
-    shifted = x - np.max(x)
-    return shifted - np.log(np.sum(np.exp(shifted)))
-
-
-def random_gaussian_matrix(rows: int, cols: int, scale: float, rng: SeededRng) -> np.ndarray:
-    """(rows, cols) matrix of i.i.d. N(0, scale^2) entries, seed-deterministic."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    return rng.normal((rows, cols)) * scale
 
 
 def random_unit_vector(dim: int, rng: SeededRng) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ioutil import pack_floats, unpack_floats
-from .numerics import as_vector, cosine_to_rows, top_k_indices, random_unit_vector
+from .numerics import random_unit_vector
 from .rng import SeededRng
 
 POOL_MAGIC = "LSGG-POOL"
@@ -53,110 +53,71 @@ def make_exemplar(instance) -> Exemplar:
     )
 
 
+@dataclass(eq=False)
 class PromptEntry:
-    """One pool entry: prompt tokens ``v`` (n_p, d_tok), retrieval key ``k``
-    (d_c,), and a bounded exemplar store.
+    """One pool entry's bounded exemplar store and the number of instances
+    ever routed to it. The entry's prompt tokens and key are row i of the
+    pool's ``prompts`` and ``keys``."""
 
-    Inside a :class:`PromptPool`, ``v`` and ``k`` are views of the pool's
-    stacked arrays. Assigning to them writes into those arrays, so the stacks
-    never go stale.
-    """
-
-    def __init__(self, v, k, store=None, seen_count: int = 0):
-        self._v = np.array(v, dtype=float)
-        self._k = np.array(k, dtype=float)
-        self.store = [] if store is None else store
-        self.seen_count = seen_count
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._v
-
-    @v.setter
-    def v(self, value) -> None:
-        _write_through(self._v, value, "prompt block")
-
-    @property
-    def k(self) -> np.ndarray:
-        return self._k
-
-    @k.setter
-    def k(self, value) -> None:
-        _write_through(self._k, value, "key")
+    store: list = field(default_factory=list)
+    seen_count: int = 0
 
     def equals(self, other) -> bool:
         return (
-            np.array_equal(self.v, other.v)
-            and np.array_equal(self.k, other.k)
-            and self.seen_count == other.seen_count
+            self.seen_count == other.seen_count
             and len(self.store) == len(other.store)
             and all(a.equals(b) for a, b in zip(self.store, other.store))
         )
 
 
-def _write_through(dst: np.ndarray, value, name: str) -> None:
-    value = np.asarray(value, dtype=float)
-    if value.shape != dst.shape:
-        raise ValueError(f"{name} shape {value.shape} != {dst.shape}")
-    dst[...] = value
-
-
-@dataclass
+@dataclass(eq=False)
 class PromptPool:
-    """The entries plus their prompts and keys stacked as ``prompts``
-    (n_t, n_p, d_tok) and ``keys`` (n_t, d_c); each entry's ``v``/``k`` is a
-    view of one row, so optimizers may update the stacks in place."""
+    """Prompt tokens ``prompts`` (n_t, n_p, d_tok) and retrieval keys ``keys``
+    (n_t, d_c), one row per entry, plus each entry's exemplar store of
+    capacity ``n_e``. Optimizers update the two arrays in place."""
 
+    prompts: np.ndarray
+    keys: np.ndarray
     entries: list
     n_e: int
-    prompts: np.ndarray = field(init=False, repr=False, compare=False)
-    keys: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.prompts = np.stack([e.v for e in self.entries])
-        self.keys = np.stack([e.k for e in self.entries])
-        for i, e in enumerate(self.entries):
-            e._v, e._k = self.prompts[i], self.keys[i]
 
     @property
     def n_t(self) -> int:
-        return len(self.entries)
+        return self.keys.shape[0]
 
     @property
     def n_p(self) -> int:
-        return self.entries[0].v.shape[0]
+        return self.prompts.shape[1]
 
     @property
     def d_tok(self) -> int:
-        return self.entries[0].v.shape[1]
+        return self.prompts.shape[2]
 
     @property
     def d_c(self) -> int:
-        return self.entries[0].k.shape[0]
-
-    def key_matrix(self) -> np.ndarray:
-        return self.keys.copy()
+        return self.keys.shape[1]
 
     def total_stored(self) -> int:
         return sum(len(e.store) for e in self.entries)
 
     def check_invariants(self) -> None:
-        n_p, d_tok, d_c = self.n_p, self.d_tok, self.d_c
+        if self.prompts.ndim != 3 or self.keys.ndim != 2:
+            raise AssertionError(f"prompts {self.prompts.shape} / keys {self.keys.shape} "
+                                 "must be (n_t, n_p, d_tok) / (n_t, d_c)")
+        if not self.prompts.shape[0] == self.n_t == len(self.entries):
+            raise AssertionError(f"{self.prompts.shape[0]} prompt blocks, {self.n_t} keys "
+                                 f"and {len(self.entries)} entries")
         for i, e in enumerate(self.entries):
-            if e.v.shape != (n_p, d_tok):
-                raise AssertionError(f"entry {i}: prompt block shape {e.v.shape} != {(n_p, d_tok)}")
-            if e.k.shape != (d_c,):
-                raise AssertionError(f"entry {i}: key shape {e.k.shape} != {(d_c,)}")
             if len(e.store) > self.n_e:
                 raise AssertionError(f"entry {i}: store holds {len(e.store)} > capacity {self.n_e}")
             if len(e.store) > e.seen_count:
                 raise AssertionError(f"entry {i}: store larger than seen_count")
-        if self.total_stored() > self.n_t * self.n_e:
-            raise AssertionError("total stored exemplars exceed pool capacity")
 
     def equals(self, other) -> bool:
         return (
             self.n_e == other.n_e
+            and np.array_equal(self.prompts, other.prompts)
+            and np.array_equal(self.keys, other.keys)
             and len(self.entries) == len(other.entries)
             and all(a.equals(b) for a, b in zip(self.entries, other.entries))
         )
@@ -167,49 +128,47 @@ def init_pool(n_t: int, n_p: int, d_tok: int, d_c: int, n_e: int, rng: SeededRng
     if min(n_t, n_p, d_tok, d_c, n_e) < 1:
         raise ValueError("all pool size parameters must be >= 1")
     scale = 1.0 / np.sqrt(d_tok)
-    entries = []
-    for _ in range(n_t):
-        k = random_unit_vector(d_c, rng)
-        v = scale * rng.normal((n_p, d_tok))
-        entries.append(PromptEntry(v=v, k=k))
-    return PromptPool(entries=entries, n_e=n_e)
+    keys, prompts = np.empty((n_t, d_c)), np.empty((n_t, n_p, d_tok))
+    for i in range(n_t):  # key, then prompt block, entry by entry
+        keys[i] = random_unit_vector(d_c, rng)
+        prompts[i] = scale * rng.normal((n_p, d_tok))
+    return PromptPool(prompts=prompts, keys=keys,
+                      entries=[PromptEntry() for _ in range(n_t)], n_e=n_e)
 
 
-def retrieve_topk_prompts(pool: PromptPool, f_c_query, K: int) -> list:
-    """Top-K entries by key cosine, as (entry index, similarity), descending.
+def retrieve_entries(keys: np.ndarray, f_c: np.ndarray, k: int):
+    """Key retrieval for a batch of context features ``f_c`` (B, d_c).
 
-    Exactly equal computed similarities order by lower entry index first.
-    Never mutates the pool.
+    Returns (top (B, k) entry indices by descending key cosine, exactly equal
+    cosines in ascending index order; cosines (B, n_t) to every key; context
+    feature norms (B,); key norms (n_t,)). Never mutates its inputs.
     """
-    if not 1 <= K <= pool.n_t:
-        raise ValueError(f"K={K} outside [1, {pool.n_t}]")
-    q = as_vector(f_c_query, "f_c query")
-    keys = pool.key_matrix()
-    idx = top_k_indices(q, keys, K)
-    sims = cosine_to_rows(q, keys)
-    return [(int(i), float(sims[i])) for i in idx]
-
-
-def retrieve_exemplar(entry: PromptEntry, f_r_query):
-    """Closest stored exemplar by relation-feature cosine; None if store empty.
-
-    Exactly equal computed similarities keep the earliest-inserted exemplar.
-    """
-    if not entry.store:
-        return None
-    q = as_vector(f_r_query, "f_r query")
-    sims = cosine_to_rows(q, np.stack([e.f_r for e in entry.store]))
-    return entry.store[int(np.argmax(sims))]
+    n_t, d_c = keys.shape
+    if not 1 <= k <= n_t:
+        raise ValueError(f"K={k} outside [1, {n_t}]")
+    if f_c.ndim != 2 or f_c.shape[1] != d_c:
+        raise ValueError(f"context features must be (B, {d_c}), got {f_c.shape}")
+    cnorms = np.sqrt(np.vecdot(f_c, f_c))
+    if not np.isfinite(f_c).all() or (cnorms == 0.0).any():
+        raise ValueError("query context feature is degenerate")
+    knorms = np.linalg.norm(keys, axis=1)
+    if not np.isfinite(keys).all() or (knorms == 0.0).any():
+        raise ValueError("cosine undefined for zero-norm or non-finite key")
+    sims = np.matmul(keys, f_c[:, :, None])[:, :, 0] / (knorms * cnorms[:, None])
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return top, sims, cnorms, knorms
 
 
 def admit_exemplar(pool: PromptPool, instance, rng: SeededRng):
     """Offer an instance to the pool; returns the entry index if stored, else None.
 
-    Routing: the entry whose key is cosine-nearest to f_c (ties to the lower
-    index). Storage: append while under capacity, then uniform reservoir —
-    item number N is kept with probability n_e/N, replacing a uniform slot.
+    Routing: the entry retrieval ranks first for f_c (the cosine-nearest key,
+    ties to the lower index). Storage: append while under capacity, then
+    uniform reservoir: item number N is kept with probability n_e/N,
+    replacing a uniform slot.
     """
-    entry_idx = top_k_indices(as_vector(instance.f_c, "f_c"), pool.key_matrix(), 1)[0]
+    f_c = np.asarray(instance.f_c, dtype=float)[None]
+    entry_idx = int(retrieve_entries(pool.keys, f_c, 1)[0][0, 0])
     entry = pool.entries[entry_idx]
     entry.seen_count += 1
     ex = make_exemplar(instance)
@@ -234,8 +193,8 @@ def serialize_pool(pool: PromptPool, path) -> None:
         fh.write(f"{POOL_MAGIC} {POOL_VERSION} {pool.n_t} {pool.n_p} {pool.d_tok} {pool.d_c} {pool.n_e}\n")
         for i, e in enumerate(pool.entries):
             fh.write(f"entry {i} {e.seen_count} {len(e.store)}\n")
-            fh.write(f"k {pack_floats(e.k)}\n")
-            fh.write(f"v {pack_floats(e.v)}\n")
+            fh.write(f"k {pack_floats(pool.keys[i])}\n")
+            fh.write(f"v {pack_floats(pool.prompts[i])}\n")
             for ex in e.store:
                 fh.write(
                     "ex {} {} {} {} {}\n".format(
@@ -252,7 +211,25 @@ class PoolFormatError(ValueError):
     pass
 
 
+def _int(token: str, what: str, minimum=None) -> int:
+    try:
+        n = int(token)
+    except ValueError:
+        raise PoolFormatError(f"{what}: {token!r} is not an integer") from None
+    if minimum is not None and n < minimum:
+        raise PoolFormatError(f"{what}: {n} < {minimum}")
+    return n
+
+
+def _floats(token: str, shape, what: str) -> np.ndarray:
+    try:
+        return unpack_floats(token, shape)
+    except ValueError as exc:
+        raise PoolFormatError(f"{what}: {exc}") from None
+
+
 def deserialize_pool(path) -> PromptPool:
+    """Load an LSGG-POOL 1 file; any malformed content raises PoolFormatError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
@@ -262,97 +239,52 @@ def deserialize_pool(path) -> PromptPool:
         raise PoolFormatError(f"bad magic line {lines[0]!r}")
     if head[1] != str(POOL_VERSION):
         raise PoolFormatError(f"unsupported pool version {head[1]!r}")
-    try:
-        n_t, n_p, d_tok, d_c, n_e = (int(t) for t in head[2:])
-    except ValueError:
-        raise PoolFormatError("non-integer pool dimensions in header") from None
+    n_t, n_p, d_tok, d_c, n_e = (_int(t, "pool dimension", 1) for t in head[2:])
 
     pos = 1
-    entries = []
+    entries, keys, prompts = [], [], []
+    ex_dims = None  # (d_s, d_o, d_r), fixed by the file's first exemplar
     for i in range(n_t):
         if pos + 3 > len(lines):
             raise PoolFormatError(f"truncated file: entry {i} incomplete")
         etoks = lines[pos].split()
         if len(etoks) != 4 or etoks[0] != "entry" or etoks[1] != str(i):
             raise PoolFormatError(f"line {pos + 1}: expected 'entry {i} ...', got {lines[pos]!r}")
-        seen_count, n_stored = int(etoks[2]), int(etoks[3])
+        where = f"line {pos + 1}: entry {i}"
+        seen_count = _int(etoks[2], f"{where} seen count", 0)
+        n_stored = _int(etoks[3], f"{where} stored count", 0)
         if n_stored > n_e:
-            raise PoolFormatError(f"line {pos + 1}: entry {i} claims {n_stored} > capacity {n_e}")
+            raise PoolFormatError(f"{where} claims {n_stored} > capacity {n_e}")
+        if n_stored > seen_count:
+            raise PoolFormatError(f"{where} stores {n_stored} > seen count {seen_count}")
         ktoks = lines[pos + 1].split()
         vtoks = lines[pos + 2].split()
         if len(ktoks) != 2 or ktoks[0] != "k" or len(vtoks) != 2 or vtoks[0] != "v":
             raise PoolFormatError(f"entry {i}: malformed key/prompt lines")
-        k = unpack_floats(ktoks[1], (d_c,))
-        v = unpack_floats(vtoks[1], (n_p, d_tok))
+        keys.append(_floats(ktoks[1], (d_c,), f"entry {i} key"))
+        prompts.append(_floats(vtoks[1], (n_p, d_tok), f"entry {i} prompt block"))
         pos += 3
         store = []
         for _ in range(n_stored):
             if pos >= len(lines):
                 raise PoolFormatError(f"truncated file: entry {i} store incomplete")
             xtoks = lines[pos].split()
+            where = f"line {pos + 1}"
             if len(xtoks) != 6 or xtoks[0] != "ex":
-                raise PoolFormatError(f"line {pos + 1}: malformed exemplar record")
-            store.append(
-                Exemplar(
-                    f_c=unpack_floats(xtoks[2], -1),
-                    f_s=unpack_floats(xtoks[3], -1),
-                    f_o=unpack_floats(xtoks[4], -1),
-                    f_r=unpack_floats(xtoks[5], -1),
-                    predicate=int(xtoks[1]),
-                )
-            )
+                raise PoolFormatError(f"{where}: malformed exemplar record")
+            f_s, f_o, f_r = (_floats(t, -1, f"{where} exemplar") for t in xtoks[3:])
+            if ex_dims is None:
+                ex_dims = (f_s.size, f_o.size, f_r.size)
+            elif (f_s.size, f_o.size, f_r.size) != ex_dims:
+                raise PoolFormatError(f"{where}: exemplar f_s/f_o/f_r lengths "
+                                      f"{(f_s.size, f_o.size, f_r.size)} != {ex_dims}")
+            store.append(Exemplar(f_c=_floats(xtoks[2], (d_c,), f"{where} exemplar f_c"),
+                                  f_s=f_s, f_o=f_o, f_r=f_r,
+                                  predicate=_int(xtoks[1], f"{where} predicate")))
             pos += 1
-        entries.append(PromptEntry(v=v, k=k, store=store, seen_count=seen_count))
+        entries.append(PromptEntry(store=store, seen_count=seen_count))
     if pos != len(lines) and any(ln.strip() for ln in lines[pos:]):
         raise PoolFormatError(f"line {pos + 1}: trailing content after last entry")
-    pool = PromptPool(entries=entries, n_e=n_e)
+    pool = PromptPool(prompts=np.stack(prompts), keys=np.stack(keys), entries=entries, n_e=n_e)
     pool.check_invariants()
     return pool
-
-
-@dataclass
-class ClassQuotaBuffer:
-    """Flat rehearsal buffer with a per-class quota of capacity/M for the M
-    predicates seen so far; an alternative admission policy for baselines
-    that do not use the keyed pool.
-
-    When a new class arrives the quota shrinks and over-quota classes drop
-    random members; within a fixed quota each class runs its own reservoir.
-    """
-
-    capacity: int = 2000
-    slots: dict = field(default_factory=dict)  # predicate -> list of Exemplar
-    seen: dict = field(default_factory=dict)  # predicate -> admitted count
-
-    def quota(self) -> int:
-        m = len(self.slots)
-        return max(1, self.capacity // m) if m else self.capacity
-
-    def admit(self, instance, rng: SeededRng) -> bool:
-        p = int(instance.predicate)
-        is_new = p not in self.slots
-        if is_new:
-            self.slots[p] = []
-            self.seen[p] = 0
-            q = self.quota()
-            for members in self.slots.values():
-                while len(members) > q:
-                    members.pop(rng.randint(len(members)))
-        self.seen[p] += 1
-        members = self.slots[p]
-        q = self.quota()
-        ex = make_exemplar(instance)
-        if len(members) < q:
-            members.append(ex)
-            return True
-        j = rng.randint(self.seen[p])
-        if j < q:
-            members[j] = ex
-            return True
-        return False
-
-    def sample(self, n: int, rng: SeededRng) -> list:
-        flat = [ex for p in sorted(self.slots) for ex in self.slots[p]]
-        if not flat:
-            return []
-        return [flat[rng.randint(len(flat))] for _ in range(n)]

@@ -217,8 +217,7 @@ def assemble_prompt(pool, selection, exemplars, query_block: np.ndarray,
 
     for entry_idx, sim, ex in context:
         seg = Segment(entry_index=entry_idx, similarity=float(sim), is_query=False,
-                      prompt_start=push(pool.entries[entry_idx].v),
-                      n_prompt=pool.entries[entry_idx].v.shape[0])
+                      prompt_start=push(pool.prompts[entry_idx]), n_prompt=pool.n_p)
         if ex is not None:
             exemplar, block = ex
             seg.exemplar = exemplar
@@ -231,8 +230,7 @@ def assemble_prompt(pool, selection, exemplars, query_block: np.ndarray,
 
     q_idx, q_sim = selection[0]
     qseg = Segment(entry_index=int(q_idx), similarity=float(q_sim), is_query=True,
-                   prompt_start=push(pool.entries[q_idx].v),
-                   n_prompt=pool.entries[q_idx].v.shape[0])
+                   prompt_start=push(pool.prompts[q_idx]), n_prompt=pool.n_p)
     qseg.exemplar_start = push(query_block)
     qseg.n_exemplar = query_block.shape[0]
     mask_start = push(mask_block)

@@ -24,14 +24,7 @@ import numpy as np
 from .rng import SeededRng
 
 KINDS = ("c", "r", "s", "o")
-KIND_NAMES = {"c": "context", "r": "relation", "s": "subject", "o": "object"}
 DEFAULT_TOKEN_COUNTS = {"c": 4, "r": 4, "s": 2, "o": 2}
-
-
-@dataclass
-class TokenBlock:
-    tokens: np.ndarray  # (rows, d_tok)
-    kind: str
 
 
 @dataclass
@@ -180,24 +173,3 @@ def encode_batch_backward(params: MapperParams, cache: MapperKindCache,
     d_flat = d_proj.reshape(b, l * params.d_tok)
     grads[f"proj_w.{kind}"] += d_flat.T @ cache.feats
     grads[f"proj_b.{kind}"] += d_flat.sum(axis=0)
-
-
-def encode_feature(params: MapperParams, f, kind: str) -> TokenBlock:
-    """Single-feature convenience wrapper around ``encode_batch``."""
-    out, _ = encode_batch(params, np.asarray(f, dtype=float)[None, :], kind)
-    return TokenBlock(tokens=out[0], kind=KIND_NAMES[kind])
-
-
-def encode_exemplar(params: MapperParams, e) -> TokenBlock:
-    """Tokens for a full instance: context, relation, subject, object rows
-    concatenated in that fixed order."""
-    for name in ("f_c", "f_r", "f_s", "f_o"):
-        if getattr(e, name, None) is None:
-            raise ValueError(f"exemplar is missing feature {name}")
-    blocks = [
-        encode_feature(params, e.f_c, "c").tokens,
-        encode_feature(params, e.f_r, "r").tokens,
-        encode_feature(params, e.f_s, "s").tokens,
-        encode_feature(params, e.f_o, "o").tokens,
-    ]
-    return TokenBlock(tokens=np.concatenate(blocks, axis=0), kind="exemplar")

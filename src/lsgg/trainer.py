@@ -16,7 +16,7 @@ import numpy as np
 
 from .ioutil import pack_floats, unpack_floats
 from .numerics import cosine, softmax
-from .prompt_pool import PromptPool, admit_exemplar
+from .prompt_pool import PromptPool, admit_exemplar, retrieve_entries
 from .rng import SeededRng
 from .scorer import (PredicateVocab, Rankings, ScorerParams, position_weights,
                      rank_predicates_batch)
@@ -77,20 +77,8 @@ class TrainableSet:
     scorer: ScorerParams
 
     def param_items(self):
-        """Every trainable array by name; pool entries one by one as
-        ``pool.v.{i}``/``pool.k.{i}``, views of the pool's stacked arrays."""
-        for name, arr in self.mapper.param_items():
-            yield f"mapper.{name}", arr
-        for i, entry in enumerate(self.pool.entries):
-            yield f"pool.v.{i}", entry.v
-            yield f"pool.k.{i}", entry.k
-        yield "y_mask", self.y_mask
-        if self.scorer.trainable:
-            yield from self.scorer.param_items()
-
-    def optim_items(self):
-        """The arrays the optimizer updates: ``param_items`` with the pool as
-        its two stacked arrays ``pool.v`` (prompts) and ``pool.k`` (keys)."""
+        """Every trainable array by name; the pool as its two arrays
+        ``pool.v`` (prompts) and ``pool.k`` (keys)."""
         for name, arr in self.mapper.param_items():
             yield f"mapper.{name}", arr
         yield "pool.v", self.pool.prompts
@@ -158,21 +146,10 @@ def token_norm_penalty(block: np.ndarray):
 # -- optimizer -------------------------------------------------------------------
 
 
-def _stack_entry_grads(grads: dict, name: str, param: np.ndarray):
-    """Stack per-entry gradients ``{name}.{i}`` into one array like ``param``;
-    None when there are none."""
-    rows = [grads.get(f"{name}.{i}") for i in range(param.shape[0])]
-    if all(r is None for r in rows):
-        return None
-    return np.stack([np.zeros_like(param[i]) if r is None else r for i, r in enumerate(rows)])
-
-
 class AdamW:
     """Adam with decoupled weight decay; dense update over all registered
-    parameters each step (absent gradients count as zero).
-
-    Gradients are looked up by ``TrainableSet.optim_items`` names; the pool's
-    may instead come per entry, named as in ``param_items``.
+    parameters each step (absent gradients count as zero). Gradients are
+    looked up by ``TrainableSet.param_items`` names.
     """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -187,12 +164,8 @@ class AdamW:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, param in trainables.optim_items():
-            g = grads.get(name)
-            if g is None and name.startswith("pool."):
-                g = _stack_entry_grads(grads, name, param)
-            if g is None:
-                g = 0.0
+        for name, param in trainables.param_items():
+            g = grads.get(name, 0.0)
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
                 self._work[name] = np.empty_like(param), np.empty_like(param)
@@ -458,16 +431,8 @@ def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
     slots (B, k-1): the store slot each context entry shows, -1 if empty;
     context feature norms (B,); key norms (n_t,)).
     """
-    f_c = batch.feats["c"]
-    cnorms = np.sqrt(np.vecdot(f_c, f_c))
-    if not np.isfinite(f_c).all() or (cnorms == 0.0).any():
-        raise ValueError("query context feature is degenerate")
-    keys = pool.keys
-    knorms = np.linalg.norm(keys, axis=1)
-    if not np.isfinite(keys).all() or (knorms == 0.0).any():
-        raise ValueError("cosine undefined for zero-norm or non-finite key")
-    sims = np.matmul(keys, f_c[:, :, None])[:, :, 0] / (knorms * cnorms[:, None])
     k = min(config.effective_k(), pool.n_t)
+    top, sims, cnorms, knorms = retrieve_entries(pool.keys, batch.feats["c"], k)
     n_ctx = _n_context(config, pool)
     stores.refresh()
     if config.random_prompts and config.random_exemplar and n_ctx:
@@ -478,10 +443,7 @@ def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
             selection[b] = _random_prompts(ab_rng, sims[b : b + 1], k)[0]
             slots[b] = _random_slots(ab_rng, stores.lengths[selection[b, 1:]])
     else:
-        if config.random_prompts:
-            selection = _random_prompts(ab_rng, sims, k)
-        else:
-            selection = np.argsort(-sims, axis=1, kind="stable")[:, :k]  # ties: lower index
+        selection = _random_prompts(ab_rng, sims, k) if config.random_prompts else top
         context = selection[:, 1 : 1 + n_ctx]
         if config.random_exemplar:
             slots = _random_slots(ab_rng, stores.lengths[context])
@@ -638,7 +600,7 @@ def _ordered_sum(values) -> float:
 
 def _loss_and_grads(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainConfig,
                     ab_rng: SeededRng | None, cache: _PassCache):
-    """Mean total loss, gradients keyed as ``TrainableSet.optim_items``, and
+    """Mean total loss, gradients keyed as ``TrainableSet.param_items``, and
     the raw loss parts."""
     fw = _forward(batch, pool, tr, config, ab_rng, cache)
     scorer = tr.scorer
@@ -758,25 +720,10 @@ def batch_loss_and_grads(items, pool: PromptPool, tr: TrainableSet, vocab: Predi
 
     Replayed items contribute only the prediction loss; query items add the
     key-alignment term and, when bound, the auxiliary token-norm term.
-    Gradients are keyed as ``TrainableSet.param_items``; the per-entry
-    ``pool.v.{i}``/``pool.k.{i}`` arrays are rows of two stacked arrays.
+    Gradients are keyed as ``TrainableSet.param_items``.
     """
     batch = _stack_sources([it.source for it in items], [it.replay for it in items])
-    loss, grads, parts = _loss_and_grads(batch, pool, tr, config, ab_rng,
-                                         _PassCache(pool, tr, vocab))
-    for name in ("pool.v", "pool.k"):
-        grads.update((f"{name}.{i}", row) for i, row in enumerate(grads.pop(name)))
-    return loss, grads, parts
-
-
-def grad_step(tr: TrainableSet, batch, pool: PromptPool, vocab: PredicateVocab,
-              config: TrainConfig, opt: AdamW, ab_rng: SeededRng | None = None) -> float:
-    """One optimizer step over a batch of (source, replay) items."""
-    data = _stack_sources([it.source for it in batch], [it.replay for it in batch])
-    loss, grads, _ = _loss_and_grads(data, pool, tr, config, ab_rng,
-                                     _PassCache(pool, tr, vocab))
-    opt.step(tr, grads, config)
-    return loss
+    return _loss_and_grads(batch, pool, tr, config, ab_rng, _PassCache(pool, tr, vocab))
 
 
 # -- stage loop ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from lsgg.prompt_pool import init_pool, make_exemplar
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, init_scorer
 from lsgg.token_mapper import init_mapper
-from lsgg.trainer import TrainConfig, TrainableSet, init_y_mask
+from lsgg.trainer import TrainConfig, TrainableSet, _nearest_slots, _StoreTable, init_y_mask
 
 
 def finite_diff(fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -48,6 +48,20 @@ def random_instance(rng: SeededRng, d_c=6, d_r=5, d_o=4, predicate=0,
         predicate=predicate,
         boxes=boxes,
     )
+
+
+def nearest_exemplar(pool, entry_idx, f_r):
+    """The exemplar the trainer's exemplar retrieval shows from one entry's
+    store for relation feature ``f_r``; None for an empty store."""
+    store = pool.entries[entry_idx].store
+    f_r = np.asarray(f_r, dtype=float)
+    dims = {"c": pool.d_c, "r": f_r.size, "s": 1, "o": 1}
+    if store:
+        dims.update(s=store[0].f_s.size, o=store[0].f_o.size)
+    stores = _StoreTable(pool, dims)
+    stores.refresh()
+    slot = _nearest_slots(f_r[None], np.array([[entry_idx]]), stores)[0, 0]
+    return None if slot < 0 else store[slot]
 
 
 class TinyWorld:

@@ -1,8 +1,8 @@
 """Per-item reference for the batched training and eval passes.
 
 Each item is retrieved, assembled, scored and back-propagated on its own,
-one ``assemble_prompt``/``score`` call at a time, and the optimizer visits
-every pool entry by name. This is the plain form of the arithmetic that
+one ``assemble_prompt``/``score`` call at a time, and the optimizer updates
+each named array with whole-array expressions. This is the plain form of the arithmetic that
 ``lsgg.trainer`` batches; ``test_batched_equivalence.py`` requires the two to
 agree bit for bit.
 """
@@ -81,7 +81,7 @@ class _RetrievalCtx:
 
     def __init__(self, pool: PromptPool):
         self.pool = pool
-        self.keys = RowCache(pool.key_matrix())
+        self.keys = RowCache(pool.keys.copy())
         self._stores: dict = {}
 
     def store_cache(self, entry_idx: int) -> RowCache:
@@ -216,8 +216,8 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
             grads["scorer.pos_weight"][: prompt.n_rows] += w * (g - float(w @ g))
 
         for seg in prompt.segments:
-            grads[f"pool.v.{seg.entry_index}"] += d_rows[seg.prompt_start:
-                                                         seg.prompt_start + seg.n_prompt]
+            grads["pool.v"][seg.entry_index] += d_rows[seg.prompt_start:
+                                                       seg.prompt_start + seg.n_prompt]
             if seg.is_query:
                 d_q_blocks[i] += d_rows[seg.exemplar_start:
                                         seg.exemplar_start + seg.n_exemplar]
@@ -236,8 +236,8 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
             for idx, sim in state.selections[i]:
                 l2_sum += 1.0 - sim
                 knorm = state.keys.norms[idx]
-                k = pool.entries[idx].k
-                grads[f"pool.k.{idx}"] += coeff * (-(u / knorm) + sim * k / (knorm * knorm))
+                k = pool.keys[idx]
+                grads["pool.k"][idx] += coeff * (-(u / knorm) + sim * k / (knorm * knorm))
             if config.l1_mode == "token_norm":
                 val, d_block = token_norm_penalty(state.q_blocks[i])
                 l1_sum += val

@@ -14,12 +14,11 @@ from lsgg.datastream import RelationInstance, SynthConfig, TaskSchedule, split_r
 from lsgg.harness import ExperimentConfig, preset_config, run_experiment
 from lsgg.metrics import (MetricReport, forgetting_measure, m_at_k,
                           mean_recall_at_k, recall_at_k, score_wtd, weighted_map)
-from lsgg.prompt_pool import (admit_exemplar, init_pool, make_exemplar,
-                              retrieve_exemplar, retrieve_topk_prompts)
+from lsgg.prompt_pool import admit_exemplar, init_pool, make_exemplar, retrieve_entries
 from lsgg.rng import SeededRng
 from lsgg.trainer import TrainConfig, _Item, batch_loss_and_grads
 
-from conftest import TinyWorld, finite_diff, grad_rel_err
+from conftest import TinyWorld, finite_diff, grad_rel_err, nearest_exemplar
 from test_metrics import (make_random_case, oracle_mean_recall, oracle_recall,
                           oracle_weighted_map)
 
@@ -95,7 +94,7 @@ def test_gradients_match_finite_differences():
                 continue
             assert grad_rel_err(grads[name], numeric) < 1e-4, (train_scorer, name)
             checked += 1
-        want = {"mapper.", "pool.v.", "pool.k.", "y_mask"}
+        want = {"mapper.", "pool.v", "pool.k", "y_mask"}
         if train_scorer:
             want |= {"scorer.emb", "scorer.readout", "scorer.pos_weight"}
         touched = {name for name, g in grads.items() if np.max(np.abs(g)) > 0}
@@ -138,22 +137,22 @@ def test_retrieval_equals_full_sort_oracles():
             onehot = np.zeros(d_c)
             onehot[0] = 1.0
             for i in (0, 1, n_t - 1):
-                pool.entries[i].k = onehot.copy()
-        query = (pool.entries[rng.randint(n_t)].k.copy() if trial % 5 == 0
+                pool.keys[i] = onehot
+        query = (pool.keys[rng.randint(n_t)].copy() if trial % 5 == 0
                  else rng.normal(d_c))
 
         k = 1 + rng.randint(n_t)
-        got = retrieve_topk_prompts(pool, query, k)
-        sims = cosine_to_rows(query, pool.key_matrix())
+        top, got_sims, _, _ = retrieve_entries(pool.keys, query[None], k)
+        sims = cosine_to_rows(query, pool.keys)
         qn = float(np.linalg.norm(query))
-        for i, e in enumerate(pool.entries):
-            ind = float(np.dot(query, e.k)) / (qn * float(np.linalg.norm(e.k)))
+        for i, key in enumerate(pool.keys):
+            ind = float(np.dot(query, key)) / (qn * float(np.linalg.norm(key)))
             assert abs(float(sims[i]) - ind) < 1e-12, trial
         if tied:
             assert sims[0] == sims[1] == sims[n_t - 1], trial
         expect = sorted(range(n_t), key=lambda i: (-sims[i], i))[:k]
-        assert [i for i, _ in got] == expect, trial
-        assert [s for _, s in got] == [float(sims[i]) for i in expect], trial
+        assert top[0].tolist() == expect, trial
+        assert np.array_equal(got_sims[0], sims), trial
 
         # exemplar top-1, with duplicated relation features forcing ties
         entry = pool.entries[0]
@@ -171,7 +170,7 @@ def test_retrieval_equals_full_sort_oracles():
                     f_s=rng.normal(2), f_o=rng.normal(2), subject_class=0,
                     object_class=1, predicate=label))
         q_r = rng.normal(d_r)
-        got_ex = retrieve_exemplar(entry, q_r)
+        got_ex = nearest_exemplar(pool, 0, q_r)
         if not entry.store:
             assert got_ex is None
         else:

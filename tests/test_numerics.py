@@ -1,5 +1,5 @@
-"""Dense-vector kernels against analytic values, extended-precision oracles,
-and brute-force sorts."""
+"""Dense-vector kernels against analytic values and extended-precision
+oracles, and key retrieval's ranking against brute-force sorts."""
 
 import math
 
@@ -7,9 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from lsgg.numerics import (RowCache, as_vector, cosine, cosine_to_rows, log_softmax,
-                           random_gaussian_matrix, random_unit_vector, softmax,
-                           top_k_indices)
+from lsgg.numerics import (RowCache, as_vector, cosine, cosine_to_rows, random_unit_vector,
+                           softmax)
+from lsgg.prompt_pool import retrieve_entries
 from lsgg.rng import SeededRng
 
 
@@ -75,6 +75,12 @@ def test_row_cache_bitwise_matches_cosine_to_rows():
 # -- top-k ----------------------------------------------------------------
 
 
+def top_k(query, keys, k):
+    """Key retrieval's top-k entries for one query."""
+    keys, query = np.asarray(keys, dtype=float), np.asarray(query, dtype=float)
+    return retrieve_entries(keys, query[None], k)[0][0].tolist()
+
+
 def brute_force_topk(query, keys, k):
     sims = [cosine(query, key) for key in keys]
     order = sorted(range(len(keys)), key=lambda i: (-sims[i], i))
@@ -82,10 +88,10 @@ def brute_force_topk(query, keys, k):
 
 
 def test_top_k_hand_cases():
-    assert top_k_indices([1, 0], [[1, 0], [0, 1], [-1, 0]], 2) == [0, 1]
+    assert top_k([1, 0], [[1, 0], [0, 1], [-1, 0]], 2) == [0, 1]
     # bit-identical keys are exact ties: lower index wins
-    assert top_k_indices([1, 1], [[2, 2], [2, 2], [2, 2]], 3) == [0, 1, 2]
-    assert top_k_indices([1, 1], [[0, 1], [2, 2], [2, 2]], 2) == [1, 2]
+    assert top_k([1, 1], [[2, 2], [2, 2], [2, 2]], 3) == [0, 1, 2]
+    assert top_k([1, 1], [[0, 1], [2, 2], [2, 2]], 2) == [1, 2]
 
 
 def test_top_k_matches_full_sort_oracle():
@@ -98,26 +104,26 @@ def test_top_k_matches_full_sort_oracle():
             keys[rng.randint(n)] = keys[0].copy()
         q = rng.normal(d)
         k = 1 + rng.randint(n)
-        assert top_k_indices(q, keys, k) == brute_force_topk(q, keys, k)
+        assert top_k(q, keys, k) == brute_force_topk(q, keys, k)
 
 
 def test_top_k_rejects_bad_k():
     keys = [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(ValueError):
-        top_k_indices([1, 0], keys, 0)
+        top_k([1, 0], keys, 0)
     with pytest.raises(ValueError):
-        top_k_indices([1, 0], keys, 3)
+        top_k([1, 0], keys, 3)
     with pytest.raises(ValueError):
-        top_k_indices([1, 0], [], 1)
+        top_k([1, 0], np.zeros((0, 2)), 1)
 
 
 def test_top_k_full_equals_similarity_sorted_permutation():
     rng = SeededRng(5)
     keys = [rng.normal(4) for _ in range(30)]
     q = rng.normal(4)
-    full = top_k_indices(q, keys, len(keys))
+    full = top_k(q, keys, len(keys))
     assert sorted(full) == list(range(30))
-    assert full[:1] == top_k_indices(q, keys, 1)
+    assert full[:1] == top_k(q, keys, 1)
 
 
 # -- softmax ----------------------------------------------------------------
@@ -148,14 +154,6 @@ def test_softmax_matches_extended_precision_oracle():
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-300)
 
 
-def test_log_softmax_consistent_with_softmax():
-    rng = SeededRng(7)
-    for _ in range(20):
-        logits = 30.0 * rng.normal(6)
-        assert np.allclose(np.exp(log_softmax(logits)), softmax(logits),
-                           rtol=1e-12, atol=1e-300)
-
-
 def test_softmax_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
         softmax([])
@@ -164,19 +162,6 @@ def test_softmax_rejects_empty_and_nonfinite():
 
 
 # -- seeded initializers -----------------------------------------------------
-
-
-def test_random_gaussian_matrix_statistics_and_determinism():
-    rng = SeededRng(8)
-    m = random_gaussian_matrix(100, 100, 1.0, rng)
-    assert m.shape == (100, 100)
-    assert 0.97 < float(m.std()) < 1.03
-    assert np.array_equal(random_gaussian_matrix(3, 4, 0.5, SeededRng(9)),
-                          random_gaussian_matrix(3, 4, 0.5, SeededRng(9)))
-    assert np.array_equal(random_gaussian_matrix(2, 2, 0.0, SeededRng(9)),
-                          np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        random_gaussian_matrix(0, 2, 1.0, rng)
 
 
 def test_random_unit_vector_norm_one():

@@ -1,19 +1,25 @@
-"""Prompt pool: retrieval against brute-force oracles, reservoir admission
-statistics, serialization, and the per-class quota buffer."""
+"""Prompt pool: retrieval against brute-force oracles, admission routing and
+reservoir statistics, and serialization."""
 
 import math
 
 import numpy as np
 import pytest
 
+from lsgg.ioutil import pack_floats
 from lsgg.numerics import cosine
-from lsgg.prompt_pool import (ClassQuotaBuffer, Exemplar, PoolFormatError, PromptEntry,
-                              PromptPool, admit_exemplar, deserialize_pool, init_pool,
-                              make_exemplar, retrieve_exemplar, retrieve_topk_prompts,
-                              serialize_pool)
+from lsgg.prompt_pool import (PoolFormatError, admit_exemplar, deserialize_pool, init_pool,
+                              make_exemplar, retrieve_entries, serialize_pool)
 from lsgg.rng import SeededRng
+from lsgg.trainer import TrainConfig, _select, _stack_sources, _StoreTable
 
-from conftest import random_instance
+from conftest import nearest_exemplar, random_instance
+
+
+def retrieve_topk(pool, f_c, k):
+    """(entry, cosine) pairs of key retrieval's top k for one query."""
+    top, sims, _, _ = retrieve_entries(pool.keys, np.asarray(f_c, dtype=float)[None], k)
+    return [(int(i), float(sims[0, i])) for i in top[0]]
 
 
 # -- construction -------------------------------------------------------------
@@ -24,8 +30,10 @@ def test_init_pool_shapes_and_seeding():
     assert pool.n_t == 10 and pool.n_p == 8 and pool.d_tok == 16
     assert pool.d_c == 6 and pool.n_e == 20
     assert pool.total_stored() == 0
+    assert pool.prompts.shape == (10, 8, 16) and pool.keys.shape == (10, 6)
+    for key in pool.keys:
+        assert float(np.linalg.norm(key)) == pytest.approx(1.0, abs=1e-12)
     for e in pool.entries:
-        assert float(np.linalg.norm(e.k)) == pytest.approx(1.0, abs=1e-12)
         assert e.store == [] and e.seen_count == 0
     assert pool.equals(init_pool(10, 8, 16, 6, 20, SeededRng(0)))
     assert not pool.equals(init_pool(10, 8, 16, 6, 20, SeededRng(1)))
@@ -43,7 +51,7 @@ def test_init_pool_capacity_arithmetic():
 
 def test_init_prompt_token_scale():
     pool = init_pool(60, 8, 64, 4, 5, SeededRng(3))
-    tokens = np.concatenate([e.v.ravel() for e in pool.entries])
+    tokens = pool.prompts.ravel()
     assert abs(float(tokens.std()) - 1 / math.sqrt(64)) < 0.005
 
 
@@ -52,15 +60,12 @@ def test_init_prompt_token_scale():
 
 def test_retrieve_topk_hand_cases():
     pool = init_pool(3, 2, 4, 3, 5, SeededRng(4))
-    pool.entries[0].k = np.array([1.0, 0.0, 0.0])
-    pool.entries[1].k = np.array([0.0, 1.0, 0.0])
-    pool.entries[2].k = np.array([0.0, 0.0, 1.0])
-    got = retrieve_topk_prompts(pool, [0.0, 2.0, 0.0], 1)
+    pool.keys[:] = np.eye(3)
+    got = retrieve_topk(pool, [0.0, 2.0, 0.0], 1)
     assert got == [(1, 1.0)]
     # identical keys tie toward lower indices
-    for e in pool.entries:
-        e.k = np.array([1.0, 1.0, 0.0])
-    got = retrieve_topk_prompts(pool, [2.0, 0.0, 0.0], 3)
+    pool.keys[:] = [1.0, 1.0, 0.0]
+    got = retrieve_topk(pool, [2.0, 0.0, 0.0], 3)
     assert [i for i, _ in got] == [0, 1, 2]
 
 
@@ -75,12 +80,11 @@ def test_retrieve_topk_matches_brute_force_over_random_pools():
             # term, so the tie survives any BLAS reduction order
             onehot = np.zeros(d_c)
             onehot[0] = 1.0
-            pool.entries[0].k = onehot.copy()
-            pool.entries[-1].k = onehot.copy()
+            pool.keys[0] = pool.keys[-1] = onehot
         q = rng.normal(d_c)
         k = 1 + rng.randint(n_t)
-        got = retrieve_topk_prompts(pool, q, k)
-        sims = [cosine(q, e.k) for e in pool.entries]
+        got = retrieve_topk(pool, q, k)
+        sims = [cosine(q, key) for key in pool.keys]
         expect = sorted(range(n_t), key=lambda i: (-sims[i], i))[:k]
         assert [i for i, _ in got] == expect
         for i, s in got:
@@ -90,14 +94,15 @@ def test_retrieve_topk_matches_brute_force_over_random_pools():
 
 def test_retrieve_topk_rejects_bad_k_and_never_mutates():
     pool = init_pool(4, 2, 4, 3, 5, SeededRng(6))
-    before = [e.k.copy() for e in pool.entries]
+    before = pool.keys.copy()
+    query = np.array([[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        retrieve_topk_prompts(pool, [1.0, 0.0, 0.0], 0)
+        retrieve_entries(pool.keys, query, 0)
     with pytest.raises(ValueError):
-        retrieve_topk_prompts(pool, [1.0, 0.0, 0.0], 5)
-    retrieve_topk_prompts(pool, [1.0, 0.0, 0.0], 4)
-    for e, k in zip(pool.entries, before):
-        assert np.array_equal(e.k, k)
+        retrieve_entries(pool.keys, query, 5)
+    retrieve_entries(pool.keys, query, 4)
+    assert np.array_equal(pool.keys, before)
+    assert np.array_equal(query, [[1.0, 0.0, 0.0]])
     assert pool.total_stored() == 0
 
 
@@ -106,19 +111,20 @@ def test_retrieve_topk_k1_equals_head_of_full_ranking():
     pool = init_pool(12, 2, 4, 5, 5, rng)
     for _ in range(20):
         q = rng.normal(5)
-        assert retrieve_topk_prompts(pool, q, 1) == retrieve_topk_prompts(pool, q, 12)[:1]
+        assert retrieve_topk(pool, q, 1) == retrieve_topk(pool, q, 12)[:1]
 
 
 def test_retrieve_exemplar_oracle_and_ties():
     rng = SeededRng(8)
-    entry = PromptEntry(v=np.zeros((2, 4)), k=np.ones(3))
-    assert retrieve_exemplar(entry, [1.0, 0.0, 0.0, 0.0, 0.0]) is None
+    pool = init_pool(1, 2, 4, 6, 50, SeededRng(0))
+    entry = pool.entries[0]
+    assert nearest_exemplar(pool, 0, [1.0, 0.0, 0.0, 0.0, 0.0]) is None
 
     for i in range(50):
         entry.store.append(make_exemplar(random_instance(rng, predicate=i % 4)))
     for _ in range(20):
         q = rng.normal(5)
-        got = retrieve_exemplar(entry, q)
+        got = nearest_exemplar(pool, 0, q)
         sims = [cosine(q, ex.f_r) for ex in entry.store]
         best = max(range(len(sims)), key=lambda i: (sims[i], -i))
         assert got is entry.store[best]
@@ -131,16 +137,17 @@ def test_retrieve_exemplar_oracle_and_ties():
     entry.store[7].f_r = onehot.copy()
     q = np.zeros(5)
     q[2] = 1.0
-    assert retrieve_exemplar(entry, q) is entry.store[3]
+    assert nearest_exemplar(pool, 0, q) is entry.store[3]
 
 
 def test_retrieve_exemplar_returns_stored_query():
     rng = SeededRng(9)
-    entry = PromptEntry(v=np.zeros((2, 4)), k=np.ones(3))
+    pool = init_pool(1, 2, 4, 6, 6, SeededRng(0))
+    store = pool.entries[0].store
     target = make_exemplar(random_instance(rng))
-    entry.store.extend([make_exemplar(random_instance(rng)) for _ in range(5)])
-    entry.store.insert(3, target)
-    assert retrieve_exemplar(entry, target.f_r) is target
+    store.extend([make_exemplar(random_instance(rng)) for _ in range(5)])
+    store.insert(3, target)
+    assert nearest_exemplar(pool, 0, target.f_r) is target
 
 
 # -- admission ----------------------------------------------------------------
@@ -148,9 +155,7 @@ def test_retrieve_exemplar_returns_stored_query():
 
 def test_admit_routes_to_nearest_key_and_fills():
     pool = init_pool(3, 2, 4, 3, 2, SeededRng(10))
-    pool.entries[0].k = np.array([1.0, 0.0, 0.0])
-    pool.entries[1].k = np.array([0.0, 1.0, 0.0])
-    pool.entries[2].k = np.array([0.0, 0.0, 1.0])
+    pool.keys[:] = np.eye(3)
     rng = SeededRng(11)
     inst = random_instance(rng, d_c=3)
     inst.f_c = np.array([0.1, 5.0, 0.2])
@@ -160,6 +165,29 @@ def test_admit_routes_to_nearest_key_and_fills():
     assert pool.entries[1].seen_count == 1
     assert pool.entries[1].store[0].equals(make_exemplar(inst))
     assert pool.entries[0].store == [] and pool.entries[2].store == []
+
+
+def test_admit_routes_to_the_entry_select_ranks_first():
+    # admission and the trainer's batch retrieval agree on every query,
+    # including exact ties between one-hot keys and queries equal to a key
+    rng = SeededRng(26)
+    for trial in range(100):
+        n_t, d_c = 1 + rng.randint(12), 2 + rng.randint(6)
+        pool = init_pool(n_t, 1, 2, d_c, 40, rng.derive("pool", trial))
+        if trial % 2 == 0 and n_t >= 3:
+            onehot = np.zeros(d_c)
+            onehot[rng.randint(d_c)] = 1.0
+            for i in (n_t - 1, 1, 0):
+                pool.keys[i] = onehot
+        queries = [random_instance(rng.derive("q", trial, j), d_c=d_c) for j in range(12)]
+        for j, inst in enumerate(queries[:4]):
+            inst.f_c = (2.0 + j) * pool.keys[rng.randint(n_t)]
+        batch = _stack_sources(queries, np.zeros(len(queries), dtype=bool))
+        stores = _StoreTable(pool, {kind: f.shape[1] for kind, f in batch.feats.items()})
+        config = TrainConfig(k_retrieve=1 + rng.randint(n_t))
+        selection = _select(batch, pool, config, None, stores)[0]
+        routed = [admit_exemplar(pool, inst, rng) for inst in queries]
+        assert routed == selection[:, 0].tolist(), trial
 
 
 def test_admit_seen_count_and_capacity():
@@ -264,36 +292,32 @@ def test_pool_file_errors(tmp_path):
     with pytest.raises(PoolFormatError):
         deserialize_pool(bad)
 
+    lines = text.splitlines()
 
-# -- class-quota buffer -------------------------------------------------------
+    def load_edited(at, edit):
+        edited = list(lines)
+        edited[at] = edit(edited[at].split())
+        bad.write_text("\n".join(edited) + "\n")
+        return deserialize_pool(bad)
 
-
-def test_quota_buffer_fills_and_shrinks():
-    buf = ClassQuotaBuffer(capacity=6)
-    rng = SeededRng(22)
-    for _ in range(10):
-        buf.admit(random_instance(rng, predicate=0), rng)
-    assert len(buf.slots[0]) == 6  # single class owns the whole capacity
-    for _ in range(10):
-        buf.admit(random_instance(rng, predicate=1), rng)
-    # two classes: quota 3 each, class 0 trimmed
-    assert len(buf.slots[0]) <= 3 and len(buf.slots[1]) <= 3
-    for _ in range(10):
-        buf.admit(random_instance(rng, predicate=2), rng)
-    assert all(len(m) <= 2 for m in buf.slots.values())
-    assert buf.quota() == 2
-
-
-def test_quota_buffer_sample():
-    buf = ClassQuotaBuffer(capacity=4)
-    rng = SeededRng(23)
-    assert buf.sample(3, rng) == []
-    for p in range(2):
-        for _ in range(5):
-            buf.admit(random_instance(rng, predicate=p), rng)
-    got = buf.sample(10, rng)
-    assert len(got) == 10
-    assert all(isinstance(ex, Exemplar) for ex in got)
+    ex_at = [i for i, line in enumerate(lines) if line.startswith("ex ")]
+    assert len(ex_at) >= 2
+    wide = pack_floats(np.ones(pool.d_c + 4))
+    with pytest.raises(PoolFormatError, match="f_c"):  # 7 values in a d_c=3 pool
+        load_edited(ex_at[0], lambda t: " ".join(t[:2] + [wide] + t[3:]))
+    for col in (3, 4, 5):  # f_s, f_o, f_r lengths differ between exemplars
+        with pytest.raises(PoolFormatError, match="lengths"):
+            load_edited(ex_at[-1], lambda t: " ".join(t[:col] + [wide] + t[col + 1:]))
+    with pytest.raises(PoolFormatError, match="predicate"):
+        load_edited(ex_at[0], lambda t: " ".join(t[:1] + ["two"] + t[2:]))
+    with pytest.raises(PoolFormatError, match="base64"):
+        load_edited(ex_at[0], lambda t: " ".join(t[:5] + ["not*base64"]))
+    entry_at = lines.index(next(ln for ln in lines if ln.startswith("entry 0 ")))
+    for seen, stored in (("-1", "0"), ("1.5", "0"), ("x", "0"), ("3", "-2"), ("0", "1")):
+        with pytest.raises(PoolFormatError):
+            load_edited(entry_at, lambda t: " ".join(t[:2] + [seen, stored]))
+    with pytest.raises(PoolFormatError, match="pool dimension"):
+        load_edited(0, lambda t: " ".join(t[:2] + ["0"] + t[3:]))
 
 
 def test_pool_invariant_violations_detected():

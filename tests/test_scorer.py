@@ -12,7 +12,7 @@ from lsgg.rng import SeededRng
 from lsgg.scorer import (PAD_TOKEN, AssembledPrompt, PredicateVocab, assemble_prompt,
                          build_vocab, default_vocab, init_scorer, load_vocab,
                          position_weights, rank_predicates, save_vocab, score)
-from lsgg.token_mapper import encode_exemplar, init_mapper
+from lsgg.token_mapper import KINDS, encode_batch, init_mapper
 
 from conftest import TinyWorld, random_instance
 
@@ -83,19 +83,25 @@ def selection_for(w, k):
     return [(i, 1.0 - 0.1 * i) for i in range(k)]
 
 
+def exemplar_block(w, ex):
+    """The exemplar's token rows: its features' blocks in ``KINDS`` order."""
+    return np.concatenate([encode_batch(w.mapper, getattr(ex, f"f_{kind}"), kind)[0][0]
+                           for kind in KINDS])
+
+
 def exemplar_pairs(w, selection):
     out = []
     for idx, _ in selection[1:]:
         inst = w.instance(predicate=idx % w.n_pred)
         ex = make_exemplar(inst)
-        out.append((ex, encode_exemplar(w.mapper, ex).tokens))
+        out.append((ex, exemplar_block(w, ex)))
     return out
 
 
 def query_rows(w):
     inst = w.instance(predicate=0)
     ex = make_exemplar(inst)
-    return encode_exemplar(w.mapper, ex).tokens
+    return exemplar_block(w, ex)
 
 
 def test_assembly_row_arithmetic_defaults():
@@ -147,8 +153,8 @@ def test_assembly_row_content_matches_layout():
     ex, ex_block = pairs[0]
     label_rows = w.scorer.emb[list(w.vocab.padded(ex.predicate))]
     expect = np.concatenate([
-        w.pool.entries[5].v, ex_block, label_rows,  # context segment (entry 5)
-        w.pool.entries[2].v, qrows, w.y_mask,       # query segment (entry 2)
+        w.pool.prompts[5], ex_block, label_rows,  # context segment (entry 5)
+        w.pool.prompts[2], qrows, w.y_mask,       # query segment (entry 2)
     ])
     assert np.array_equal(prompt.rows, expect)
     seg = prompt.segments[0]

@@ -7,8 +7,8 @@ import pytest
 from lsgg.prompt_pool import make_exemplar
 from lsgg.rng import SeededRng
 from lsgg.token_mapper import (DEFAULT_TOKEN_COUNTS, KINDS, encode_batch,
-                               encode_batch_backward, encode_exemplar, encode_feature,
-                               init_grads, init_mapper)
+                               encode_batch_backward, init_grads, init_mapper)
+from lsgg.trainer import _encode
 
 from conftest import finite_diff, grad_rel_err, random_instance
 
@@ -20,6 +20,11 @@ def small_mapper(seed=0, depth=1, d_tok=8, token_counts=None):
                        depth=depth, rng=SeededRng(seed))
 
 
+def encode_one(m, f, kind):
+    """The token block of one feature vector: a batch of one."""
+    return encode_batch(m, f, kind)[0][0]
+
+
 # -- shapes and purity --------------------------------------------------------
 
 
@@ -27,49 +32,40 @@ def test_default_token_counts_per_kind():
     m = small_mapper()
     rng = SeededRng(1)
     for kind, expect in (("c", 4), ("r", 4), ("s", 2), ("o", 2)):
-        block = encode_feature(m, rng.normal(FEAT_DIMS[kind]), kind)
-        assert block.tokens.shape == (expect, 8)
-        assert np.all(np.isfinite(block.tokens))
+        block = encode_one(m, rng.normal(FEAT_DIMS[kind]), kind)
+        assert block.shape == (expect, 8)
+        assert np.all(np.isfinite(block))
     assert DEFAULT_TOKEN_COUNTS == {"c": 4, "r": 4, "s": 2, "o": 2}
 
 
 def test_encode_feature_pure_and_deterministic():
     m = small_mapper()
     f = SeededRng(2).normal(6)
-    a = encode_feature(m, f, "c").tokens
-    b = encode_feature(m, f.copy(), "c").tokens
+    a = encode_one(m, f, "c")
+    b = encode_one(m, f.copy(), "c")
     assert np.array_equal(a, b)
 
 
 def test_encode_feature_rejects_bad_inputs():
     m = small_mapper()
     with pytest.raises(ValueError):
-        encode_feature(m, np.zeros(7), "c")  # wrong dimension
+        encode_batch(m, np.zeros(7), "c")  # wrong dimension
     with pytest.raises(ValueError):
-        encode_feature(m, np.zeros(6), "x")  # unknown kind
+        encode_batch(m, np.zeros((3, 7)), "c")
+    with pytest.raises(ValueError):
+        encode_batch(m, np.zeros(6), "x")  # unknown kind
 
 
 def test_encode_exemplar_concatenation_order():
+    # the trainer's exemplar block: kinds c, r, s, o concatenated in order
     m = small_mapper()
     rng = SeededRng(3)
-    inst = random_instance(rng, d_c=6, d_r=5, d_o=4)
-    ex = make_exemplar(inst)
-    block = encode_exemplar(m, ex).tokens
+    ex = make_exemplar(random_instance(rng, d_c=6, d_r=5, d_o=4))
+    feats = {kind: getattr(ex, f"f_{kind}")[None] for kind in KINDS}
+    block = _encode(m, feats)[0][0]
     assert block.shape == (12, 8)  # 4 + 4 + 2 + 2
-    parts = [encode_feature(m, getattr(ex, f"f_{kind}"), kind).tokens for kind in KINDS]
+    parts = [encode_one(m, getattr(ex, f"f_{kind}"), kind) for kind in KINDS]
     assert np.array_equal(block, np.concatenate(parts, axis=0))
-    # same features, separately constructed object: equal blocks
-    ex2 = make_exemplar(inst)
-    assert np.array_equal(encode_exemplar(m, ex2).tokens, block)
-
-
-def test_encode_exemplar_rejects_missing_feature():
-    m = small_mapper()
-    rng = SeededRng(4)
-    inst = random_instance(rng, d_c=6, d_r=5, d_o=4)
-    inst.f_r = None
-    with pytest.raises(ValueError):
-        encode_exemplar(m, inst)
 
 
 def test_encode_batch_matches_per_feature_encode():
@@ -79,7 +75,7 @@ def test_encode_batch_matches_per_feature_encode():
     out, _ = encode_batch(m, feats, "c")
     assert out.shape == (7, 4, 8)
     for i in range(7):
-        single = encode_feature(m, feats[i], "c").tokens
+        single = encode_one(m, feats[i], "c")
         assert np.allclose(out[i], single, rtol=0, atol=1e-15)
 
 
@@ -90,7 +86,7 @@ def test_depth_zero_is_affine_projection_plus_positions():
     m = small_mapper(seed=6, depth=0)
     rng = SeededRng(7)
     f = rng.normal(6)
-    got = encode_feature(m, f, "c").tokens
+    got = encode_one(m, f, "c")
     flat = m.proj_w["c"] @ f + m.proj_b["c"]
     expect = flat.reshape(4, 8) + m.pos["c"]
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
