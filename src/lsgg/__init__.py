@@ -8,15 +8,13 @@ from .rng import SeededRng
 from .datastream import (RelationInstance, SynthConfig, TaskSchedule, StageDataset,
                          load_embeddings, make_stage_datasets, predicate_counts,
                          save_embeddings, split_by_frequency, split_random, synth_generate)
-from .prompt_pool import (Exemplar, PromptEntry, PromptPool, admit_exemplar,
-                          deserialize_pool, init_pool, retrieve_entries, serialize_pool)
+from .prompt_pool import (PromptPool, admit_exemplar, deserialize_pool, init_pool,
+                          retrieve_entries, serialize_pool)
 from .token_mapper import MapperParams, init_mapper
-from .scorer import (AssembledPrompt, PredicateVocab, Rankings, ScorerParams, assemble_prompt,
-                     build_vocab, default_vocab, init_scorer, load_vocab,
-                     rank_predicates, save_vocab, score)
+from .scorer import (PredicateVocab, Rankings, ScorerParams, build_vocab, default_vocab,
+                     init_scorer, load_vocab, save_vocab)
 from .trainer import (AdamW, TrainConfig, TrainableSet, batch_loss_and_grads, init_y_mask,
-                      loss_key_alignment, loss_predicate_ce, loss_total, predict_ranked,
-                      train_stage)
+                      loss_total, predict_ranked, train_stage)
 from .metrics import (AccuracyMatrix, GTRecord, MetricReport, PredRecord,
                       forgetting_measure, m_at_k, mean_recall_at_k, recall_at_k,
                       recall_at_ks, score_wtd, weighted_map)

@@ -1,85 +1,51 @@
 """Knowledge-keyed prompt memory: prompt token blocks, retrieval keys, and
 bounded exemplar stores with reservoir eviction.
 
-Retrieval is exact cosine search over the keys; the pool is small enough that
-approximate indices would only add failure modes.
+The pool is a handful of arrays. ``prompts`` and ``keys`` are trainable; the
+stores are ``store_feats[kind]`` (n_t, n_e, d_kind), ``store_labels``
+(n_t, n_e), ``store_len`` (n_t,) and ``seen`` (n_t,). Admitting an exemplar
+writes one row of each. Retrieval is exact cosine search over the keys; the
+pool is small enough that approximate indices would only add failure modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ioutil import pack_floats, unpack_floats
 from .numerics import random_unit_vector
 from .rng import SeededRng
+from .token_mapper import KINDS
 
 POOL_MAGIC = "LSGG-POOL"
 POOL_VERSION = 1
-
-
-@dataclass
-class Exemplar:
-    """A stored past instance: the four raw feature vectors plus its label.
-
-    Features are kept raw (not tokenized) so rehearsal re-encodes them through
-    the current token mapper and benefits from mapper updates.
-    """
-
-    f_c: np.ndarray
-    f_s: np.ndarray
-    f_o: np.ndarray
-    f_r: np.ndarray
-    predicate: int
-
-    def equals(self, other) -> bool:
-        return (
-            self.predicate == other.predicate
-            and np.array_equal(self.f_c, other.f_c)
-            and np.array_equal(self.f_s, other.f_s)
-            and np.array_equal(self.f_o, other.f_o)
-            and np.array_equal(self.f_r, other.f_r)
-        )
-
-
-def make_exemplar(instance) -> Exemplar:
-    return Exemplar(
-        f_c=np.array(instance.f_c, dtype=float),
-        f_s=np.array(instance.f_s, dtype=float),
-        f_o=np.array(instance.f_o, dtype=float),
-        f_r=np.array(instance.f_r, dtype=float),
-        predicate=int(instance.predicate),
-    )
-
-
-@dataclass(eq=False)
-class PromptEntry:
-    """One pool entry's bounded exemplar store and the number of instances
-    ever routed to it. The entry's prompt tokens and key are row i of the
-    pool's ``prompts`` and ``keys``."""
-
-    store: list = field(default_factory=list)
-    seen_count: int = 0
-
-    def equals(self, other) -> bool:
-        return (
-            self.seen_count == other.seen_count
-            and len(self.store) == len(other.store)
-            and all(a.equals(b) for a, b in zip(self.store, other.store))
-        )
+_FILE_KINDS = ("c", "s", "o", "r")  # feature order of an "ex" record
 
 
 @dataclass(eq=False)
 class PromptPool:
     """Prompt tokens ``prompts`` (n_t, n_p, d_tok) and retrieval keys ``keys``
-    (n_t, d_c), one row per entry, plus each entry's exemplar store of
-    capacity ``n_e``. Optimizers update the two arrays in place."""
+    (n_t, d_c), one row per entry, and every entry's exemplar store of
+    capacity n_e as four arrays. Optimizers update ``prompts`` and ``keys``
+    in place.
+
+    Store slot (i, s) of entry i holds, for s < ``store_len[i]``, a past
+    instance's raw features ``store_feats[kind][i, s]`` and its label
+    ``store_labels[i, s]``. Features stay raw (not tokenized), so rehearsal
+    re-encodes them through the current token mapper. ``seen[i]`` counts the
+    instances ever routed to entry i. ``store_feats`` stays empty until the
+    first exemplar is written, which fixes each kind's width.
+    """
 
     prompts: np.ndarray
     keys: np.ndarray
-    entries: list
-    n_e: int
+    store_feats: dict  # kind -> (n_t, n_e, d_kind)
+    store_labels: np.ndarray  # (n_t, n_e) int64
+    store_len: np.ndarray  # (n_t,) int64
+    seen: np.ndarray  # (n_t,) int64
 
     @property
     def n_t(self) -> int:
@@ -97,30 +63,66 @@ class PromptPool:
     def d_c(self) -> int:
         return self.keys.shape[1]
 
+    @property
+    def n_e(self) -> int:
+        return self.store_labels.shape[1]
+
+    @property
+    def entries(self) -> list:
+        """Read-only per-entry views whose ``store`` holds the labels of the
+        entry's filled slots. The benchmark probe (``perfbench/probe.py``)
+        reads ``len(e.store)`` for each entry."""
+        return [_EntryView(self.store_labels[i, :n]) for i, n in enumerate(self.store_len)]
+
     def total_stored(self) -> int:
-        return sum(len(e.store) for e in self.entries)
+        return int(self.store_len.sum())
 
     def check_invariants(self) -> None:
         if self.prompts.ndim != 3 or self.keys.ndim != 2:
             raise AssertionError(f"prompts {self.prompts.shape} / keys {self.keys.shape} "
                                  "must be (n_t, n_p, d_tok) / (n_t, d_c)")
-        if not self.prompts.shape[0] == self.n_t == len(self.entries):
-            raise AssertionError(f"{self.prompts.shape[0]} prompt blocks, {self.n_t} keys "
-                                 f"and {len(self.entries)} entries")
-        for i, e in enumerate(self.entries):
-            if len(e.store) > self.n_e:
-                raise AssertionError(f"entry {i}: store holds {len(e.store)} > capacity {self.n_e}")
-            if len(e.store) > e.seen_count:
-                raise AssertionError(f"entry {i}: store larger than seen_count")
+        n_t, n_e = self.n_t, self.n_e
+        if self.prompts.shape[0] != n_t or self.store_labels.shape[0] != n_t:
+            raise AssertionError(f"{self.prompts.shape[0]} prompt blocks, {n_t} keys "
+                                 f"and {self.store_labels.shape[0]} stores")
+        if self.store_len.shape != (n_t,) or self.seen.shape != (n_t,):
+            raise AssertionError("store lengths and seen counts need one value per entry")
+        for kind, f in self.store_feats.items():
+            if f.ndim != 3 or f.shape[:2] != (n_t, n_e):
+                raise AssertionError(f"store features {kind} {f.shape} != ({n_t}, {n_e}, d)")
+        over = np.flatnonzero((self.store_len < 0) | (self.store_len > n_e))
+        if over.size:
+            raise AssertionError(f"entry {over[0]}: store holds {self.store_len[over[0]]} "
+                                 f"outside capacity {n_e}")
+        if np.any(self.store_len > self.seen):
+            raise AssertionError(f"entry {np.argmax(self.store_len > self.seen)}: "
+                                 "store larger than seen count")
 
     def equals(self, other) -> bool:
-        return (
-            self.n_e == other.n_e
-            and np.array_equal(self.prompts, other.prompts)
-            and np.array_equal(self.keys, other.keys)
-            and len(self.entries) == len(other.entries)
-            and all(a.equals(b) for a, b in zip(self.entries, other.entries))
-        )
+        """Same arrays, comparing the stores' filled slots only."""
+        if not (self.n_e == other.n_e and np.array_equal(self.prompts, other.prompts)
+                and np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.seen, other.seen)
+                and np.array_equal(self.store_len, other.store_len)):
+            return False
+        filled = np.arange(self.n_e) < self.store_len[:, None]
+        if not filled.any():
+            return True
+        return (np.array_equal(self.store_labels[filled], other.store_labels[filled])
+                and self.store_feats.keys() == other.store_feats.keys()
+                and all(np.array_equal(f[filled], other.store_feats[kind][filled])
+                        for kind, f in self.store_feats.items()))
+
+
+_EntryView = namedtuple("_EntryView", "store")
+
+
+def _empty_pool(prompts: np.ndarray, keys: np.ndarray, n_e: int) -> PromptPool:
+    n_t = keys.shape[0]
+    return PromptPool(prompts=prompts, keys=keys, store_feats={},
+                      store_labels=np.zeros((n_t, n_e), dtype=np.int64),
+                      store_len=np.zeros(n_t, dtype=np.int64),
+                      seen=np.zeros(n_t, dtype=np.int64))
 
 
 def init_pool(n_t: int, n_p: int, d_tok: int, d_c: int, n_e: int, rng: SeededRng) -> PromptPool:
@@ -132,8 +134,7 @@ def init_pool(n_t: int, n_p: int, d_tok: int, d_c: int, n_e: int, rng: SeededRng
     for i in range(n_t):  # key, then prompt block, entry by entry
         keys[i] = random_unit_vector(d_c, rng)
         prompts[i] = scale * rng.normal((n_p, d_tok))
-    return PromptPool(prompts=prompts, keys=keys,
-                      entries=[PromptEntry() for _ in range(n_t)], n_e=n_e)
+    return _empty_pool(prompts, keys, n_e)
 
 
 def retrieve_entries(keys: np.ndarray, f_c: np.ndarray, k: int):
@@ -159,27 +160,42 @@ def retrieve_entries(keys: np.ndarray, f_c: np.ndarray, k: int):
     return top, sims, cnorms, knorms
 
 
+def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int) -> None:
+    """Write one exemplar's raw features (kind -> 1-D array) and label into
+    store slot (entry, slot). The first exemplar written fixes each kind's
+    width; a later one of other widths raises ValueError."""
+    widths = {kind: v.size for kind, v in feats.items()}
+    if not pool.store_feats:
+        pool.store_feats.update({kind: np.zeros((pool.n_t, pool.n_e, n))
+                                 for kind, n in widths.items()})
+    stored = {kind: f.shape[2] for kind, f in pool.store_feats.items()}
+    if widths != stored:
+        raise ValueError(f"exemplar feature lengths {widths} != stored {stored}")
+    for kind, v in feats.items():
+        pool.store_feats[kind][entry, slot] = v
+    pool.store_labels[entry, slot] = label
+
+
 def admit_exemplar(pool: PromptPool, instance, rng: SeededRng):
     """Offer an instance to the pool; returns the entry index if stored, else None.
 
     Routing: the entry retrieval ranks first for f_c (the cosine-nearest key,
-    ties to the lower index). Storage: append while under capacity, then
-    uniform reservoir: item number N is kept with probability n_e/N,
-    replacing a uniform slot.
+    ties to the lower index). Storage: one row write, into the next free slot
+    while under capacity, then uniform reservoir: item number N is kept with
+    probability n_e/N, replacing a uniform slot.
     """
-    f_c = np.asarray(instance.f_c, dtype=float)[None]
-    entry_idx = int(retrieve_entries(pool.keys, f_c, 1)[0][0, 0])
-    entry = pool.entries[entry_idx]
-    entry.seen_count += 1
-    ex = make_exemplar(instance)
-    if len(entry.store) < pool.n_e:
-        entry.store.append(ex)
-        return entry_idx
-    j = rng.randint(entry.seen_count)  # single draw decides both fate and slot
-    if j < pool.n_e:
-        entry.store[j] = ex
-        return entry_idx
-    return None
+    feats = {kind: np.asarray(getattr(instance, f"f_{kind}"), dtype=float) for kind in KINDS}
+    entry = int(retrieve_entries(pool.keys, feats["c"][None], 1)[0][0, 0])
+    pool.seen[entry] += 1
+    slot = int(pool.store_len[entry])
+    if slot == pool.n_e:
+        slot = rng.randint(int(pool.seen[entry]))  # single draw decides both fate and slot
+        if slot >= pool.n_e:
+            return None
+    _write_slot(pool, entry, slot, feats, int(instance.predicate))
+    if slot == pool.store_len[entry]:  # an append grows the store
+        pool.store_len[entry] += 1
+    return entry
 
 
 # -- serialization (LSGG-POOL 1) ----------------------------------------------
@@ -191,20 +207,15 @@ def admit_exemplar(pool: PromptPool, instance, rng: SeededRng):
 def serialize_pool(pool: PromptPool, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{POOL_MAGIC} {POOL_VERSION} {pool.n_t} {pool.n_p} {pool.d_tok} {pool.d_c} {pool.n_e}\n")
-        for i, e in enumerate(pool.entries):
-            fh.write(f"entry {i} {e.seen_count} {len(e.store)}\n")
+        for i in range(pool.n_t):
+            n = int(pool.store_len[i])
+            fh.write(f"entry {i} {int(pool.seen[i])} {n}\n")
             fh.write(f"k {pack_floats(pool.keys[i])}\n")
             fh.write(f"v {pack_floats(pool.prompts[i])}\n")
-            for ex in e.store:
-                fh.write(
-                    "ex {} {} {} {} {}\n".format(
-                        ex.predicate,
-                        pack_floats(ex.f_c),
-                        pack_floats(ex.f_s),
-                        pack_floats(ex.f_o),
-                        pack_floats(ex.f_r),
-                    )
-                )
+            for s in range(n):
+                fh.write("ex {} {}\n".format(
+                    int(pool.store_labels[i, s]),
+                    " ".join(pack_floats(pool.store_feats[kind][i, s]) for kind in _FILE_KINDS)))
 
 
 class PoolFormatError(ValueError):
@@ -241,9 +252,8 @@ def deserialize_pool(path) -> PromptPool:
         raise PoolFormatError(f"unsupported pool version {head[1]!r}")
     n_t, n_p, d_tok, d_c, n_e = (_int(t, "pool dimension", 1) for t in head[2:])
 
+    pool = _empty_pool(np.empty((n_t, n_p, d_tok)), np.empty((n_t, d_c)), n_e)
     pos = 1
-    entries, keys, prompts = [], [], []
-    ex_dims = None  # (d_s, d_o, d_r), fixed by the file's first exemplar
     for i in range(n_t):
         if pos + 3 > len(lines):
             raise PoolFormatError(f"truncated file: entry {i} incomplete")
@@ -261,30 +271,27 @@ def deserialize_pool(path) -> PromptPool:
         vtoks = lines[pos + 2].split()
         if len(ktoks) != 2 or ktoks[0] != "k" or len(vtoks) != 2 or vtoks[0] != "v":
             raise PoolFormatError(f"entry {i}: malformed key/prompt lines")
-        keys.append(_floats(ktoks[1], (d_c,), f"entry {i} key"))
-        prompts.append(_floats(vtoks[1], (n_p, d_tok), f"entry {i} prompt block"))
+        pool.keys[i] = _floats(ktoks[1], (d_c,), f"entry {i} key")
+        pool.prompts[i] = _floats(vtoks[1], (n_p, d_tok), f"entry {i} prompt block")
+        pool.seen[i], pool.store_len[i] = seen_count, n_stored
         pos += 3
-        store = []
-        for _ in range(n_stored):
+        for s in range(n_stored):
             if pos >= len(lines):
                 raise PoolFormatError(f"truncated file: entry {i} store incomplete")
             xtoks = lines[pos].split()
             where = f"line {pos + 1}"
             if len(xtoks) != 6 or xtoks[0] != "ex":
                 raise PoolFormatError(f"{where}: malformed exemplar record")
-            f_s, f_o, f_r = (_floats(t, -1, f"{where} exemplar") for t in xtoks[3:])
-            if ex_dims is None:
-                ex_dims = (f_s.size, f_o.size, f_r.size)
-            elif (f_s.size, f_o.size, f_r.size) != ex_dims:
-                raise PoolFormatError(f"{where}: exemplar f_s/f_o/f_r lengths "
-                                      f"{(f_s.size, f_o.size, f_r.size)} != {ex_dims}")
-            store.append(Exemplar(f_c=_floats(xtoks[2], (d_c,), f"{where} exemplar f_c"),
-                                  f_s=f_s, f_o=f_o, f_r=f_r,
-                                  predicate=_int(xtoks[1], f"{where} predicate")))
+            feats = {"c": _floats(xtoks[2], (d_c,), f"{where} exemplar f_c")}
+            for kind, tok in zip(_FILE_KINDS[1:], xtoks[3:]):
+                feats[kind] = _floats(tok, -1, f"{where} exemplar")
+            label = _int(xtoks[1], f"{where} predicate")
+            try:
+                _write_slot(pool, i, s, feats, label)
+            except ValueError as exc:
+                raise PoolFormatError(f"{where}: {exc}") from None
             pos += 1
-        entries.append(PromptEntry(store=store, seen_count=seen_count))
     if pos != len(lines) and any(ln.strip() for ln in lines[pos:]):
         raise PoolFormatError(f"line {pos + 1}: trailing content after last entry")
-    pool = PromptPool(prompts=np.stack(prompts), keys=np.stack(keys), entries=entries, n_e=n_e)
     pool.check_invariants()
     return pool

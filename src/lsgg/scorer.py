@@ -1,4 +1,5 @@
-"""In-context prompt assembly and the frozen decoder that scores mask slots.
+"""Predicate vocabulary, the frozen decoder that scores mask slots, and
+predicate ranking.
 
 The decoder is a seeded, frozen pooled linear readout: for mask slot j the
 token rows are condensed to ``pooled_j = sum_i w_i row_i + row_{mask_j}``
@@ -138,142 +139,12 @@ def init_scorer(v: int, d_tok: int, n_mask: int, max_rows: int, rng: SeededRng) 
     return ScorerParams(emb=emb, readout=readout, pos_weight=np.zeros(max_rows))
 
 
-# -- assembly ------------------------------------------------------------------
-
-
-@dataclass
-class Segment:
-    """One [prompt; exemplar; label] block plus row bookkeeping for backprop."""
-
-    entry_index: int
-    similarity: float
-    is_query: bool
-    prompt_start: int
-    n_prompt: int
-    exemplar: object = None  # the Exemplar shown in a context segment, if any
-    exemplar_start: int = -1
-    n_exemplar: int = 0
-    label_tokens: tuple = ()  # padded token ids (context segments only)
-    label_start: int = -1
-    n_label: int = 0
-
-
-@dataclass
-class AssembledPrompt:
-    rows: np.ndarray  # (N, d_tok)
-    segments: list
-    mask_positions: list  # row indices of the mask slots, in slot order
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    def check_invariants(self) -> None:
-        if not self.segments or not self.segments[-1].is_query:
-            raise AssertionError("query segment must be last")
-        if any(s.is_query for s in self.segments[:-1]):
-            raise AssertionError("query segment must be unique")
-
-
-def assemble_prompt(pool, selection, exemplars, query_block: np.ndarray,
-                    mask_block: np.ndarray, emb: np.ndarray, vocab: PredicateVocab,
-                    order_rng: SeededRng | None = None) -> AssembledPrompt:
-    """Assemble the in-context token sequence for one query.
-
-    selection: (entry index, similarity) pairs in descending similarity, as
-    retrieval returns them; the most similar entry hosts the query segment.
-    exemplars: aligned with selection[1:], each (Exemplar, token block) or
-    None; None (empty store) drops that segment's exemplar and label rows.
-    query_block: the query's encoded feature rows; mask_block: the learnable
-    mask-slot rows; emb: frozen embedding table supplying label rows.
-
-    Layout is ascending similarity, so the most similar prompt sits adjacent
-    to the query segment, which always comes last. order_rng, when given,
-    shuffles context segments (the ordering ablation); the query stays last.
-    """
-    if len(selection) < 1:
-        raise ValueError("need at least one retrieved prompt")
-    if len(exemplars) != len(selection) - 1:
-        raise ValueError("one exemplar slot per context entry required")
-    d_tok = pool.d_tok
-    for name, block in (("query", query_block), ("mask", mask_block), ("embedding", emb)):
-        if block.ndim != 2 or block.shape[1] != d_tok:
-            raise ValueError(f"{name} rows must be 2-D with width {d_tok}")
-
-    context = [(idx, sim, ex) for (idx, sim), ex in zip(selection[1:], exemplars)]
-    context.reverse()  # ascending similarity: least similar first
-    if order_rng is not None:
-        order_rng.shuffle(context)
-
-    parts, segments = [], []
-    row = 0
-
-    def push(block) -> int:
-        nonlocal row
-        parts.append(block)
-        start = row
-        row += block.shape[0]
-        return start
-
-    for entry_idx, sim, ex in context:
-        seg = Segment(entry_index=entry_idx, similarity=float(sim), is_query=False,
-                      prompt_start=push(pool.prompts[entry_idx]), n_prompt=pool.n_p)
-        if ex is not None:
-            exemplar, block = ex
-            seg.exemplar = exemplar
-            seg.exemplar_start = push(block)
-            seg.n_exemplar = block.shape[0]
-            seg.label_tokens = vocab.padded(exemplar.predicate)
-            seg.label_start = push(emb[list(seg.label_tokens)])
-            seg.n_label = len(seg.label_tokens)
-        segments.append(seg)
-
-    q_idx, q_sim = selection[0]
-    qseg = Segment(entry_index=int(q_idx), similarity=float(q_sim), is_query=True,
-                   prompt_start=push(pool.prompts[q_idx]), n_prompt=pool.n_p)
-    qseg.exemplar_start = push(query_block)
-    qseg.n_exemplar = query_block.shape[0]
-    mask_start = push(mask_block)
-    segments.append(qseg)
-
-    prompt = AssembledPrompt(
-        rows=np.concatenate(parts, axis=0),
-        segments=segments,
-        mask_positions=list(range(mask_start, mask_start + mask_block.shape[0])),
-    )
-    prompt.check_invariants()
-    return prompt
-
-
 def position_weights(params: ScorerParams, n_rows: int) -> np.ndarray:
     if n_rows > params.pos_weight.shape[0]:
         raise ValueError(
             f"sequence of {n_rows} rows exceeds positional capacity {params.pos_weight.shape[0]}"
         )
     return softmax(params.pos_weight[:n_rows])
-
-
-def score(params: ScorerParams, x: AssembledPrompt,
-          w: np.ndarray = None, base: np.ndarray = None) -> np.ndarray:
-    """Per-mask-slot probability rows over the token vocabulary, (n_mask, V).
-
-    Callers that already hold the positional weights w and the pooled row
-    base = w @ rows (the training loop reuses both for the backward pass) may
-    pass them in; the math is identical either way.
-    """
-    if x.rows.shape[1] != params.d_tok:
-        raise ValueError(f"prompt width {x.rows.shape[1]} != decoder width {params.d_tok}")
-    if len(x.mask_positions) != params.n_mask:
-        raise ValueError(f"{len(x.mask_positions)} mask rows but decoder expects {params.n_mask}")
-    if w is None:
-        w = position_weights(params, x.n_rows)
-    if base is None:
-        base = w @ x.rows
-    out = np.empty((params.n_mask, params.v))
-    for j, mpos in enumerate(x.mask_positions):
-        pooled = base + x.rows[mpos]
-        out[j] = softmax(params.readout[j] @ pooled)
-    return out
 
 
 @dataclass
@@ -292,23 +163,15 @@ class Rankings:
         return list(zip(self.labels[i].tolist(), self.scores[i].tolist()))
 
 
-def rank_predicates(distributions: np.ndarray, vocab: PredicateVocab,
-                    candidates=None) -> list:
-    """Rank predicates by length-normalized summed log-probability.
-
-    Scores each candidate's word tokens against the per-slot distributions
-    (slot j scores token j), ignoring padding; ties order by label id.
-    Returns (label, score) pairs, best first.
-    """
-    dist = np.asarray(distributions, dtype=float)
-    if dist.ndim != 2 or dist.shape[0] != vocab.n_mask:
-        raise ValueError(f"need {vocab.n_mask} distribution rows, got {dist.shape}")
-    return rank_predicates_batch(dist[None], vocab, candidates)[0]
-
-
 def rank_predicates_batch(distributions: np.ndarray, vocab: PredicateVocab,
                           candidates=None) -> Rankings:
-    """``rank_predicates`` for a stack of (n_mask, V) distributions at once."""
+    """Rank predicates for a stack of (B, n_mask, V) slot distributions by
+    length-normalized summed log-probability.
+
+    Scores each candidate's word tokens against each item's per-slot
+    distributions (slot j scores token j), ignoring padding; ties order by
+    label id. Row i of the result ranks item i's candidates best first.
+    """
     dist = np.asarray(distributions, dtype=float)
     if dist.ndim != 3 or dist.shape[1] != vocab.n_mask:
         raise ValueError(f"need (B, {vocab.n_mask}, V) distributions, got {dist.shape}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ioutil import pack_floats, unpack_floats
-from .numerics import cosine, softmax
+from .numerics import softmax
 from .prompt_pool import PromptPool, admit_exemplar, retrieve_entries
 from .rng import SeededRng
 from .scorer import (PredicateVocab, Rankings, ScorerParams, position_weights,
@@ -25,6 +25,7 @@ from .token_mapper import (KINDS, MapperParams, encode_batch, encode_batch_backw
 
 CKPT_MAGIC = "LSGG-CKPT"
 CKPT_VERSION = 1
+_CKPT_RECORDS = ("pool", "config", "scorer_trainable", "mapper_meta", "mapper_kind", "array")
 
 
 @dataclass
@@ -102,45 +103,11 @@ def init_y_mask(n_mask: int, d_tok: int, rng: SeededRng) -> np.ndarray:
 # -- losses --------------------------------------------------------------------
 
 
-def loss_key_alignment(f_c_query, keys) -> float:
-    """Sum of (1 - cosine) between the query context feature and each key."""
-    keys = list(keys)
-    if not keys:
-        raise ValueError("key-alignment loss needs at least one key")
-    return float(sum(1.0 - cosine(f_c_query, k) for k in keys))
-
-
-def loss_predicate_ce(distributions, target: int, vocab: PredicateVocab) -> float:
-    """Teacher-forced cross-entropy over the target's non-padding token slots."""
-    dist = np.asarray(distributions, dtype=float)
-    toks = vocab.tokens.get(target)
-    if not toks:
-        raise ValueError(f"target predicate {target} has no tokens")
-    total = 0.0
-    for j, t in enumerate(toks):
-        if not 0 <= t < dist.shape[1]:
-            raise ValueError(f"token {t} outside vocabulary of size {dist.shape[1]}")
-        total -= float(np.log(dist[j, t]))
-    return total
-
-
 def loss_total(l1_aux: float, l2: float, l3: float, config: TrainConfig) -> float:
     for name, val in (("l1", l1_aux), ("l2", l2), ("l3", l3)):
         if not np.isfinite(val):
             raise ValueError(f"loss component {name} is not finite: {val}")
     return config.alpha * l1_aux + config.lam * l2 + l3
-
-
-def token_norm_penalty(block: np.ndarray):
-    """Mean squared deviation of row norms from 1; the optional auxiliary loss.
-
-    Returns (value, gradient wrt the block rows).
-    """
-    sq = np.sum(block * block, axis=1)
-    dev = sq - 1.0
-    value = float(np.mean(dev * dev))
-    grad = (4.0 / block.shape[0]) * dev[:, None] * block
-    return value, grad
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -209,7 +176,7 @@ class AdamW:
 
 @dataclass
 class _Item:
-    source: object  # RelationInstance or Exemplar
+    source: object  # anything with f_c, f_r, f_s, f_o and predicate
     replay: bool  # replayed items contribute only the prediction loss
 
 
@@ -242,62 +209,21 @@ def _stack_sources(sources, replay) -> _Batch:
     return _Batch(feats, targets, np.asarray(replay, dtype=bool))
 
 
-class _StoreTable:
-    """Every entry's exemplar store as padded stacked arrays.
-
-    Slot (e, s) holds store position s of entry e: its features by kind, its
-    label, its relation-feature norm and the identity of the stored object.
-    ``degenerate[e]`` marks a store with a zero-norm or non-finite relation
-    feature, which cosine retrieval refuses.
-    ``invalidate(e)`` after a write into entry e's store makes the next
-    ``refresh()`` rebuild that entry's rows.
-    """
-
-    def __init__(self, pool: PromptPool, feat_dims: dict):
-        self.pool = pool
-        n_t = pool.n_t
-        cap = max([pool.n_e] + [len(e.store) for e in pool.entries])
-        self.lengths = np.zeros(n_t, dtype=np.int64)
-        self.feats = {kind: np.zeros((n_t, cap, feat_dims[kind])) for kind in KINDS}
-        self.labels = np.zeros((n_t, cap), dtype=np.int64)
-        self.ids = np.zeros((n_t, cap), dtype=np.int64)
-        self.r_norms = np.zeros((n_t, cap))
-        self.degenerate = np.zeros(n_t, dtype=bool)
-        self._stale = set(range(n_t))
-
-    def invalidate(self, entry_idx: int) -> None:
-        self._stale.add(entry_idx)
-
-    def refresh(self) -> None:
-        for e in self._stale:
-            store = self.pool.entries[e].store
-            n = self.lengths[e] = len(store)
-            if n:
-                for kind in KINDS:
-                    self.feats[kind][e, :n] = [getattr(ex, f"f_{kind}") for ex in store]
-                self.labels[e, :n] = [ex.predicate for ex in store]
-                self.ids[e, :n] = [id(ex) for ex in store]
-                self.r_norms[e, :n] = np.linalg.norm(self.feats["r"][e, :n], axis=1)
-            self.degenerate[e] = n and (not np.all(np.isfinite(self.feats["r"][e, :n]))
-                                        or np.any(self.r_norms[e, :n] == 0.0))
-        self._stale.clear()
-
-    def replays(self, picks) -> _Batch:
-        """Replayed items at positions ``picks`` of all stores concatenated."""
-        ends = np.cumsum(self.lengths)
-        e = np.searchsorted(ends, picks, side="right")
-        s = picks - (ends[e] - self.lengths[e])
-        return _Batch({kind: f[e, s] for kind, f in self.feats.items()},
-                      self.labels[e, s], np.ones(len(picks), dtype=bool))
+def _replays(pool: PromptPool, picks: np.ndarray) -> _Batch:
+    """Replayed items at positions ``picks`` of all stores concatenated."""
+    ends = np.cumsum(pool.store_len)
+    e = np.searchsorted(ends, picks, side="right")
+    s = picks - (ends[e] - pool.store_len[e])
+    return _Batch({kind: f[e, s] for kind, f in pool.store_feats.items()},
+                  pool.store_labels[e, s], np.ones(len(picks), dtype=bool))
 
 
 class _PassCache:
     """Lookups that live for one ``train_stage`` or ``predict_ranked`` call:
-    the stacked stores and the padded label tokens, plus, once ``freeze``
-    has run, the token table of an inference call."""
+    the padded label tokens, plus, once ``freeze`` has run, the token table
+    of an inference call."""
 
-    def __init__(self, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab):
-        self.stores = _StoreTable(pool, tr.mapper.feat_dims)
+    def __init__(self, tr: TrainableSet, vocab: PredicateVocab):
         self.label_ids = np.array(vocab.labels(), dtype=np.int64)
         self.label_tokens, self.label_counts = vocab.token_table()
         if self.label_tokens.max() >= tr.scorer.v:
@@ -311,9 +237,7 @@ class _PassCache:
         decoder do not move: prompts, every filled store slot encoded once
         (when context segments show exemplars), label embeddings and mask
         rows, followed by room for ``max_batch`` items' query rows."""
-        stores = self.stores
-        stores.refresh()
-        filled = np.arange(stores.labels.shape[1]) < stores.lengths[:, None]
+        filled = np.arange(pool.n_e) < pool.store_len[:, None]
         filled &= _n_context(config, pool) > 0  # else no segment shows an exemplar
         self.slot_rows = np.full(filled.shape, -1, dtype=np.int64)
         self.slot_rows[filled] = np.arange(np.count_nonzero(filled))
@@ -321,7 +245,7 @@ class _PassCache:
         parts = [pool.prompts.reshape(-1, d_tok)]
         if filled.any():
             ex_blocks, _ = _encode(tr.mapper, {kind: f[filled]
-                                               for kind, f in stores.feats.items()})
+                                               for kind, f in pool.store_feats.items()})
             parts.append(ex_blocks.reshape(-1, d_tok))
         parts += [tr.scorer.emb, tr.y_mask, np.empty((max_batch * n_ex_rows, d_tok))]
         self.table = np.concatenate(parts)
@@ -383,21 +307,22 @@ def _random_slots(ab_rng: SeededRng | None, lengths: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _nearest_slots(f_r: np.ndarray, entries: np.ndarray, stores: _StoreTable) -> np.ndarray:
+def _nearest_slots(f_r: np.ndarray, entries: np.ndarray, pool: PromptPool) -> np.ndarray:
     """Per (item, entry) pair the store slot with the highest relation-feature
     cosine (ties: earliest slot), -1 for an empty store."""
-    lengths = stores.lengths[entries]
+    lengths = pool.store_len[entries]
     slots = np.full(entries.shape, -1, dtype=np.int64)
     if not lengths.any():
         return slots
     rnorm = np.sqrt(np.vecdot(f_r, f_r))
     for n in np.unique(lengths[lengths > 0]):  # one BLAS shape per store length
         b, c = np.nonzero(lengths == n)
-        e = entries[b, c]
-        if stores.degenerate[e].any():
+        rows = pool.store_feats["r"][entries[b, c], :n]
+        norms = np.linalg.norm(rows, axis=-1)  # non-finite for a row with inf or nan
+        if not np.isfinite(norms).all() or (norms == 0.0).any():
             raise ValueError("stored relation features are degenerate")
-        sims = np.matmul(stores.feats["r"][e, :n], f_r[b][:, :, None])[:, :, 0]
-        sims /= stores.r_norms[e, :n] * rnorm[b, None]
+        sims = np.matmul(rows, f_r[b][:, :, None])[:, :, 0]
+        sims /= norms * rnorm[b, None]
         slots[b, c] = np.argmax(sims, axis=1)
     return slots
 
@@ -424,7 +349,7 @@ def _n_context(config: TrainConfig, pool: PromptPool) -> int:
 
 
 def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
-            ab_rng: SeededRng | None, stores: _StoreTable):
+            ab_rng: SeededRng | None):
     """Retrieval for the whole batch.
 
     Returns (selection (B, k) entries, query entry first; their key cosines;
@@ -434,21 +359,20 @@ def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
     k = min(config.effective_k(), pool.n_t)
     top, sims, cnorms, knorms = retrieve_entries(pool.keys, batch.feats["c"], k)
     n_ctx = _n_context(config, pool)
-    stores.refresh()
     if config.random_prompts and config.random_exemplar and n_ctx:
         # both draws share the stream item by item: prompts, then exemplars
         selection = np.empty((len(batch), k), dtype=np.int64)
         slots = np.empty((len(batch), n_ctx), dtype=np.int64)
         for b in range(len(batch)):
             selection[b] = _random_prompts(ab_rng, sims[b : b + 1], k)[0]
-            slots[b] = _random_slots(ab_rng, stores.lengths[selection[b, 1:]])
+            slots[b] = _random_slots(ab_rng, pool.store_len[selection[b, 1:]])
     else:
         selection = _random_prompts(ab_rng, sims, k) if config.random_prompts else top
         context = selection[:, 1 : 1 + n_ctx]
         if config.random_exemplar:
-            slots = _random_slots(ab_rng, stores.lengths[context])
+            slots = _random_slots(ab_rng, pool.store_len[context])
         else:
-            slots = _nearest_slots(batch.feats["r"], context, stores)
+            slots = _nearest_slots(batch.feats["r"], context, pool)
     return selection, np.take_along_axis(sims, selection, axis=1), slots, cnorms, knorms
 
 
@@ -493,23 +417,23 @@ def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainCon
         raise ValueError(f"{n_mask} mask rows but decoder expects {scorer.n_mask}")
     q_blocks, q_caches = _encode(tr.mapper, batch.feats)
     n_ex_rows = q_blocks.shape[1]
-    selection, sims, slots, cnorms, knorms = _select(batch, pool, config, ab_rng, cache.stores)
+    selection, sims, slots, cnorms, knorms = _select(batch, pool, config, ab_rng)
     n_ctx = slots.shape[1]
 
     # the exemplar each context segment shows, as a block of the token table
-    stores = cache.stores
     pb, pc = np.nonzero(slots >= 0)
     ent, slot = selection[pb, pc + 1], slots[pb, pc]
     shown = np.full(slots.shape, -1, dtype=np.int64)
     label = np.zeros(slots.shape, dtype=np.int64)
-    label[pb, pc] = cache.label_rows(stores.labels[ent, slot])
+    label[pb, pc] = cache.label_rows(pool.store_labels[ent, slot])
     ex_caches = None
     if cache.table is not None:  # inference: every stored exemplar is encoded
         shown[pb, pc] = cache.slot_rows[ent, slot]
         n_shown = np.count_nonzero(cache.slot_rows >= 0)
         table = cache.table
     else:  # training: the batch's exemplars, once each in first-seen order
-        _, first, inverse = np.unique(stores.ids[ent, slot], return_index=True,
+        # flat slot e * n_e + s names an exemplar: stores change only between steps
+        _, first, inverse = np.unique(ent * pool.n_e + slot, return_index=True,
                                       return_inverse=True)
         seen = np.argsort(first)
         rank = np.empty_like(seen)
@@ -520,7 +444,7 @@ def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainCon
         if seen.size:
             u_ent, u_slot = ent[first[seen]], slot[first[seen]]
             ex_blocks, ex_caches = _encode(
-                tr.mapper, {kind: f[u_ent, u_slot] for kind, f in stores.feats.items()})
+                tr.mapper, {kind: f[u_ent, u_slot] for kind, f in pool.store_feats.items()})
             parts.append(ex_blocks.reshape(-1, d_tok))
         parts += [scorer.emb, tr.y_mask, q_blocks.reshape(-1, d_tok)]
         table = np.concatenate(parts)
@@ -723,7 +647,7 @@ def batch_loss_and_grads(items, pool: PromptPool, tr: TrainableSet, vocab: Predi
     Gradients are keyed as ``TrainableSet.param_items``.
     """
     batch = _stack_sources([it.source for it in items], [it.replay for it in items])
-    return _loss_and_grads(batch, pool, tr, config, ab_rng, _PassCache(pool, tr, vocab))
+    return _loss_and_grads(batch, pool, tr, config, ab_rng, _PassCache(tr, vocab))
 
 
 # -- stage loop ------------------------------------------------------------------
@@ -763,8 +687,7 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
     chunk = max(1, config.batch_size - n_re_full)
 
     data = _stack_sources(train, np.zeros(len(train), dtype=bool))
-    cache = _PassCache(pool, tr, vocab)
-    stores = cache.stores
+    cache = _PassCache(tr, vocab)
     epoch_losses = []
     visit = next_admit = admitted = 0
     for _ in range(config.epochs):
@@ -778,17 +701,15 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
                                        admit_rng)
                 if entry is not None:
                     admitted += 1
-                    stores.invalidate(entry)
                 next_admit += 1
             visit = end
             batch = data.take(idxs)
             if rho > 0:
-                stores.refresh()
-                n_stored = int(stores.lengths.sum())
+                n_stored = pool.total_stored()
                 if n_stored:
                     want = int(round(len(idxs) * rho / (1.0 - rho)))
                     picks = replay_rng.randint_block(np.full(want, n_stored))
-                    batch = batch.concat(stores.replays(picks))
+                    batch = batch.concat(_replays(pool, picks))
             loss, grads, _ = _loss_and_grads(batch, pool, tr, config, ab_rng, cache)
             opt.step(tr, grads, config)
             step_losses.append(loss)
@@ -819,7 +740,7 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
         return rank_predicates_batch(np.empty((0, vocab.n_mask, tr.scorer.v)), vocab,
                                      candidates=candidates)
     data = _stack_sources(instances, np.zeros(len(instances), dtype=bool))
-    cache = _PassCache(pool, tr, vocab)
+    cache = _PassCache(tr, vocab)
     cache.freeze(pool, tr, config, min(batch_size, len(instances)))
     labels, scores = [], []
     for start in range(0, len(instances), batch_size):
@@ -856,7 +777,8 @@ class CheckpointFormatError(ValueError):
 
 
 def load_checkpoint(path):
-    """Returns (arrays by name, config echo dict, pool path, metadata dict)."""
+    """Returns (arrays by name, config echo dict, pool path, metadata dict);
+    any malformed content raises CheckpointFormatError."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0].split() != [CKPT_MAGIC, str(CKPT_VERSION)]:
@@ -867,25 +789,28 @@ def load_checkpoint(path):
         if not line.strip():
             continue
         tag, _, rest = line.partition(" ")
-        if tag == "pool":
-            pool_path = rest
-        elif tag == "config":
-            key, _, val = rest.partition("=")
-            config_echo[key] = val
-        elif tag == "scorer_trainable":
-            meta["scorer_trainable"] = bool(int(rest))
-        elif tag == "mapper_meta":
-            d_tok, depth = rest.split()
-            meta["d_tok"], meta["depth"] = int(d_tok), int(depth)
-        elif tag == "mapper_kind":
-            kind, d_in, n_tok, l_proj = rest.split()
-            meta["kinds"][kind] = (int(d_in), int(n_tok), int(l_proj))
-        elif tag == "array":
-            name, shape_s, payload = rest.split(" ", 2)
-            shape = tuple(int(s) for s in shape_s.split(","))
-            arrays[name] = unpack_floats(payload, shape)
-        else:
+        if tag not in _CKPT_RECORDS:
             raise CheckpointFormatError(f"line {lineno}: unknown record {tag!r}")
+        try:
+            if tag == "pool":
+                pool_path = rest
+            elif tag == "config":
+                key, _, val = rest.partition("=")
+                config_echo[key] = val
+            elif tag == "scorer_trainable":
+                meta["scorer_trainable"] = bool(int(rest))
+            elif tag == "mapper_meta":
+                d_tok, depth = rest.split()
+                meta["d_tok"], meta["depth"] = int(d_tok), int(depth)
+            elif tag == "mapper_kind":
+                kind, d_in, n_tok, l_proj = rest.split()
+                meta["kinds"][kind] = (int(d_in), int(n_tok), int(l_proj))
+            else:
+                name, shape_s, payload = rest.split(" ", 2)
+                shape = tuple(int(s) for s in shape_s.split(","))
+                arrays[name] = unpack_floats(payload, shape)
+        except ValueError as exc:
+            raise CheckpointFormatError(f"line {lineno}: malformed {tag!r} record: {exc}") from None
     if pool_path is None:
         raise CheckpointFormatError("checkpoint is missing its pool reference")
     return arrays, config_echo, pool_path, meta

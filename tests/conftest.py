@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from lsgg.datastream import RelationInstance
-from lsgg.prompt_pool import init_pool, make_exemplar
+from lsgg.prompt_pool import init_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, init_scorer
 from lsgg.token_mapper import init_mapper
-from lsgg.trainer import TrainConfig, TrainableSet, _nearest_slots, _StoreTable, init_y_mask
+from lsgg.trainer import TrainConfig, TrainableSet, _nearest_slots, init_y_mask
+
+from oracles import append_exemplar
 
 
 def finite_diff(fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -51,17 +53,11 @@ def random_instance(rng: SeededRng, d_c=6, d_r=5, d_o=4, predicate=0,
 
 
 def nearest_exemplar(pool, entry_idx, f_r):
-    """The exemplar the trainer's exemplar retrieval shows from one entry's
-    store for relation feature ``f_r``; None for an empty store."""
-    store = pool.entries[entry_idx].store
+    """The store slot the trainer's exemplar retrieval shows from one entry
+    for relation feature ``f_r``; None for an empty store."""
     f_r = np.asarray(f_r, dtype=float)
-    dims = {"c": pool.d_c, "r": f_r.size, "s": 1, "o": 1}
-    if store:
-        dims.update(s=store[0].f_s.size, o=store[0].f_o.size)
-    stores = _StoreTable(pool, dims)
-    stores.refresh()
-    slot = _nearest_slots(f_r[None], np.array([[entry_idx]]), stores)[0, 0]
-    return None if slot < 0 else store[slot]
+    slot = _nearest_slots(f_r[None], np.array([[entry_idx]]), pool)[0, 0]
+    return None if slot < 0 else int(slot)
 
 
 class TinyWorld:
@@ -99,11 +95,9 @@ class TinyWorld:
                                d_o=self.d_o, predicate=predicate, image_id=image_id)
 
     def fill_store(self, entry_idx: int, n: int, start_pred=0) -> None:
-        entry = self.pool.entries[entry_idx]
         for i in range(n):
-            inst = self.instance(predicate=(start_pred + i) % self.n_pred)
-            entry.store.append(make_exemplar(inst))
-            entry.seen_count += 1
+            append_exemplar(self.pool, entry_idx,
+                            self.instance(predicate=(start_pred + i) % self.n_pred))
 
 
 @pytest.fixture

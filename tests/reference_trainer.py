@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lsgg.numerics import RowCache
 from lsgg.prompt_pool import PromptPool, admit_exemplar
 from lsgg.rng import SeededRng
-from lsgg.scorer import PredicateVocab, assemble_prompt, position_weights, score
+from lsgg.scorer import PredicateVocab, position_weights
 from lsgg.token_mapper import KINDS, encode_batch, encode_batch_backward, init_grads
-from lsgg.trainer import (TrainConfig, TrainableSet, _Item, loss_predicate_ce,
-                          loss_total, token_norm_penalty)
+from lsgg.trainer import TrainConfig, TrainableSet, _Item, loss_total
+
+from oracles import (RowCache, assemble_prompt, loss_predicate_ce, score, stored_exemplar,
+                     token_norm_penalty)
 
 
 class AdamW:
@@ -77,7 +78,8 @@ def _kind_slices(mapper):
 
 
 class _RetrievalCtx:
-    """Key matrix and per-entry store rows, valid while the pool is unchanged."""
+    """Key matrix and per-entry store relation rows, valid while the pool is
+    unchanged."""
 
     def __init__(self, pool: PromptPool):
         self.pool = pool
@@ -87,8 +89,8 @@ class _RetrievalCtx:
     def store_cache(self, entry_idx: int) -> RowCache:
         cache = self._stores.get(entry_idx)
         if cache is None:
-            store = self.pool.entries[entry_idx].store
-            cache = RowCache(np.stack([e.f_r for e in store]))
+            n = self.pool.store_len[entry_idx]
+            cache = RowCache(self.pool.store_feats["r"][entry_idx, :n])
             self._stores[entry_idx] = cache
         return cache
 
@@ -108,21 +110,21 @@ def _select(ctx: _RetrievalCtx, inst, config: TrainConfig, ab_rng):
     else:
         order = np.argsort(-sims, kind="stable")
         selection = [(int(i), float(sims[i])) for i in order[:k]]
-    exemplars = []
+    exemplars = []  # flat store slot e * n_e + s of each context segment's exemplar
     if not config.naive:
         f_r = None
         for idx, _ in selection[1:]:
-            entry = pool.entries[idx]
-            if not entry.store:
+            n = int(pool.store_len[idx])
+            if not n:
                 exemplars.append(None)
             elif config.random_exemplar:
-                exemplars.append(entry.store[ab_rng.randint(len(entry.store))])
+                exemplars.append(idx * pool.n_e + ab_rng.randint(n))
             else:
                 if f_r is None:
                     f_r = np.asarray(inst.f_r, dtype=float)
                     rnorm = float(np.linalg.norm(f_r))
                 store_sims = ctx.store_cache(idx).cosines(f_r, rnorm)
-                exemplars.append(entry.store[int(np.argmax(store_sims))])
+                exemplars.append(idx * pool.n_e + int(np.argmax(store_sims)))
     return selection, exemplars, f_c, cnorm
 
 
@@ -145,23 +147,24 @@ def _forward(items, pool, tr, vocab, config, ab_rng, ctx=None) -> _ForwardState:
         f_cs.append(f_c)
         cnorms.append(cnorm)
         for ex in exemplars:
-            if ex is not None and id(ex) not in ex_index:
-                ex_index[id(ex)] = len(uniq_ex)
+            if ex is not None and ex not in ex_index:
+                ex_index[ex] = len(uniq_ex)
                 uniq_ex.append(ex)
 
     ex_blocks, ex_caches = None, {}
     if uniq_ex:
         parts = []
+        ent, slot = np.divmod(np.array(uniq_ex), pool.n_e)
         for kind in KINDS:
-            efeats = np.stack([np.asarray(getattr(ex, f"f_{kind}"), dtype=float)
-                               for ex in uniq_ex])
-            out, ex_caches[kind] = encode_batch(tr.mapper, efeats, kind)
+            out, ex_caches[kind] = encode_batch(tr.mapper, pool.store_feats[kind][ent, slot],
+                                                kind)
             parts.append(out)
         ex_blocks = np.concatenate(parts, axis=1)
 
     prompts, probs, weights, bases = [], [], [], []
     for i in range(len(items)):
-        pairs = [None if ex is None else (ex, ex_blocks[ex_index[id(ex)]])
+        pairs = [None if ex is None else
+                 (ex, int(pool.store_labels.flat[ex]), ex_blocks[ex_index[ex]])
                  for ex in ex_lists[i]]
         order_rng = ab_rng if config.shuffle_order else None
         prompt = assemble_prompt(pool, selections[i], pairs, q_blocks[i], tr.y_mask,
@@ -222,7 +225,7 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
                 d_q_blocks[i] += d_rows[seg.exemplar_start:
                                         seg.exemplar_start + seg.n_exemplar]
             elif seg.exemplar is not None:
-                u = state.ex_index[id(seg.exemplar)]
+                u = state.ex_index[seg.exemplar]
                 d_ex_blocks[u] += d_rows[seg.exemplar_start:
                                          seg.exemplar_start + seg.n_exemplar]
                 if scorer_train:
@@ -296,12 +299,12 @@ def train_stage(stage, pool, tr, vocab, config, opt: AdamW, rng: SeededRng,
                 visit += 1
                 batch.append(_Item(source=inst, replay=False))
             if rho > 0:
-                stored = [ex for entry in pool.entries for ex in entry.store]
+                stored = [(e, s) for e in range(pool.n_t) for s in range(pool.store_len[e])]
                 if stored:
                     want = int(round(len(idxs) * rho / (1.0 - rho)))
                     for _ in range(want):
-                        batch.append(_Item(source=stored[replay_rng.randint(len(stored))],
-                                           replay=True))
+                        e, s = stored[replay_rng.randint(len(stored))]
+                        batch.append(_Item(source=stored_exemplar(pool, e, s), replay=True))
             loss, grads, _ = batch_loss_and_grads(batch, pool, tr, vocab, config, ab_rng)
             opt.step(tr, grads, config)
             step_losses.append(loss)

@@ -14,11 +14,12 @@ from lsgg.datastream import RelationInstance, SynthConfig, TaskSchedule, split_r
 from lsgg.harness import ExperimentConfig, preset_config, run_experiment
 from lsgg.metrics import (MetricReport, forgetting_measure, m_at_k,
                           mean_recall_at_k, recall_at_k, score_wtd, weighted_map)
-from lsgg.prompt_pool import admit_exemplar, init_pool, make_exemplar, retrieve_entries
+from lsgg.prompt_pool import admit_exemplar, init_pool, retrieve_entries
 from lsgg.rng import SeededRng
 from lsgg.trainer import TrainConfig, _Item, batch_loss_and_grads
 
 from conftest import TinyWorld, finite_diff, grad_rel_err, nearest_exemplar
+from oracles import append_exemplar, cosine_to_rows
 from test_metrics import (make_random_case, oracle_mean_recall, oracle_recall,
                           oracle_weighted_map)
 
@@ -81,7 +82,7 @@ def test_gradients_match_finite_differences():
             w.fill_store(e, 2, start_pred=e)
         batch = [_Item(source=w.instance(predicate=1), replay=False),
                  _Item(source=w.instance(predicate=4), replay=False),
-                 _Item(source=make_exemplar(w.instance(predicate=2)), replay=True)]
+                 _Item(source=w.instance(predicate=2), replay=True)]
 
         def loss_only():
             return batch_loss_and_grads(batch, w.pool, w.tr, w.vocab, w.config)[0]
@@ -121,8 +122,6 @@ def test_retrieval_equals_full_sort_oracles():
     # stdlib sort of those values. A matvec and a scalar dot can differ in the
     # last ulp, so near-tie ORDER is only meaningful on one value set; exact
     # ties come from bit-identical duplicated rows and are asserted as such.
-    from lsgg.numerics import cosine_to_rows
-
     t0 = time.perf_counter()
     rng = SeededRng(4040)
     n_pools = 1000
@@ -155,29 +154,30 @@ def test_retrieval_equals_full_sort_oracles():
         assert np.array_equal(got_sims[0], sims), trial
 
         # exemplar top-1, with duplicated relation features forcing ties
-        entry = pool.entries[0]
         n_store = rng.randint(5)
         for j in range(n_store):
             inst = light_instance(rng.derive("ex", trial, j), d_c, d_r, predicate=j)
-            entry.store.append(make_exemplar(inst))
+            append_exemplar(pool, 0, inst)
         dup_ex = n_store >= 2 and trial % 3 == 0
         if dup_ex:
             onehot_r = np.zeros(d_r)
             onehot_r[-1] = 1.0
             for slot, label in ((1, 99), (n_store - 1, 77)):
-                entry.store[slot] = make_exemplar(RelationInstance(
-                    image_id=0, f_c=rng.normal(d_c), f_r=onehot_r.copy(),
-                    f_s=rng.normal(2), f_o=rng.normal(2), subject_class=0,
-                    object_class=1, predicate=label))
+                pool.store_feats["c"][0, slot] = rng.normal(d_c)
+                pool.store_feats["r"][0, slot] = onehot_r
+                pool.store_feats["s"][0, slot] = rng.normal(2)
+                pool.store_feats["o"][0, slot] = rng.normal(2)
+                pool.store_labels[0, slot] = label
         q_r = rng.normal(d_r)
         got_ex = nearest_exemplar(pool, 0, q_r)
-        if not entry.store:
+        if not n_store:
             assert got_ex is None
         else:
-            ex_sims = cosine_to_rows(q_r, np.stack([e.f_r for e in entry.store]))
+            stored_r = pool.store_feats["r"][0, :n_store]
+            ex_sims = cosine_to_rows(q_r, stored_r)
             qn_r = float(np.linalg.norm(q_r))
-            for j, ex in enumerate(entry.store):
-                ind = float(np.dot(q_r, ex.f_r)) / (qn_r * float(np.linalg.norm(ex.f_r)))
+            for j, f_r in enumerate(stored_r):
+                ind = float(np.dot(q_r, f_r)) / (qn_r * float(np.linalg.norm(f_r)))
                 assert abs(float(ex_sims[j]) - ind) < 1e-12, trial
             if dup_ex:
                 assert ex_sims[1] == ex_sims[n_store - 1], trial
@@ -185,7 +185,7 @@ def test_retrieval_equals_full_sort_oracles():
             for j, s in enumerate(ex_sims):  # strict > keeps the earliest on ties
                 if s > best_s:
                     best, best_s = j, float(s)
-            assert got_ex is entry.store[best], trial
+            assert got_ex == best, trial
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"{elapsed:.1f}s"
     _passed(f"retrieval vs full sort ({n_pools} pools, {elapsed:.1f}s)")
@@ -242,10 +242,10 @@ def test_reservoir_retention_statistics():
             inst = light_instance(rng.derive("inst", s, i), 3, 2, predicate=i)
             admit_exemplar(pool, inst, rng)
             arrivals[i] = inst.predicate
-        assert len(pool.entries[0].store) == n_e
-        assert pool.entries[0].seen_count == n_offers
-        for ex in pool.entries[0].store:
-            decile_counts[ex.predicate * 10 // n_offers] += 1
+        assert pool.store_len[0] == n_e
+        assert pool.seen[0] == n_offers
+        for label in pool.store_labels[0]:
+            decile_counts[label * 10 // n_offers] += 1
 
     p = n_e / n_offers
     per_decile_trials = n_stores * (n_offers // 10)
@@ -320,7 +320,7 @@ def test_protocol_invariants_enforced(tmp_path, monkeypatch):
     for i in range(5):
         admit_exemplar(pool, light_instance(rng.derive(i), 3, 2), rng)
     pool.check_invariants()
-    pool.entries[0].store.append(pool.entries[0].store[0])  # force an overflow
+    pool.store_len[0] += 1  # force an overflow
     with pytest.raises(AssertionError):
         pool.check_invariants()
 

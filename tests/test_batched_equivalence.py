@@ -8,12 +8,12 @@ import pytest
 
 import reference_trainer as ref
 from lsgg.datastream import StageDataset
-from lsgg.prompt_pool import make_exemplar
 from lsgg.rng import SeededRng
 from lsgg.trainer import (AdamW, TrainConfig, _Item, batch_loss_and_grads,
                           predict_ranked, train_stage)
 
 from conftest import TinyWorld
+from oracles import stored_exemplar
 
 SWITCHES = [
     ("default", {}, {}),
@@ -42,9 +42,9 @@ def make_world(config_kw, world_kw, seed=61):
 def make_batch(w):
     items = [_Item(source=w.instance(predicate=i % w.n_pred), replay=False)
              for i in range(9)]
-    items += [_Item(source=make_exemplar(w.instance(predicate=i)), replay=True)
+    items += [_Item(source=w.instance(predicate=i), replay=True)
               for i in range(3)]
-    items.append(_Item(source=w.pool.entries[3].store[0], replay=True))
+    items.append(_Item(source=stored_exemplar(w.pool, 3, 0), replay=True))
     return items
 
 

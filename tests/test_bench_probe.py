@@ -1,7 +1,10 @@
-"""The benchmark's traced probe sees every item the trainer retrieves for.
+"""The benchmark's traced probe sees every item the trainer retrieves for,
+and the store sizes it reports are the pool's.
 
 ``perfbench/probe.py`` wraps ``trainer._select`` only while that name exists,
 so a rename would silently zero the traced item counter; this test fails then.
+The probe reads store sizes through ``PromptPool.entries``, so a view that
+reported wrong sizes would also fail it.
 """
 
 import os
@@ -24,3 +27,6 @@ def test_traced_round_counts_replayed_items(tmp_path):
     # every training batch goes through retrieval: its query items plus the
     # items replayed from the pool
     assert retrieved > query_items > 0
+    probe = rnd["probe"]
+    sizes = probe.pool.store_len.tolist()
+    assert probe.stages[-1]["store_sizes"] == sizes and any(sizes)

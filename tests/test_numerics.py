@@ -7,10 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from lsgg.numerics import (RowCache, as_vector, cosine, cosine_to_rows, random_unit_vector,
-                           softmax)
+from lsgg.numerics import random_unit_vector, softmax
 from lsgg.prompt_pool import retrieve_entries
 from lsgg.rng import SeededRng
+
+from oracles import RowCache, as_vector, cosine, cosine_to_rows
 
 
 # -- cosine ----------------------------------------------------------------

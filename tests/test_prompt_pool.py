@@ -7,19 +7,27 @@ import numpy as np
 import pytest
 
 from lsgg.ioutil import pack_floats
-from lsgg.numerics import cosine
 from lsgg.prompt_pool import (PoolFormatError, admit_exemplar, deserialize_pool, init_pool,
-                              make_exemplar, retrieve_entries, serialize_pool)
+                              retrieve_entries, serialize_pool)
 from lsgg.rng import SeededRng
-from lsgg.trainer import TrainConfig, _select, _stack_sources, _StoreTable
+from lsgg.trainer import TrainConfig, _select, _stack_sources
 
 from conftest import nearest_exemplar, random_instance
+from oracles import append_exemplar, cosine
 
 
 def retrieve_topk(pool, f_c, k):
     """(entry, cosine) pairs of key retrieval's top k for one query."""
     top, sims, _, _ = retrieve_entries(pool.keys, np.asarray(f_c, dtype=float)[None], k)
     return [(int(i), float(sims[0, i])) for i in top[0]]
+
+
+def is_stored(pool, entry, inst) -> bool:
+    """Whether a filled slot of entry's store holds ``inst``'s label and features."""
+    return any(pool.store_labels[entry, s] == inst.predicate
+               and all(np.array_equal(f[entry, s], getattr(inst, f"f_{kind}"))
+                       for kind, f in pool.store_feats.items())
+               for s in range(pool.store_len[entry]))
 
 
 # -- construction -------------------------------------------------------------
@@ -33,8 +41,9 @@ def test_init_pool_shapes_and_seeding():
     assert pool.prompts.shape == (10, 8, 16) and pool.keys.shape == (10, 6)
     for key in pool.keys:
         assert float(np.linalg.norm(key)) == pytest.approx(1.0, abs=1e-12)
-    for e in pool.entries:
-        assert e.store == [] and e.seen_count == 0
+    assert pool.store_feats == {}
+    assert pool.store_labels.shape == (10, 20)
+    assert pool.store_len.tolist() == [0] * 10 and pool.seen.tolist() == [0] * 10
     assert pool.equals(init_pool(10, 8, 16, 6, 20, SeededRng(0)))
     assert not pool.equals(init_pool(10, 8, 16, 6, 20, SeededRng(1)))
     pool.check_invariants()
@@ -46,7 +55,7 @@ def test_init_pool_capacity_arithmetic():
     pool = init_pool(100, 8, 8, 4, 20, SeededRng(1))
     assert pool.n_t * pool.n_e == 2000
     single = init_pool(1, 2, 4, 3, 5, SeededRng(2))
-    assert single.n_t == 1 and single.entries[0].store == []
+    assert single.n_t == 1 and single.store_len.tolist() == [0]
 
 
 def test_init_prompt_token_scale():
@@ -117,37 +126,48 @@ def test_retrieve_topk_k1_equals_head_of_full_ranking():
 def test_retrieve_exemplar_oracle_and_ties():
     rng = SeededRng(8)
     pool = init_pool(1, 2, 4, 6, 50, SeededRng(0))
-    entry = pool.entries[0]
     assert nearest_exemplar(pool, 0, [1.0, 0.0, 0.0, 0.0, 0.0]) is None
 
     for i in range(50):
-        entry.store.append(make_exemplar(random_instance(rng, predicate=i % 4)))
+        append_exemplar(pool, 0, random_instance(rng, predicate=i % 4))
+    stored_r = pool.store_feats["r"][0]
     for _ in range(20):
         q = rng.normal(5)
         got = nearest_exemplar(pool, 0, q)
-        sims = [cosine(q, ex.f_r) for ex in entry.store]
+        sims = [cosine(q, f_r) for f_r in stored_r]
         best = max(range(len(sims)), key=lambda i: (sims[i], -i))
-        assert got is entry.store[best]
+        assert got == best
 
     # exact tie: one-hot duplicate relation features (bitwise-equal cosine
     # under any reduction order); earliest insertion wins
     onehot = np.zeros(5)
     onehot[2] = 3.0
-    entry.store[3].f_r = onehot.copy()
-    entry.store[7].f_r = onehot.copy()
+    stored_r[3] = onehot
+    stored_r[7] = onehot
     q = np.zeros(5)
     q[2] = 1.0
-    assert nearest_exemplar(pool, 0, q) is entry.store[3]
+    assert nearest_exemplar(pool, 0, q) == 3
 
 
 def test_retrieve_exemplar_returns_stored_query():
     rng = SeededRng(9)
     pool = init_pool(1, 2, 4, 6, 6, SeededRng(0))
-    store = pool.entries[0].store
-    target = make_exemplar(random_instance(rng))
-    store.extend([make_exemplar(random_instance(rng)) for _ in range(5)])
-    store.insert(3, target)
-    assert nearest_exemplar(pool, 0, target.f_r) is target
+    target = random_instance(rng)
+    others = [random_instance(rng) for _ in range(5)]
+    for inst in others[:3] + [target] + others[3:]:
+        append_exemplar(pool, 0, inst)
+    assert nearest_exemplar(pool, 0, target.f_r) == 3
+
+
+def test_retrieve_exemplar_rejects_degenerate_stores():
+    rng = SeededRng(27)
+    for row in (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0]), np.array([np.inf, 0, 0, 0, 0])):
+        pool = init_pool(1, 2, 4, 6, 4, SeededRng(0))
+        for _ in range(3):
+            append_exemplar(pool, 0, random_instance(rng))
+        pool.store_feats["r"][0, 1] = row
+        with pytest.raises(ValueError, match="degenerate"):
+            nearest_exemplar(pool, 0, rng.normal(5))
 
 
 # -- admission ----------------------------------------------------------------
@@ -161,10 +181,8 @@ def test_admit_routes_to_nearest_key_and_fills():
     inst.f_c = np.array([0.1, 5.0, 0.2])
     got = admit_exemplar(pool, inst, rng)
     assert got == 1
-    assert len(pool.entries[1].store) == 1
-    assert pool.entries[1].seen_count == 1
-    assert pool.entries[1].store[0].equals(make_exemplar(inst))
-    assert pool.entries[0].store == [] and pool.entries[2].store == []
+    assert pool.store_len.tolist() == [0, 1, 0] and pool.seen.tolist() == [0, 1, 0]
+    assert is_stored(pool, 1, inst)
 
 
 def test_admit_routes_to_the_entry_select_ranks_first():
@@ -183,9 +201,8 @@ def test_admit_routes_to_the_entry_select_ranks_first():
         for j, inst in enumerate(queries[:4]):
             inst.f_c = (2.0 + j) * pool.keys[rng.randint(n_t)]
         batch = _stack_sources(queries, np.zeros(len(queries), dtype=bool))
-        stores = _StoreTable(pool, {kind: f.shape[1] for kind, f in batch.feats.items()})
         config = TrainConfig(k_retrieve=1 + rng.randint(n_t))
-        selection = _select(batch, pool, config, None, stores)[0]
+        selection = _select(batch, pool, config, None)[0]
         routed = [admit_exemplar(pool, inst, rng) for inst in queries]
         assert routed == selection[:, 0].tolist(), trial
 
@@ -195,8 +212,8 @@ def test_admit_seen_count_and_capacity():
     rng = SeededRng(13)
     for n in range(1, 30):
         admit_exemplar(pool, random_instance(rng, d_c=3), rng)
-        assert pool.entries[0].seen_count == n
-        assert len(pool.entries[0].store) == min(n, 4)
+        assert pool.seen[0] == n
+        assert pool.store_len[0] == min(n, 4)
         pool.check_invariants()
 
 
@@ -211,7 +228,7 @@ def test_admit_reservoir_keep_rate_two_items():
         b = random_instance(rng, d_c=3, predicate=1)
         admit_exemplar(pool, a, rng)
         admit_exemplar(pool, b, rng)
-        if pool.entries[0].store[0].predicate == 1:
+        if pool.store_labels[0, 0] == 1:
             kept += 1
     sd = math.sqrt(trials * 0.25)
     assert abs(kept - trials / 2) < 3 * sd
@@ -230,9 +247,8 @@ def test_admit_reservoir_long_run_retention_unbiased():
             inst = random_instance(rng, d_c=3, predicate=i % 3)
             items.append(inst)
             admit_exemplar(pool, inst, rng)
-        stored = pool.entries[0].store
         for i, inst in enumerate(items):
-            if any(ex.equals(make_exemplar(inst)) for ex in stored):
+            if is_stored(pool, 0, inst):
                 retained[i] += 1
     p = n_e / n_items
     sd = math.sqrt(runs * p * (1 - p))
@@ -322,8 +338,9 @@ def test_pool_file_errors(tmp_path):
 
 def test_pool_invariant_violations_detected():
     pool = init_pool(2, 2, 4, 3, 1, SeededRng(24))
-    rng = SeededRng(25)
-    pool.entries[0].store = [make_exemplar(random_instance(rng, d_c=3))] * 2
-    pool.entries[0].seen_count = 2
-    with pytest.raises(AssertionError):
-        pool.check_invariants()
+    append_exemplar(pool, 0, random_instance(SeededRng(25), d_c=3))
+    pool.check_invariants()
+    for store_len, seen in ((2, 2), (1, 0)):  # over capacity; more stored than seen
+        pool.store_len[0], pool.seen[0] = store_len, seen
+        with pytest.raises(AssertionError):
+            pool.check_invariants()

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from lsgg.numerics import softmax
-from lsgg.prompt_pool import init_pool, make_exemplar
 from lsgg.rng import SeededRng
-from lsgg.scorer import (PAD_TOKEN, AssembledPrompt, PredicateVocab, assemble_prompt,
-                         build_vocab, default_vocab, init_scorer, load_vocab,
-                         position_weights, rank_predicates, save_vocab, score)
+from lsgg.scorer import (PAD_TOKEN, build_vocab, default_vocab, init_scorer, load_vocab,
+                         position_weights, rank_predicates_batch, save_vocab)
 from lsgg.token_mapper import KINDS, encode_batch, init_mapper
 
 from conftest import TinyWorld, random_instance
+from oracles import AssembledPrompt, assemble_prompt, score
 
 
 # -- vocabulary ---------------------------------------------------------------
@@ -90,18 +89,16 @@ def exemplar_block(w, ex):
 
 
 def exemplar_pairs(w, selection):
+    """(flat store slot, label, token block) per context entry."""
     out = []
     for idx, _ in selection[1:]:
         inst = w.instance(predicate=idx % w.n_pred)
-        ex = make_exemplar(inst)
-        out.append((ex, exemplar_block(w, ex)))
+        out.append((idx * w.pool.n_e, inst.predicate, exemplar_block(w, inst)))
     return out
 
 
 def query_rows(w):
-    inst = w.instance(predicate=0)
-    ex = make_exemplar(inst)
-    return exemplar_block(w, ex)
+    return exemplar_block(w, w.instance(predicate=0))
 
 
 def test_assembly_row_arithmetic_defaults():
@@ -150,8 +147,8 @@ def test_assembly_row_content_matches_layout():
     qrows = query_rows(w)
     prompt = assemble_prompt(w.pool, sel, pairs, qrows, w.y_mask,
                              w.scorer.emb, w.vocab)
-    ex, ex_block = pairs[0]
-    label_rows = w.scorer.emb[list(w.vocab.padded(ex.predicate))]
+    _, label, ex_block = pairs[0]
+    label_rows = w.scorer.emb[list(w.vocab.padded(label))]
     expect = np.concatenate([
         w.pool.prompts[5], ex_block, label_rows,  # context segment (entry 5)
         w.pool.prompts[2], qrows, w.y_mask,       # query segment (entry 2)
@@ -159,7 +156,7 @@ def test_assembly_row_content_matches_layout():
     assert np.array_equal(prompt.rows, expect)
     seg = prompt.segments[0]
     assert seg.entry_index == 5 and not seg.is_query
-    assert seg.label_tokens == w.vocab.padded(ex.predicate)
+    assert seg.label_tokens == w.vocab.padded(label)
     assert prompt.mask_positions == [prompt.n_rows - 2, prompt.n_rows - 1]
 
 
@@ -279,6 +276,11 @@ def test_frozen_scorer_reproducible_across_runs():
 
 
 # -- ranking ------------------------------------------------------------------
+
+
+def rank_predicates(dist, vocab, candidates=None) -> list:
+    """(label, score) pairs, best first, for one (n_mask, V) distribution."""
+    return rank_predicates_batch(np.asarray(dist)[None], vocab, candidates)[0]
 
 
 def test_rank_single_token_equals_distribution_argsort():

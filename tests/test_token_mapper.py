@@ -4,7 +4,6 @@ finite-difference verification of the batched backward pass."""
 import numpy as np
 import pytest
 
-from lsgg.prompt_pool import make_exemplar
 from lsgg.rng import SeededRng
 from lsgg.token_mapper import (DEFAULT_TOKEN_COUNTS, KINDS, encode_batch,
                                encode_batch_backward, init_grads, init_mapper)
@@ -60,7 +59,7 @@ def test_encode_exemplar_concatenation_order():
     # the trainer's exemplar block: kinds c, r, s, o concatenated in order
     m = small_mapper()
     rng = SeededRng(3)
-    ex = make_exemplar(random_instance(rng, d_c=6, d_r=5, d_o=4))
+    ex = random_instance(rng, d_c=6, d_r=5, d_o=4)
     feats = {kind: getattr(ex, f"f_{kind}")[None] for kind in KINDS}
     block = _encode(m, feats)[0][0]
     assert block.shape == (12, 8)  # 4 + 4 + 2 + 2

@@ -8,16 +8,16 @@ import pytest
 from mpmath import mp, mpf, workdps
 
 from lsgg.datastream import StageDataset
-from lsgg.prompt_pool import make_exemplar
+from lsgg.ioutil import pack_floats
+from lsgg.prompt_pool import admit_exemplar, deserialize_pool, init_pool, serialize_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, default_vocab
 from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, _Item,
-                          batch_loss_and_grads, load_checkpoint,
-                          loss_key_alignment, loss_predicate_ce, loss_total,
-                          predict_ranked, save_checkpoint, stage_quota,
-                          token_norm_penalty, train_stage)
+                          batch_loss_and_grads, load_checkpoint, loss_total,
+                          predict_ranked, save_checkpoint, stage_quota, train_stage)
 
 from conftest import TinyWorld, finite_diff, grad_rel_err
+from oracles import cosine_to_rows, loss_key_alignment, loss_predicate_ce, token_norm_penalty
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -125,7 +125,7 @@ def fd_world(train_scorer=False, depth=1, l1_mode="none", n_pred=10):
     batch = [
         _Item(source=w.instance(predicate=1), replay=False),
         _Item(source=w.instance(predicate=3), replay=False),
-        _Item(source=make_exemplar(w.instance(predicate=2)), replay=True),
+        _Item(source=w.instance(predicate=2), replay=True),
     ]
     return w, batch
 
@@ -184,8 +184,6 @@ def test_parts_l2_matches_alignment_loss():
     _, _, parts = batch_loss_and_grads(batch, w.pool, w.tr, w.vocab, w.config)
     expect = 0.0
     cache_keys = list(w.pool.keys)
-    from lsgg.numerics import cosine_to_rows
-
     for it in batch:
         if it.replay:
             continue
@@ -320,12 +318,45 @@ def test_train_stage_respects_quota_and_counts_steps():
     out = train_stage(stage, w.pool, w.tr, w.vocab, w.config, AdamW(),
                       SeededRng(8), quota=5)
     assert out["admitted"] <= 5
-    stored = sum(len(e.store) for e in w.pool.entries)
-    assert stored == out["admitted"]  # pool started empty
+    assert w.pool.total_stored() == out["admitted"]  # pool started empty
     chunk = 4 - round(4 * 0.25)
     per_epoch = (12 + chunk - 1) // chunk
     assert out["steps"] == 2 * per_epoch
     assert len(out["epoch_losses"]) == 2
+
+
+def test_pool_file_round_trip_mid_run(tmp_path):
+    # stage 2 on a pool read back from a file after stage 1 matches stage 2
+    # on the original pool: same losses, byte-identical final pool files
+    runs = []
+    for reload in (False, True):
+        w, stage1 = loop_world()
+        stage2 = StageDataset(train=[w.instance(predicate=p % w.n_pred, image_id=i)
+                                     for i, p in enumerate(range(3, 15))], val=[], test=[])
+        opt = AdamW()
+        train_stage(stage1, w.pool, w.tr, w.vocab, w.config, opt, SeededRng(14), quota=6)
+        assert w.pool.total_stored() > 0
+        if reload:
+            serialize_pool(w.pool, tmp_path / "mid.lsgg")
+            w.tr.pool = w.pool = deserialize_pool(tmp_path / "mid.lsgg")
+        out = train_stage(stage2, w.pool, w.tr, w.vocab, w.config, opt, SeededRng(15), quota=6)
+        final = tmp_path / f"final{int(reload)}.lsgg"
+        serialize_pool(w.pool, final)
+        runs.append((out["epoch_losses"], final.read_bytes()))
+    assert runs[0] == runs[1]
+
+    # a file whose stores are all empty: the first admission fixes the widths
+    serialize_pool(init_pool(3, 2, 8, w.d_c, 2, SeededRng(16)), tmp_path / "empty.lsgg")
+    empty = deserialize_pool(tmp_path / "empty.lsgg")
+    assert empty.store_feats == {}
+    assert admit_exemplar(empty, w.instance(predicate=1), SeededRng(17)) is not None
+    assert empty.total_stored() == 1
+    widths = {kind: f.shape[2] for kind, f in empty.store_feats.items()}
+    assert widths == {"c": w.d_c, "r": w.d_r, "s": w.d_o, "o": w.d_o}
+    wide = w.instance(predicate=2)
+    wide.f_r = np.ones(w.d_r + 1)
+    with pytest.raises(ValueError, match="lengths"):
+        admit_exemplar(empty, wide, SeededRng(18))
 
 
 def test_train_stage_zero_quota_never_admits():
@@ -333,7 +364,7 @@ def test_train_stage_zero_quota_never_admits():
     out = train_stage(stage, w.pool, w.tr, w.vocab, w.config, AdamW(),
                       SeededRng(9), quota=0)
     assert out["admitted"] == 0
-    assert all(not e.store for e in w.pool.entries)
+    assert w.pool.total_stored() == 0
 
 
 def test_train_stage_naive_ignores_quota():
@@ -361,7 +392,7 @@ def test_predict_ranked_is_pure():
     train_stage(stage, w.pool, w.tr, w.vocab, w.config, AdamW(), SeededRng(12),
                 quota=6)
     before = {name: arr.copy() for name, arr in w.tr.param_items()}
-    stores_before = [len(e.store) for e in w.pool.entries]
+    stores_before = w.pool.store_len.copy()
     queries = [w.instance(predicate=i % 4) for i in range(5)]
     ranked = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
     assert len(ranked) == 5
@@ -370,7 +401,7 @@ def test_predict_ranked_is_pure():
         assert all(np.isfinite(s) for _, s in rr)
     for name, arr in w.tr.param_items():
         assert np.array_equal(arr, before[name]), name
-    assert [len(e.store) for e in w.pool.entries] == stores_before
+    assert np.array_equal(w.pool.store_len, stores_before)
     # a different batch split changes BLAS blocking, not the ranking
     again = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config, batch_size=2)
     for ra, rb in zip(again, ranked):
@@ -411,3 +442,8 @@ def test_checkpoint_rejects_malformed(tmp_path):
     path.write_text("")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+    for record in ("scorer_trainable x", "mapper_meta 1", "mapper_kind c 1 2", "array foo",
+                   "array foo 2 not*b64", f"array foo 3 {pack_floats(np.zeros(2))}"):
+        path.write_text(f"LSGG-CKPT 1\npool p.lsgg\n{record}\n")
+        with pytest.raises(CheckpointFormatError, match="line 3"):
+            load_checkpoint(path)
