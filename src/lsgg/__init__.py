@@ -4,6 +4,7 @@ and the full staged evaluation protocol."""
 
 __version__ = "0.1.0"
 
+from .numerics import use_one_blas_thread
 from .rng import SeededRng
 from .datastream import (RelationInstance, SynthConfig, TaskSchedule, StageDataset,
                          load_embeddings, make_stage_datasets, predicate_counts,
@@ -13,10 +14,12 @@ from .prompt_pool import (PromptPool, admit_exemplar, deserialize_pool, init_poo
 from .token_mapper import MapperParams, init_mapper
 from .scorer import (PredicateVocab, Rankings, ScorerParams, build_vocab, default_vocab,
                      init_scorer, load_vocab, save_vocab)
-from .trainer import (AdamW, TrainConfig, TrainableSet, batch_loss_and_grads, init_y_mask,
+from .trainer import (AdamW, TrainConfig, TrainableSet, init_y_mask,
                       loss_total, predict_ranked, train_stage)
 from .metrics import (AccuracyMatrix, GTRecord, MetricReport, PredRecord,
                       forgetting_measure, m_at_k, mean_recall_at_k, recall_at_k,
                       recall_at_ks, score_wtd, weighted_map)
 from .harness import (ExperimentConfig, ResultsBundle, preset_config, report,
                       run_ablation_suite, run_experiment)
+
+use_one_blas_thread()  # run files and CPU time must not follow the host's cores

@@ -231,6 +231,7 @@ def synth_generate(config: SynthConfig, rng: SeededRng):
     ctx_means = [random_unit_vector(config.d_c, mean_rng) for _ in range(config.n_groups)]
     obj_means = [random_unit_vector(config.d_o, mean_rng) for _ in range(config.n_obj)]
 
+    obj_table = np.asarray(obj_means)
     draw_rng = rng.derive("instances")
     instances = []
     for c in range(config.n_pred):
@@ -238,17 +239,18 @@ def synth_generate(config: SynthConfig, rng: SeededRng):
         n = counts[c]
         if n == 0:
             continue
-        subj = [draw_rng.randint(config.n_obj) for _ in range(n)]
-        obj = [draw_rng.randint(config.n_obj) for _ in range(n)]
+        bounds = np.full(n, config.n_obj)
+        subj = draw_rng.randint_block(bounds)
+        obj = draw_rng.randint_block(bounds)
         f_c = ctx_means[g] + config.sigma * draw_rng.normal((n, config.d_c))
         f_r = rel_means[c] + config.sigma * draw_rng.normal((n, config.d_r))
-        f_s = np.asarray([obj_means[s] for s in subj]) + config.sigma * draw_rng.normal((n, config.d_o))
-        f_o = np.asarray([obj_means[o] for o in obj]) + config.sigma * draw_rng.normal((n, config.d_o))
-        for i in range(n):
+        f_s = obj_table[subj] + config.sigma * draw_rng.normal((n, config.d_o))
+        f_o = obj_table[obj] + config.sigma * draw_rng.normal((n, config.d_o))
+        for i, (s, o) in enumerate(zip(subj.tolist(), obj.tolist())):
             instances.append(
                 RelationInstance(
                     image_id=0, f_c=f_c[i], f_r=f_r[i], f_s=f_s[i], f_o=f_o[i],
-                    subject_class=subj[i], object_class=obj[i], predicate=c,
+                    subject_class=s, object_class=o, predicate=c,
                 )
             )
 

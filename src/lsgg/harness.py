@@ -25,6 +25,7 @@ from .metrics import (AccuracyMatrix, GTRecord, MetricReport, PredRecord,
 # the single-K metrics stay names of this module: perfbench/probe.py wraps
 # harness.recall_at_k and harness.mean_recall_at_k by name
 from .metrics import mean_recall_at_k, recall_at_k  # noqa: F401
+from .numerics import blas_summary
 from .prompt_pool import init_pool, serialize_pool
 from .rng import SeededRng
 from .scorer import default_vocab, init_scorer, load_vocab, save_vocab
@@ -435,6 +436,7 @@ def write_run_files(bundle: ResultsBundle, config: ExperimentConfig, run_dir,
     with open(os.path.join(run_dir, "timings.log"), "w") as fh:
         for t, secs in enumerate(bundle.stage_seconds):
             fh.write(f"stage {t + 1}: {secs:.3f}s\n")
+        fh.write(blas_summary() + "\n")
 
     if final_dump is not None:
         preds, gt = final_dump

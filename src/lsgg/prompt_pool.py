@@ -98,21 +98,6 @@ class PromptPool:
             raise AssertionError(f"entry {np.argmax(self.store_len > self.seen)}: "
                                  "store larger than seen count")
 
-    def equals(self, other) -> bool:
-        """Same arrays, comparing the stores' filled slots only."""
-        if not (self.n_e == other.n_e and np.array_equal(self.prompts, other.prompts)
-                and np.array_equal(self.keys, other.keys)
-                and np.array_equal(self.seen, other.seen)
-                and np.array_equal(self.store_len, other.store_len)):
-            return False
-        filled = np.arange(self.n_e) < self.store_len[:, None]
-        if not filled.any():
-            return True
-        return (np.array_equal(self.store_labels[filled], other.store_labels[filled])
-                and self.store_feats.keys() == other.store_feats.keys()
-                and all(np.array_equal(f[filled], other.store_feats[kind][filled])
-                        for kind, f in self.store_feats.items()))
-
 
 _EntryView = namedtuple("_EntryView", "store")
 

@@ -175,12 +175,6 @@ class AdamW:
 
 
 @dataclass
-class _Item:
-    source: object  # anything with f_c, f_r, f_s, f_o and predicate
-    replay: bool  # replayed items contribute only the prediction loss
-
-
-@dataclass
 class _Batch:
     feats: dict  # kind -> (B, d_kind)
     targets: np.ndarray  # (B,) predicate ids
@@ -636,18 +630,6 @@ def _loss_and_grads(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: T
     loss = loss_total(l1_sum * inv, l2_sum * inv, l3_sum * inv, config)
     parts = {"l1": l1_sum * inv, "l2": l2_sum * inv, "l3": l3_sum * inv}
     return loss, grads, parts
-
-
-def batch_loss_and_grads(items, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
-                         config: TrainConfig, ab_rng: SeededRng | None = None):
-    """Mean total loss over the batch and gradients for every trainable.
-
-    Replayed items contribute only the prediction loss; query items add the
-    key-alignment term and, when bound, the auxiliary token-norm term.
-    Gradients are keyed as ``TrainableSet.param_items``.
-    """
-    batch = _stack_sources([it.source for it in items], [it.replay for it in items])
-    return _loss_and_grads(batch, pool, tr, config, ab_rng, _PassCache(tr, vocab))
 
 
 # -- stage loop ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Per-item oracles that the production code batches or inlines: cosine
 kernels, the loss terms one item at a time, and the in-context prompt
 assembled and scored for a single query, plus helpers that write and read
-single exemplar-store slots. ``reference_trainer`` builds on them, and the
-unit tests check each oracle against direct arithmetic."""
+single exemplar-store slots, compare pools, and run one list of items
+through the production training pass. ``reference_trainer`` builds on them,
+and the unit tests check each oracle against direct arithmetic."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from lsgg.prompt_pool import _write_slot
 from lsgg.rng import SeededRng
 from lsgg.scorer import PredicateVocab, ScorerParams, position_weights
 from lsgg.token_mapper import KINDS
+from lsgg.trainer import _PassCache, _loss_and_grads, _stack_sources
 
 
 # -- cosine kernels ---------------------------------------------------------------
@@ -143,6 +145,42 @@ def stored_exemplar(pool, entry: int, slot: int) -> SimpleNamespace:
     """Store slot (entry, slot) as an item source: raw features and label."""
     return SimpleNamespace(predicate=int(pool.store_labels[entry, slot]),
                            **{f"f_{kind}": f[entry, slot] for kind, f in pool.store_feats.items()})
+
+
+def pools_equal(a, b) -> bool:
+    """Same arrays, comparing the stores' filled slots only."""
+    if not (a.n_e == b.n_e and np.array_equal(a.prompts, b.prompts)
+            and np.array_equal(a.keys, b.keys) and np.array_equal(a.seen, b.seen)
+            and np.array_equal(a.store_len, b.store_len)):
+        return False
+    filled = np.arange(a.n_e) < a.store_len[:, None]
+    if not filled.any():
+        return True
+    return (np.array_equal(a.store_labels[filled], b.store_labels[filled])
+            and a.store_feats.keys() == b.store_feats.keys()
+            and all(np.array_equal(f[filled], b.store_feats[kind][filled])
+                    for kind, f in a.store_feats.items()))
+
+
+# -- one batch through the production pass --------------------------------------------
+
+
+@dataclass
+class Item:
+    source: object  # anything with f_c, f_r, f_s, f_o and predicate
+    replay: bool  # replayed items contribute only the prediction loss
+
+
+def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
+    """Mean total loss over the items, gradients keyed as
+    ``TrainableSet.param_items`` and the loss parts, from the production
+    ``trainer._loss_and_grads`` on a fresh pass cache.
+
+    Replayed items contribute only the prediction loss; query items add the
+    key-alignment term and, when bound, the auxiliary token-norm term.
+    """
+    batch = _stack_sources([it.source for it in items], [it.replay for it in items])
+    return _loss_and_grads(batch, pool, tr, config, ab_rng, _PassCache(tr, vocab))
 
 
 # -- one query's prompt -------------------------------------------------------------

@@ -17,10 +17,10 @@ from lsgg.prompt_pool import PromptPool, admit_exemplar
 from lsgg.rng import SeededRng
 from lsgg.scorer import PredicateVocab, position_weights
 from lsgg.token_mapper import KINDS, encode_batch, encode_batch_backward, init_grads
-from lsgg.trainer import TrainConfig, TrainableSet, _Item, loss_total
+from lsgg.trainer import TrainConfig, TrainableSet, loss_total
 
-from oracles import (RowCache, assemble_prompt, loss_predicate_ce, score, stored_exemplar,
-                     token_norm_penalty)
+from oracles import (Item, RowCache, assemble_prompt, loss_predicate_ce, score,
+                     stored_exemplar, token_norm_penalty)
 
 
 class AdamW:
@@ -297,14 +297,14 @@ def train_stage(stage, pool, tr, vocab, config, opt: AdamW, rng: SeededRng,
                     if admit_exemplar(pool, inst, admit_rng) is not None:
                         admitted += 1
                 visit += 1
-                batch.append(_Item(source=inst, replay=False))
+                batch.append(Item(source=inst, replay=False))
             if rho > 0:
                 stored = [(e, s) for e in range(pool.n_t) for s in range(pool.store_len[e])]
                 if stored:
                     want = int(round(len(idxs) * rho / (1.0 - rho)))
                     for _ in range(want):
                         e, s = stored[replay_rng.randint(len(stored))]
-                        batch.append(_Item(source=stored_exemplar(pool, e, s), replay=True))
+                        batch.append(Item(source=stored_exemplar(pool, e, s), replay=True))
             loss, grads, _ = batch_loss_and_grads(batch, pool, tr, vocab, config, ab_rng)
             opt.step(tr, grads, config)
             step_losses.append(loss)
@@ -330,7 +330,7 @@ def predict_ranked(instances, pool, tr, vocab, config, candidates=None, ab_rng=N
     out = []
     ctx = _RetrievalCtx(pool)
     for start in range(0, len(instances), batch_size):
-        group = [_Item(source=inst, replay=False)
+        group = [Item(source=inst, replay=False)
                  for inst in instances[start : start + batch_size]]
         state = _forward(group, pool, tr, vocab, config, ab_rng, ctx=ctx)
         for p in state.probs:

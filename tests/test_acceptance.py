@@ -16,10 +16,10 @@ from lsgg.metrics import (MetricReport, forgetting_measure, m_at_k,
                           mean_recall_at_k, recall_at_k, score_wtd, weighted_map)
 from lsgg.prompt_pool import admit_exemplar, init_pool, retrieve_entries
 from lsgg.rng import SeededRng
-from lsgg.trainer import TrainConfig, _Item, batch_loss_and_grads
+from lsgg.trainer import TrainConfig
 
 from conftest import TinyWorld, finite_diff, grad_rel_err, nearest_exemplar
-from oracles import append_exemplar, cosine_to_rows
+from oracles import Item, append_exemplar, batch_loss_and_grads, cosine_to_rows
 from test_metrics import (make_random_case, oracle_mean_recall, oracle_recall,
                           oracle_weighted_map)
 
@@ -80,9 +80,9 @@ def test_gradients_match_finite_differences():
         assert w.vocab.n_word_tokens == 10
         for e in range(w.pool.n_t):
             w.fill_store(e, 2, start_pred=e)
-        batch = [_Item(source=w.instance(predicate=1), replay=False),
-                 _Item(source=w.instance(predicate=4), replay=False),
-                 _Item(source=w.instance(predicate=2), replay=True)]
+        batch = [Item(source=w.instance(predicate=1), replay=False),
+                 Item(source=w.instance(predicate=4), replay=False),
+                 Item(source=w.instance(predicate=2), replay=True)]
 
         def loss_only():
             return batch_loss_and_grads(batch, w.pool, w.tr, w.vocab, w.config)[0]

@@ -4,6 +4,8 @@ result files, and comparison reports."""
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +140,40 @@ def test_run_files_byte_identical_across_reruns(tmp_path):
         assert pa.exists() and pb.exists(), name
         assert filecmp.cmp(pa, pb, shallow=False), name
     assert (dir_a / "timings.log").exists()  # quarantined, not compared
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The default model (50 predicates, 5 stages) cut to one epoch on 2,000
+# instances: with two OpenBLAS threads and none set by lsgg, its run files
+# differed from those of one thread in their last bits. The much smaller
+# acceptance and benchmark-check configs gave the same bits at both counts.
+THREADED_RUN = """
+import sys
+from lsgg.harness import ExperimentConfig, run_experiment
+sys.path.insert(0, sys.argv[2])
+from run import blas_info
+cfg = ExperimentConfig()
+cfg.synth.total_n = 2000
+cfg.train.epochs = 1
+run_experiment(cfg, seed=0, run_dir=sys.argv[1])
+print(blas_info()["blas_threads"])
+"""
+
+
+def test_run_files_do_not_depend_on_blas_threads(tmp_path):
+    threads = {}
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                   PYTHONPATH=os.path.join(ROOT, "src"))
+        out = subprocess.run([sys.executable, "-c", THREADED_RUN, str(tmp_path / n),
+                              os.path.join(ROOT, "perfbench")],
+                             env=env, capture_output=True, text=True, check=True)
+        threads[n] = out.stdout.split()[-1]
+    # importing lsgg sets one BLAS thread whatever the environment asked for
+    assert threads == {"1": "1", "2": "1"}
+    for name in RESULT_FILES:
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
 
 
 def test_run_files_depend_on_seed(tmp_path):

@@ -13,7 +13,7 @@ from lsgg.rng import SeededRng
 from lsgg.trainer import TrainConfig, _select, _stack_sources
 
 from conftest import nearest_exemplar, random_instance
-from oracles import append_exemplar, cosine
+from oracles import append_exemplar, cosine, pools_equal
 
 
 def retrieve_topk(pool, f_c, k):
@@ -44,8 +44,8 @@ def test_init_pool_shapes_and_seeding():
     assert pool.store_feats == {}
     assert pool.store_labels.shape == (10, 20)
     assert pool.store_len.tolist() == [0] * 10 and pool.seen.tolist() == [0] * 10
-    assert pool.equals(init_pool(10, 8, 16, 6, 20, SeededRng(0)))
-    assert not pool.equals(init_pool(10, 8, 16, 6, 20, SeededRng(1)))
+    assert pools_equal(pool, init_pool(10, 8, 16, 6, 20, SeededRng(0)))
+    assert not pools_equal(pool, init_pool(10, 8, 16, 6, 20, SeededRng(1)))
     pool.check_invariants()
     with pytest.raises(ValueError):
         init_pool(0, 8, 16, 6, 20, SeededRng(0))
@@ -268,13 +268,13 @@ def test_pool_round_trip_fresh_and_filled(tmp_path):
     pool = init_pool(5, 3, 8, 4, 3, SeededRng(16))
     path = tmp_path / "pool.lsgg"
     serialize_pool(pool, path)
-    assert deserialize_pool(path).equals(pool)
+    assert pools_equal(deserialize_pool(path), pool)
 
     fill_pool(pool, SeededRng(17), 60)
     assert pool.total_stored() > 0
     serialize_pool(pool, path)
     back = deserialize_pool(path)
-    assert back.equals(pool)
+    assert pools_equal(back, pool)
     back.check_invariants()
 
 
@@ -283,7 +283,7 @@ def test_pool_round_trip_at_full_capacity(tmp_path):
     fill_pool(pool, SeededRng(19), 400)
     path = tmp_path / "full.lsgg"
     serialize_pool(pool, path)
-    assert deserialize_pool(path).equals(pool)
+    assert pools_equal(deserialize_pool(path), pool)
 
 
 def test_pool_file_errors(tmp_path):

@@ -12,12 +12,13 @@ from lsgg.ioutil import pack_floats
 from lsgg.prompt_pool import admit_exemplar, deserialize_pool, init_pool, serialize_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, default_vocab
-from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, _Item,
-                          batch_loss_and_grads, load_checkpoint, loss_total,
-                          predict_ranked, save_checkpoint, stage_quota, train_stage)
+from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, load_checkpoint,
+                          loss_total, predict_ranked, save_checkpoint, stage_quota,
+                          train_stage)
 
 from conftest import TinyWorld, finite_diff, grad_rel_err
-from oracles import cosine_to_rows, loss_key_alignment, loss_predicate_ce, token_norm_penalty
+from oracles import (Item, batch_loss_and_grads, cosine_to_rows, loss_key_alignment,
+                     loss_predicate_ce, token_norm_penalty)
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -123,9 +124,9 @@ def fd_world(train_scorer=False, depth=1, l1_mode="none", n_pred=10):
     for e in range(w.pool.n_t):
         w.fill_store(e, 2, start_pred=e)
     batch = [
-        _Item(source=w.instance(predicate=1), replay=False),
-        _Item(source=w.instance(predicate=3), replay=False),
-        _Item(source=w.instance(predicate=2), replay=True),
+        Item(source=w.instance(predicate=1), replay=False),
+        Item(source=w.instance(predicate=3), replay=False),
+        Item(source=w.instance(predicate=2), replay=True),
     ]
     return w, batch
 
@@ -254,8 +255,8 @@ def test_scorer_lr_is_scaled_down():
 def test_loss_decreases_on_separable_batch():
     w, _ = fd_world(n_pred=4)
     w.config.lr = 0.01
-    batch = [_Item(source=w.instance(predicate=0), replay=False),
-             _Item(source=w.instance(predicate=3), replay=False)]
+    batch = [Item(source=w.instance(predicate=0), replay=False),
+             Item(source=w.instance(predicate=3), replay=False)]
     opt = AdamW()
 
     def step():
@@ -273,7 +274,7 @@ def test_loss_decreases_on_separable_batch():
 def test_naive_config_reduces_surface():
     config = TrainConfig(alpha=0.0, lam=0.0, naive=True, k_retrieve=3)
     w = TinyWorld(seed=33, config=config, k_retrieve=3)
-    batch = [_Item(source=w.instance(predicate=1), replay=False)]
+    batch = [Item(source=w.instance(predicate=1), replay=False)]
     loss, grads, parts = batch_loss_and_grads(batch, w.pool, w.tr, w.vocab, config)
     assert parts["l1"] == 0.0
     # parts report raw components; lam = 0 zeroes the weighted contribution
