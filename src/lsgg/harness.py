@@ -30,8 +30,8 @@ from .prompt_pool import init_pool, serialize_pool
 from .rng import SeededRng
 from .scorer import default_vocab, init_scorer, load_vocab, save_vocab
 from .token_mapper import init_mapper
-from .trainer import (AdamW, TrainConfig, TrainableSet, init_y_mask, predict_ranked,
-                      save_checkpoint, stage_quota, train_stage)
+from .trainer import (EVAL_BATCH, AdamW, TrainConfig, TrainableSet, freeze_table,
+                      init_y_mask, predict_ranked, save_checkpoint, stage_quota, train_stage)
 
 TOKEN_PRESETS = {
     "small": {"c": 2, "r": 1, "s": 1, "o": 1},
@@ -236,31 +236,41 @@ def _build_gt_ids(dataset) -> dict:
     return out
 
 
+def _rank_pairs(image_ids: np.ndarray, confs: np.ndarray, gids: np.ndarray):
+    """The dump order of the pairs (by image id; within an image by
+    descending confidence, ties by GT id) and each pair's 1-based rank
+    within its image, in that order."""
+    order = np.lexsort((gids, -confs, image_ids))
+    images = image_ids[order]
+    starts = np.flatnonzero(np.r_[True, images[1:] != images[:-1]])
+    sizes = np.diff(np.r_[starts, len(order)])
+    return order, np.arange(len(order)) - np.repeat(starts, sizes) + 1
+
+
 def _evaluate_instances(instances, gt_ids, pool, tr, vocab, train_cfg, candidates,
-                        ab_rng) -> tuple:
+                        ab_rng, table) -> tuple:
     """Predict each instance's predicate; emit ranked dump + GT records.
 
     One prediction per pair (its top-1 predicate); within an image, pairs are
     ranked by descending confidence, ties by GT id.
     """
     ranked = predict_ranked(instances, pool, tr, vocab, train_cfg,
-                            candidates=candidates, ab_rng=ab_rng)
+                            candidates=candidates, ab_rng=ab_rng, table=table)
     top = ranked.labels[:, 0].tolist()
-    confs = np.exp(np.ascontiguousarray(ranked.scores[:, 0])).tolist()
-    by_image: dict = {}
-    gt = []
-    for inst, label, conf in zip(instances, top, confs):
-        gid = gt_ids[id(inst)]
-        by_image.setdefault(inst.image_id, []).append(
-            (conf, gid, inst.subject_class, label, inst.object_class))
-        gt.append(GTRecord(image_id=inst.image_id, gt_id=gid, subj=inst.subject_class,
-                           pred=inst.predicate, obj=inst.object_class, boxes=inst.boxes))
+    confs = np.exp(np.ascontiguousarray(ranked.scores[:, 0]))
+    gids = [gt_ids[id(inst)] for inst in instances]
+    gt = [GTRecord(image_id=inst.image_id, gt_id=gid, subj=inst.subject_class,
+                   pred=inst.predicate, obj=inst.object_class, boxes=inst.boxes)
+          for inst, gid in zip(instances, gids)]
+    order, ranks = _rank_pairs(np.array([inst.image_id for inst in instances]), confs,
+                               np.array(gids))
+    conf_list = confs.tolist()
     preds = []
-    for image_id in sorted(by_image):
-        rows = sorted(by_image[image_id], key=lambda r: (-r[0], r[1]))
-        for rank, (conf, gid, subj, label, obj) in enumerate(rows, start=1):
-            preds.append(PredRecord(image_id=image_id, rank=rank, subj=subj, pred=label,
-                                    obj=obj, conf=conf, gt_id=gid))
+    for i, rank in zip(order.tolist(), ranks.tolist()):
+        inst = instances[i]
+        preds.append(PredRecord(image_id=inst.image_id, rank=rank, subj=inst.subject_class,
+                                pred=top[i], obj=inst.object_class, conf=conf_list[i],
+                                gt_id=gids[i]))
     return preds, gt
 
 
@@ -336,11 +346,13 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         pool.check_invariants()
 
         candidates = schedule.arrived_labels(t)
+        table = freeze_table(pool, tr, vocab, config.train,
+                             min(EVAL_BATCH, max(len(s.test) for s in stages[: t + 1])))
         per_task = {}
         union_preds, union_gt = [], []
         for j in range(t + 1):
             preds, gt = _evaluate_instances(stages[j].test, gt_ids, pool, tr, vocab,
-                                            config.train, candidates, eval_rng)
+                                            config.train, candidates, eval_rng, table)
             union_preds.extend(preds)
             union_gt.extend(gt)
             task_metrics = {}
@@ -349,6 +361,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
                 task_metrics[f"mR@{k}"] = mr_k
                 matrices[k].set(t, j, mr_k)
             per_task[j] = task_metrics
+        del table  # stale from here on; held through the next stage, it raises peak memory
 
         union = recall_at_ks(union_preds, union_gt, config.eval_ks, mode="ids")
         r = {k: union[k][0] for k in config.eval_ks}

@@ -11,6 +11,7 @@ selection identity is fixed during the backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .token_mapper import (KINDS, MapperParams, encode_batch, encode_batch_backw
 CKPT_MAGIC = "LSGG-CKPT"
 CKPT_VERSION = 1
 _CKPT_RECORDS = ("pool", "config", "scorer_trainable", "mapper_meta", "mapper_kind", "array")
+EVAL_BATCH = 256  # instances per inference pass
 
 
 @dataclass
@@ -194,12 +196,23 @@ class _Batch:
                       np.concatenate([self.replay, other.replay]))
 
 
+_SOURCE_FIELDS = attrgetter(*(f"f_{kind}" for kind in KINDS), "predicate")
+
+
 def _stack_sources(sources, replay) -> _Batch:
-    if not len(sources):
+    """One (B, d_kind) float array per feature kind plus the targets, in one
+    pass over ``sources``; the features of one kind must share a width."""
+    n = len(sources)
+    if not n:
         raise ValueError("empty batch")
-    feats = {kind: np.stack([np.asarray(getattr(s, f"f_{kind}"), dtype=float)
-                             for s in sources]) for kind in KINDS}
-    targets = np.array([int(s.predicate) for s in sources], dtype=np.int64)
+    cols = zip(*map(_SOURCE_FIELDS, sources))
+    feats = {}
+    for kind, col in zip(KINDS, cols):
+        widths = set(map(len, col))
+        if len(widths) > 1:
+            raise ValueError(f"f_{kind} widths differ: {sorted(widths)}")
+        feats[kind] = np.concatenate(col, dtype=float).reshape(n, widths.pop())
+    targets = np.array(next(cols), dtype=np.int64)
     return _Batch(feats, targets, np.asarray(replay, dtype=bool))
 
 
@@ -213,9 +226,10 @@ def _replays(pool: PromptPool, picks: np.ndarray) -> _Batch:
 
 
 class _PassCache:
-    """Lookups that live for one ``train_stage`` or ``predict_ranked`` call:
-    the padded label tokens, plus, once ``freeze`` has run, the token table
-    of an inference call."""
+    """Lookups that live for one ``train_stage`` call, or for one stage's
+    evaluation once ``freeze_table`` has filled in the frozen inference
+    state: the padded label tokens, the token table and the stored relation
+    norms."""
 
     def __init__(self, tr: TrainableSet, vocab: PredicateVocab):
         self.label_ids = np.array(vocab.labels(), dtype=np.int64)
@@ -224,25 +238,9 @@ class _PassCache:
             raise ValueError(f"label tokens exceed the decoder vocabulary of {tr.scorer.v}")
         self.table = None  # frozen token table, inference only
         self.slot_rows = None  # (n_t, cap) exemplar index of each filled store slot
-
-    def freeze(self, pool: PromptPool, tr: TrainableSet, config: TrainConfig,
-               max_batch: int) -> None:
-        """Fix the token rows of an inference call, where pool, mapper and
-        decoder do not move: prompts, every filled store slot encoded once
-        (when context segments show exemplars), label embeddings and mask
-        rows, followed by room for ``max_batch`` items' query rows."""
-        filled = np.arange(pool.n_e) < pool.store_len[:, None]
-        filled &= _n_context(config, pool) > 0  # else no segment shows an exemplar
-        self.slot_rows = np.full(filled.shape, -1, dtype=np.int64)
-        self.slot_rows[filled] = np.arange(np.count_nonzero(filled))
-        d_tok, n_ex_rows = pool.d_tok, tr.mapper.exemplar_rows()
-        parts = [pool.prompts.reshape(-1, d_tok)]
-        if filled.any():
-            ex_blocks, _ = _encode(tr.mapper, {kind: f[filled]
-                                               for kind, f in pool.store_feats.items()})
-            parts.append(ex_blocks.reshape(-1, d_tok))
-        parts += [tr.scorer.emb, tr.y_mask, np.empty((max_batch * n_ex_rows, d_tok))]
-        self.table = np.concatenate(parts)
+        self.n_shown = 0  # exemplars encoded into the table
+        self.n_query = 0  # items whose query rows fit at the table's end
+        self.store_norms = None  # (n_t, cap) relation-feature norms, when slots are chosen by them
 
     def label_rows(self, predicates) -> np.ndarray:
         pos = np.minimum(np.searchsorted(self.label_ids, predicates), len(self.label_ids) - 1)
@@ -250,6 +248,42 @@ class _PassCache:
         if np.any(missing):
             raise ValueError(f"predicate {np.asarray(predicates)[missing][0]} has no tokens")
         return pos
+
+
+def freeze_table(pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
+                 config: TrainConfig, max_batch: int) -> _PassCache:
+    """The inference state of one stage, where pool, mapper and decoder do
+    not move: a token table of the prompts, every filled store slot encoded
+    once (when context segments show exemplars), the label embeddings and
+    mask rows, followed by room for ``max_batch`` items' query rows; plus
+    the stored relation-feature norms when exemplars are chosen by them.
+
+    ``predict_ranked(..., table=...)`` calls may share it until the next
+    ``train_stage``, which moves the pool and mapper; rebuild it after every
+    ``train_stage``. Raises ValueError for a filled slot whose relation
+    features have a zero or non-finite norm."""
+    cache = _PassCache(tr, vocab)
+    n_ctx = _n_context(config, pool)
+    filled = np.arange(pool.n_e) < pool.store_len[:, None]
+    if n_ctx > 0 and not config.random_exemplar:
+        norms = np.linalg.norm(pool.store_feats["r"], axis=-1)  # non-finite for inf or nan
+        if not np.isfinite(norms[filled]).all() or (norms[filled] == 0.0).any():
+            raise ValueError("stored relation features are degenerate")
+        cache.store_norms = norms
+    filled &= n_ctx > 0  # else no segment shows an exemplar
+    cache.n_shown = np.count_nonzero(filled)
+    cache.slot_rows = np.full(filled.shape, -1, dtype=np.int64)
+    cache.slot_rows[filled] = np.arange(cache.n_shown)
+    d_tok, n_ex_rows = pool.d_tok, tr.mapper.exemplar_rows()
+    parts = [pool.prompts.reshape(-1, d_tok)]
+    if cache.n_shown:
+        ex_blocks, _ = _encode(tr.mapper, {kind: f[filled]
+                                           for kind, f in pool.store_feats.items()})
+        parts.append(ex_blocks.reshape(-1, d_tok))
+    parts += [tr.scorer.emb, tr.y_mask, np.empty((max_batch * n_ex_rows, d_tok))]
+    cache.table = np.concatenate(parts)
+    cache.n_query = max_batch
+    return cache
 
 
 def _kind_slices(mapper: MapperParams):
@@ -301,9 +335,14 @@ def _random_slots(ab_rng: SeededRng | None, lengths: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _nearest_slots(f_r: np.ndarray, entries: np.ndarray, pool: PromptPool) -> np.ndarray:
+def _nearest_slots(f_r: np.ndarray, entries: np.ndarray, pool: PromptPool,
+                   store_norms: np.ndarray | None = None) -> np.ndarray:
     """Per (item, entry) pair the store slot with the highest relation-feature
-    cosine (ties: earliest slot), -1 for an empty store."""
+    cosine (ties: earliest slot), -1 for an empty store.
+
+    Inference passes the frozen stores' norms, checked by ``freeze_table``;
+    training passes none and takes them from the gathered rows, since
+    admissions change the stores between steps."""
     lengths = pool.store_len[entries]
     slots = np.full(entries.shape, -1, dtype=np.int64)
     if not lengths.any():
@@ -311,10 +350,14 @@ def _nearest_slots(f_r: np.ndarray, entries: np.ndarray, pool: PromptPool) -> np
     rnorm = np.sqrt(np.vecdot(f_r, f_r))
     for n in np.unique(lengths[lengths > 0]):  # one BLAS shape per store length
         b, c = np.nonzero(lengths == n)
-        rows = pool.store_feats["r"][entries[b, c], :n]
-        norms = np.linalg.norm(rows, axis=-1)  # non-finite for a row with inf or nan
-        if not np.isfinite(norms).all() or (norms == 0.0).any():
-            raise ValueError("stored relation features are degenerate")
+        ent = entries[b, c]
+        rows = pool.store_feats["r"][ent, :n]
+        if store_norms is not None:
+            norms = store_norms[ent, :n]
+        else:
+            norms = np.linalg.norm(rows, axis=-1)  # non-finite for a row with inf or nan
+            if not np.isfinite(norms).all() or (norms == 0.0).any():
+                raise ValueError("stored relation features are degenerate")
         sims = np.matmul(rows, f_r[b][:, :, None])[:, :, 0]
         sims /= norms * rnorm[b, None]
         slots[b, c] = np.argmax(sims, axis=1)
@@ -343,7 +386,7 @@ def _n_context(config: TrainConfig, pool: PromptPool) -> int:
 
 
 def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
-            ab_rng: SeededRng | None):
+            ab_rng: SeededRng | None, store_norms: np.ndarray | None = None):
     """Retrieval for the whole batch.
 
     Returns (selection (B, k) entries, query entry first; their key cosines;
@@ -366,7 +409,7 @@ def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
         if config.random_exemplar:
             slots = _random_slots(ab_rng, pool.store_len[context])
         else:
-            slots = _nearest_slots(batch.feats["r"], context, pool)
+            slots = _nearest_slots(batch.feats["r"], context, pool, store_norms)
     return selection, np.take_along_axis(sims, selection, axis=1), slots, cnorms, knorms
 
 
@@ -411,7 +454,8 @@ def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainCon
         raise ValueError(f"{n_mask} mask rows but decoder expects {scorer.n_mask}")
     q_blocks, q_caches = _encode(tr.mapper, batch.feats)
     n_ex_rows = q_blocks.shape[1]
-    selection, sims, slots, cnorms, knorms = _select(batch, pool, config, ab_rng)
+    selection, sims, slots, cnorms, knorms = _select(batch, pool, config, ab_rng,
+                                                     cache.store_norms)
     n_ctx = slots.shape[1]
 
     # the exemplar each context segment shows, as a block of the token table
@@ -423,7 +467,7 @@ def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainCon
     ex_caches = None
     if cache.table is not None:  # inference: every stored exemplar is encoded
         shown[pb, pc] = cache.slot_rows[ent, slot]
-        n_shown = np.count_nonzero(cache.slot_rows >= 0)
+        n_shown = cache.n_shown
         table = cache.table
     else:  # training: the batch's exemplars, once each in first-seen order
         # flat slot e * n_e + s names an exemplar: stores change only between steps
@@ -706,14 +750,18 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
 
 def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
                    config: TrainConfig, candidates=None, ab_rng: SeededRng | None = None,
-                   batch_size: int = 256) -> Rankings:
+                   batch_size: int = EVAL_BATCH, table: _PassCache | None = None) -> Rankings:
     """Ranked predicates and their scores for a sequence of instances, one
     ``Rankings`` row per instance.
 
-    Forward-only; never admits or mutates. Pool, mapper and decoder are
-    frozen for the whole call, so the stored exemplars are encoded once per
-    call, not per batch. Ablation randomness (random prompts/exemplars/order)
-    still applies when configured, via ``ab_rng``.
+    Forward-only; never admits or mutates. Runs ``batch_size`` instances at a
+    time against ``table``, the frozen state ``freeze_table`` builds once per
+    stage (stored exemplars encoded once, stored norms checked once), which
+    the calls of one stage share; it must hold room for ``batch_size`` items
+    or for all ``instances``, whichever is fewer, and goes stale at the next
+    ``train_stage``. Without a table the call freezes its own. Ablation
+    randomness (random prompts/exemplars/order) still applies when
+    configured, via ``ab_rng``, batch by batch.
     """
     needs_rng = config.random_prompts or config.random_exemplar or config.shuffle_order
     if needs_rng and ab_rng is None:
@@ -721,13 +769,16 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
     if not len(instances):
         return rank_predicates_batch(np.empty((0, vocab.n_mask, tr.scorer.v)), vocab,
                                      candidates=candidates)
+    n_query = min(batch_size, len(instances))
+    if table is None:
+        table = freeze_table(pool, tr, vocab, config, n_query)
+    elif table.n_query < n_query:
+        raise ValueError(f"table holds {table.n_query} query items, the batch needs {n_query}")
     data = _stack_sources(instances, np.zeros(len(instances), dtype=bool))
-    cache = _PassCache(tr, vocab)
-    cache.freeze(pool, tr, config, min(batch_size, len(instances)))
     labels, scores = [], []
     for start in range(0, len(instances), batch_size):
         fw = _forward(data.take(slice(start, start + batch_size)), pool, tr, config,
-                      ab_rng, cache)
+                      ab_rng, table)
         ranked = rank_predicates_batch(fw.probs(), vocab, candidates=candidates)
         labels.append(ranked.labels)
         scores.append(ranked.scores)

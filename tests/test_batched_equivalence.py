@@ -9,7 +9,7 @@ import pytest
 import reference_trainer as ref
 from lsgg.datastream import StageDataset
 from lsgg.rng import SeededRng
-from lsgg.trainer import AdamW, TrainConfig, predict_ranked, train_stage
+from lsgg.trainer import AdamW, TrainConfig, freeze_table, predict_ranked, train_stage
 
 from conftest import TinyWorld
 from oracles import Item, batch_loss_and_grads, pools_equal, stored_exemplar
@@ -121,3 +121,54 @@ def test_predict_ranked_equals_per_item_reference_at_bench_widths():
     want = ref.predict_ranked(queries, w.pool, w.tr, w.vocab, config, batch_size=16)
     got = predict_ranked(queries, w.pool, w.tr, w.vocab, config, batch_size=16)
     assert list(got) == want
+
+
+STAGE_SWITCHES = [s for s in SWITCHES
+                  if s[0] in ("default", "random_prompts", "random_exemplar", "shuffle_order")]
+
+
+@pytest.mark.parametrize("label,config_kw,world_kw", STAGE_SWITCHES,
+                         ids=[s[0] for s in STAGE_SWITCHES])
+def test_stage_table_predictions_equal_per_call(label, config_kw, world_kw):
+    # one table shared by a stage's tasks, as the harness evaluates them, gives
+    # each task what a call that freezes its own table gives, and draws the
+    # ablation stream in the same order
+    w = make_world(config_kw, world_kw)
+    tasks = [[w.instance(predicate=(i + n) % w.n_pred) for i in range(n)] for n in (3, 9, 6)]
+    for candidates in (None, [4, 0, 2]):
+        rng_a, rng_b = SeededRng(8), SeededRng(8)
+        table = freeze_table(w.pool, w.tr, w.vocab, w.config, 4)
+        for task in tasks:
+            want = predict_ranked(task, w.pool, w.tr, w.vocab, w.config,
+                                  candidates=candidates, ab_rng=rng_a, batch_size=4)
+            got = predict_ranked(task, w.pool, w.tr, w.vocab, w.config,
+                                 candidates=candidates, ab_rng=rng_b, batch_size=4,
+                                 table=table)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.scores, want.scores)
+        assert rng_b.next_u64() == rng_a.next_u64()
+
+
+def test_stage_table_rejects_a_batch_it_has_no_room_for():
+    w = make_world({}, {})
+    queries = [w.instance(predicate=i % w.n_pred) for i in range(5)]
+    table = freeze_table(w.pool, w.tr, w.vocab, w.config, 4)
+    with pytest.raises(ValueError, match="query items"):
+        predict_ranked(queries, w.pool, w.tr, w.vocab, w.config, table=table)
+    got = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config, batch_size=4, table=table)
+    assert len(got) == 5
+
+
+def test_degenerate_filled_slot_raises_at_inference():
+    # stores of lengths 0..3: the unfilled slots are zero rows and do not raise
+    for row in (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0]),
+                np.array([np.inf, 0, 0, 0, 0])):
+        w = make_world({}, {})
+        queries = [w.instance(predicate=i % w.n_pred) for i in range(4)]
+        assert len(predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)) == 4
+        w.pool.store_feats["r"][2, 1] = row  # entry 2 holds 2 exemplars
+        with pytest.raises(ValueError, match="degenerate"):
+            predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
+        with pytest.raises(ValueError, match="degenerate"):
+            predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
+                           table=freeze_table(w.pool, w.tr, w.vocab, w.config, 4))

@@ -7,16 +7,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lsgg.datastream import SynthConfig
 from lsgg.harness import (ABLATION_SUITE, PRESET_EXPECTED_DIFF, ExperimentConfig,
-                          config_diff, config_from_kv, config_to_kv,
+                          _rank_pairs, config_diff, config_from_kv, config_to_kv,
                           load_comparison_csv, load_config_file, preset_config,
                           report, run_ablation_suite, run_experiment, summarize)
 from lsgg.metrics import load_gt, load_predictions, mean_recall_at_k, recall_at_k
 from lsgg.prompt_pool import deserialize_pool
 from lsgg.scorer import load_vocab
+from lsgg.rng import SeededRng
 from lsgg.trainer import TrainConfig, load_checkpoint
 
 
@@ -123,6 +125,26 @@ def test_run_experiment_single_stage_has_no_fm():
     assert bundle.fm == {}
     assert len(bundle.reports) == 1
     assert bundle.reports[0].per_task.keys() == {0}
+
+
+def test_rank_pairs_matches_sorted_oracle():
+    # few distinct confidences, so many pairs of one image tie exactly
+    rng = SeededRng(31)
+    for trial in range(20):
+        n = 1 + rng.randint(60)
+        images = np.array([rng.randint(8) for _ in range(n)])
+        confs = np.array([(0.25, 0.5, 1e-300, 0.5 + 2**-52)[rng.randint(4)] for _ in range(n)])
+        gids = np.zeros(n, dtype=np.int64)
+        for img in np.unique(images):  # occurrence index within the image
+            at = np.flatnonzero(images == img)
+            gids[at] = rng.permutation(at.size)
+        order, ranks = _rank_pairs(images, confs, gids)
+        want = []
+        for img in sorted(set(images.tolist())):
+            rows = sorted((i for i in range(n) if images[i] == img),
+                          key=lambda i: (-confs[i], gids[i]))
+            want += [(i, r) for r, i in enumerate(rows, start=1)]
+        assert list(zip(order.tolist(), ranks.tolist())) == want, trial
 
 
 RESULT_FILES = ["results.csv", "matrix.csv", "fm.csv", "manifest.json",

@@ -12,9 +12,9 @@ from lsgg.ioutil import pack_floats
 from lsgg.prompt_pool import admit_exemplar, deserialize_pool, init_pool, serialize_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, default_vocab
-from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, load_checkpoint,
-                          loss_total, predict_ranked, save_checkpoint, stage_quota,
-                          train_stage)
+from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, _stack_sources,
+                          load_checkpoint, loss_total, predict_ranked, save_checkpoint,
+                          stage_quota, train_stage)
 
 from conftest import TinyWorld, finite_diff, grad_rel_err
 from oracles import (Item, batch_loss_and_grads, cosine_to_rows, loss_key_alignment,
@@ -386,6 +386,31 @@ def test_stage_quota_formula():
     w = TinyWorld(n_t=4, n_e=3)
     assert stage_quota(w.pool, 5) == (4 * 3) // 5
     assert stage_quota(w.pool, 1) == 12
+
+
+def test_stack_sources_matches_np_stack():
+    w = TinyWorld()
+    sources = [w.instance(predicate=i % 4) for i in range(7)]
+    sources[2].f_r = sources[2].f_r.tolist()  # list-valued features stack too
+    sources[3].f_o = [int(v) for v in np.round(sources[3].f_o * 10)]
+    batch = _stack_sources(sources, np.zeros(7, dtype=bool))
+    for kind in "crso":
+        want = np.stack([np.asarray(getattr(s, f"f_{kind}"), dtype=float) for s in sources])
+        assert batch.feats[kind].dtype == np.float64
+        assert np.array_equal(batch.feats[kind], want), kind
+    assert batch.targets.tolist() == [i % 4 for i in range(7)]
+
+
+def test_stack_sources_rejects_ragged_widths():
+    # 6 + 4 + 5 values fill three rows of width 5, so a reshape alone need
+    # not fail
+    w = TinyWorld()
+    sources = [w.instance(), w.instance(), w.instance()]
+    sources[0].f_r, sources[1].f_r = np.ones(6), np.ones(4)
+    with pytest.raises(ValueError, match=r"f_r widths differ: \[4, 5, 6\]"):
+        _stack_sources(sources, np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match="empty batch"):
+        _stack_sources([], [])
 
 
 def test_predict_ranked_is_pure():
