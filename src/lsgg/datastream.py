@@ -69,10 +69,6 @@ class TaskSchedule:
     def n_stages(self) -> int:
         return len(self.stages)
 
-    @property
-    def vocabulary(self) -> list:
-        return sorted(self._owner)
-
     def stage_of(self, label: int) -> int:
         if label not in self._owner:
             raise ValueError(f"predicate {label} not covered by the schedule")

@@ -30,8 +30,8 @@ from .prompt_pool import init_pool, serialize_pool
 from .rng import SeededRng
 from .scorer import default_vocab, init_scorer, load_vocab, save_vocab
 from .token_mapper import init_mapper
-from .trainer import (EVAL_BATCH, AdamW, TrainConfig, TrainableSet, freeze_table,
-                      init_y_mask, predict_ranked, save_checkpoint, stage_quota, train_stage)
+from .trainer import (AdamW, TrainConfig, TrainableSet, freeze_table, init_y_mask,
+                      predict_ranked, save_checkpoint, stage_quota, train_stage)
 
 TOKEN_PRESETS = {
     "small": {"c": 2, "r": 1, "s": 1, "o": 1},
@@ -336,7 +336,6 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
                 for k in config.eval_ks}
     reports, stage_seconds = [], []
     eval_rng = rng.derive("eval")
-    final_dump = None
 
     for t in range(config.n_stages):
         t0 = time.perf_counter()
@@ -346,8 +345,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         pool.check_invariants()
 
         candidates = schedule.arrived_labels(t)
-        table = freeze_table(pool, tr, vocab, config.train,
-                             min(EVAL_BATCH, max(len(s.test) for s in stages[: t + 1])))
+        table = freeze_table(pool, tr, vocab, config.train)
         per_task = {}
         union_preds, union_gt = [], []
         for j in range(t + 1):
@@ -374,8 +372,6 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         report.check_invariants()
         reports.append(report)
         stage_seconds.append(time.perf_counter() - t0)
-        if t == config.n_stages - 1:
-            final_dump = (union_preds, union_gt)
 
     fm = {}
     if config.n_stages >= 2:
@@ -387,7 +383,8 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
     bundle = ResultsBundle(seed=seed, config_echo=config_to_kv(config), reports=reports,
                            matrices=matrices, fm=fm, stage_seconds=stage_seconds)
     if run_dir is not None:
-        write_run_files(bundle, config, run_dir, tr, pool, vocab, final_dump)
+        # the final dump is the last stage's union over all tasks
+        write_run_files(bundle, config, run_dir, tr, pool, vocab, (union_preds, union_gt))
     return bundle
 
 
@@ -403,7 +400,7 @@ def _csv_cell(v) -> str:
 
 
 def write_run_files(bundle: ResultsBundle, config: ExperimentConfig, run_dir,
-                    tr=None, pool=None, vocab=None, final_dump=None) -> None:
+                    tr, pool, vocab, final_dump) -> None:
     """Write the deterministic result set plus a separate timing log."""
     os.makedirs(run_dir, exist_ok=True)
     ks = sorted(bundle.matrices)
@@ -451,17 +448,12 @@ def write_run_files(bundle: ResultsBundle, config: ExperimentConfig, run_dir,
             fh.write(f"stage {t + 1}: {secs:.3f}s\n")
         fh.write(blas_summary() + "\n")
 
-    if final_dump is not None:
-        preds, gt = final_dump
-        save_predictions(preds, os.path.join(run_dir, "predictions_final.txt"))
-        save_gt(gt, os.path.join(run_dir, "gt_final.txt"))
-    if pool is not None:
-        serialize_pool(pool, os.path.join(run_dir, "pool.lsgg"))
-    if tr is not None:
-        save_checkpoint(os.path.join(run_dir, "checkpoint.lsgg"), tr, config.train,
-                        "pool.lsgg")
-    if vocab is not None:
-        save_vocab(vocab, os.path.join(run_dir, "vocab.txt"))
+    preds, gt = final_dump
+    save_predictions(preds, os.path.join(run_dir, "predictions_final.txt"))
+    save_gt(gt, os.path.join(run_dir, "gt_final.txt"))
+    serialize_pool(pool, os.path.join(run_dir, "pool.lsgg"))
+    save_checkpoint(os.path.join(run_dir, "checkpoint.lsgg"), tr, config.train, "pool.lsgg")
+    save_vocab(vocab, os.path.join(run_dir, "vocab.txt"))
 
 
 # -- ablations and reporting -------------------------------------------------------------
@@ -526,8 +518,8 @@ def summarize(bundles: list) -> dict:
     return out
 
 
-def report(groups: dict, out_dir, formats=("csv", "text")) -> list:
-    """Comparison tables over configurations: CSV and/or text, means +- std.
+def report(groups: dict, out_dir) -> list:
+    """Comparison tables over configurations, as CSV and text: means +- std.
 
     groups: label -> list of ResultsBundle (one per seed). Bundles must share
     eval K values; mixed groups are an error.
@@ -552,56 +544,54 @@ def report(groups: dict, out_dir, formats=("csv", "text")) -> list:
     multi_seed = any(len(groups[label]) > 1 for label in labels)
     written = []
 
-    if "csv" in formats:
-        path = os.path.join(out_dir, "comparison.csv")
-        with open(path, "w") as fh:
-            header = ["config", "seeds"]
+    path = os.path.join(out_dir, "comparison.csv")
+    with open(path, "w") as fh:
+        header = ["config", "seeds"]
+        for name in metric_names:
+            header.append(f"{name}_mean")
+            if multi_seed:
+                header.append(f"{name}_std")
+        fh.write(",".join(header) + "\n")
+        for label in labels:
+            row = [PRESET_DISPLAY.get(label, label), str(len(groups[label]))]
             for name in metric_names:
-                header.append(f"{name}_mean")
+                mean, std = summaries[label][name]
+                row.append(repr(float(mean)))
                 if multi_seed:
-                    header.append(f"{name}_std")
-            fh.write(",".join(header) + "\n")
-            for label in labels:
-                row = [PRESET_DISPLAY.get(label, label), str(len(groups[label]))]
-                for name in metric_names:
-                    mean, std = summaries[label][name]
-                    row.append(repr(float(mean)))
-                    if multi_seed:
-                        row.append(repr(float(std)))
-                fh.write(",".join(row) + "\n")
-        written.append(path)
+                    row.append(repr(float(std)))
+            fh.write(",".join(row) + "\n")
+    written.append(path)
 
-        path = os.path.join(out_dir, "per_stage.csv")
-        with open(path, "w") as fh:
-            fh.write("config,stage," + ",".join(
-                f"mR@{k}_mean" for k in ks_ref) + "\n")
-            for label in labels:
-                n_stages = len(groups[label][0].reports)
-                for t in range(n_stages):
-                    cells = [PRESET_DISPLAY.get(label, label), str(t + 1)]
-                    for k in ks_ref:
-                        mean, _ = _mean_std([b.reports[t].mr[k] for b in groups[label]])
-                        cells.append(repr(float(mean)))
-                    fh.write(",".join(cells) + "\n")
-        written.append(path)
+    path = os.path.join(out_dir, "per_stage.csv")
+    with open(path, "w") as fh:
+        fh.write("config,stage," + ",".join(
+            f"mR@{k}_mean" for k in ks_ref) + "\n")
+        for label in labels:
+            n_stages = len(groups[label][0].reports)
+            for t in range(n_stages):
+                cells = [PRESET_DISPLAY.get(label, label), str(t + 1)]
+                for k in ks_ref:
+                    mean, _ = _mean_std([b.reports[t].mr[k] for b in groups[label]])
+                    cells.append(repr(float(mean)))
+                fh.write(",".join(cells) + "\n")
+    written.append(path)
 
-    if "text" in formats:
-        path = os.path.join(out_dir, "comparison.txt")
-        with open(path, "w") as fh:
-            width = max(len(PRESET_DISPLAY.get(label, label)) for label in labels)
-            width = max(width, len("config"))
-            fh.write(f"{'config':<{width}}")
+    path = os.path.join(out_dir, "comparison.txt")
+    with open(path, "w") as fh:
+        width = max(len(PRESET_DISPLAY.get(label, label)) for label in labels)
+        width = max(width, len("config"))
+        fh.write(f"{'config':<{width}}")
+        for name in metric_names:
+            fh.write(f"  {name:>16}")
+        fh.write("\n")
+        for label in labels:
+            fh.write(f"{PRESET_DISPLAY.get(label, label):<{width}}")
             for name in metric_names:
-                fh.write(f"  {name:>16}")
+                mean, std = summaries[label][name]
+                cell = f"{mean:.2f}+-{std:.2f}" if multi_seed else f"{mean:.2f}"
+                fh.write(f"  {cell:>16}")
             fh.write("\n")
-            for label in labels:
-                fh.write(f"{PRESET_DISPLAY.get(label, label):<{width}}")
-                for name in metric_names:
-                    mean, std = summaries[label][name]
-                    cell = f"{mean:.2f}+-{std:.2f}" if multi_seed else f"{mean:.2f}"
-                    fh.write(f"  {cell:>16}")
-                fh.write("\n")
-        written.append(path)
+    written.append(path)
     return written
 
 

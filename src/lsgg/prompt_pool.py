@@ -2,10 +2,11 @@
 bounded exemplar stores with reservoir eviction.
 
 The pool is a handful of arrays. ``prompts`` and ``keys`` are trainable; the
-stores are ``store_feats[kind]`` (n_t, n_e, d_kind), ``store_labels``
-(n_t, n_e), ``store_len`` (n_t,) and ``seen`` (n_t,). Admitting an exemplar
-writes one row of each. Retrieval is exact cosine search over the keys; the
-pool is small enough that approximate indices would only add failure modes.
+stores are ``store_feats[kind]`` (n_t, n_e, d_kind), ``store_labels`` and
+``store_rnorm`` (n_t, n_e), ``store_len`` (n_t,) and ``seen`` (n_t,).
+Admitting an exemplar writes one row of each. Retrieval is exact cosine
+search over the keys; the pool is small enough that approximate indices
+would only add failure modes.
 """
 
 from __future__ import annotations
@@ -34,16 +35,19 @@ class PromptPool:
 
     Store slot (i, s) of entry i holds, for s < ``store_len[i]``, a past
     instance's raw features ``store_feats[kind][i, s]`` and its label
-    ``store_labels[i, s]``. Features stay raw (not tokenized), so rehearsal
-    re-encodes them through the current token mapper. ``seen[i]`` counts the
-    instances ever routed to entry i. ``store_feats`` stays empty until the
-    first exemplar is written, which fixes each kind's width.
+    ``store_labels[i, s]``, and the norm of its relation features
+    ``store_rnorm[i, s]``, by which exemplar retrieval compares stored slots.
+    Features stay raw (not tokenized), so rehearsal re-encodes them through
+    the current token mapper. ``seen[i]`` counts the instances ever routed to
+    entry i. ``store_feats`` stays empty until the first exemplar is written,
+    which fixes each kind's width.
     """
 
     prompts: np.ndarray
     keys: np.ndarray
     store_feats: dict  # kind -> (n_t, n_e, d_kind)
     store_labels: np.ndarray  # (n_t, n_e) int64
+    store_rnorm: np.ndarray  # (n_t, n_e) norms of store_feats["r"] along its last axis
     store_len: np.ndarray  # (n_t,) int64
     seen: np.ndarray  # (n_t,) int64
 
@@ -97,6 +101,15 @@ class PromptPool:
         if np.any(self.store_len > self.seen):
             raise AssertionError(f"entry {np.argmax(self.store_len > self.seen)}: "
                                  "store larger than seen count")
+        if self.store_rnorm.shape != (n_t, n_e):
+            raise AssertionError(f"stored norms {self.store_rnorm.shape} != ({n_t}, {n_e})")
+        filled = np.arange(n_e) < self.store_len[:, None]
+        if filled.any():
+            norms = np.linalg.norm(self.store_feats["r"][filled], axis=-1)
+            if not (np.array_equal(self.store_rnorm[filled], norms)
+                    and np.isfinite(norms).all() and (norms > 0.0).all()):
+                raise AssertionError("stored relation norms are degenerate or do not "
+                                     "match the stored features")
 
 
 _EntryView = namedtuple("_EntryView", "store")
@@ -106,6 +119,7 @@ def _empty_pool(prompts: np.ndarray, keys: np.ndarray, n_e: int) -> PromptPool:
     n_t = keys.shape[0]
     return PromptPool(prompts=prompts, keys=keys, store_feats={},
                       store_labels=np.zeros((n_t, n_e), dtype=np.int64),
+                      store_rnorm=np.zeros((n_t, n_e)),
                       store_len=np.zeros(n_t, dtype=np.int64),
                       seen=np.zeros(n_t, dtype=np.int64))
 
@@ -145,10 +159,22 @@ def retrieve_entries(keys: np.ndarray, f_c: np.ndarray, k: int):
     return top, sims, cnorms, knorms
 
 
+def _relation_norm(f_r: np.ndarray) -> np.ndarray:
+    """Norms of relation features along their last axis, the one form that
+    gives a row the same bits alone and gathered among others; raises
+    ValueError for a zero or non-finite norm, for which cosine is undefined."""
+    norms = np.linalg.norm(f_r, axis=-1)  # non-finite for a row with inf or nan
+    if not np.isfinite(norms).all() or (norms == 0.0).any():
+        raise ValueError("relation feature is degenerate")
+    return norms
+
+
 def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int) -> None:
-    """Write one exemplar's raw features (kind -> 1-D array) and label into
-    store slot (entry, slot). The first exemplar written fixes each kind's
-    width; a later one of other widths raises ValueError."""
+    """Write one exemplar's raw features (kind -> 1-D array), label and
+    relation norm into store slot (entry, slot). The first exemplar written
+    fixes each kind's width; a later one of other widths, or a degenerate
+    relation feature, raises ValueError and writes nothing."""
+    rnorm = _relation_norm(feats["r"])
     widths = {kind: v.size for kind, v in feats.items()}
     if not pool.store_feats:
         pool.store_feats.update({kind: np.zeros((pool.n_t, pool.n_e, n))
@@ -159,6 +185,7 @@ def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int
     for kind, v in feats.items():
         pool.store_feats[kind][entry, slot] = v
     pool.store_labels[entry, slot] = label
+    pool.store_rnorm[entry, slot] = rnorm
 
 
 def admit_exemplar(pool: PromptPool, instance, rng: SeededRng):
@@ -167,9 +194,11 @@ def admit_exemplar(pool: PromptPool, instance, rng: SeededRng):
     Routing: the entry retrieval ranks first for f_c (the cosine-nearest key,
     ties to the lower index). Storage: one row write, into the next free slot
     while under capacity, then uniform reservoir: item number N is kept with
-    probability n_e/N, replacing a uniform slot.
+    probability n_e/N, replacing a uniform slot. A degenerate relation
+    feature raises ValueError before the instance is routed or counted.
     """
     feats = {kind: np.asarray(getattr(instance, f"f_{kind}"), dtype=float) for kind in KINDS}
+    _relation_norm(feats["r"])
     entry = int(retrieve_entries(pool.keys, feats["c"][None], 1)[0][0, 0])
     pool.seen[entry] += 1
     slot = int(pool.store_len[entry])

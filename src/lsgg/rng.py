@@ -84,10 +84,6 @@ class SeededRng:
         z = np.uint64(self._base) + idx * np.uint64(GOLDEN_GAMMA)
         return _mix64_block(z)
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
     def random_block(self, n: int) -> np.ndarray:
         return (self._u64_block(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
@@ -163,12 +159,3 @@ class SeededRng:
         self.shuffle(out)
         return out
 
-    def choice_without_replacement(self, n: int, k: int) -> list:
-        """k distinct indices from range(n), order random (partial Fisher-Yates)."""
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot choose {k} from {n}")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randint(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]

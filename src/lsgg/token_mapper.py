@@ -6,10 +6,11 @@ Layer form (applied to the stacked rows X, row mean x_bar):
 
     X' = tanh(X W + 1 (x_bar U) + b)
 
-so every row sees every other row through the mean term. The block read out
-is the rows at the position-vector slots (the tail). At depth 0 the encoder
-is skipped and the block is reshape(W_phi f + b_phi) + p, which requires the
-projected row count to equal the block row count.
+so every row sees every other row through the mean term. The projector makes
+as many rows as the block reads out; they are followed by the position
+vectors, and the block read out is the rows at the position-vector slots
+(the tail). At depth 0 the encoder is skipped and the block is
+reshape(W_phi f + b_phi) + p.
 
 All gradients are computed analytically in closed form; ``encode_batch`` /
 ``encode_batch_backward`` are the batched primitives the trainer uses.
@@ -32,10 +33,9 @@ class MapperParams:
     d_tok: int
     depth: int
     feat_dims: dict  # kind -> d_*
-    token_counts: dict  # kind -> n_* (rows read out)
-    proj_counts: dict  # kind -> l_* (rows produced by the projector)
-    proj_w: dict  # kind -> (l_*·d_tok, d_*)
-    proj_b: dict  # kind -> (l_*·d_tok,)
+    token_counts: dict  # kind -> n_* (rows produced by the projector and read out)
+    proj_w: dict  # kind -> (n_*·d_tok, d_*)
+    proj_b: dict  # kind -> (n_*·d_tok,)
     pos: dict  # kind -> (n_*, d_tok)
     mix_w: list  # depth × (d_tok, d_tok)
     mix_u: list  # depth × (d_tok, d_tok)
@@ -57,31 +57,28 @@ class MapperParams:
 
 
 def init_mapper(feat_dims: dict, d_tok: int = 64, token_counts=None, depth: int = 1,
-                proj_counts=None, rng: SeededRng | None = None) -> MapperParams:
+                rng: SeededRng | None = None) -> MapperParams:
     if rng is None:
         raise ValueError("init_mapper requires an rng")
     counts = dict(DEFAULT_TOKEN_COUNTS if token_counts is None else token_counts)
     if sorted(feat_dims) != sorted(KINDS) or sorted(counts) != sorted(KINDS):
         raise ValueError(f"feature dims and token counts must cover kinds {KINDS}")
-    lcounts = dict(counts if proj_counts is None else proj_counts)
-    if depth < 0 or d_tok < 1 or min(counts.values()) < 1 or min(lcounts.values()) < 1:
+    if depth < 0 or d_tok < 1 or min(counts.values()) < 1:
         raise ValueError("bad mapper sizes")
-    if depth == 0 and any(lcounts[k] != counts[k] for k in KINDS):
-        raise ValueError("depth 0 requires projected row count == block row count")
     proj_w, proj_b, pos = {}, {}, {}
     for kind in KINDS:
         d_in = feat_dims[kind]
         if d_in < 1:
             raise ValueError(f"bad feature dimension for kind {kind!r}")
-        proj_w[kind] = rng.normal((lcounts[kind] * d_tok, d_in)) / np.sqrt(d_in)
-        proj_b[kind] = np.zeros(lcounts[kind] * d_tok)
+        proj_w[kind] = rng.normal((counts[kind] * d_tok, d_in)) / np.sqrt(d_in)
+        proj_b[kind] = np.zeros(counts[kind] * d_tok)
         pos[kind] = rng.normal((counts[kind], d_tok)) / np.sqrt(d_tok)
     mix_w = [rng.normal((d_tok, d_tok)) / np.sqrt(d_tok) for _ in range(depth)]
     mix_u = [rng.normal((d_tok, d_tok)) / np.sqrt(d_tok) for _ in range(depth)]
     mix_b = [np.zeros(d_tok) for _ in range(depth)]
     return MapperParams(
         d_tok=d_tok, depth=depth, feat_dims=dict(feat_dims), token_counts=counts,
-        proj_counts=lcounts, proj_w=proj_w, proj_b=proj_b, pos=pos,
+        proj_w=proj_w, proj_b=proj_b, pos=pos,
         mix_w=mix_w, mix_u=mix_u, mix_b=mix_b,
     )
 
@@ -112,28 +109,28 @@ def encode_batch(params: MapperParams, feats: np.ndarray, kind: str):
             f"kind {kind!r} expects dimension {params.feat_dims[kind]}, got {feats.shape[1]}"
         )
     b = feats.shape[0]
-    n, l = params.token_counts[kind], params.proj_counts[kind]
+    n = params.token_counts[kind]
     proj = feats @ params.proj_w[kind].T
     proj += params.proj_b[kind]
-    proj = proj.reshape(b, l, params.d_tok)
+    proj = proj.reshape(b, n, params.d_tok)
     if params.depth == 0:
         out = proj + params.pos[kind]
         cache = MapperKindCache(kind=kind, feats=feats, states=[out])
         return out, cache
-    x = np.empty((b, l + n, params.d_tok))
-    x[:, :l] = proj
-    x[:, l:] = params.pos[kind]
+    x = np.empty((b, 2 * n, params.d_tok))
+    x[:, :n] = proj
+    x[:, n:] = params.pos[kind]
     cache = MapperKindCache(kind=kind, feats=feats, states=[x])
     for layer in range(params.depth):
         mean = np.add.reduce(x, axis=1)  # (B, d_tok) row mean, as x.mean(axis=1)
-        mean /= l + n
+        mean /= 2 * n
         z = x @ params.mix_w[layer]
         z += (mean @ params.mix_u[layer])[:, None, :]
         z += params.mix_b[layer]
         x = np.tanh(z, out=z)
         cache.means.append(mean)
         cache.states.append(x)
-    return x[:, l:, :], cache
+    return x[:, n:, :], cache
 
 
 def encode_batch_backward(params: MapperParams, cache: MapperKindCache,
@@ -141,22 +138,22 @@ def encode_batch_backward(params: MapperParams, cache: MapperKindCache,
     """Accumulate parameter gradients for one batched encode into ``grads``."""
     kind = cache.kind
     b = cache.feats.shape[0]
-    n, l = params.token_counts[kind], params.proj_counts[kind]
+    n = params.token_counts[kind]
     if params.depth == 0:
         d_proj = d_out
         grads[f"pos.{kind}"] += d_out.sum(axis=0)
     else:
-        rows = l + n
+        rows = 2 * n
         d_x = None
         for layer in range(params.depth - 1, -1, -1):
             x_out = cache.states[layer + 1]
             x_in = cache.states[layer]
             if d_x is None:  # top layer: only the read-out rows carry gradient
                 d_z = np.zeros_like(x_out)
-                tail = x_out[:, l:] * x_out[:, l:]
+                tail = x_out[:, n:] * x_out[:, n:]
                 np.subtract(1.0, tail, out=tail)
                 tail *= d_out
-                d_z[:, l:] = tail
+                d_z[:, n:] = tail
             else:
                 d_z = x_out * x_out
                 np.subtract(1.0, d_z, out=d_z)
@@ -168,8 +165,8 @@ def encode_batch_backward(params: MapperParams, cache: MapperKindCache,
             grads[f"mix_b.{layer}"] += dz_rowsum.sum(axis=0)
             d_x = d_z @ params.mix_w[layer].T
             d_x += (dz_rowsum @ params.mix_u[layer].T)[:, None, :] / rows
-        d_proj = d_x[:, :l, :]
-        grads[f"pos.{kind}"] += d_x[:, l:, :].sum(axis=0)
-    d_flat = d_proj.reshape(b, l * params.d_tok)
+        d_proj = d_x[:, :n, :]
+        grads[f"pos.{kind}"] += d_x[:, n:, :].sum(axis=0)
+    d_flat = d_proj.reshape(b, n * params.d_tok)
     grads[f"proj_w.{kind}"] += d_flat.T @ cache.feats
     grads[f"proj_b.{kind}"] += d_flat.sum(axis=0)

@@ -227,20 +227,16 @@ def _replays(pool: PromptPool, picks: np.ndarray) -> _Batch:
 
 class _PassCache:
     """Lookups that live for one ``train_stage`` call, or for one stage's
-    evaluation once ``freeze_table`` has filled in the frozen inference
-    state: the padded label tokens, the token table and the stored relation
-    norms."""
+    evaluation once ``freeze_table`` has filled in the frozen token table:
+    the padded label tokens, and the table with its slot map and offsets."""
 
     def __init__(self, tr: TrainableSet, vocab: PredicateVocab):
         self.label_ids = np.array(vocab.labels(), dtype=np.int64)
         self.label_tokens, self.label_counts = vocab.token_table()
         if self.label_tokens.max() >= tr.scorer.v:
             raise ValueError(f"label tokens exceed the decoder vocabulary of {tr.scorer.v}")
-        self.table = None  # frozen token table, inference only
-        self.slot_rows = None  # (n_t, cap) exemplar index of each filled store slot
-        self.n_shown = 0  # exemplars encoded into the table
-        self.n_query = 0  # items whose query rows fit at the table's end
-        self.store_norms = None  # (n_t, cap) relation-feature norms, when slots are chosen by them
+        self.frozen = None  # (table, slot_rows, offsets) of ``_token_table``, inference only
+        self.n_query = 0  # items whose query rows fit at the frozen table's end
 
     def label_rows(self, predicates) -> np.ndarray:
         pos = np.minimum(np.searchsorted(self.label_ids, predicates), len(self.label_ids) - 1)
@@ -250,38 +246,46 @@ class _PassCache:
         return pos
 
 
+def _token_table(pool: PromptPool, tr: TrainableSet, ent: np.ndarray, slot: np.ndarray,
+                 n_query: int):
+    """The token table every prompt row is gathered from: the prompts, the
+    exemplars of store slots (ent, slot) encoded in that order, the label
+    embeddings, the mask rows, and room for ``n_query`` items' query rows.
+
+    Returns (table; slot_rows (n_t, n_e), the exemplar index of each
+    encoded slot, -1 elsewhere; the offsets of the exemplars, label
+    embeddings, mask rows and query rows; the exemplars' encode caches, None
+    when there are none)."""
+    d_tok, n_ex_rows = pool.d_tok, tr.mapper.exemplar_rows()
+    slot_rows = np.full((pool.n_t, pool.n_e), -1, dtype=np.int64)
+    slot_rows[ent, slot] = np.arange(ent.size)
+    parts, ex_caches = [pool.prompts.reshape(-1, d_tok)], None
+    if ent.size:
+        ex_blocks, ex_caches = _encode(tr.mapper, {kind: f[ent, slot]
+                                                   for kind, f in pool.store_feats.items()})
+        parts.append(ex_blocks.reshape(-1, d_tok))
+    parts += [tr.scorer.emb, tr.y_mask, np.empty((n_query * n_ex_rows, d_tok))]
+    off_ex = pool.n_t * pool.n_p
+    off_emb = off_ex + ent.size * n_ex_rows
+    off_mask = off_emb + tr.scorer.v
+    offsets = (off_ex, off_emb, off_mask, off_mask + tr.y_mask.shape[0])
+    return np.concatenate(parts), slot_rows, offsets, ex_caches
+
+
 def freeze_table(pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
-                 config: TrainConfig, max_batch: int) -> _PassCache:
+                 config: TrainConfig, max_batch: int = EVAL_BATCH) -> _PassCache:
     """The inference state of one stage, where pool, mapper and decoder do
-    not move: a token table of the prompts, every filled store slot encoded
-    once (when context segments show exemplars), the label embeddings and
-    mask rows, followed by room for ``max_batch`` items' query rows; plus
-    the stored relation-feature norms when exemplars are chosen by them.
+    not move: the token table with every filled store slot encoded once
+    (when context segments show exemplars) and room for ``max_batch``
+    items' query rows.
 
     ``predict_ranked(..., table=...)`` calls may share it until the next
     ``train_stage``, which moves the pool and mapper; rebuild it after every
-    ``train_stage``. Raises ValueError for a filled slot whose relation
-    features have a zero or non-finite norm."""
+    ``train_stage``."""
     cache = _PassCache(tr, vocab)
-    n_ctx = _n_context(config, pool)
     filled = np.arange(pool.n_e) < pool.store_len[:, None]
-    if n_ctx > 0 and not config.random_exemplar:
-        norms = np.linalg.norm(pool.store_feats["r"], axis=-1)  # non-finite for inf or nan
-        if not np.isfinite(norms[filled]).all() or (norms[filled] == 0.0).any():
-            raise ValueError("stored relation features are degenerate")
-        cache.store_norms = norms
-    filled &= n_ctx > 0  # else no segment shows an exemplar
-    cache.n_shown = np.count_nonzero(filled)
-    cache.slot_rows = np.full(filled.shape, -1, dtype=np.int64)
-    cache.slot_rows[filled] = np.arange(cache.n_shown)
-    d_tok, n_ex_rows = pool.d_tok, tr.mapper.exemplar_rows()
-    parts = [pool.prompts.reshape(-1, d_tok)]
-    if cache.n_shown:
-        ex_blocks, _ = _encode(tr.mapper, {kind: f[filled]
-                                           for kind, f in pool.store_feats.items()})
-        parts.append(ex_blocks.reshape(-1, d_tok))
-    parts += [tr.scorer.emb, tr.y_mask, np.empty((max_batch * n_ex_rows, d_tok))]
-    cache.table = np.concatenate(parts)
+    filled &= _n_context(config, pool) > 0  # else no segment shows an exemplar
+    cache.frozen = _token_table(pool, tr, *np.nonzero(filled), max_batch)[:3]
     cache.n_query = max_batch
     return cache
 
@@ -306,9 +310,9 @@ def _encode(mapper: MapperParams, feats: dict):
 
 
 def _random_prompts(ab_rng: SeededRng | None, sims: np.ndarray, k: int) -> np.ndarray:
-    """k distinct random entries per row of ``sims``, drawn row by row as
-    ``choice_without_replacement`` draws them, then ordered by descending
-    similarity (ties: lower index first)."""
+    """k distinct random entries per row of ``sims``, drawn row by row as a
+    partial Fisher-Yates shuffle with ``randint(n_t - i)`` at step i, then
+    ordered by descending similarity (ties: lower index first)."""
     if ab_rng is None:
         raise ValueError("random prompt selection requires an rng")
     n_b, n_t = sims.shape
@@ -335,31 +339,23 @@ def _random_slots(ab_rng: SeededRng | None, lengths: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _nearest_slots(f_r: np.ndarray, entries: np.ndarray, pool: PromptPool,
-                   store_norms: np.ndarray | None = None) -> np.ndarray:
+def _nearest_slots(f_r: np.ndarray, entries: np.ndarray, pool: PromptPool) -> np.ndarray:
     """Per (item, entry) pair the store slot with the highest relation-feature
-    cosine (ties: earliest slot), -1 for an empty store.
-
-    Inference passes the frozen stores' norms, checked by ``freeze_table``;
-    training passes none and takes them from the gathered rows, since
-    admissions change the stores between steps."""
+    cosine (ties: earliest slot), -1 for an empty store. Raises ValueError
+    for an item with a zero or non-finite ``f_r`` that meets a filled store."""
     lengths = pool.store_len[entries]
     slots = np.full(entries.shape, -1, dtype=np.int64)
     if not lengths.any():
         return slots
     rnorm = np.sqrt(np.vecdot(f_r, f_r))
+    compared = rnorm[lengths.any(axis=1)]
+    if not np.isfinite(compared).all() or (compared == 0.0).any():
+        raise ValueError("query relation feature is degenerate")
     for n in np.unique(lengths[lengths > 0]):  # one BLAS shape per store length
         b, c = np.nonzero(lengths == n)
         ent = entries[b, c]
-        rows = pool.store_feats["r"][ent, :n]
-        if store_norms is not None:
-            norms = store_norms[ent, :n]
-        else:
-            norms = np.linalg.norm(rows, axis=-1)  # non-finite for a row with inf or nan
-            if not np.isfinite(norms).all() or (norms == 0.0).any():
-                raise ValueError("stored relation features are degenerate")
-        sims = np.matmul(rows, f_r[b][:, :, None])[:, :, 0]
-        sims /= norms * rnorm[b, None]
+        sims = np.matmul(pool.store_feats["r"][ent, :n], f_r[b][:, :, None])[:, :, 0]
+        sims /= pool.store_rnorm[ent, :n] * rnorm[b, None]
         slots[b, c] = np.argmax(sims, axis=1)
     return slots
 
@@ -385,8 +381,7 @@ def _n_context(config: TrainConfig, pool: PromptPool) -> int:
     return 0 if config.naive else min(config.effective_k(), pool.n_t) - 1
 
 
-def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
-            ab_rng: SeededRng | None, store_norms: np.ndarray | None = None):
+def _select(batch: _Batch, pool: PromptPool, config: TrainConfig, ab_rng: SeededRng | None):
     """Retrieval for the whole batch.
 
     Returns (selection (B, k) entries, query entry first; their key cosines;
@@ -409,7 +404,7 @@ def _select(batch: _Batch, pool: PromptPool, config: TrainConfig,
         if config.random_exemplar:
             slots = _random_slots(ab_rng, pool.store_len[context])
         else:
-            slots = _nearest_slots(batch.feats["r"], context, pool, store_norms)
+            slots = _nearest_slots(batch.feats["r"], context, pool)
     return selection, np.take_along_axis(sims, selection, axis=1), slots, cnorms, knorms
 
 
@@ -454,44 +449,25 @@ def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainCon
         raise ValueError(f"{n_mask} mask rows but decoder expects {scorer.n_mask}")
     q_blocks, q_caches = _encode(tr.mapper, batch.feats)
     n_ex_rows = q_blocks.shape[1]
-    selection, sims, slots, cnorms, knorms = _select(batch, pool, config, ab_rng,
-                                                     cache.store_norms)
+    selection, sims, slots, cnorms, knorms = _select(batch, pool, config, ab_rng)
     n_ctx = slots.shape[1]
 
     # the exemplar each context segment shows, as a block of the token table
     pb, pc = np.nonzero(slots >= 0)
     ent, slot = selection[pb, pc + 1], slots[pb, pc]
-    shown = np.full(slots.shape, -1, dtype=np.int64)
     label = np.zeros(slots.shape, dtype=np.int64)
     label[pb, pc] = cache.label_rows(pool.store_labels[ent, slot])
-    ex_caches = None
-    if cache.table is not None:  # inference: every stored exemplar is encoded
-        shown[pb, pc] = cache.slot_rows[ent, slot]
-        n_shown = cache.n_shown
-        table = cache.table
+    if cache.frozen is not None:  # inference: every stored exemplar is encoded
+        (table, slot_rows, offsets), ex_caches = cache.frozen, None
     else:  # training: the batch's exemplars, once each in first-seen order
         # flat slot e * n_e + s names an exemplar: stores change only between steps
-        _, first, inverse = np.unique(ent * pool.n_e + slot, return_index=True,
-                                      return_inverse=True)
-        seen = np.argsort(first)
-        rank = np.empty_like(seen)
-        rank[seen] = np.arange(seen.size)
-        shown[pb, pc] = rank[inverse]
-        n_shown = seen.size
-        parts = [pool.prompts.reshape(-1, d_tok)]
-        if seen.size:
-            u_ent, u_slot = ent[first[seen]], slot[first[seen]]
-            ex_blocks, ex_caches = _encode(
-                tr.mapper, {kind: f[u_ent, u_slot] for kind, f in pool.store_feats.items()})
-            parts.append(ex_blocks.reshape(-1, d_tok))
-        parts += [scorer.emb, tr.y_mask, q_blocks.reshape(-1, d_tok)]
-        table = np.concatenate(parts)
-    off_ex = pool.n_t * n_p
-    off_emb = off_ex + n_shown * n_ex_rows
-    off_mask = off_emb + scorer.v
-    off_q = off_mask + n_mask
-    if cache.table is not None:
-        table[off_q : off_q + n_b * n_ex_rows] = q_blocks.reshape(-1, d_tok)
+        first = np.sort(np.unique(ent * pool.n_e + slot, return_index=True)[1])
+        table, slot_rows, offsets, ex_caches = _token_table(pool, tr, ent[first],
+                                                            slot[first], n_b)
+    shown = np.full(slots.shape, -1, dtype=np.int64)
+    shown[pb, pc] = slot_rows[ent, slot]
+    off_ex, off_emb, off_mask, off_q = offsets
+    table[off_q : off_q + n_b * n_ex_rows] = q_blocks.reshape(-1, d_tok)
 
     # context segments in ascending similarity, optionally shuffled
     order = np.tile(np.arange(n_ctx)[::-1], (n_b, 1))
@@ -529,7 +505,7 @@ def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainCon
         groups.append(_Group(items, idx, label_cols, rows, w, base, probs))
     return _Pass(groups=groups, selection=selection, sims=sims, cnorms=cnorms,
                  knorms=knorms, q_blocks=q_blocks, q_caches=q_caches, ex_caches=ex_caches,
-                 offsets=(off_ex, off_emb, off_mask, off_q))
+                 offsets=offsets)
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -756,9 +732,9 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
 
     Forward-only; never admits or mutates. Runs ``batch_size`` instances at a
     time against ``table``, the frozen state ``freeze_table`` builds once per
-    stage (stored exemplars encoded once, stored norms checked once), which
-    the calls of one stage share; it must hold room for ``batch_size`` items
-    or for all ``instances``, whichever is fewer, and goes stale at the next
+    stage (stored exemplars encoded once), which the calls of one stage
+    share; it must hold room for ``batch_size`` items or for all
+    ``instances``, whichever is fewer, and goes stale at the next
     ``train_stage``. Without a table the call freezes its own. Ablation
     randomness (random prompts/exemplars/order) still applies when
     configured, via ``ab_rng``, batch by batch.
@@ -797,9 +773,9 @@ def save_checkpoint(path, tr: TrainableSet, config: TrainConfig, pool_path: str)
             fh.write(f"config {key}={getattr(config, key)}\n")
         fh.write(f"scorer_trainable {int(tr.scorer.trainable)}\n")
         fh.write(f"mapper_meta {tr.mapper.d_tok} {tr.mapper.depth}\n")
-        for kind in KINDS:
-            fh.write(f"mapper_kind {kind} {tr.mapper.feat_dims[kind]} "
-                     f"{tr.mapper.token_counts[kind]} {tr.mapper.proj_counts[kind]}\n")
+        for kind in KINDS:  # the token count twice: rows read out, rows projected
+            n_tok = tr.mapper.token_counts[kind]
+            fh.write(f"mapper_kind {kind} {tr.mapper.feat_dims[kind]} {n_tok} {n_tok}\n")
         for name, arr in tr.checkpoint_items():
             shape = ",".join(str(s) for s in arr.shape)
             fh.write(f"array {name} {shape} {pack_floats(arr)}\n")

@@ -1,9 +1,10 @@
 """Per-item oracles that the production code batches or inlines: cosine
 kernels, the loss terms one item at a time, and the in-context prompt
-assembled and scored for a single query, plus helpers that write and read
-single exemplar-store slots, compare pools, and run one list of items
-through the production training pass. ``reference_trainer`` builds on them,
-and the unit tests check each oracle against direct arithmetic."""
+assembled and scored for a single query, the per-row random draw of
+``wo_kap``'s prompts, plus helpers that write and read single exemplar-store
+slots, compare pools, and run one list of items through the production
+training pass. ``reference_trainer`` builds on them, and the unit tests
+check each oracle against direct arithmetic."""
 
 from __future__ import annotations
 
@@ -92,6 +93,20 @@ class RowCache:
         return (self.rows @ query) / (self.norms * qnorm)
 
 
+# -- random draws --------------------------------------------------------------------
+
+
+def choice_without_replacement(rng: SeededRng, n: int, k: int) -> list:
+    """k distinct indices from range(n), order random (partial Fisher-Yates)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot choose {k} from {n}")
+    pool = list(range(n))
+    for i in range(k):
+        j = i + rng.randint(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
 # -- losses -----------------------------------------------------------------------
 
 
@@ -141,6 +156,14 @@ def append_exemplar(pool, entry: int, inst) -> None:
     pool.seen[entry] += 1
 
 
+def rewrite_relation(pool, entry: int, slot: int, f_r) -> None:
+    """Rewrite filled slot (entry, slot) through the pool's one slot writer
+    with relation features ``f_r``; the other kinds and the label stay."""
+    stored = {kind: f[entry, slot].copy() for kind, f in pool.store_feats.items()}
+    stored["r"] = np.asarray(f_r, dtype=float)
+    _write_slot(pool, entry, slot, stored, int(pool.store_labels[entry, slot]))
+
+
 def stored_exemplar(pool, entry: int, slot: int) -> SimpleNamespace:
     """Store slot (entry, slot) as an item source: raw features and label."""
     return SimpleNamespace(predicate=int(pool.store_labels[entry, slot]),
@@ -157,6 +180,7 @@ def pools_equal(a, b) -> bool:
     if not filled.any():
         return True
     return (np.array_equal(a.store_labels[filled], b.store_labels[filled])
+            and np.array_equal(a.store_rnorm[filled], b.store_rnorm[filled])
             and a.store_feats.keys() == b.store_feats.keys()
             and all(np.array_equal(f[filled], b.store_feats[kind][filled])
                     for kind, f in a.store_feats.items()))

@@ -19,8 +19,8 @@ from lsgg.scorer import PredicateVocab, position_weights
 from lsgg.token_mapper import KINDS, encode_batch, encode_batch_backward, init_grads
 from lsgg.trainer import TrainConfig, TrainableSet, loss_total
 
-from oracles import (Item, RowCache, assemble_prompt, loss_predicate_ce, score,
-                     stored_exemplar, token_norm_penalty)
+from oracles import (Item, RowCache, assemble_prompt, choice_without_replacement,
+                     loss_predicate_ce, score, stored_exemplar, token_norm_penalty)
 
 
 class AdamW:
@@ -104,7 +104,7 @@ def _select(ctx: _RetrievalCtx, inst, config: TrainConfig, ab_rng):
     sims = ctx.keys.cosines(f_c, cnorm)
     k = min(config.effective_k(), pool.n_t)
     if config.random_prompts:
-        chosen = ab_rng.choice_without_replacement(pool.n_t, k)
+        chosen = choice_without_replacement(ab_rng, pool.n_t, k)
         chosen.sort(key=lambda i: (-sims[i], i))
         selection = [(int(i), float(sims[i])) for i in chosen]
     else:

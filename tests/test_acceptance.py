@@ -14,7 +14,7 @@ from lsgg.datastream import RelationInstance, SynthConfig, TaskSchedule, split_r
 from lsgg.harness import ExperimentConfig, preset_config, run_experiment
 from lsgg.metrics import (MetricReport, forgetting_measure, m_at_k,
                           mean_recall_at_k, recall_at_k, score_wtd, weighted_map)
-from lsgg.prompt_pool import admit_exemplar, init_pool, retrieve_entries
+from lsgg.prompt_pool import _write_slot, admit_exemplar, init_pool, retrieve_entries
 from lsgg.rng import SeededRng
 from lsgg.trainer import TrainConfig
 
@@ -163,11 +163,8 @@ def test_retrieval_equals_full_sort_oracles():
             onehot_r = np.zeros(d_r)
             onehot_r[-1] = 1.0
             for slot, label in ((1, 99), (n_store - 1, 77)):
-                pool.store_feats["c"][0, slot] = rng.normal(d_c)
-                pool.store_feats["r"][0, slot] = onehot_r
-                pool.store_feats["s"][0, slot] = rng.normal(2)
-                pool.store_feats["o"][0, slot] = rng.normal(2)
-                pool.store_labels[0, slot] = label
+                _write_slot(pool, 0, slot, {"c": rng.normal(d_c), "r": onehot_r,
+                                            "s": rng.normal(2), "o": rng.normal(2)}, label)
         q_r = rng.normal(d_r)
         got_ex = nearest_exemplar(pool, 0, q_r)
         if not n_store:

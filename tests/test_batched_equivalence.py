@@ -3,6 +3,8 @@
 and whole training stages must agree bit for bit, under every ablation
 switch."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from lsgg.rng import SeededRng
 from lsgg.trainer import AdamW, TrainConfig, freeze_table, predict_ranked, train_stage
 
 from conftest import TinyWorld
-from oracles import Item, batch_loss_and_grads, pools_equal, stored_exemplar
+from oracles import Item, batch_loss_and_grads, pools_equal, rewrite_relation, stored_exemplar
 
 SWITCHES = [
     ("default", {}, {}),
@@ -160,15 +162,27 @@ def test_stage_table_rejects_a_batch_it_has_no_room_for():
 
 
 def test_degenerate_filled_slot_raises_at_inference():
-    # stores of lengths 0..3: the unfilled slots are zero rows and do not raise
+    # stores of lengths 0..3: the unfilled slots are zero rows and do not
+    # raise; a degenerate row cannot reach a filled slot, since the write
+    # refuses it and leaves the pool and its predictions as they were
     for row in (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0]),
                 np.array([np.inf, 0, 0, 0, 0])):
         w = make_world({}, {})
         queries = [w.instance(predicate=i % w.n_pred) for i in range(4)]
-        assert len(predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)) == 4
-        w.pool.store_feats["r"][2, 1] = row  # entry 2 holds 2 exemplars
+        want = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
+        before = copy.deepcopy(w.pool)
         with pytest.raises(ValueError, match="degenerate"):
+            rewrite_relation(w.pool, 2, 1, row)  # entry 2 holds 2 exemplars
+        assert pools_equal(w.pool, before)
+        got = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
+                             table=freeze_table(w.pool, w.tr, w.vocab, w.config, 4))
+        assert np.array_equal(got.scores, want.scores)
+
+
+def test_degenerate_query_relation_raises_at_inference():
+    w = make_world({}, {})
+    queries = [w.instance(predicate=i % w.n_pred) for i in range(4)]
+    for row in (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0])):
+        queries[1].f_r = row
+        with pytest.raises(ValueError, match="query relation feature is degenerate"):
             predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
-        with pytest.raises(ValueError, match="degenerate"):
-            predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
-                           table=freeze_table(w.pool, w.tr, w.vocab, w.config, 4))

@@ -1,19 +1,23 @@
 """Prompt pool: retrieval against brute-force oracles, admission routing and
 reservoir statistics, and serialization."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from lsgg.ioutil import pack_floats
-from lsgg.prompt_pool import (PoolFormatError, admit_exemplar, deserialize_pool, init_pool,
-                              retrieve_entries, serialize_pool)
+from lsgg.prompt_pool import (PoolFormatError, _write_slot, admit_exemplar, deserialize_pool,
+                              init_pool, retrieve_entries, serialize_pool)
 from lsgg.rng import SeededRng
-from lsgg.trainer import TrainConfig, _select, _stack_sources
+from lsgg.trainer import TrainConfig, _nearest_slots, _select, _stack_sources
 
 from conftest import nearest_exemplar, random_instance
-from oracles import append_exemplar, cosine, pools_equal
+from oracles import append_exemplar, cosine, pools_equal, rewrite_relation
+
+DEGENERATE_ROWS = (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0]),
+                   np.array([np.inf, 0, 0, 0, 0]))
 
 
 def retrieve_topk(pool, f_c, k):
@@ -142,8 +146,8 @@ def test_retrieve_exemplar_oracle_and_ties():
     # under any reduction order); earliest insertion wins
     onehot = np.zeros(5)
     onehot[2] = 3.0
-    stored_r[3] = onehot
-    stored_r[7] = onehot
+    rewrite_relation(pool, 0, 3, onehot)
+    rewrite_relation(pool, 0, 7, onehot)
     q = np.zeros(5)
     q[2] = 1.0
     assert nearest_exemplar(pool, 0, q) == 3
@@ -160,14 +164,57 @@ def test_retrieve_exemplar_returns_stored_query():
 
 
 def test_retrieve_exemplar_rejects_degenerate_stores():
+    # a degenerate relation row is refused at the write and leaves the store
+    # as it was; the zero row of the unfilled slot 3 is never compared
     rng = SeededRng(27)
-    for row in (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0]), np.array([np.inf, 0, 0, 0, 0])):
+    for row in DEGENERATE_ROWS:
         pool = init_pool(1, 2, 4, 6, 4, SeededRng(0))
         for _ in range(3):
             append_exemplar(pool, 0, random_instance(rng))
-        pool.store_feats["r"][0, 1] = row
+        before = copy.deepcopy(pool)
         with pytest.raises(ValueError, match="degenerate"):
-            nearest_exemplar(pool, 0, rng.normal(5))
+            rewrite_relation(pool, 0, 1, row)
+        assert pools_equal(pool, before)
+        assert nearest_exemplar(pool, 0, rng.normal(5)) in range(3)
+
+
+def test_retrieve_exemplar_rejects_degenerate_queries():
+    # a zero query f_r has no cosine: it raises rather than showing slot 0,
+    # but only where it meets a filled store
+    rng = SeededRng(28)
+    pool = init_pool(2, 2, 4, 6, 4, SeededRng(0))
+    for _ in range(3):
+        append_exemplar(pool, 0, random_instance(rng))
+    for row in DEGENERATE_ROWS:
+        with pytest.raises(ValueError, match="query relation feature is degenerate"):
+            nearest_exemplar(pool, 0, row)
+        assert nearest_exemplar(pool, 1, row) is None
+        # in a batch, the other items' stores decide nothing about it
+        f_r = np.stack([rng.normal(5), row])
+        assert _nearest_slots(f_r, np.array([[0], [1]]), pool).tolist() == [[
+            nearest_exemplar(pool, 0, f_r[0])], [-1]]
+        with pytest.raises(ValueError, match="degenerate"):
+            _nearest_slots(f_r, np.array([[1], [0]]), pool)
+
+
+def test_stored_norms_equal_gathered_rows_bit_for_bit():
+    # the norm of one row written alone equals its norm among gathered rows,
+    # which the axis-free np.linalg.norm(v), a BLAS dot, misses in the last
+    # bit for some rows of every width here
+    rng = SeededRng(29)
+    for d in (5, 63, 64, 128, 200):
+        pool = init_pool(100, 1, 2, 3, 20, SeededRng(0))
+        rows = rng.normal((100, 20, d))
+        for e in range(100):
+            for s in range(20):
+                _write_slot(pool, e, s, {"c": np.ones(3), "r": rows[e, s], "s": np.ones(1),
+                                         "o": np.ones(1)}, 0)
+        pool.store_len[:] = pool.seen[:] = 20
+        pool.check_invariants()
+        gathered = np.linalg.norm(pool.store_feats["r"][np.arange(100), :20], axis=-1)
+        assert np.array_equal(pool.store_rnorm, gathered), d
+        dot_form = np.array([[np.linalg.norm(v) for v in block] for block in rows])
+        assert not np.array_equal(dot_form, gathered), d
 
 
 # -- admission ----------------------------------------------------------------
@@ -215,6 +262,23 @@ def test_admit_seen_count_and_capacity():
         assert pool.seen[0] == n
         assert pool.store_len[0] == min(n, 4)
         pool.check_invariants()
+
+
+def test_admit_rejects_degenerate_relation_rows_whatever_the_draw():
+    # refused before routing: nothing is counted in seen and no reservoir
+    # draw is made, whether that draw would have kept or dropped the instance
+    for trial in range(20):
+        pool = init_pool(2, 1, 2, 3, 1, SeededRng(trial))
+        fill_pool(pool, SeededRng(50 + trial), 4)
+        before = copy.deepcopy(pool)
+        for row in DEGENERATE_ROWS:
+            rng, twin = SeededRng(trial), SeededRng(trial)
+            inst = random_instance(SeededRng(90 + trial), d_c=3)
+            inst.f_r = row
+            with pytest.raises(ValueError, match="degenerate"):
+                admit_exemplar(pool, inst, rng)
+            assert pools_equal(pool, before)
+            assert rng.next_u64() == twin.next_u64()
 
 
 def test_admit_reservoir_keep_rate_two_items():
@@ -334,6 +398,33 @@ def test_pool_file_errors(tmp_path):
             load_edited(entry_at, lambda t: " ".join(t[:2] + [seen, stored]))
     with pytest.raises(PoolFormatError, match="pool dimension"):
         load_edited(0, lambda t: " ".join(t[:2] + ["0"] + t[3:]))
+
+
+def test_pool_file_rejects_degenerate_relation_rows(tmp_path):
+    pool = init_pool(2, 2, 4, 3, 2, SeededRng(20))
+    fill_pool(pool, SeededRng(21), 5)
+    path = tmp_path / "pool.lsgg"
+    serialize_pool(pool, path)
+    lines = path.read_text().splitlines()
+    ex_at = next(i for i, line in enumerate(lines) if line.startswith("ex "))
+    for row in DEGENERATE_ROWS:
+        toks = lines[ex_at].split()
+        toks[5] = pack_floats(row)  # f_r, of width 5
+        path.write_text("\n".join(lines[:ex_at] + [" ".join(toks)] + lines[ex_at + 1:]) + "\n")
+        with pytest.raises(PoolFormatError, match="degenerate"):
+            deserialize_pool(path)
+
+
+def test_pool_invariants_catch_relation_rows_edited_behind_the_writer():
+    rng = SeededRng(30)
+    for edit in (lambda r: r * 2.0, lambda r: r * 0.0, lambda r: r + np.nan):
+        pool = init_pool(2, 2, 4, 6, 3, SeededRng(0))
+        for _ in range(2):
+            append_exemplar(pool, 1, random_instance(rng))
+        pool.check_invariants()
+        pool.store_feats["r"][1, 1] = edit(pool.store_feats["r"][1, 1])
+        with pytest.raises(AssertionError, match="norms"):
+            pool.check_invariants()
 
 
 def test_pool_invariant_violations_detected():

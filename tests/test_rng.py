@@ -8,6 +8,8 @@ import pytest
 
 from lsgg.rng import GOLDEN_GAMMA, SeededRng, _mix64
 
+from oracles import choice_without_replacement
+
 MASK = (1 << 64) - 1
 
 
@@ -102,8 +104,8 @@ def test_random_in_unit_interval():
     rng = SeededRng(5)
     xs = rng.random_block(10_000)
     assert np.all(xs >= 0.0) and np.all(xs < 1.0)
-    singles = [SeededRng(5).random() for _ in range(1)]
-    assert singles[0] == xs[0]
+    # a one-draw block is the first value, the top 53 bits of the first u64
+    assert SeededRng(5).random_block(1)[0] == xs[0] == (SeededRng(5).next_u64() >> 11) * 2.0 ** -53
     # mean of U[0,1): 0.5, sd of the mean = 1/sqrt(12 n)
     assert abs(float(xs.mean()) - 0.5) < 5.0 / math.sqrt(12 * 10_000)
 
@@ -180,11 +182,11 @@ def test_permutation_uniformity_of_first_slot():
 def test_choice_without_replacement():
     rng = SeededRng(17)
     for _ in range(200):
-        got = rng.choice_without_replacement(10, 4)
+        got = choice_without_replacement(rng, 10, 4)
         assert len(got) == 4
         assert len(set(got)) == 4
         assert all(0 <= v < 10 for v in got)
-    assert rng.choice_without_replacement(3, 0) == []
-    assert sorted(rng.choice_without_replacement(3, 3)) == [0, 1, 2]
+    assert choice_without_replacement(rng, 3, 0) == []
+    assert sorted(choice_without_replacement(rng, 3, 3)) == [0, 1, 2]
     with pytest.raises(ValueError):
-        rng.choice_without_replacement(3, 4)
+        choice_without_replacement(rng, 3, 4)

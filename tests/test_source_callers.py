@@ -1,0 +1,72 @@
+"""Every function, class and method in ``src/lsgg`` has a caller in
+``src/lsgg``: code that only tests use belongs in ``tests/``.
+
+A name counts as referenced when some module of the package reads it as a
+name or an attribute. An import alone does not count, so ``__init__``'s
+re-exports do not either; its call of ``use_one_blas_thread`` does.
+"""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "lsgg")
+
+ALLOWED_WITHOUT_CALLER = {
+    # readers of a run's own files (pool.lsgg, checkpoint.lsgg), kept so the
+    # files a run writes can be loaded and checked
+    "deserialize_pool",
+    "load_checkpoint",
+    # perfbench/probe.py wraps harness.recall_at_k and harness.mean_recall_at_k
+    # by name
+    "recall_at_k",
+    "mean_recall_at_k",
+}
+
+
+def _modules():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                yield name, ast.parse(fh.read())
+
+
+def defined_names(tree) -> set:
+    """Top-level functions and classes, and the methods of those classes;
+    dunder methods, which the language calls, are left out."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            out.update(item.name for item in node.body
+                       if isinstance(item, ast.FunctionDef)
+                       and not (item.name.startswith("__") and item.name.endswith("__")))
+    return out
+
+
+def referenced_names(tree) -> set:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_definition_in_src_has_a_caller_in_src():
+    defined, referenced = {}, set()
+    for name, tree in _modules():
+        for d in defined_names(tree):
+            defined.setdefault(d, name)
+        referenced |= referenced_names(tree)
+    uncalled = sorted(f"{module}:{d}" for d, module in defined.items()
+                      if d not in referenced and d not in ALLOWED_WITHOUT_CALLER)
+    assert uncalled == []
+
+
+def test_allowed_names_are_still_defined():
+    defined = set()
+    for _, tree in _modules():
+        defined |= defined_names(tree)
+    assert ALLOWED_WITHOUT_CALLER <= defined

@@ -91,13 +91,6 @@ def test_depth_zero_is_affine_projection_plus_positions():
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
 
 
-def test_depth_zero_requires_matching_projection_count():
-    with pytest.raises(ValueError):
-        init_mapper(FEAT_DIMS, d_tok=8, depth=0,
-                    proj_counts={"c": 2, "r": 2, "s": 1, "o": 1},
-                    rng=SeededRng(8))
-
-
 # -- gradients ----------------------------------------------------------------
 
 
