@@ -9,7 +9,7 @@ import sys
 from .datastream import (SynthConfig, predicate_counts, save_embeddings, split_by_frequency,
                          split_random, synth_generate)
 from .harness import (ABLATION_SUITE, ExperimentConfig, load_comparison_csv,
-                      load_config_file, report, run_ablation_suite, run_experiment)
+                      load_config_file, run_ablation_suite, run_experiment)
 from .metrics import load_gt, load_predictions, m_at_k, recall_at_ks, score_wtd, weighted_map
 from .rng import SeededRng
 from .scorer import default_vocab, save_vocab

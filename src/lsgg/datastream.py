@@ -7,7 +7,7 @@ routes instances to stages by predicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

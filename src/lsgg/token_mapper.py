@@ -9,8 +9,10 @@ Layer form (applied to the stacked rows X, row mean x_bar):
 so every row sees every other row through the mean term. The projector makes
 as many rows as the block reads out; they are followed by the position
 vectors, and the block read out is the rows at the position-vector slots
-(the tail). At depth 0 the encoder is skipped and the block is
-reshape(W_phi f + b_phi) + p.
+(the tail). The top layer computes only those n rows; its mean term still
+spans all 2n. At depth 1 the tail entering it is the position block for
+every item, so its product with W is taken once per batch. At depth 0 the
+encoder is skipped and the block is reshape(W_phi f + b_phi) + p.
 
 All gradients are computed analytically in closed form; ``encode_batch`` /
 ``encode_batch_backward`` are the batched primitives the trainer uses.
@@ -91,7 +93,9 @@ def init_grads(params: MapperParams) -> dict:
 class MapperKindCache:
     kind: str
     feats: np.ndarray  # (B, d_in)
-    states: list  # X_0..X_depth, each (B, rows, d_tok); post-activation
+    # X_0..X_depth, post-activation: (B, 2n, d_tok) below the top, and the top
+    # X_depth only the read-out rows, (B, n, d_tok)
+    states: list
     means: list = field(default_factory=list)  # row mean of each layer input, (B, d_tok)
 
 
@@ -124,13 +128,20 @@ def encode_batch(params: MapperParams, feats: np.ndarray, kind: str):
     for layer in range(params.depth):
         mean = np.add.reduce(x, axis=1)  # (B, d_tok) row mean, as x.mean(axis=1)
         mean /= 2 * n
-        z = x @ params.mix_w[layer]
+        w = params.mix_w[layer]
+        if layer < params.depth - 1:
+            z = x @ w
+        elif layer == 0:  # every item's tail is the position block
+            z = np.empty((b, n, params.d_tok))
+            z[:] = (x[0] @ w)[n:]
+        else:  # a one-row product is a gemv, which rounds apart from a gemm row
+            z = (x[:, n - (n == 1):] @ w)[:, -n:]
         z += (mean @ params.mix_u[layer])[:, None, :]
         z += params.mix_b[layer]
         x = np.tanh(z, out=z)
         cache.means.append(mean)
         cache.states.append(x)
-    return x[:, n:, :], cache
+    return x, cache
 
 
 def encode_batch_backward(params: MapperParams, cache: MapperKindCache,
@@ -148,9 +159,11 @@ def encode_batch_backward(params: MapperParams, cache: MapperKindCache,
         for layer in range(params.depth - 1, -1, -1):
             x_out = cache.states[layer + 1]
             x_in = cache.states[layer]
-            if d_x is None:  # top layer: only the read-out rows carry gradient
-                d_z = np.zeros_like(x_out)
-                tail = x_out[:, n:] * x_out[:, n:]
+            w = params.mix_w[layer]
+            top = d_x is None
+            if top:  # only the read-out rows carry gradient; x_out holds just those
+                d_z = np.zeros_like(x_in)
+                tail = x_out * x_out
                 np.subtract(1.0, tail, out=tail)
                 tail *= d_out
                 d_z[:, n:] = tail
@@ -160,11 +173,22 @@ def encode_batch_backward(params: MapperParams, cache: MapperKindCache,
                 d_z *= d_x
             dz_rowsum = d_z.sum(axis=1)  # (B, d_tok)
             mean = cache.means[layer]
-            grads[f"mix_w.{layer}"] += np.tensordot(x_in, d_z, axes=([0, 1], [0, 1]))
+            # over all 2n rows: without d_z's zero head rows the product blocks
+            # its sum differently, and its bits change
+            grads[f"mix_w.{layer}"] += (x_in.reshape(-1, params.d_tok).T
+                                        @ d_z.reshape(-1, params.d_tok))
             grads[f"mix_u.{layer}"] += mean.T @ dz_rowsum
             grads[f"mix_b.{layer}"] += dz_rowsum.sum(axis=0)
-            d_x = d_z @ params.mix_w[layer].T
-            d_x += (dz_rowsum @ params.mix_u[layer].T)[:, None, :] / rows
+            d_mean = (dz_rowsum @ params.mix_u[layer].T)[:, None, :] / rows
+            if top:  # the head rows of d_z are zero: their d_x is the mean term
+                d_x = np.empty_like(x_in)
+                d_x[:, :n] = d_mean
+                # per item, and 2 rows for a one-token kind, as in encode_batch
+                d_x[:, n:] = (d_z[:, n - (n == 1):] @ w.T)[:, -n:]
+                d_x[:, n:] += d_mean
+            else:
+                d_x = d_z @ w.T
+                d_x += d_mean
         d_proj = d_x[:, :n, :]
         grads[f"pos.{kind}"] += d_x[:, n:, :].sum(axis=0)
     d_flat = d_proj.reshape(b, n * params.d_tok)

@@ -1,5 +1,6 @@
 """Every function, class and method in ``src/lsgg`` has a caller in
-``src/lsgg``: code that only tests use belongs in ``tests/``.
+``src/lsgg``: code that only tests use belongs in ``tests/``. And every name
+a module of the package imports is read in that module.
 
 A name counts as referenced when some module of the package reads it as a
 name or an attribute. An import alone does not count, so ``__init__``'s
@@ -20,6 +21,13 @@ ALLOWED_WITHOUT_CALLER = {
     # by name
     "recall_at_k",
     "mean_recall_at_k",
+}
+
+# (module, name) imported and never read there: harness imports these so that
+# perfbench/probe.py can wrap them by name (``# noqa: F401``)
+ALLOWED_UNREAD_IMPORTS = {
+    ("harness.py", "recall_at_k"),
+    ("harness.py", "mean_recall_at_k"),
 }
 
 
@@ -54,6 +62,22 @@ def referenced_names(tree) -> set:
     return out
 
 
+def imported_names(tree) -> set:
+    """Names bound by the module's imports, ``__future__`` imports left out."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+def read_names(tree) -> set:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_definition_in_src_has_a_caller_in_src():
     defined, referenced = {}, set()
     for name, tree in _modules():
@@ -70,3 +94,16 @@ def test_allowed_names_are_still_defined():
     for _, tree in _modules():
         defined |= defined_names(tree)
     assert ALLOWED_WITHOUT_CALLER <= defined
+
+
+def test_every_import_in_src_is_read_in_its_module():
+    unread, imported = [], set()
+    for name, tree in _modules():
+        if name == "__init__.py":  # its imports are the package's re-exports
+            continue
+        names = imported_names(tree)
+        imported |= {(name, n) for n in names}
+        unread += [f"{name}:{n}" for n in sorted(names - read_names(tree))
+                   if (name, n) not in ALLOWED_UNREAD_IMPORTS]
+    assert unread == []
+    assert ALLOWED_UNREAD_IMPORTS <= imported

@@ -1,15 +1,18 @@
-"""Feature-to-token mapper: shapes, the depth-0 affine reduction, purity, and
-finite-difference verification of the batched backward pass."""
+"""Feature-to-token mapper: shapes, the depth-0 affine reduction, purity,
+finite-difference verification of the batched backward pass, and bit-for-bit
+agreement with the mapper that computes every row."""
 
 import numpy as np
 import pytest
 
+from lsgg.harness import TOKEN_PRESETS
 from lsgg.rng import SeededRng
 from lsgg.token_mapper import (DEFAULT_TOKEN_COUNTS, KINDS, encode_batch,
                                encode_batch_backward, init_grads, init_mapper)
 from lsgg.trainer import _encode
 
 from conftest import finite_diff, grad_rel_err, random_instance
+from oracles import encode_batch_all_rows, encode_batch_backward_all_rows
 
 FEAT_DIMS = {"c": 6, "r": 5, "s": 4, "o": 4}
 
@@ -99,9 +102,13 @@ def mapper_scalar_loss(m, feats, kind, coeff):
     return float(np.sum(out * coeff))
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2])
-def test_encode_batch_backward_matches_finite_differences(depth):
-    m = small_mapper(seed=9, depth=depth)
+@pytest.mark.parametrize("depth,token_counts", [
+    *(pytest.param(depth, None, id=str(depth)) for depth in (0, 1, 2)),
+    # n = 1 for r, s and o
+    *(pytest.param(depth, TOKEN_PRESETS["small"], id=f"{depth}-small") for depth in (0, 1, 2)),
+])
+def test_encode_batch_backward_matches_finite_differences(depth, token_counts):
+    m = small_mapper(seed=9, depth=depth, token_counts=token_counts)
     rng = SeededRng(10)
     for kind in KINDS:
         feats = rng.normal((3, FEAT_DIMS[kind]))
@@ -153,3 +160,30 @@ def test_exemplar_rows_matches_token_counts():
     m = small_mapper(token_counts={"c": 2, "r": 1, "s": 1, "o": 1})
     assert m.exemplar_rows() == 5
     assert small_mapper().exemplar_rows() == 12
+
+
+# -- the read-out rows only, bit for bit ----------------------------------------
+
+
+@pytest.mark.parametrize("d_tok", [8, 64])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_encode_batch_equals_all_rows_oracle_bit_for_bit(depth, d_tok):
+    # the top layer computes only the read-out rows; every output and every
+    # gradient keeps the bits of the mapper that computes all 2n rows
+    counts = [*TOKEN_PRESETS.values(), {**TOKEN_PRESETS["small"], "c": 1}]
+    for p, token_counts in enumerate(counts):
+        m = small_mapper(seed=20 + p, depth=depth, d_tok=d_tok, token_counts=token_counts)
+        rng = SeededRng(21 + p)
+        for b in (1, 2, 3, 5, 17, 85, 300):
+            for kind in KINDS:
+                feats = rng.normal((b, FEAT_DIMS[kind]))
+                d_out = rng.normal((b, token_counts[kind], d_tok))
+                out, cache = encode_batch(m, feats, kind)
+                want, want_cache = encode_batch_all_rows(m, feats, kind)
+                case = (token_counts[kind], b, kind)
+                assert np.array_equal(out, want), case
+                grads, want_grads = init_grads(m), init_grads(m)
+                encode_batch_backward(m, cache, d_out.copy(), grads)
+                encode_batch_backward_all_rows(m, want_cache, d_out.copy(), want_grads)
+                for name, g in grads.items():
+                    assert np.array_equal(g, want_grads[name]), (case, name)
