@@ -60,7 +60,6 @@ class ExperimentConfig:
     n_e: int = 20
     n_p: int = 8
     d_tok: int = 64
-    depth: int = 1
     token_preset: str = "default"
     train_scorer: bool = False  # unfreeze the decoder at a reduced rate
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -76,8 +75,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown token preset {self.token_preset!r}")
         if self.n_stages < 1 or min(self.n_t, self.n_e, self.n_p, self.d_tok) < 1:
             raise ValueError("stage and pool sizes must be >= 1")
-        if self.depth < 0:
-            raise ValueError("encoder depth must be >= 0")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if len(self.eval_ks) < 1 or min(self.eval_ks) < 1:
@@ -320,8 +317,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
     pool = init_pool(config.n_t, config.n_p, config.d_tok, d_c, config.n_e,
                      rng.derive("pool"))
     mapper = init_mapper({"c": d_c, "r": d_r, "s": d_o, "o": d_o}, d_tok=config.d_tok,
-                         token_counts=token_counts, depth=config.depth,
-                         rng=rng.derive("mapper"))
+                         token_counts=token_counts, rng=rng.derive("mapper"))
     ex_rows = sum(token_counts.values())
     max_rows = config.train.k_retrieve * (config.n_p + ex_rows + vocab.n_mask)
     scorer = init_scorer(vocab.n_word_tokens, config.d_tok, vocab.n_mask, max_rows,

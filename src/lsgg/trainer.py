@@ -772,7 +772,7 @@ def save_checkpoint(path, tr: TrainableSet, config: TrainConfig, pool_path: str)
         for key in sorted(vars(config)):
             fh.write(f"config {key}={getattr(config, key)}\n")
         fh.write(f"scorer_trainable {int(tr.scorer.trainable)}\n")
-        fh.write(f"mapper_meta {tr.mapper.d_tok} {tr.mapper.depth}\n")
+        fh.write(f"mapper_meta {tr.mapper.d_tok} 0\n")  # depth 0: no mixing layer
         for kind in KINDS:  # the token count twice: rows read out, rows projected
             n_tok = tr.mapper.token_counts[kind]
             fh.write(f"mapper_kind {kind} {tr.mapper.feat_dims[kind]} {n_tok} {n_tok}\n")
@@ -811,6 +811,8 @@ def load_checkpoint(path):
             elif tag == "mapper_meta":
                 d_tok, depth = rest.split()
                 meta["d_tok"], meta["depth"] = int(d_tok), int(depth)
+                if meta["depth"] != 0:
+                    raise ValueError(f"depth {depth}: this mapper has no mixing layer")
             elif tag == "mapper_kind":
                 kind, d_in, n_tok, l_proj = rest.split()
                 meta["kinds"][kind] = (int(d_in), int(n_tok), int(l_proj))

@@ -64,7 +64,7 @@ class TinyWorld:
     """A complete miniature training setup for gradient and loop tests."""
 
     def __init__(self, seed=0, d_tok=8, n_t=4, n_p=2, n_e=3, d_c=6, d_r=5,
-                 d_o=4, n_pred=4, depth=1, k_retrieve=2, train_scorer=False,
+                 d_o=4, n_pred=4, k_retrieve=2, train_scorer=False,
                  two_word_labels=False, config=None):
         rng = SeededRng(seed)
         self.rng = rng
@@ -77,7 +77,7 @@ class TinyWorld:
         self.vocab = build_vocab(names)
         self.pool = init_pool(n_t, n_p, d_tok, d_c, n_e, rng.derive("pool"))
         self.mapper = init_mapper({"c": d_c, "r": d_r, "s": d_o, "o": d_o},
-                                  d_tok=d_tok, depth=depth, rng=rng.derive("mapper"))
+                                  d_tok=d_tok, rng=rng.derive("mapper"))
         ex_rows = sum(self.mapper.token_counts.values())
         max_rows = k_retrieve * (n_p + ex_rows + self.vocab.n_mask)
         self.scorer = init_scorer(self.vocab.n_word_tokens, d_tok, self.vocab.n_mask,

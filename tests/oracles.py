@@ -3,7 +3,7 @@ kernels, the loss terms one item at a time, and the in-context prompt
 assembled and scored for a single query, the per-row random draw of
 ``wo_kap``'s prompts, plus helpers that write and read single exemplar-store
 slots, compare pools, and run one list of items through the production
-training pass, and the token mapper computing all 2n rows at its top layer.
+training pass, and the token mapper written out as its affine formula.
 ``reference_trainer`` builds on them, and the unit tests check each oracle
 against direct arithmetic or the production code."""
 
@@ -208,75 +208,31 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
     return _loss_and_grads(batch, pool, tr, config, ab_rng, _PassCache(tr, vocab))
 
 
-# -- the token mapper over every row ---------------------------------------------------
+# -- the token mapper written out ------------------------------------------------------
 
 
 def encode_batch_all_rows(params: MapperParams, feats: np.ndarray, kind: str):
-    """``token_mapper.encode_batch`` computing all 2n rows at every layer,
-    the top one included, and reading out the tail; its cache keeps the
-    full top state."""
+    """``token_mapper.encode_batch`` as the formula
+    ``reshape(feats @ W.T + b, (B, n, d_tok)) + pos`` over all n rows."""
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     b = feats.shape[0]
     n = params.token_counts[kind]
     proj = feats @ params.proj_w[kind].T
     proj += params.proj_b[kind]
     proj = proj.reshape(b, n, params.d_tok)
-    if params.depth == 0:
-        out = proj + params.pos[kind]
-        return out, MapperKindCache(kind=kind, feats=feats, states=[out])
-    x = np.empty((b, 2 * n, params.d_tok))
-    x[:, :n] = proj
-    x[:, n:] = params.pos[kind]
-    cache = MapperKindCache(kind=kind, feats=feats, states=[x])
-    for layer in range(params.depth):
-        mean = np.add.reduce(x, axis=1)  # (B, d_tok) row mean, as x.mean(axis=1)
-        mean /= 2 * n
-        z = x @ params.mix_w[layer]
-        z += (mean @ params.mix_u[layer])[:, None, :]
-        z += params.mix_b[layer]
-        x = np.tanh(z, out=z)
-        cache.means.append(mean)
-        cache.states.append(x)
-    return x[:, n:, :], cache
+    out = proj + params.pos[kind]
+    return out, MapperKindCache(kind=kind, feats=feats)
 
 
 def encode_batch_backward_all_rows(params: MapperParams, cache: MapperKindCache,
                                    d_out: np.ndarray, grads: dict) -> None:
     """``token_mapper.encode_batch_backward`` for a cache of
-    ``encode_batch_all_rows``: the top layer's gradient is zero-filled over
-    the head rows and every product runs over all 2n rows."""
+    ``encode_batch_all_rows``: the affine map's gradients, term by term."""
     kind = cache.kind
     b = cache.feats.shape[0]
     n = params.token_counts[kind]
-    if params.depth == 0:
-        d_proj = d_out
-        grads[f"pos.{kind}"] += d_out.sum(axis=0)
-    else:
-        rows = 2 * n
-        d_x = None
-        for layer in range(params.depth - 1, -1, -1):
-            x_out = cache.states[layer + 1]
-            x_in = cache.states[layer]
-            if d_x is None:  # top layer: only the read-out rows carry gradient
-                d_z = np.zeros_like(x_out)
-                tail = x_out[:, n:] * x_out[:, n:]
-                np.subtract(1.0, tail, out=tail)
-                tail *= d_out
-                d_z[:, n:] = tail
-            else:
-                d_z = x_out * x_out
-                np.subtract(1.0, d_z, out=d_z)
-                d_z *= d_x
-            dz_rowsum = d_z.sum(axis=1)  # (B, d_tok)
-            mean = cache.means[layer]
-            grads[f"mix_w.{layer}"] += np.tensordot(x_in, d_z, axes=([0, 1], [0, 1]))
-            grads[f"mix_u.{layer}"] += mean.T @ dz_rowsum
-            grads[f"mix_b.{layer}"] += dz_rowsum.sum(axis=0)
-            d_x = d_z @ params.mix_w[layer].T
-            d_x += (dz_rowsum @ params.mix_u[layer].T)[:, None, :] / rows
-        d_proj = d_x[:, :n, :]
-        grads[f"pos.{kind}"] += d_x[:, n:, :].sum(axis=0)
-    d_flat = d_proj.reshape(b, n * params.d_tok)
+    grads[f"pos.{kind}"] += d_out.sum(axis=0)
+    d_flat = d_out.reshape(b, n * params.d_tok)
     grads[f"proj_w.{kind}"] += d_flat.T @ cache.feats
     grads[f"proj_b.{kind}"] += d_flat.sum(axis=0)
 

@@ -75,8 +75,8 @@ def test_gradients_match_finite_differences():
     t0 = time.perf_counter()
     for train_scorer in (False, True):
         config = TrainConfig(alpha=0.2, lam=0.5, k_retrieve=2)
-        w = TinyWorld(seed=77, d_tok=8, n_t=4, n_p=2, n_e=3, n_pred=9, depth=1,
-                      k_retrieve=2, train_scorer=train_scorer, config=config)
+        w = TinyWorld(seed=77, d_tok=8, n_t=4, n_p=2, n_e=3, n_pred=9, k_retrieve=2,
+                      train_scorer=train_scorer, config=config)
         assert w.vocab.n_word_tokens == 10
         for e in range(w.pool.n_t):
             w.fill_store(e, 2, start_pred=e)
@@ -198,7 +198,7 @@ def test_continual_learning_direction():
     base = ExperimentConfig()
     base.train.epochs = 5
     seeds = base.seeds
-    finals = {}
+    finals, per_seed = {}, {}
     for name in ("full", "wo_inc", "wo_kap"):
         cfg = preset_config(base, name)
         mrs, fms = [], []
@@ -207,18 +207,24 @@ def test_continual_learning_direction():
             mrs.append(bundle.final_report().mr[50])
             fms.append(bundle.fm[50])
         finals[name] = (sum(mrs) / len(mrs), sum(fms) / len(fms))
+        per_seed[name] = (" ".join(f"{v:.2f}" for v in mrs), " ".join(f"{v:.2f}" for v in fms))
     full_mr, full_fm = finals["full"]
     inc_mr, inc_fm = finals["wo_inc"]
     kap_mr, _ = finals["wo_kap"]
-    assert full_mr > inc_mr, f"final mR@50 {full_mr:.2f} vs w/o-inc {inc_mr:.2f}"
-    assert full_fm < inc_fm, f"FM@50 {full_fm:.2f} vs w/o-inc {inc_fm:.2f}"
-    assert kap_mr < full_mr, f"w/o-kap mR@50 {kap_mr:.2f} vs full {full_mr:.2f}"
+    seeds_line = "; ".join(f"{name} mR@50 [{mr}] FM@50 [{fm}]"
+                           for name, (mr, fm) in per_seed.items())
+    assert full_mr > inc_mr, \
+        f"final mR@50 {full_mr:.2f} vs w/o-inc {inc_mr:.2f} (per seed: {seeds_line})"
+    assert full_fm < inc_fm, \
+        f"FM@50 {full_fm:.2f} vs w/o-inc {inc_fm:.2f} (per seed: {seeds_line})"
+    assert kap_mr < full_mr, \
+        f"w/o-kap mR@50 {kap_mr:.2f} vs full {full_mr:.2f} (per seed: {seeds_line})"
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"{elapsed:.1f}s"
     _passed(
         f"direction: mR@50 full {full_mr:.2f} > w/o-inc {inc_mr:.2f}, "
         f"FM@50 full {full_fm:.2f} < w/o-inc {inc_fm:.2f}, "
-        f"w/o-kap {kap_mr:.2f} < full ({elapsed:.0f}s)"
+        f"w/o-kap {kap_mr:.2f} < full ({elapsed:.0f}s); per seed {seeds}: {seeds_line}"
     )
 
 

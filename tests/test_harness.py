@@ -27,7 +27,7 @@ def tiny_config(**kw) -> ExperimentConfig:
                         sigma=0.3, zipf_s=0.5, total_n=240, pairs_per_image=3)
     train = TrainConfig(epochs=1, batch_size=16, k_retrieve=2, lr=0.005)
     base = dict(synth=synth, train=train, n_stages=2, n_t=6, n_e=4, n_p=2,
-                d_tok=8, depth=1, token_preset="default", seeds=(0,),
+                d_tok=8, token_preset="default", seeds=(0,),
                 eval_ks=(5, 20))
     base.update(kw)
     return ExperimentConfig(**base)

@@ -1,6 +1,7 @@
-"""Feature-to-token mapper: shapes, the depth-0 affine reduction, purity,
-finite-difference verification of the batched backward pass, and bit-for-bit
-agreement with the mapper that computes every row."""
+"""Feature-to-token mapper: shapes, the affine form, purity,
+finite-difference verification of the batched backward pass, bit-for-bit
+agreement with the affine formula written out in the oracles, and distinct
+gradients for every projector row block."""
 
 import numpy as np
 import pytest
@@ -17,9 +18,8 @@ from oracles import encode_batch_all_rows, encode_batch_backward_all_rows
 FEAT_DIMS = {"c": 6, "r": 5, "s": 4, "o": 4}
 
 
-def small_mapper(seed=0, depth=1, d_tok=8, token_counts=None):
-    return init_mapper(FEAT_DIMS, d_tok=d_tok, token_counts=token_counts,
-                       depth=depth, rng=SeededRng(seed))
+def small_mapper(seed=0, d_tok=8, token_counts=None):
+    return init_mapper(FEAT_DIMS, d_tok=d_tok, token_counts=token_counts, rng=SeededRng(seed))
 
 
 def encode_one(m, f, kind):
@@ -71,7 +71,7 @@ def test_encode_exemplar_concatenation_order():
 
 
 def test_encode_batch_matches_per_feature_encode():
-    m = small_mapper(depth=2)
+    m = small_mapper()
     rng = SeededRng(5)
     feats = rng.normal((7, 6))
     out, _ = encode_batch(m, feats, "c")
@@ -81,11 +81,11 @@ def test_encode_batch_matches_per_feature_encode():
         assert np.allclose(out[i], single, rtol=0, atol=1e-15)
 
 
-# -- depth 0: pure affine -----------------------------------------------------
+# -- pure affine ----------------------------------------------------------------
 
 
 def test_depth_zero_is_affine_projection_plus_positions():
-    m = small_mapper(seed=6, depth=0)
+    m = small_mapper(seed=6)
     rng = SeededRng(7)
     f = rng.normal(6)
     got = encode_one(m, f, "c")
@@ -102,14 +102,14 @@ def mapper_scalar_loss(m, feats, kind, coeff):
     return float(np.sum(out * coeff))
 
 
-@pytest.mark.parametrize("depth,token_counts", [
-    *(pytest.param(depth, None, id=str(depth)) for depth in (0, 1, 2)),
+@pytest.mark.parametrize("seed,preset", [
+    *(pytest.param(seed, "default", id=str(seed)) for seed in (0, 1, 2)),
     # n = 1 for r, s and o
-    *(pytest.param(depth, TOKEN_PRESETS["small"], id=f"{depth}-small") for depth in (0, 1, 2)),
+    *(pytest.param(seed, "small", id=f"{seed}-small") for seed in (0, 1, 2)),
 ])
-def test_encode_batch_backward_matches_finite_differences(depth, token_counts):
-    m = small_mapper(seed=9, depth=depth, token_counts=token_counts)
-    rng = SeededRng(10)
+def test_encode_batch_backward_matches_finite_differences(seed, preset):
+    m = small_mapper(seed=9 + 2 * seed, token_counts=TOKEN_PRESETS[preset])
+    rng = SeededRng(10 + 2 * seed)
     for kind in KINDS:
         feats = rng.normal((3, FEAT_DIMS[kind]))
         n_tok = m.token_counts[kind]
@@ -120,18 +120,14 @@ def test_encode_batch_backward_matches_finite_differences(depth, token_counts):
         encode_batch_backward(m, cache, coeff.copy(), grads)
 
         params = {name: arr for name, arr in m.param_items()}
-        touched = [f"proj_w.{kind}", f"proj_b.{kind}", f"pos.{kind}"]
-        touched += [f"mix_w.{i}" for i in range(depth)]
-        touched += [f"mix_u.{i}" for i in range(depth)]
-        touched += [f"mix_b.{i}" for i in range(depth)]
-        for name in touched:
+        for name in (f"proj_w.{kind}", f"proj_b.{kind}", f"pos.{kind}"):
             fd = finite_diff(lambda: mapper_scalar_loss(m, feats, kind, coeff),
                              params[name])
-            assert grad_rel_err(grads[name], fd) < 1e-4, (kind, name, depth)
+            assert grad_rel_err(grads[name], fd) < 1e-4, (kind, name, seed, preset)
 
 
 def test_backward_leaves_other_kind_gradients_zero():
-    m = small_mapper(seed=11, depth=1)
+    m = small_mapper(seed=11)
     rng = SeededRng(12)
     feats = rng.normal((2, FEAT_DIMS["s"]))
     out, cache = encode_batch(m, feats, "s")
@@ -140,20 +136,21 @@ def test_backward_leaves_other_kind_gradients_zero():
     for other in ("c", "r", "o"):
         assert not np.any(grads[f"proj_w.{other}"])
         assert not np.any(grads[f"pos.{other}"])
-    # shared encoder gradients do receive contributions
-    assert np.any(grads["mix_w.0"])
+    for name in ("proj_w.s", "proj_b.s", "pos.s"):
+        assert np.any(grads[name]), name
 
 
 def test_init_mapper_deterministic_and_validated():
-    a = small_mapper(seed=13, depth=1)
-    b = small_mapper(seed=13, depth=1)
+    a = small_mapper(seed=13)
+    b = small_mapper(seed=13)
     for (na, pa), (nb, pb) in zip(a.param_items(), b.param_items()):
         assert na == nb
         assert np.array_equal(pa, pb)
     with pytest.raises(ValueError):
         init_mapper(FEAT_DIMS, d_tok=0, rng=SeededRng(0))
     with pytest.raises(ValueError):
-        init_mapper(FEAT_DIMS, d_tok=8, depth=-1, rng=SeededRng(0))
+        init_mapper(FEAT_DIMS, d_tok=8, token_counts={**DEFAULT_TOKEN_COUNTS, "r": 0},
+                    rng=SeededRng(0))
 
 
 def test_exemplar_rows_matches_token_counts():
@@ -162,18 +159,38 @@ def test_exemplar_rows_matches_token_counts():
     assert small_mapper().exemplar_rows() == 12
 
 
-# -- the read-out rows only, bit for bit ----------------------------------------
+# -- every row block its own ----------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", ["default", "large"])
+def test_projector_row_blocks_get_distinct_gradients(preset):
+    # a mapper that reads the n projected blocks only through their sum or
+    # mean gives every block the same gradient, and n blocks then act as one
+    m = small_mapper(seed=30, token_counts=TOKEN_PRESETS[preset])
+    rng = SeededRng(31)
+    n = m.token_counts["c"]
+    feats = rng.normal((5, FEAT_DIMS["c"]))
+    out, cache = encode_batch(m, feats, "c")
+    grads = init_grads(m)
+    encode_batch_backward(m, cache, rng.normal(out.shape), grads)
+    blocks = grads["proj_w.c"].reshape(n, m.d_tok, FEAT_DIMS["c"])
+    for i in range(n):
+        for j in range(i):
+            assert not np.allclose(blocks[i], blocks[j]), (i, j)
+
+
+# -- bit for bit against the written-out mapper ---------------------------------
 
 
 @pytest.mark.parametrize("d_tok", [8, 64])
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_encode_batch_equals_all_rows_oracle_bit_for_bit(depth, d_tok):
-    # the top layer computes only the read-out rows; every output and every
-    # gradient keeps the bits of the mapper that computes all 2n rows
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_encode_batch_equals_all_rows_oracle_bit_for_bit(seed, d_tok):
+    # every output and every gradient keeps the bits of the affine formula
+    # written out in the oracle, at every batch width and token preset
     counts = [*TOKEN_PRESETS.values(), {**TOKEN_PRESETS["small"], "c": 1}]
     for p, token_counts in enumerate(counts):
-        m = small_mapper(seed=20 + p, depth=depth, d_tok=d_tok, token_counts=token_counts)
-        rng = SeededRng(21 + p)
+        m = small_mapper(seed=20 + 10 * seed + p, d_tok=d_tok, token_counts=token_counts)
+        rng = SeededRng(21 + 10 * seed + p)
         for b in (1, 2, 3, 5, 17, 85, 300):
             for kind in KINDS:
                 feats = rng.normal((b, FEAT_DIMS[kind]))

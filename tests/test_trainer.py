@@ -114,12 +114,12 @@ def test_config_validation():
 # -- batched loss and analytic gradients ----------------------------------------
 
 
-def fd_world(train_scorer=False, depth=1, l1_mode="none", n_pred=10):
+def fd_world(train_scorer=False, l1_mode="none", n_pred=10):
     # d_tok = 8, vocabulary of 10 predicates, K = 2
     config = TrainConfig(alpha=0.3 if l1_mode != "none" else 0.2, lam=0.5,
                          k_retrieve=2, l1_mode=l1_mode)
     w = TinyWorld(seed=21, d_tok=8, n_t=4, n_p=2, n_e=3, n_pred=n_pred,
-                  depth=depth, k_retrieve=2, train_scorer=train_scorer,
+                  k_retrieve=2, train_scorer=train_scorer,
                   two_word_labels=True, config=config)
     for e in range(w.pool.n_t):
         w.fill_store(e, 2, start_pred=e)
@@ -136,11 +136,11 @@ def batch_loss_only(w, batch):
     return loss
 
 
+# d0: the linear (depth-0) mapper, the depth the checkpoint format records
 FD_CASES = [
-    ("frozen-d1", dict(train_scorer=False, depth=1)),
-    ("frozen-d0", dict(train_scorer=False, depth=0)),
-    ("finetune-d1", dict(train_scorer=True, depth=1)),
-    ("l1-token-norm", dict(train_scorer=False, depth=1, l1_mode="token_norm")),
+    ("frozen-d0", dict(train_scorer=False)),
+    ("finetune-d0", dict(train_scorer=True)),
+    ("l1-token-norm", dict(train_scorer=False, l1_mode="token_norm")),
 ]
 
 
@@ -447,7 +447,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(path, w.tr, w.config, "pool.lsgg")
     arrays, config_echo, pool_path, meta = load_checkpoint(path)
     assert pool_path == "pool.lsgg"
-    assert meta["d_tok"] == 8 and meta["depth"] == 1
+    assert meta["d_tok"] == 8 and meta["depth"] == 0
     assert meta["scorer_trainable"] is False
     assert config_echo["rho"] == str(w.config.rho)
     for name, arr in w.tr.checkpoint_items():
@@ -468,8 +468,10 @@ def test_checkpoint_rejects_malformed(tmp_path):
     path.write_text("")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
-    for record in ("scorer_trainable x", "mapper_meta 1", "mapper_kind c 1 2", "array foo",
-                   "array foo 2 not*b64", f"array foo 3 {pack_floats(np.zeros(2))}"):
+    # "mapper_meta 8 1": a depth-1 checkpoint's mixing arrays have no place here
+    for record in ("scorer_trainable x", "mapper_meta 1", "mapper_meta 8 1",
+                   "mapper_kind c 1 2", "array foo", "array foo 2 not*b64",
+                   f"array foo 3 {pack_floats(np.zeros(2))}"):
         path.write_text(f"LSGG-CKPT 1\npool p.lsgg\n{record}\n")
         with pytest.raises(CheckpointFormatError, match="line 3"):
             load_checkpoint(path)
