@@ -84,13 +84,12 @@ def _cmd_eval(args) -> int:
     print(f"mR@{args.k}={mr:.4f}")
     print(f"M@{args.k}={m_at_k(r, mr):.4f}")
     if args.wmap:
-        rel_mode = "rel" if args.mode in ("rel", "phr") else args.mode
-        phr_mode = "phr" if args.mode in ("rel", "phr") else args.mode
-        wrel = weighted_map(preds, gt, mode=rel_mode)
-        wphr = weighted_map(preds, gt, mode=phr_mode)
-        print(f"wmAP_rel={wrel:.4f}")
-        print(f"wmAP_phr={wphr:.4f}")
-        print(f"score_wtd={score_wtd(r, wrel, wphr):.4f}")
+        # the box modes score both box matchings; ids and triplet have one
+        modes = ("rel", "phr") if args.mode in ("rel", "phr") else (args.mode,)
+        wmaps = [weighted_map(preds, gt, mode=mode) for mode in modes]
+        for mode, wmap in zip(modes, wmaps):
+            print(f"wmAP_{mode}={wmap:.4f}")
+        print(f"score_wtd={score_wtd(r, wmaps[0], wmaps[-1]):.4f}")
     return 0
 
 

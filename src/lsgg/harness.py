@@ -39,14 +39,21 @@ TOKEN_PRESETS = {
     "large": {"c": 8, "r": 4, "s": 4, "o": 4},
 }
 
-PRESET_DISPLAY = {
-    "full": "full", "wo_kap": "w/o-kap", "wo_toe": "w/o-toe", "wo_aso": "w/o-aso",
-    "wo_inc": "w/o-inc", "w_1k": "w-1k", "w_sc": "w-sc", "w_lc": "w-lc",
-    "w_frq": "w-frq", "w_ft": "w-ft",
+# name -> (display name, the dotted config field the preset changes, its value
+# or a function of the base config); "full" changes nothing
+PRESETS = {
+    "full": ("full", None, None),
+    "wo_kap": ("w/o-kap", "train.random_prompts", True),
+    "wo_toe": ("w/o-toe", "train.random_exemplar", True),
+    "wo_inc": ("w/o-inc", "train.naive", True),
+    "w_1k": ("w-1k", "n_e", lambda base: base.n_e // 2),
+    "w_sc": ("w-sc", "token_preset", "small"),
+    "w_lc": ("w-lc", "token_preset", "large"),
+    "w_frq": ("w-frq", "schedule_mode", "frequency"),
+    "w_ft": ("w-ft", "train_scorer", True),
 }
 
-ABLATION_SUITE = ("full", "wo_kap", "wo_toe", "wo_aso", "wo_inc",
-                  "w_1k", "w_sc", "w_lc", "w_frq")
+ABLATION_SUITE = tuple(name for name in PRESETS if name != "w_ft")
 
 
 @dataclass
@@ -64,7 +71,6 @@ class ExperimentConfig:
     train_scorer: bool = False  # unfreeze the decoder at a reduced rate
     train: TrainConfig = field(default_factory=TrainConfig)
     seeds: tuple = (0, 1, 2, 3, 4)
-    out_dir: str | None = None
     split_fractions: tuple = (0.7, 0.1, 0.2)
     eval_ks: tuple = (50, 100)
 
@@ -103,29 +109,13 @@ def _clone_config(config: ExperimentConfig) -> ExperimentConfig:
 def preset_config(base: ExperimentConfig, name: str) -> ExperimentConfig:
     """A copy of ``base`` with exactly one ablation knob changed."""
     key = name.replace("/", "").replace("-", "_")
-    cfg = _clone_config(base)
-    if key == "full":
-        pass
-    elif key == "wo_kap":
-        cfg.train.random_prompts = True
-    elif key == "wo_toe":
-        cfg.train.random_exemplar = True
-    elif key == "wo_aso":
-        cfg.train.shuffle_order = True
-    elif key == "wo_inc":
-        cfg.train.naive = True
-    elif key == "w_1k":
-        cfg.n_e = base.n_e // 2
-    elif key == "w_sc":
-        cfg.token_preset = "small"
-    elif key == "w_lc":
-        cfg.token_preset = "large"
-    elif key == "w_frq":
-        cfg.schedule_mode = "frequency"
-    elif key == "w_ft":
-        cfg.train_scorer = True
-    else:
+    if key not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
+    _, knob, value = PRESETS[key]
+    cfg = _clone_config(base)
+    if knob is not None:
+        target, attr = _config_field(cfg, knob)
+        setattr(target, attr, value(base) if callable(value) else value)
     return cfg
 
 
@@ -189,19 +179,22 @@ def _kv_parse(text: str, like):
     return text
 
 
+def _config_field(config: ExperimentConfig, key: str):
+    """The (object, attribute) a dotted config key such as ``train.lr`` names."""
+    target, attr = config, key
+    head, _, sub = key.partition(".")
+    if head in ("train", "synth") and sub:
+        target, attr = getattr(config, head), sub
+    if not hasattr(target, attr):
+        raise ValueError(f"unknown config key {key!r}")
+    return target, attr
+
+
 def config_from_kv(kv: dict) -> ExperimentConfig:
     config = ExperimentConfig()
     for key, text in kv.items():
-        if key.startswith("train.") or key.startswith("synth."):
-            head, _, sub = key.partition(".")
-            target = getattr(config, head)
-            if not hasattr(target, sub):
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(target, sub, _kv_parse(text, getattr(target, sub)))
-        else:
-            if not hasattr(config, key):
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(config, key, _kv_parse(text, getattr(config, key)))
+        target, attr = _config_field(config, key)
+        setattr(target, attr, _kv_parse(text, getattr(target, attr)))
     return config
 
 
@@ -362,8 +355,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         mr = {k: union[k][1] for k in config.eval_ks}
         m = {k: m_at_k(r[k], mr[k]) for k in config.eval_ks}
         wmap = weighted_map(union_preds, union_gt, mode="ids")
-        report = MetricReport(stage=t, r=r, mr=mr, m=m, per_task=per_task,
-                              wmap_rel=wmap, wmap_phr=wmap,
+        report = MetricReport(stage=t, r=r, mr=mr, m=m, per_task=per_task, wmap=wmap,
                               score=score_wtd(r[min(config.eval_ks)], wmap, wmap))
         report.check_invariants()
         reports.append(report)
@@ -404,14 +396,14 @@ def write_run_files(bundle: ResultsBundle, config: ExperimentConfig, run_dir,
     cols = ["stage"]
     for k in ks:
         cols += [f"R@{k}", f"mR@{k}", f"M@{k}"]
-    cols += ["wmAP_rel", "wmAP_phr", "score_wtd"]
+    cols += ["wmAP_ids", "score_wtd"]
     with open(os.path.join(run_dir, "results.csv"), "w") as fh:
         fh.write(",".join(cols) + "\n")
         for rep in bundle.reports:
             row = [rep.stage + 1]
             for k in ks:
                 row += [rep.r[k], rep.mr[k], rep.m[k]]
-            row += [rep.wmap_rel, rep.wmap_phr, rep.score]
+            row += [rep.wmap, rep.score]
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
     with open(os.path.join(run_dir, "matrix.csv"), "w") as fh:
@@ -454,19 +446,6 @@ def write_run_files(bundle: ResultsBundle, config: ExperimentConfig, run_dir,
 
 # -- ablations and reporting -------------------------------------------------------------
 
-PRESET_EXPECTED_DIFF = {
-    "full": set(),
-    "wo_kap": {"train.random_prompts"},
-    "wo_toe": {"train.random_exemplar"},
-    "wo_aso": {"train.shuffle_order"},
-    "wo_inc": {"train.naive"},
-    "w_1k": {"n_e"},
-    "w_sc": {"token_preset"},
-    "w_lc": {"token_preset"},
-    "w_frq": {"schedule_mode"},
-    "w_ft": {"train_scorer"},
-}
-
 
 def run_ablation_suite(base: ExperimentConfig, presets=ABLATION_SUITE,
                        out_dir: str | None = None) -> dict:
@@ -477,10 +456,10 @@ def run_ablation_suite(base: ExperimentConfig, presets=ABLATION_SUITE,
     results = {}
     for name in presets:
         cfg = preset_config(base, name)
-        diff = set(config_diff(base, cfg))
-        if diff != PRESET_EXPECTED_DIFF[name]:
-            raise AssertionError(f"preset {name} changed {sorted(diff)}, "
-                                 f"expected {sorted(PRESET_EXPECTED_DIFF[name])}")
+        diff, knob = sorted(config_diff(base, cfg)), PRESETS[name][1]
+        expect = [] if knob is None else [knob]
+        if diff != expect:
+            raise AssertionError(f"preset {name} changed {diff}, expected {expect}")
         bundles = []
         for seed in cfg.seeds:
             run_dir = None
@@ -534,6 +513,7 @@ def report(groups: dict, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
 
     labels = list(groups)
+    shown = {label: PRESETS.get(label, (label,))[0] for label in labels}
     summaries = {label: summarize(groups[label]) for label in labels}
     metric_names = [name for name in summaries[labels[0]]
                     if all(name in summaries[label] for label in labels)]
@@ -549,7 +529,7 @@ def report(groups: dict, out_dir) -> list:
                 header.append(f"{name}_std")
         fh.write(",".join(header) + "\n")
         for label in labels:
-            row = [PRESET_DISPLAY.get(label, label), str(len(groups[label]))]
+            row = [shown[label], str(len(groups[label]))]
             for name in metric_names:
                 mean, std = summaries[label][name]
                 row.append(repr(float(mean)))
@@ -565,7 +545,7 @@ def report(groups: dict, out_dir) -> list:
         for label in labels:
             n_stages = len(groups[label][0].reports)
             for t in range(n_stages):
-                cells = [PRESET_DISPLAY.get(label, label), str(t + 1)]
+                cells = [shown[label], str(t + 1)]
                 for k in ks_ref:
                     mean, _ = _mean_std([b.reports[t].mr[k] for b in groups[label]])
                     cells.append(repr(float(mean)))
@@ -574,14 +554,13 @@ def report(groups: dict, out_dir) -> list:
 
     path = os.path.join(out_dir, "comparison.txt")
     with open(path, "w") as fh:
-        width = max(len(PRESET_DISPLAY.get(label, label)) for label in labels)
-        width = max(width, len("config"))
+        width = max(len(name) for name in [*shown.values(), "config"])
         fh.write(f"{'config':<{width}}")
         for name in metric_names:
             fh.write(f"  {name:>16}")
         fh.write("\n")
         for label in labels:
-            fh.write(f"{PRESET_DISPLAY.get(label, label):<{width}}")
+            fh.write(f"{shown[label]:<{width}}")
             for name in metric_names:
                 mean, std = summaries[label][name]
                 cell = f"{mean:.2f}+-{std:.2f}" if multi_seed else f"{mean:.2f}"

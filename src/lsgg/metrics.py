@@ -193,8 +193,7 @@ class MetricReport:
     mr: dict  # K -> mR@K
     m: dict  # K -> M@K
     per_task: dict  # task index -> {metric name -> value}
-    wmap_rel: float | None = None
-    wmap_phr: float | None = None
+    wmap: float | None = None  # weighted mAP by instance-id matching
     score: float | None = None
 
     def check_invariants(self) -> None:
@@ -312,7 +311,8 @@ def weighted_map(records, gt, mode: str = "rel", iou_thr: float = 0.5) -> float:
 
 
 def score_wtd(r50: float, wmap_rel: float, wmap_phr: float) -> float:
-    """The weighted summary score 0.2*R@50 + 0.4*wmAP_rel + 0.4*wmAP_phr."""
+    """The weighted summary score 0.2*R@50 + 0.4*wmAP_rel + 0.4*wmAP_phr; a
+    run's ``results.csv`` passes its one ids-mode wmAP as both."""
     return 0.2 * r50 + 0.4 * wmap_rel + 0.4 * wmap_phr
 
 

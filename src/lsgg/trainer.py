@@ -45,7 +45,6 @@ class TrainConfig:
     # ablation switches
     random_prompts: bool = False  # ignore keys, pick K entries at random
     random_exemplar: bool = False  # ignore relation similarity inside stores
-    shuffle_order: bool = False  # randomize context segment order
     naive: bool = False  # single prompt, no exemplars, no replay, no admissions
 
     def validate(self) -> None:
@@ -360,25 +359,9 @@ def _nearest_slots(f_r: np.ndarray, entries: np.ndarray, pool: PromptPool) -> np
     return slots
 
 
-def _shuffle_perms(ab_rng: SeededRng | None, n_b: int, n: int) -> np.ndarray:
-    """One Fisher-Yates permutation of range(n) per item, drawn item by item
-    as ``SeededRng.shuffle`` draws them."""
-    perm = np.tile(np.arange(n), (n_b, 1))
-    if n < 2:
-        return perm
-    if ab_rng is None:
-        raise ValueError("shuffled segment order requires an rng")
-    draws = ab_rng.randint_block(np.tile(np.arange(n, 1, -1), n_b)).reshape(n_b, n - 1)
-    rows = np.arange(n_b)
-    for col, i in enumerate(range(n - 1, 0, -1)):
-        j = draws[:, col]
-        perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
-    return perm
-
-
 def _n_context(config: TrainConfig, pool: PromptPool) -> int:
     """Context segments per prompt: one per retrieved entry after the first."""
-    return 0 if config.naive else min(config.effective_k(), pool.n_t) - 1
+    return min(config.effective_k(), pool.n_t) - 1
 
 
 def _select(batch: _Batch, pool: PromptPool, config: TrainConfig, ab_rng: SeededRng | None):
@@ -469,13 +452,10 @@ def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainCon
     off_ex, off_emb, off_mask, off_q = offsets
     table[off_q : off_q + n_b * n_ex_rows] = q_blocks.reshape(-1, d_tok)
 
-    # context segments in ascending similarity, optionally shuffled
-    order = np.tile(np.arange(n_ctx)[::-1], (n_b, 1))
-    if config.shuffle_order:
-        order = np.take_along_axis(order, _shuffle_perms(ab_rng, n_b, n_ctx), axis=1)
-    ctx_entry = np.take_along_axis(selection[:, 1 : 1 + n_ctx], order, axis=1)
-    ctx_shown = np.take_along_axis(shown, order, axis=1)
-    ctx_label = np.take_along_axis(label, order, axis=1)
+    # context segments in ascending similarity
+    ctx_entry = selection[:, n_ctx:0:-1]
+    ctx_shown = shown[:, ::-1]
+    ctx_label = label[:, ::-1]
 
     layout = (ctx_shown >= 0) @ (1 << np.arange(n_ctx))
     ar_p, ar_x = np.arange(n_p), np.arange(n_ex_rows)
@@ -736,10 +716,10 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
     share; it must hold room for ``batch_size`` items or for all
     ``instances``, whichever is fewer, and goes stale at the next
     ``train_stage``. Without a table the call freezes its own. Ablation
-    randomness (random prompts/exemplars/order) still applies when
+    randomness (random prompts/exemplars) still applies when
     configured, via ``ab_rng``, batch by batch.
     """
-    needs_rng = config.random_prompts or config.random_exemplar or config.shuffle_order
+    needs_rng = config.random_prompts or config.random_exemplar
     if needs_rng and ab_rng is None:
         raise ValueError("configured ablations need an rng at inference")
     if not len(instances):

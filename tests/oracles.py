@@ -275,8 +275,8 @@ class AssembledPrompt:
 
 
 def assemble_prompt(pool, selection, exemplars, query_block: np.ndarray,
-                    mask_block: np.ndarray, emb: np.ndarray, vocab: PredicateVocab,
-                    order_rng: SeededRng | None = None) -> AssembledPrompt:
+                    mask_block: np.ndarray, emb: np.ndarray,
+                    vocab: PredicateVocab) -> AssembledPrompt:
     """Assemble the in-context token sequence for one query.
 
     selection: (entry index, similarity) pairs in descending similarity, as
@@ -288,8 +288,7 @@ def assemble_prompt(pool, selection, exemplars, query_block: np.ndarray,
     mask-slot rows; emb: frozen embedding table supplying label rows.
 
     Layout is ascending similarity, so the most similar prompt sits adjacent
-    to the query segment, which always comes last. order_rng, when given,
-    shuffles context segments (the ordering ablation); the query stays last.
+    to the query segment, which always comes last.
     """
     if len(selection) < 1:
         raise ValueError("need at least one retrieved prompt")
@@ -302,8 +301,6 @@ def assemble_prompt(pool, selection, exemplars, query_block: np.ndarray,
 
     context = [(idx, sim, ex) for (idx, sim), ex in zip(selection[1:], exemplars)]
     context.reverse()  # ascending similarity: least similar first
-    if order_rng is not None:
-        order_rng.shuffle(context)
 
     parts, segments = [], []
     row = 0

@@ -166,9 +166,8 @@ def _forward(items, pool, tr, vocab, config, ab_rng, ctx=None) -> _ForwardState:
         pairs = [None if ex is None else
                  (ex, int(pool.store_labels.flat[ex]), ex_blocks[ex_index[ex]])
                  for ex in ex_lists[i]]
-        order_rng = ab_rng if config.shuffle_order else None
         prompt = assemble_prompt(pool, selections[i], pairs, q_blocks[i], tr.y_mask,
-                                 tr.scorer.emb, vocab, order_rng=order_rng)
+                                 tr.scorer.emb, vocab)
         w = position_weights(tr.scorer, prompt.n_rows)
         base = w @ prompt.rows
         prompts.append(prompt)

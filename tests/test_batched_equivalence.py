@@ -21,7 +21,6 @@ SWITCHES = [
     ("random_prompts", {"random_prompts": True}, {}),
     ("random_exemplar", {"random_exemplar": True}, {}),
     ("random_prompts+exemplar", {"random_prompts": True, "random_exemplar": True}, {}),
-    ("shuffle_order", {"shuffle_order": True}, {}),
     ("naive", {"naive": True}, {}),
     ("train_scorer", {}, {"train_scorer": True}),
     ("l1_token_norm", {"l1_mode": "token_norm", "alpha": 0.3}, {}),
@@ -30,8 +29,9 @@ IDS = [s[0] for s in SWITCHES]
 
 
 def make_world(config_kw, world_kw, seed=61):
-    # K = 3 gives two context segments, so shuffling draws; stores of lengths
-    # 0..3 give several prompt layouts and several store-length groups
+    # K = 3 gives two context segments, whose order the layout must keep;
+    # stores of lengths 0..3 give several prompt layouts and several
+    # store-length groups
     config = TrainConfig(k_retrieve=3, epochs=2, batch_size=6, lr=0.01, **config_kw)
     w = TinyWorld(seed=seed, d_tok=8, n_t=7, n_p=2, n_e=3, n_pred=5, k_retrieve=3,
                   two_word_labels=True, config=config, **world_kw)
@@ -126,7 +126,7 @@ def test_predict_ranked_equals_per_item_reference_at_bench_widths():
 
 
 STAGE_SWITCHES = [s for s in SWITCHES
-                  if s[0] in ("default", "random_prompts", "random_exemplar", "shuffle_order")]
+                  if s[0] in ("default", "random_prompts", "random_exemplar")]
 
 
 @pytest.mark.parametrize("label,config_kw,world_kw", STAGE_SWITCHES,

@@ -57,11 +57,14 @@ def test_train_then_eval_commands(tmp_path, capsys):
                "--gt", str(run_dir / "gt_final.txt"), "--k", "5", "--wmap"])
     assert rc == 0
     stdout = capsys.readouterr().out
-    assert "R@5=" in stdout and "wmAP_rel=" in stdout and "score_wtd=" in stdout
+    assert "R@5=" in stdout and "wmAP_ids=" in stdout and "score_wtd=" in stdout
+    assert "wmAP_rel=" not in stdout  # ids mode computes and prints one wmAP
     # M@K line is the exact mean of the two lines above it
     vals = {ln.split("=")[0]: float(ln.split("=")[1])
             for ln in stdout.strip().splitlines()}
     assert vals["M@5"] == pytest.approx((vals["R@5"] + vals["mR@5"]) / 2, abs=5e-5)
+    assert vals["score_wtd"] == pytest.approx(0.2 * vals["R@5"] + 0.8 * vals["wmAP_ids"],
+                                              abs=2e-4)
 
 
 def test_ablate_and_report_commands(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lsgg.datastream import SynthConfig
-from lsgg.harness import (ABLATION_SUITE, PRESET_EXPECTED_DIFF, ExperimentConfig,
+from lsgg.harness import (ABLATION_SUITE, PRESETS, ExperimentConfig,
                           _rank_pairs, config_diff, config_from_kv, config_to_kv,
                           load_comparison_csv, load_config_file, preset_config,
                           report, run_ablation_suite, run_experiment, summarize)
@@ -38,12 +38,12 @@ def tiny_config(**kw) -> ExperimentConfig:
 
 def test_presets_change_exactly_their_knob():
     base = tiny_config()
-    for name, expect in PRESET_EXPECTED_DIFF.items():
+    for name, (_, knob, _) in PRESETS.items():
         cfg = preset_config(base, name)
-        assert set(config_diff(base, cfg)) == expect, name
+        assert config_diff(base, cfg) == ([] if knob is None else [knob]), name
         # deep copies: mutating the preset never touches the base
         assert cfg.train is not base.train and cfg.synth is not base.synth
-    assert set(ABLATION_SUITE) <= set(PRESET_EXPECTED_DIFF)
+    assert set(ABLATION_SUITE) == set(PRESETS) - {"w_ft"}
     with pytest.raises(ValueError):
         preset_config(base, "bogus")
 
@@ -112,7 +112,9 @@ def test_run_experiment_protocol_shape():
         for k in cfg.eval_ks:
             assert 0.0 <= rep.r[k] <= 100.0
             assert rep.m[k] == (rep.r[k] + rep.mr[k]) / 2.0  # exact
-        assert rep.wmap_rel == rep.wmap_phr  # id-matched dumps share one wmAP
+        assert 0.0 <= rep.wmap <= 100.0
+        r_low = rep.r[min(cfg.eval_ks)]
+        assert rep.score == 0.2 * r_low + 0.4 * rep.wmap + 0.4 * rep.wmap  # exact
         assert rep.score is not None
     for k in cfg.eval_ks:
         assert bundle.matrices[k].is_complete()
@@ -254,6 +256,15 @@ def test_run_experiment_rejects_uncovered_vocab(tmp_path):
 
 
 # -- ablations and reports ----------------------------------------------------------
+
+
+def test_every_preset_but_full_changes_the_predictions(tmp_path):
+    # a preset whose dump equals full's ablates nothing the model can see
+    dumps = {}
+    for name in PRESETS:
+        run_experiment(preset_config(tiny_config(), name), seed=0, run_dir=tmp_path / name)
+        dumps[name] = (tmp_path / name / "predictions_final.txt").read_bytes()
+    assert [name for name in PRESETS if name != "full" and dumps[name] == dumps["full"]] == []
 
 
 def test_ablation_suite_and_report(tmp_path):

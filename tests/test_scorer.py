@@ -171,21 +171,6 @@ def test_assembly_empty_store_drops_exemplar_rows():
         assert seg.exemplar is None and seg.n_exemplar == 0 and seg.n_label == 0
 
 
-def test_assembly_shuffle_keeps_query_last():
-    w = build_assembly_world(k=4, seed=5)
-    sel = selection_for(w, 4)
-    pairs = exemplar_pairs(w, sel)
-    base = assemble_prompt(w.pool, sel, pairs, query_rows(w), w.y_mask,
-                           w.scorer.emb, w.vocab)
-    shuffled = assemble_prompt(w.pool, sel, pairs, query_rows(w), w.y_mask,
-                               w.scorer.emb, w.vocab, order_rng=SeededRng(9))
-    shuffled.check_invariants()
-    assert shuffled.segments[-1].is_query
-    assert shuffled.n_rows == base.n_rows
-    assert sorted(s.entry_index for s in shuffled.segments) == \
-        sorted(s.entry_index for s in base.segments)
-
-
 def test_assembly_rejects_bad_inputs():
     w = build_assembly_world()
     with pytest.raises(ValueError):

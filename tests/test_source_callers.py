@@ -1,6 +1,7 @@
 """Every function, class and method in ``src/lsgg`` has a caller in
-``src/lsgg``: code that only tests use belongs in ``tests/``. And every name
-a module of the package imports is read in that module.
+``src/lsgg``: code that only tests use belongs in ``tests/``. Every name
+a module of the package imports is read in that module, and every field of
+a ``*Config`` dataclass is read as an attribute somewhere in the package.
 
 A name counts as referenced when some module of the package reads it as a
 name or an attribute. An import alone does not count, so ``__init__``'s
@@ -73,6 +74,19 @@ def imported_names(tree) -> set:
     return out
 
 
+def config_fields(tree) -> set:
+    """(class, field) for each annotated field of the module's ``*Config``
+    classes."""
+    return {(node.name, item.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+            for item in node.body if isinstance(item, ast.AnnAssign)}
+
+
+def attribute_reads(tree) -> set:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def read_names(tree) -> set:
     return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -107,3 +121,14 @@ def test_every_import_in_src_is_read_in_its_module():
                    if (name, n) not in ALLOWED_UNREAD_IMPORTS]
     assert unread == []
     assert ALLOWED_UNREAD_IMPORTS <= imported
+
+
+def test_every_config_field_is_read_in_src():
+    # a field nothing reads is a setting that changes nothing but the
+    # config echo
+    fields, reads = set(), set()
+    for _, tree in _modules():
+        fields |= config_fields(tree)
+        reads |= attribute_reads(tree)
+    assert {cls for cls, _ in fields} == {"ExperimentConfig", "SynthConfig", "TrainConfig"}
+    assert sorted(f"{cls}.{name}" for cls, name in fields if name not in reads) == []
