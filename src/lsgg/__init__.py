@@ -16,7 +16,7 @@ from .scorer import (PredicateVocab, Rankings, ScorerParams, build_vocab, defaul
                      init_scorer, load_vocab, save_vocab)
 from .trainer import (AdamW, TrainConfig, TrainableSet, init_y_mask,
                       loss_total, predict_ranked, train_stage)
-from .metrics import (AccuracyMatrix, GTRecord, MetricReport, PredRecord,
+from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable,
                       forgetting_measure, m_at_k, mean_recall_at_k, recall_at_k,
                       recall_at_ks, score_wtd, weighted_map)
 from .harness import (ExperimentConfig, ResultsBundle, preset_config, report,

@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .datastream import (SynthConfig, TaskSchedule, load_embeddings, make_stage_datasets,
                          predicate_counts, split_by_frequency, split_random, synth_generate)
-from .metrics import (AccuracyMatrix, GTRecord, MetricReport, PredRecord,
-                      forgetting_measure, m_at_k, recall_at_ks, save_gt, save_predictions,
-                      score_wtd, weighted_map)
+from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, box_column,
+                      concat_tables, forgetting_measure, m_at_k, positions_in_runs,
+                      recall_at_ks, save_gt, save_predictions, score_wtd, weighted_map)
 # the single-K metrics stay names of this module: perfbench/probe.py wraps
 # harness.recall_at_k and harness.mean_recall_at_k by name
 from .metrics import mean_recall_at_k, recall_at_k  # noqa: F401
@@ -106,12 +106,17 @@ def _clone_config(config: ExperimentConfig) -> ExperimentConfig:
     return replace(config, train=replace(config.train), synth=replace(config.synth))
 
 
-def preset_config(base: ExperimentConfig, name: str) -> ExperimentConfig:
-    """A copy of ``base`` with exactly one ablation knob changed."""
+def _preset_key(name: str) -> str:
+    """The ``PRESETS`` key of a preset named by its key or its display name."""
     key = name.replace("/", "").replace("-", "_")
     if key not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    _, knob, value = PRESETS[key]
+    return key
+
+
+def preset_config(base: ExperimentConfig, name: str) -> ExperimentConfig:
+    """A copy of ``base`` with exactly one ablation knob changed."""
+    _, knob, value = PRESETS[_preset_key(name)]
     cfg = _clone_config(base)
     if knob is not None:
         target, attr = _config_field(cfg, knob)
@@ -183,7 +188,9 @@ def _config_field(config: ExperimentConfig, key: str):
     """The (object, attribute) a dotted config key such as ``train.lr`` names."""
     target, attr = config, key
     head, _, sub = key.partition(".")
-    if head in ("train", "synth") and sub:
+    if head in ("train", "synth"):
+        if not sub:
+            raise ValueError(f"config key {key!r} names a section, not a field")
         target, attr = getattr(config, head), sub
     if not hasattr(target, attr):
         raise ValueError(f"unknown config key {key!r}")
@@ -226,42 +233,41 @@ def _build_gt_ids(dataset) -> dict:
     return out
 
 
+def _gt_table(instances, gt_ids) -> GTTable:
+    """The ground truth of a task's test instances, in instance order."""
+    def col(values):
+        return np.array(values, dtype=np.int64)
+    return GTTable(image=col([inst.image_id for inst in instances]),
+                   gt_id=col([gt_ids[id(inst)] for inst in instances]),
+                   subj=col([inst.subject_class for inst in instances]),
+                   pred=col([inst.predicate for inst in instances]),
+                   obj=col([inst.object_class for inst in instances]),
+                   boxes=box_column([inst.boxes for inst in instances]))
+
+
 def _rank_pairs(image_ids: np.ndarray, confs: np.ndarray, gids: np.ndarray):
     """The dump order of the pairs (by image id; within an image by
     descending confidence, ties by GT id) and each pair's 1-based rank
     within its image, in that order."""
     order = np.lexsort((gids, -confs, image_ids))
-    images = image_ids[order]
-    starts = np.flatnonzero(np.r_[True, images[1:] != images[:-1]])
-    sizes = np.diff(np.r_[starts, len(order)])
-    return order, np.arange(len(order)) - np.repeat(starts, sizes) + 1
+    return order, positions_in_runs(image_ids[order]) + 1
 
 
-def _evaluate_instances(instances, gt_ids, pool, tr, vocab, train_cfg, candidates,
-                        ab_rng, table) -> tuple:
-    """Predict each instance's predicate; emit ranked dump + GT records.
+def _evaluate_instances(instances, gt: GTTable, pool, tr, vocab, train_cfg, candidates,
+                        ab_rng, table) -> PredTable:
+    """Predict each instance's predicate; the ranked dump of a task whose
+    ground truth is ``gt``.
 
     One prediction per pair (its top-1 predicate); within an image, pairs are
     ranked by descending confidence, ties by GT id.
     """
     ranked = predict_ranked(instances, pool, tr, vocab, train_cfg,
                             candidates=candidates, ab_rng=ab_rng, table=table)
-    top = ranked.labels[:, 0].tolist()
     confs = np.exp(np.ascontiguousarray(ranked.scores[:, 0]))
-    gids = [gt_ids[id(inst)] for inst in instances]
-    gt = [GTRecord(image_id=inst.image_id, gt_id=gid, subj=inst.subject_class,
-                   pred=inst.predicate, obj=inst.object_class, boxes=inst.boxes)
-          for inst, gid in zip(instances, gids)]
-    order, ranks = _rank_pairs(np.array([inst.image_id for inst in instances]), confs,
-                               np.array(gids))
-    conf_list = confs.tolist()
-    preds = []
-    for i, rank in zip(order.tolist(), ranks.tolist()):
-        inst = instances[i]
-        preds.append(PredRecord(image_id=inst.image_id, rank=rank, subj=inst.subject_class,
-                                pred=top[i], obj=inst.object_class, conf=conf_list[i],
-                                gt_id=gids[i]))
-    return preds, gt
+    order, ranks = _rank_pairs(gt.image, confs, gt.gt_id)
+    return PredTable(image=gt.image[order], rank=ranks, subj=gt.subj[order],
+                     pred=ranked.labels[order, 0], obj=gt.obj[order], conf=confs[order],
+                     gt_id=gt.gt_id[order], has_id=np.ones(len(order), dtype=bool))
 
 
 def run_experiment(config: ExperimentConfig, seed: int | None = None,
@@ -325,6 +331,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
                 for k in config.eval_ks}
     reports, stage_seconds = [], []
     eval_rng = rng.derive("eval")
+    task_gt = []  # each arrived task's test ground truth
 
     for t in range(config.n_stages):
         t0 = time.perf_counter()
@@ -333,23 +340,25 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         stages[t] = replace(stages[t], train=[])  # stage isolation: never re-read
         pool.check_invariants()
 
+        task_gt.append(_gt_table(stages[t].test, gt_ids))
         candidates = schedule.arrived_labels(t)
         table = freeze_table(pool, tr, vocab, config.train)
         per_task = {}
-        union_preds, union_gt = [], []
+        task_preds = []
         for j in range(t + 1):
-            preds, gt = _evaluate_instances(stages[j].test, gt_ids, pool, tr, vocab,
-                                            config.train, candidates, eval_rng, table)
-            union_preds.extend(preds)
-            union_gt.extend(gt)
+            preds = _evaluate_instances(stages[j].test, task_gt[j], pool, tr, vocab,
+                                        config.train, candidates, eval_rng, table)
+            task_preds.append(preds)
             task_metrics = {}
-            for k, (r_k, mr_k) in recall_at_ks(preds, gt, config.eval_ks, mode="ids").items():
+            for k, (r_k, mr_k) in recall_at_ks(preds, task_gt[j], config.eval_ks,
+                                               mode="ids").items():
                 task_metrics[f"R@{k}"] = r_k
                 task_metrics[f"mR@{k}"] = mr_k
                 matrices[k].set(t, j, mr_k)
             per_task[j] = task_metrics
         del table  # stale from here on; held through the next stage, it raises peak memory
 
+        union_preds, union_gt = concat_tables(task_preds), concat_tables(task_gt)
         union = recall_at_ks(union_preds, union_gt, config.eval_ks, mode="ids")
         r = {k: union[k][0] for k in config.eval_ks}
         mr = {k: union[k][1] for k in config.eval_ks}
@@ -449,12 +458,13 @@ def write_run_files(bundle: ResultsBundle, config: ExperimentConfig, run_dir,
 
 def run_ablation_suite(base: ExperimentConfig, presets=ABLATION_SUITE,
                        out_dir: str | None = None) -> dict:
-    """Run each preset over the base config's seeds; returns preset -> bundles.
+    """Run each preset, named by its ``PRESETS`` key or display name, over the
+    base config's seeds; returns preset key -> bundles.
 
     Each preset must differ from the base in exactly its documented knob.
     """
     results = {}
-    for name in presets:
+    for name in map(_preset_key, presets):
         cfg = preset_config(base, name)
         diff, knob = sorted(config_diff(base, cfg)), PRESETS[name][1]
         expect = [] if knob is None else [knob]

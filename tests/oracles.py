@@ -3,17 +3,20 @@ kernels, the loss terms one item at a time, and the in-context prompt
 assembled and scored for a single query, the per-row random draw of
 ``wo_kap``'s prompts, plus helpers that write and read single exemplar-store
 slots, compare pools, and run one list of items through the production
-training pass, and the token mapper written out as its affine formula.
-``reference_trainer`` builds on them, and the unit tests check each oracle
-against direct arithmetic or the production code."""
+training pass, the token mapper written out as its affine formula, and the
+metrics' matching one record at a time, with converters between records and
+the metrics' column tables. ``reference_trainer`` builds on them, and the
+unit tests check each oracle against direct arithmetic or the production
+code."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 
+from lsgg.metrics import GTTable, PredTable, box_column, iou, union_box
 from lsgg.numerics import softmax
 from lsgg.prompt_pool import _write_slot
 from lsgg.rng import SeededRng
@@ -362,3 +365,195 @@ def score(params: ScorerParams, x: AssembledPrompt,
         pooled = base + x.rows[mpos]
         out[j] = softmax(params.readout[j] @ pooled)
     return out
+
+
+# -- metric matching, one record at a time ----------------------------------------------
+
+
+@dataclass
+class PredRecord:
+    image_id: int
+    rank: int  # 1-based position in the image's ranked list
+    subj: int
+    pred: int
+    obj: int
+    conf: float
+    boxes: tuple | None = None  # ((x1,y1,x2,y2) subject, (x1,y1,x2,y2) object)
+    gt_id: int | None = None  # instance-id match target, when known
+
+
+@dataclass
+class GTRecord:
+    image_id: int
+    gt_id: int
+    subj: int
+    pred: int
+    obj: int
+    boxes: tuple | None = None
+
+
+def pred_table(records) -> PredTable:
+    def col(name):
+        return np.array([getattr(r, name) for r in records], dtype=np.int64)
+    return PredTable(image=col("image_id"), rank=col("rank"), subj=col("subj"),
+                     pred=col("pred"), obj=col("obj"),
+                     conf=np.array([r.conf for r in records], dtype=np.float64),
+                     gt_id=np.array([r.gt_id or 0 for r in records], dtype=np.int64),
+                     has_id=np.array([r.gt_id is not None for r in records], dtype=bool),
+                     boxes=box_column([r.boxes for r in records]))
+
+
+def gt_table(records) -> GTTable:
+    def col(name):
+        return np.array([getattr(r, name) for r in records], dtype=np.int64)
+    return GTTable(image=col("image_id"), gt_id=col("gt_id"), subj=col("subj"),
+                   pred=col("pred"), obj=col("obj"),
+                   boxes=box_column([r.boxes for r in records]))
+
+
+def tables(preds, gt) -> tuple:
+    """Prediction and GT record lists as the metrics' column tables."""
+    return pred_table(preds), gt_table(gt)
+
+
+def tables_equal(a, b) -> bool:
+    """Same table type and columns, equal element for element (NaN box rows
+    equal)."""
+    if type(a) is not type(b):
+        return False
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if (x is None) != (y is None):
+            return False
+        if x is not None and not (x.dtype == y.dtype
+                                  and np.array_equal(x, y, equal_nan=(f.name == "boxes"))):
+            return False
+    return True
+
+
+def _group_by_image(items):
+    grouped: dict = {}
+    for it in items:
+        grouped.setdefault(it.image_id, []).append(it)
+    return grouped
+
+
+def _match_one(pred: PredRecord, gts, claimed, mode: str, iou_thr: float):
+    """Index into gts of the GT this prediction matches, or None."""
+    if mode == "ids":
+        if pred.gt_id is None:
+            return None
+        for gi, gt in enumerate(gts):
+            if gi in claimed or gt.gt_id != pred.gt_id:
+                continue
+            if (gt.subj, gt.pred, gt.obj) == (pred.subj, pred.pred, pred.obj):
+                return gi
+        return None
+    if mode == "triplet":
+        for gi, gt in enumerate(gts):
+            if gi in claimed:
+                continue
+            if (gt.subj, gt.pred, gt.obj) == (pred.subj, pred.pred, pred.obj):
+                return gi
+        return None
+    if pred.boxes is None:
+        raise ValueError(f"prediction in image {pred.image_id} lacks boxes in {mode!r} matching")
+    best_gi, best_q = None, 0.0
+    for gi, gt in enumerate(gts):
+        if gi in claimed:
+            continue
+        if (gt.subj, gt.pred, gt.obj) != (pred.subj, pred.pred, pred.obj):
+            continue
+        if gt.boxes is None:
+            raise ValueError(f"GT {gt.gt_id} in image {gt.image_id} lacks boxes in {mode!r} matching")
+        if mode == "rel":
+            q = min(iou(pred.boxes[0], gt.boxes[0]), iou(pred.boxes[1], gt.boxes[1]))
+        else:
+            q = iou(union_box(*pred.boxes), union_box(*gt.boxes))
+        if q >= iou_thr and q > best_q:
+            best_gi, best_q = gi, q
+    return best_gi
+
+
+def record_recall_at_ks(records, gt, ks, mode: str = "ids") -> dict:
+    """``metrics.recall_at_ks`` one record at a time: each image's top-K
+    predictions, in rank order, each claim the first unclaimed GT they
+    match."""
+    k_max = max(ks)
+    preds_by_img = _group_by_image(records)
+    gt_by_img = _group_by_image(gt)
+    for image_id in sorted(preds_by_img):
+        if image_id not in gt_by_img:
+            raise ValueError(f"image {image_id} has predictions but no GT entry")
+    matched: dict = {}
+    for image_id in sorted(gt_by_img):
+        gts = gt_by_img[image_id]
+        preds = sorted(preds_by_img.get(image_id, []), key=lambda p: p.rank)
+        claimed: dict = {}
+        for pos, pred in enumerate(preds[:k_max]):
+            hit = _match_one(pred, gts, claimed, mode, 0.5)
+            if hit is not None:
+                claimed[hit] = pos
+        matched[image_id] = claimed
+    images = sorted(gt_by_img)
+    gt_count: dict = {}
+    for g in gt:
+        gt_count[g.pred] = gt_count.get(g.pred, 0) + 1
+    classes = sorted(gt_count)
+    out = {}
+    for k in ks:
+        image_total = 0.0
+        hit_count: dict = {}
+        for image_id in images:
+            gts = gt_by_img[image_id]
+            hits = [gi for gi, pos in matched[image_id].items() if pos < k]
+            image_total += len(hits) / len(gts)
+            for gi in hits:
+                hit_count[gts[gi].pred] = hit_count.get(gts[gi].pred, 0) + 1
+        class_total = 0.0
+        for c in classes:
+            class_total += hit_count.get(c, 0) / gt_count[c]
+        out[k] = (100.0 * image_total / len(images), 100.0 * class_total / len(classes))
+    return out
+
+
+def record_weighted_map(records, gt, mode: str = "rel", iou_thr: float = 0.5) -> float:
+    """``metrics.weighted_map`` one record at a time: per class, predictions
+    by descending confidence, each claiming the first (or, with boxes, the
+    best) unclaimed GT of its image it matches; AP from an explicit envelope
+    loop."""
+    gt_by_img = _group_by_image(gt)
+    gt_count: dict = {}
+    for g in gt:
+        gt_count[g.pred] = gt_count.get(g.pred, 0) + 1
+    preds_by_class: dict = {}
+    for p in records:
+        if p.image_id not in gt_by_img:
+            raise ValueError(f"image {p.image_id} has predictions but no GT entry")
+        preds_by_class.setdefault(p.pred, []).append(p)
+    classes = sorted(gt_count)
+    total_gt = sum(gt_count[c] for c in classes)
+    weighted_sum = 0.0
+    for c in classes:
+        preds = sorted(preds_by_class.get(c, []), key=lambda p: (-p.conf, p.image_id, p.rank))
+        npos = gt_count[c]
+        claimed: dict = {}
+        tp = np.zeros(len(preds))
+        for i, p in enumerate(preds):
+            img_claimed = claimed.setdefault(p.image_id, set())
+            hit = _match_one(p, gt_by_img[p.image_id], img_claimed, mode, iou_thr)
+            if hit is not None:
+                img_claimed.add(hit)
+                tp[i] = 1.0
+        ap = 0.0
+        if len(preds):
+            tp_cum = np.cumsum(tp)
+            fp_cum = np.cumsum(1.0 - tp)
+            mrec = np.concatenate(([0.0], tp_cum / npos, [1.0]))
+            mpre = np.concatenate(([0.0], tp_cum / (tp_cum + fp_cum), [0.0]))
+            for i in range(mpre.size - 2, -1, -1):
+                mpre[i] = max(mpre[i], mpre[i + 1])
+            for i in range(mrec.size - 1):
+                ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
+        weighted_sum += (npos / total_gt) * ap
+    return float(100.0 * weighted_sum)

@@ -19,7 +19,7 @@ from lsgg.rng import SeededRng
 from lsgg.trainer import TrainConfig
 
 from conftest import TinyWorld, finite_diff, grad_rel_err, nearest_exemplar
-from oracles import Item, append_exemplar, batch_loss_and_grads, cosine_to_rows
+from oracles import Item, append_exemplar, batch_loss_and_grads, cosine_to_rows, tables
 from test_metrics import (make_random_case, oracle_mean_recall, oracle_recall,
                           oracle_weighted_map)
 
@@ -49,10 +49,10 @@ def test_oracle_equivalence_on_random_instances():
         mode = "ids" if case % 2 == 0 else "triplet"
         preds, gt = make_random_case(rng, mode, with_ids=(mode == "ids"))
         for k in (1, 5, 50):
-            assert recall_at_k(preds, gt, k, mode) == oracle_recall(preds, gt, k, mode)
-            assert mean_recall_at_k(preds, gt, k, mode) == \
+            assert recall_at_k(*tables(preds, gt), k, mode) == oracle_recall(preds, gt, k, mode)
+            assert mean_recall_at_k(*tables(preds, gt), k, mode) == \
                 oracle_mean_recall(preds, gt, k, mode)
-        assert weighted_map(preds, gt, mode=mode) == \
+        assert weighted_map(*tables(preds, gt), mode=mode) == \
             pytest.approx(oracle_weighted_map(preds, gt, mode), abs=1e-9)
     for _ in range(n_cases):
         t = rng.randint(2, 6)

@@ -1,10 +1,16 @@
 """The benchmark's traced probe sees every item the trainer retrieves for,
-and the store sizes it reports are the pool's.
+one metric call per stage, and the pool's store sizes.
 
-``perfbench/probe.py`` wraps ``trainer._select`` only while that name exists,
-so a rename would silently zero the traced item counter; this test fails then.
-The probe reads store sizes through ``PromptPool.entries``, so a view that
-reported wrong sizes would also fail it.
+``perfbench/probe.py`` wraps names of the program and counts what passes
+through them, so a renamed or bypassed name silently loses a count; this
+test fails then:
+- ``trainer._select`` is wrapped only while that name exists, and a rename
+  would zero the traced item counter;
+- the harness calls ``weighted_map`` once per stage through its module-level
+  name, and each call is a calibration-kernel point, so a harness that
+  stopped calling it by that name would drop kernel points;
+- the store sizes are read through ``PromptPool.entries``, so a view that
+  reported wrong sizes would fail it.
 """
 
 import os
@@ -28,5 +34,6 @@ def test_traced_round_counts_replayed_items(tmp_path):
     # items replayed from the pool
     assert retrieved > query_items > 0
     probe = rnd["probe"]
+    assert probe.counts["metrics.calls"] == cfg.n_stages
     sizes = probe.pool.store_len.tolist()
     assert probe.stages[-1]["store_sizes"] == sizes and any(sizes)

@@ -74,6 +74,9 @@ def test_config_from_kv_rejects_unknown_keys():
         config_from_kv({"train.bogus": "3"})
     with pytest.raises(ValueError):
         config_from_kv({"train_scorer": "yes"})
+    for section in ("train", "synth", "train."):
+        with pytest.raises(ValueError, match=f"config key '{section}' names a section"):
+            config_from_kv({section: "x"})
 
 
 def test_load_config_file(tmp_path):
@@ -85,6 +88,9 @@ def test_load_config_file(tmp_path):
     assert cfg.seeds == (1, 2)
     path.write_text("n_stages\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_config_file(path)
+    path.write_text("n_stages=3\ntrain=x\n")
+    with pytest.raises(ValueError, match="'train' names a section"):
         load_config_file(path)
 
 
@@ -270,7 +276,9 @@ def test_every_preset_but_full_changes_the_predictions(tmp_path):
 def test_ablation_suite_and_report(tmp_path):
     base = tiny_config()
     out = tmp_path / "suite"
-    results = run_ablation_suite(base, presets=("full", "wo_inc"), out_dir=out)
+    # a preset may be named by its display spelling; results and run
+    # directories use its key
+    results = run_ablation_suite(base, presets=("full", "w/o-inc"), out_dir=out)
     assert set(results) == {"full", "wo_inc"}
     assert all(len(v) == len(base.seeds) for v in results.values())
     for name in ("full_seed0", "wo_inc_seed0"):

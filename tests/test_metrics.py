@@ -1,5 +1,9 @@
 """Evaluation metrics against independent oracles and hand-built geometry.
 
+Cases are written as records and scored as the column tables the metrics
+take (``oracles.tables``). ``oracles`` also holds the metrics' per-record
+matching, which the table metrics must equal float for float.
+
 Oracle notes: with equality matching (ids / triplet modes) the pred-GT graph
 decomposes into complete bipartite blocks per key, so greedy one-claim-per-GT
 matching saturates min(#preds, #GT) per block; recalls follow in closed form.
@@ -10,12 +14,17 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lsgg.metrics import (MATCH_MODES, AccuracyMatrix, GTRecord, MetricReport, PredRecord,
+from lsgg import metrics
+from lsgg.metrics import (MATCH_MODES, AccuracyMatrix, MetricReport,
                           forgetting_measure, iou, load_gt, load_predictions,
                           m_at_k, mean_recall_at_k, recall_at_k, recall_at_ks, save_gt,
                           save_predictions, score_wtd, union_box, weighted_map)
+
+from oracles import (GTRecord, PredRecord, gt_table, pred_table, record_recall_at_ks,
+                     record_weighted_map, tables, tables_equal)
 
 
 # -- box helpers --------------------------------------------------------------
@@ -148,29 +157,29 @@ def test_recalls_match_min_count_oracle(mode):
     for case in range(60):
         preds, gt = make_random_case(rng, mode, with_ids=(mode == "ids"))
         for k in (1, 3, 50):
-            assert recall_at_k(preds, gt, k, mode) == oracle_recall(preds, gt, k, mode), \
-                (case, k)
-            assert mean_recall_at_k(preds, gt, k, mode) == \
+            assert recall_at_k(*tables(preds, gt), k, mode) == \
+                oracle_recall(preds, gt, k, mode), (case, k)
+            assert mean_recall_at_k(*tables(preds, gt), k, mode) == \
                 oracle_mean_recall(preds, gt, k, mode), (case, k)
 
 
 def test_recall_monotone_in_k():
     rng = random.Random(102)
     preds, gt = make_random_case(rng, "triplet", with_ids=False)
-    values = [recall_at_k(preds, gt, k, "triplet") for k in range(1, 12)]
+    values = [recall_at_k(*tables(preds, gt), k, "triplet") for k in range(1, 12)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_recall_invariant_under_input_reordering():
     rng = random.Random(103)
     preds, gt = make_random_case(rng, "triplet", with_ids=False)
-    base_r = recall_at_k(preds, gt, 5, "triplet")
-    base_mr = mean_recall_at_k(preds, gt, 5, "triplet")
+    base_r = recall_at_k(*tables(preds, gt), 5, "triplet")
+    base_mr = mean_recall_at_k(*tables(preds, gt), 5, "triplet")
     shuffled_p, shuffled_g = list(preds), list(gt)
     rng.shuffle(shuffled_p)
     rng.shuffle(shuffled_g)
-    assert recall_at_k(shuffled_p, shuffled_g, 5, "triplet") == base_r
-    assert mean_recall_at_k(shuffled_p, shuffled_g, 5, "triplet") == base_mr
+    assert recall_at_k(*tables(shuffled_p, shuffled_g), 5, "triplet") == base_r
+    assert mean_recall_at_k(*tables(shuffled_p, shuffled_g), 5, "triplet") == base_mr
 
 
 def test_recall_hand_case_rank_cutoff():
@@ -179,25 +188,25 @@ def test_recall_hand_case_rank_cutoff():
     preds = [PredRecord(image_id=0, rank=1, subj=9, pred=9, obj=9, conf=0.9),
              PredRecord(image_id=0, rank=2, subj=1, pred=2, obj=3, conf=0.8),
              PredRecord(image_id=0, rank=3, subj=4, pred=5, obj=6, conf=0.7)]
-    assert recall_at_k(preds, gt, 1, "triplet") == 0.0
-    assert recall_at_k(preds, gt, 2, "triplet") == 50.0
-    assert recall_at_k(preds, gt, 3, "triplet") == 100.0
+    assert recall_at_k(*tables(preds, gt), 1, "triplet") == 0.0
+    assert recall_at_k(*tables(preds, gt), 2, "triplet") == 50.0
+    assert recall_at_k(*tables(preds, gt), 3, "triplet") == 100.0
     # one spare duplicate claims nothing extra
     preds.append(PredRecord(image_id=0, rank=4, subj=1, pred=2, obj=3, conf=0.6))
-    assert recall_at_k(preds, gt, 4, "triplet") == 100.0
+    assert recall_at_k(*tables(preds, gt), 4, "triplet") == 100.0
 
 
 def test_recall_requires_gt_for_predicted_images():
     gt = [GTRecord(image_id=0, gt_id=0, subj=1, pred=1, obj=1)]
     preds = [PredRecord(image_id=7, rank=1, subj=1, pred=1, obj=1, conf=0.5)]
     with pytest.raises(ValueError, match="image 7"):
-        recall_at_k(preds, gt, 1, "triplet")
+        recall_at_k(*tables(preds, gt), 1, "triplet")
     with pytest.raises(ValueError):
-        recall_at_k([], [], 1, "triplet")
+        recall_at_k(*tables([], []), 1, "triplet")
     with pytest.raises(ValueError):
-        recall_at_k(preds, gt, 0, "triplet")
+        recall_at_k(*tables(preds, gt), 0, "triplet")
     with pytest.raises(ValueError):
-        recall_at_k(preds, gt, 1, "nonsense")
+        recall_at_k(*tables(preds, gt), 1, "nonsense")
 
 
 # -- box-mode matching -----------------------------------------------------------
@@ -220,36 +229,34 @@ def test_rel_needs_both_boxes_phr_needs_union():
     # object box shifted: IoU 1/3 < 0.5 but union-box IoU 2/3 >= 0.5
     gt = [boxed_gt(obj_box=(0.0, 5.0, 10.0, 15.0))]
     preds = [boxed_pred()]
-    assert recall_at_k(preds, gt, 1, "rel") == 0.0
-    assert recall_at_k(preds, gt, 1, "phr") == 100.0
+    assert recall_at_k(*tables(preds, gt), 1, "rel") == 0.0
+    assert recall_at_k(*tables(preds, gt), 1, "phr") == 100.0
 
 
 def test_rel_matches_at_exact_threshold():
     # shifted object box with IoU exactly 1/3; threshold comparison is >=
     gt = [boxed_gt(obj_box=(0.0, 5.0, 10.0, 15.0))]
     preds = [boxed_pred()]
-    matched, _ = __import__("lsgg.metrics", fromlist=["_match_topk"])._match_topk(
-        preds, gt, 1, "rel", iou_thr=1.0 / 3.0)
-    assert matched[0] == {0: 0}  # GT 0, claimed by the rank-1 prediction
+    claims = metrics._claims(*tables(preds, gt), np.arange(1), "rel", iou_thr=1.0 / 3.0)
+    assert claims.tolist() == [0]  # GT 0, claimed by the rank-1 prediction
 
 
 def test_rel_picks_highest_quality_gt():
     gt = [boxed_gt(gt_id=0, subj_box=(0.0, 0.0, 10.0, 11.0)),   # subj IoU 10/11
           boxed_gt(gt_id=1)]                                    # exact match
     preds = [boxed_pred()]
-    matched, _ = __import__("lsgg.metrics", fromlist=["_match_topk"])._match_topk(
-        preds, gt, 1, "rel")
-    assert matched[0] == {1: 0}
+    claims = metrics._claims(*tables(preds, gt), np.arange(1), "rel")
+    assert claims.tolist() == [1]
 
 
 def test_box_modes_reject_missing_boxes():
     gt = [boxed_gt()]
     bare = PredRecord(image_id=0, rank=1, subj=1, pred=2, obj=3, conf=0.5)
     with pytest.raises(ValueError, match="lacks boxes"):
-        recall_at_k([bare], gt, 1, "rel")
+        recall_at_k(*tables([bare], gt), 1, "rel")
     gt_bare = [GTRecord(image_id=0, gt_id=0, subj=1, pred=2, obj=3)]
     with pytest.raises(ValueError, match="lacks boxes"):
-        recall_at_k([boxed_pred()], gt_bare, 1, "phr")
+        recall_at_k(*tables([boxed_pred()], gt_bare), 1, "phr")
 
 
 def test_ids_mode_needs_matching_instance_id():
@@ -258,9 +265,9 @@ def test_ids_mode_needs_matching_instance_id():
     wrong_id = PredRecord(image_id=0, rank=1, subj=1, pred=2, obj=3, conf=0.9, gt_id=4)
     wrong_triple = PredRecord(image_id=0, rank=1, subj=0, pred=2, obj=3, conf=0.9, gt_id=5)
     missing = PredRecord(image_id=0, rank=1, subj=1, pred=2, obj=3, conf=0.9)
-    assert recall_at_k([hit], gt, 1, "ids") == 100.0
+    assert recall_at_k(*tables([hit], gt), 1, "ids") == 100.0
     for p in (wrong_id, wrong_triple, missing):
-        assert recall_at_k([p], gt, 1, "ids") == 0.0
+        assert recall_at_k(*tables([p], gt), 1, "ids") == 0.0
 
 
 # -- every K from one matching pass -------------------------------------------------
@@ -297,14 +304,58 @@ def test_recall_at_ks_equals_separate_calls(mode):
         preds, gt = make_random_case(rng, mode, with_ids=(mode != "triplet"))
         if mode in ("rel", "phr"):
             preds, gt = add_random_boxes(rng, preds, gt)
-        table = recall_at_ks(preds, gt, ks, mode)
+        table = recall_at_ks(*tables(preds, gt), ks, mode)
         assert list(table) == list(ks)
         for k in ks:
-            assert table[k] == (recall_at_k(preds, gt, k, mode),
-                                mean_recall_at_k(preds, gt, k, mode)), (case, k)
+            assert table[k] == (recall_at_k(*tables(preds, gt), k, mode),
+                                mean_recall_at_k(*tables(preds, gt), k, mode)), (case, k)
             if mode in ("ids", "triplet"):
                 assert table[k] == (oracle_recall(preds, gt, k, mode),
                                     oracle_mean_recall(preds, gt, k, mode)), (case, k)
+
+
+# -- the table metrics against the per-record oracle ---------------------------------
+
+
+def make_dense_case(rng):
+    """A random dump dense in the cases the key join must get right: repeated
+    gt_ids and triplets in one image, repeated ranks, predictions without a
+    gt_id, images with more than K predictions or none, tied confidences, and
+    predictions of a class without ground truth (the last class)."""
+    n_cls = rng.randint(2, 5)
+    gt, preds = [], []
+    for img in range(rng.randint(1, 12)):
+        mine = [GTRecord(image_id=img, gt_id=rng.randint(0, 2), subj=rng.randint(0, 1),
+                         pred=rng.randint(0, n_cls - 2), obj=rng.randint(0, 1))
+                for _ in range(rng.randint(1, 6))]
+        gt += mine
+        n_p = rng.choice((0, rng.randint(1, 4), rng.randint(9, 14)))
+        for i in range(n_p):
+            if rng.random() < 0.6:
+                g = rng.choice(mine)
+                s, p, o, gid = g.subj, g.pred, g.obj, g.gt_id
+            else:
+                s, p, o = rng.randint(0, 1), rng.randint(0, n_cls - 1), rng.randint(0, 1)
+                gid = rng.randint(0, 2)
+            preds.append(PredRecord(image_id=img, rank=rng.randint(1, i + 1), subj=s, pred=p,
+                                    obj=o, conf=rng.choice((0.25, 0.5, 0.75)),
+                                    gt_id=None if rng.random() < 0.2 else gid))
+    rng.shuffle(preds)
+    return preds, gt
+
+
+@pytest.mark.parametrize("mode", MATCH_MODES)
+def test_table_metrics_equal_the_per_record_oracle(mode):
+    rng = random.Random(107 + MATCH_MODES.index(mode))
+    ks = (1, 3, 5, 10)
+    for case in range(150):
+        preds, gt = make_dense_case(rng)
+        if mode in ("rel", "phr"):
+            preds, gt = add_random_boxes(rng, preds, gt)
+        assert recall_at_ks(*tables(preds, gt), ks, mode) == \
+            record_recall_at_ks(preds, gt, ks, mode), case
+        assert weighted_map(*tables(preds, gt), mode=mode) == \
+            record_weighted_map(preds, gt, mode), case
 
 
 # -- forgetting measure ------------------------------------------------------------
@@ -393,7 +444,8 @@ def test_weighted_map_hand_case_two_classes():
         PredRecord(image_id=4, rank=2, subj=2, pred=1, obj=2, conf=0.5),
     ]
     expect = 100.0 * (Fraction(3, 4) * Fraction(5, 9) + Fraction(1, 4) * Fraction(1, 2))
-    assert weighted_map(preds, gt, mode="triplet") == pytest.approx(float(expect), abs=1e-12)
+    assert weighted_map(*tables(preds, gt), mode="triplet") == \
+        pytest.approx(float(expect), abs=1e-12)
 
 
 def test_weighted_map_unpredicted_class_contributes_zero():
@@ -401,7 +453,7 @@ def test_weighted_map_unpredicted_class_contributes_zero():
           GTRecord(image_id=0, gt_id=1, subj=1, pred=1, obj=1)]
     preds = [PredRecord(image_id=0, rank=1, subj=0, pred=0, obj=0, conf=0.9)]
     # class 0 AP = 1, weight 1/2; class 1 absent
-    assert weighted_map(preds, gt, mode="triplet") == pytest.approx(50.0, abs=1e-12)
+    assert weighted_map(*tables(preds, gt), mode="triplet") == pytest.approx(50.0, abs=1e-12)
 
 
 def oracle_weighted_map(preds, gt, mode):
@@ -454,7 +506,7 @@ def test_weighted_map_matches_rational_oracle(mode):
     rng = random.Random(105 if mode == "ids" else 106)
     for case in range(50):
         preds, gt = make_random_case(rng, mode, with_ids=(mode == "ids"))
-        got = weighted_map(preds, gt, mode=mode)
+        got = weighted_map(*tables(preds, gt), mode=mode)
         expect = oracle_weighted_map(preds, gt, mode)
         assert got == pytest.approx(expect, abs=1e-9), case
         assert 0.0 <= got <= 100.0 + 1e-12
@@ -465,9 +517,9 @@ def test_weighted_map_requires_gt_image():
     gt = [GTRecord(image_id=0, gt_id=0, subj=0, pred=0, obj=0)]
     stray = [PredRecord(image_id=3, rank=1, subj=0, pred=0, obj=0, conf=0.1)]
     with pytest.raises(ValueError, match="image 3"):
-        weighted_map(stray, gt, mode="triplet")
+        weighted_map(*tables(stray, gt), mode="triplet")
     with pytest.raises(ValueError):
-        weighted_map(stray, gt, mode="banana")
+        weighted_map(*tables(stray, gt), mode="banana")
 
 
 # -- dump files ---------------------------------------------------------------------
@@ -480,9 +532,8 @@ def test_prediction_dump_round_trip(tmp_path):
         PredRecord(image_id=3, rank=2, subj=1, pred=2, obj=0, conf=1e-8),
     ]
     path = tmp_path / "preds.txt"
-    save_predictions(records, path)
-    back = load_predictions(path)
-    assert back == records  # exact floats: repr round-trip
+    save_predictions(pred_table(records), path)
+    assert tables_equal(load_predictions(path), pred_table(records))  # repr round-trip
 
 
 def test_gt_dump_round_trip(tmp_path):
@@ -492,14 +543,18 @@ def test_gt_dump_round_trip(tmp_path):
         GTRecord(image_id=1, gt_id=4, subj=5, pred=6, obj=7),
     ]
     path = tmp_path / "gt.txt"
-    save_gt(records, path)
-    assert load_gt(path) == records
+    save_gt(gt_table(records), path)
+    assert tables_equal(load_gt(path), gt_table(records))
+    save_gt(gt_table(records[1:]), path)  # no boxes at all
+    assert load_gt(path).boxes is None
 
 
 def test_dump_loaders_skip_comments_and_reject_malformed(tmp_path):
     path = tmp_path / "preds.txt"
     path.write_text("# header\n\n0 1 2 3 4 0.5 -\n")
     assert len(load_predictions(path)) == 1
+    path.write_text("")
+    assert len(load_predictions(path)) == 0
     path.write_text("0 1 2 3 4 0.5\n")  # 6 fields
     with pytest.raises(ValueError, match="line 1"):
         load_predictions(path)
@@ -509,6 +564,9 @@ def test_dump_loaders_skip_comments_and_reject_malformed(tmp_path):
     path.write_text("0 0 2 3 4 0.5 -\n")  # rank < 1
     with pytest.raises(ValueError, match="rank"):
         load_predictions(path)
+    path.write_text(f"0 1 2 3 4 0.5 -\n0 1 2 3 4 0.5 {2**63}\n")  # past the int64 columns
+    with pytest.raises(ValueError, match="line 2"):
+        load_predictions(path)
 
     gt_path = tmp_path / "gt.txt"
     gt_path.write_text("0 1 2 3\n")
@@ -517,3 +575,15 @@ def test_dump_loaders_skip_comments_and_reject_malformed(tmp_path):
     gt_path.write_text("0 1 2 3 4 5 6\n")  # 7 fields is in neither format
     with pytest.raises(ValueError):
         load_gt(gt_path)
+    gt_path.write_text(f"{-2**63 - 1} 1 2 3 4\n")
+    with pytest.raises(ValueError, match="line 1"):
+        load_gt(gt_path)
+
+
+def test_load_predictions_refuses_nan_confidence(tmp_path):
+    # with a NaN among the confidences, the descending-confidence ranking of
+    # weighted_map would depend on the input order
+    path = tmp_path / "preds.txt"
+    path.write_text("0 1 2 3 4 0.5 0\n0 2 2 3 4 nan 1\n")
+    with pytest.raises(ValueError, match="line 2: confidence is NaN"):
+        load_predictions(path)
