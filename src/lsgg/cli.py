@@ -37,7 +37,7 @@ def _cmd_synth(args) -> int:
 def _cmd_split(args) -> int:
     from .datastream import load_embeddings
     dataset = load_embeddings(args.dataset)
-    labels = sorted({inst.predicate for inst in dataset})
+    labels = sorted(set(dataset.pred.tolist()))
     if args.mode == "frequency":
         schedule = split_by_frequency(labels, predicate_counts(dataset, labels), args.stages)
     else:

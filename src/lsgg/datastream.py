@@ -1,51 +1,78 @@
 """Task schedules, synthetic embedding datasets, and the LSGG-EMB file format.
 
-A dataset is a flat list of :class:`RelationInstance`; the lifelong protocol
-partitions the predicate vocabulary into disjoint per-stage label sets and
-routes instances to stages by predicate.
+A dataset is one column table, :class:`RelationTable`, one row per relation
+instance (a subject-object pair). The lifelong protocol partitions the
+predicate vocabulary into disjoint per-stage label sets; each stage's
+train/val/test splits are :class:`Rows`, row numbers into that one table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .ioutil import format_float
-from .rng import SeededRng, _mix64
+from .ioutil import format_float, parse_int64
+from .metrics import box_column, positions_in_runs
+from .rng import SeededRng, _mix64_block
 from .numerics import random_unit_vector
 
 EMB_MAGIC = "LSGG-EMB"
 EMB_VERSION = 1
 
 
-@dataclass
-class RelationInstance:
-    """One subject-object pair: features, entity labels, predicate label."""
+@dataclass(eq=False)
+class RelationTable:
+    """Relation instances as columns, one row each: int64 ``image``,
+    ``gt_id`` (the row's occurrence index among its image's rows, in table
+    order), ``subj``, ``obj`` and ``pred``; one float64 (n, d_kind) array
+    per feature kind in ``feats``; ``conf`` (NaN where absent); and
+    ``boxes``, None or (n, 8) with subject then object box and a NaN row
+    where absent."""
 
-    image_id: int
-    f_c: np.ndarray
-    f_r: np.ndarray
-    f_s: np.ndarray
-    f_o: np.ndarray
-    subject_class: int
-    object_class: int
-    predicate: int
-    boxes: tuple | None = None  # ((x1,y1,x2,y2) subject, (x1,y1,x2,y2) object)
-    confidence: float | None = None
+    image: np.ndarray
+    gt_id: np.ndarray
+    subj: np.ndarray
+    obj: np.ndarray
+    pred: np.ndarray
+    feats: dict  # kind -> (n, d_kind)
+    conf: np.ndarray
+    boxes: np.ndarray | None = None
 
-    def validate(self) -> None:
-        for name in ("f_c", "f_r", "f_s", "f_o"):
-            v = getattr(self, name)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"instance {self.image_id}: {name} has non-finite entries")
-        if self.boxes is not None:
-            for box in self.boxes:
-                x1, y1, x2, y2 = box
-                if not (x1 < x2 and y1 < y2):
-                    raise ValueError(f"instance {self.image_id}: degenerate box {box}")
-        if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"instance {self.image_id}: confidence {self.confidence} outside [0,1]")
+    def __len__(self) -> int:
+        return len(self.pred)
+
+    def take(self, rows) -> "RelationTable":
+        """The table of rows ``rows`` (an index array, a slice or one int)."""
+        return RelationTable(self.image[rows], self.gt_id[rows], self.subj[rows],
+                             self.obj[rows], self.pred[rows],
+                             {kind: f[rows] for kind, f in self.feats.items()},
+                             self.conf[rows], None if self.boxes is None else self.boxes[rows])
+
+
+def relation_table(image, subj, obj, pred, feats: dict, conf, boxes=None) -> RelationTable:
+    """The table of these columns, with ``gt_id`` counted from ``image``."""
+    order = np.argsort(image, kind="stable")
+    gt_id = np.empty(len(image), dtype=np.int64)
+    gt_id[order] = positions_in_runs(image[order])
+    return RelationTable(image, gt_id, subj, obj, pred, feats, conf, boxes)
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Rows ``index`` of table ``data``, a stage split; columns are copied
+    only at the rows a caller takes."""
+
+    data: RelationTable
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def take(self, sel=slice(None)) -> RelationTable:
+        """The table of this split's rows ``sel``."""
+        return self.data.take(self.index[sel])
 
 
 @dataclass
@@ -84,9 +111,11 @@ class TaskSchedule:
 
 @dataclass
 class StageDataset:
-    train: list
-    val: list
-    test: list
+    """One stage's splits: ``Rows`` of the dataset, or any tables."""
+
+    train: Rows | RelationTable
+    val: Rows | RelationTable
+    test: Rows | RelationTable
 
 
 def _chunk_sizes(n: int, t: int) -> list:
@@ -107,13 +136,14 @@ def split_random(vocab, t: int, rng: SeededRng) -> TaskSchedule:
     return TaskSchedule(stages)
 
 
-def predicate_counts(dataset, labels) -> dict:
+def predicate_counts(data: RelationTable, labels) -> dict:
     """Instances per predicate, keyed by ``labels`` in their order (0 for a
     label with no instance); a predicate outside ``labels`` raises KeyError."""
-    counts = {label: 0 for label in labels}
-    for inst in dataset:
-        counts[inst.predicate] += 1
-    return counts
+    counts = np.bincount(data.pred, minlength=max(labels, default=-1) + 1)
+    stray = np.setdiff1d(np.flatnonzero(counts), labels)
+    if stray.size:
+        raise KeyError(int(stray[0]))
+    return {label: int(counts[label]) for label in labels}
 
 
 def split_by_frequency(vocab, counts: dict, t: int) -> TaskSchedule:
@@ -136,38 +166,34 @@ def split_by_frequency(vocab, counts: dict, t: int) -> TaskSchedule:
     return TaskSchedule(stages)
 
 
-def _split_hash(image_id: int, occurrence: int) -> int:
-    # content-free deterministic key; stable under reordering of whole images
-    return _mix64(_mix64(image_id ^ 0xD1B54A32D192ED03) + occurrence)
+def make_stage_datasets(data, schedule: TaskSchedule, split_fractions=(0.7, 0.1, 0.2)) -> list:
+    """Route rows to their predicate's stage and split train/val/test.
 
-
-def make_stage_datasets(dataset, schedule: TaskSchedule, split_fractions=(0.7, 0.1, 0.2)) -> list:
-    """Route instances to their predicate's stage and split train/val/test.
-
-    The within-stage split is hash-based on (image_id, occurrence index of the
-    instance within its image), with quota boundaries rounded from the
-    fractions, so split sizes stay within one instance of exact proportion.
+    The within-stage split sorts rows by a content-free hash of (image,
+    ``gt_id``, the row's occurrence index within its image over the whole
+    dataset), then by image and ``gt_id``, so it is stable under reordering
+    of whole images. Quota boundaries are rounded from the fractions, so
+    split sizes stay within one row of exact proportion.
     """
     fr = tuple(float(f) for f in split_fractions)
     if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must be three positives summing to 1, got {fr}")
 
-    per_stage = [[] for _ in range(schedule.n_stages)]
-    occ_counter: dict = {}
-    for inst in dataset:
-        t = schedule.stage_of(inst.predicate)  # raises for uncovered predicates
-        occ = occ_counter.get(inst.image_id, 0)
-        occ_counter[inst.image_id] = occ + 1
-        per_stage[t].append((_split_hash(inst.image_id, occ), inst.image_id, occ, inst))
+    labels, inverse = np.unique(data.pred, return_inverse=True)
+    # stage_of raises for uncovered predicates
+    stage = np.array([schedule.stage_of(int(p)) for p in labels], dtype=np.int64)[inverse]
+    key = _mix64_block(data.image.astype(np.uint64) ^ np.uint64(0xD1B54A32D192ED03))
+    key = _mix64_block(key + data.gt_id.astype(np.uint64))
+    order = np.lexsort((data.gt_id, data.image, key, stage))
 
-    out = []
-    for members in per_stage:
-        members.sort(key=lambda rec: rec[:3])
-        n = len(members)
+    out, start = [], 0
+    for n in np.bincount(stage, minlength=schedule.n_stages).tolist():
+        rows = order[start : start + n]
+        start += n
         b1 = int(np.floor(fr[0] * n + 0.5))
         b2 = int(np.floor((fr[0] + fr[1]) * n + 0.5))
-        insts = [rec[3] for rec in members]
-        out.append(StageDataset(train=insts[:b1], val=insts[b1:b2], test=insts[b2:]))
+        out.append(StageDataset(train=Rows(data, rows[:b1]), val=Rows(data, rows[b1:b2]),
+                                test=Rows(data, rows[b2:])))
     return out
 
 
@@ -217,7 +243,10 @@ def zipf_counts(n_classes: int, s: float, total: int) -> list:
 
 
 def synth_generate(config: SynthConfig, rng: SeededRng):
-    """Generate a dataset; returns (instances, group_of_class list)."""
+    """Generate a dataset; returns (RelationTable, group_of_class list).
+
+    Rows are drawn class by class and land at the positions of a shuffled
+    order; consecutive blocks of ``pairs_per_image`` rows form an image."""
     config.validate()
     counts = zipf_counts(config.n_pred, config.zipf_s, config.total_n)
     group_of_class = [c % config.n_groups for c in range(config.n_pred)]
@@ -227,34 +256,33 @@ def synth_generate(config: SynthConfig, rng: SeededRng):
     ctx_means = [random_unit_vector(config.d_c, mean_rng) for _ in range(config.n_groups)]
     obj_means = [random_unit_vector(config.d_o, mean_rng) for _ in range(config.n_obj)]
 
+    n = sum(counts)
+    # the k-th row drawn (class-major) lands at position ``at[k]``
+    at = np.empty(n, dtype=np.int64)
+    at[rng.derive("image-order").permutation(n)] = np.arange(n)
+    subj, obj, pred = (np.empty(n, dtype=np.int64) for _ in range(3))
+    dims = {"c": config.d_c, "r": config.d_r, "s": config.d_o, "o": config.d_o}
+    feats = {kind: np.empty((n, d)) for kind, d in dims.items()}
+
     obj_table = np.asarray(obj_means)
     draw_rng = rng.derive("instances")
-    instances = []
-    for c in range(config.n_pred):
-        g = group_of_class[c]
-        n = counts[c]
-        if n == 0:
+    start = 0
+    for c, n_c in enumerate(counts):
+        rows = at[start : start + n_c]
+        start += n_c
+        if n_c == 0:
             continue
-        bounds = np.full(n, config.n_obj)
-        subj = draw_rng.randint_block(bounds)
-        obj = draw_rng.randint_block(bounds)
-        f_c = ctx_means[g] + config.sigma * draw_rng.normal((n, config.d_c))
-        f_r = rel_means[c] + config.sigma * draw_rng.normal((n, config.d_r))
-        f_s = obj_table[subj] + config.sigma * draw_rng.normal((n, config.d_o))
-        f_o = obj_table[obj] + config.sigma * draw_rng.normal((n, config.d_o))
-        for i, (s, o) in enumerate(zip(subj.tolist(), obj.tolist())):
-            instances.append(
-                RelationInstance(
-                    image_id=0, f_c=f_c[i], f_r=f_r[i], f_s=f_s[i], f_o=f_o[i],
-                    subject_class=s, object_class=o, predicate=c,
-                )
-            )
+        bounds = np.full(n_c, config.n_obj)
+        s, o = draw_rng.randint_block(bounds), draw_rng.randint_block(bounds)
+        subj[rows], obj[rows], pred[rows] = s, o, c
+        means = {"c": ctx_means[group_of_class[c]], "r": rel_means[c],
+                 "s": obj_table[s], "o": obj_table[o]}
+        for kind, f in feats.items():  # drawn in the order c, r, s, o
+            f[rows] = means[kind] + config.sigma * draw_rng.normal((n_c, dims[kind]))
 
-    order = rng.derive("image-order").permutation(len(instances))
-    shuffled = [instances[i] for i in order]
-    for idx, inst in enumerate(shuffled):
-        inst.image_id = idx // config.pairs_per_image
-    return shuffled, group_of_class
+    table = relation_table(np.arange(n) // config.pairs_per_image, subj, obj, pred, feats,
+                           np.full(n, np.nan))
+    return table, group_of_class
 
 
 # -- LSGG-EMB v1 text format -------------------------------------------------
@@ -265,31 +293,28 @@ def synth_generate(config: SynthConfig, rng: SeededRng):
 # confidence is '-' when absent; '#' lines are comments.
 
 
-def save_embeddings(dataset, path, n_obj: int | None = None, n_pred: int | None = None) -> None:
+def save_embeddings(data, path, n_obj: int | None = None, n_pred: int | None = None) -> None:
     """Write a dataset in LSGG-EMB v1; floats at full round-trip precision."""
-    if dataset:
-        d_c, d_r, d_o = len(dataset[0].f_c), len(dataset[0].f_r), len(dataset[0].f_o)
-        if n_obj is None:
-            n_obj = max(max(i.subject_class, i.object_class) for i in dataset) + 1
-        if n_pred is None:
-            n_pred = max(i.predicate for i in dataset) + 1
-    else:
-        d_c = d_r = d_o = 2
-        n_obj = n_obj or 1
-        n_pred = n_pred or 1
+    d_c, d_r, d_o = (data.feats[kind].shape[1] for kind in ("c", "r", "o"))
+    if n_obj is None:
+        n_obj = int(max(data.subj.max(initial=0), data.obj.max(initial=0))) + 1
+    if n_pred is None:
+        n_pred = int(data.pred.max(initial=0)) + 1
+    ids = np.stack([data.image, data.subj, data.obj, data.pred], axis=1).tolist()
+    boxes = [None] * len(data) if data.boxes is None else data.boxes.tolist()
+    confs = data.conf.tolist()
+    floats = np.concatenate([data.feats[kind] for kind in ("c", "r", "s", "o")], axis=1)
     with open(path, "w") as fh:
         fh.write(f"{EMB_MAGIC} {EMB_VERSION} {d_c} {d_r} {d_o} {n_obj} {n_pred}\n")
-        for inst in dataset:
-            parts = [str(inst.image_id), str(inst.subject_class), str(inst.object_class), str(inst.predicate)]
-            if inst.boxes is not None:
-                parts.append("1")
-                for box in inst.boxes:
-                    parts.extend(format_float(v) for v in box)
-            else:
+        for i, row in enumerate(floats.tolist()):
+            parts = [str(v) for v in ids[i]]
+            if boxes[i] is None or math.isnan(boxes[i][0]):
                 parts.append("0")
-            parts.append("-" if inst.confidence is None else format_float(inst.confidence))
-            for vec in (inst.f_c, inst.f_r, inst.f_s, inst.f_o):
-                parts.extend(format_float(v) for v in vec)
+            else:
+                parts.append("1")
+                parts.extend(map(format_float, boxes[i]))
+            parts.append("-" if math.isnan(confs[i]) else format_float(confs[i]))
+            parts.extend(map(format_float, row))
             fh.write(" ".join(parts) + "\n")
 
 
@@ -301,7 +326,7 @@ def _parse_floats(tokens, n, lineno, what):
     if len(tokens) < n:
         raise EmbeddingFormatError(f"line {lineno}: expected {n} floats for {what}, found {len(tokens)}")
     try:
-        vals = np.array([float(tok) for tok in tokens[:n]])
+        vals = [float(tok) for tok in tokens[:n]]
     except ValueError as exc:
         raise EmbeddingFormatError(f"line {lineno}: bad float in {what}: {exc}") from None
     if not np.all(np.isfinite(vals)):
@@ -309,7 +334,7 @@ def _parse_floats(tokens, n, lineno, what):
     return vals, tokens[n:]
 
 
-def load_embeddings(path) -> list:
+def load_embeddings(path) -> RelationTable:
     """Parse an LSGG-EMB v1 file; errors carry the offending line number."""
     with open(path) as fh:
         lines = fh.readlines()
@@ -324,11 +349,16 @@ def load_embeddings(path) -> list:
     if len(head) != 7 or head[0] != EMB_MAGIC or head[1] != str(EMB_VERSION):
         raise EmbeddingFormatError(f"line {header_idx + 1}: bad header {lines[header_idx].strip()!r}")
     try:
-        d_c, d_r, d_o, n_obj, n_pred = (int(tok) for tok in head[2:])
-    except ValueError:
-        raise EmbeddingFormatError(f"line {header_idx + 1}: header fields must be integers") from None
+        dims = [parse_int64(tok) for tok in head[2:]]
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"line {header_idx + 1}: bad header field: {exc}") from None
+    if min(dims) < 1:
+        raise EmbeddingFormatError(f"line {header_idx + 1}: header dimensions must be >= 1")
+    d_c, d_r, d_o, n_obj, n_pred = dims
 
-    out = []
+    ids, boxes, confs = [], [], []
+    feats = {"c": [], "r": [], "s": [], "o": []}
+    widths = {"c": d_c, "r": d_r, "s": d_o, "o": d_o}
     for lineno, line in enumerate(lines[header_idx + 1 :], start=header_idx + 2):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -337,40 +367,42 @@ def load_embeddings(path) -> list:
         if len(toks) < 5:
             raise EmbeddingFormatError(f"line {lineno}: truncated record")
         try:
-            image_id, subj, obj, pred = (int(tok) for tok in toks[:4])
-        except ValueError:
-            raise EmbeddingFormatError(f"line {lineno}: non-integer id field") from None
+            image_id, subj, obj, pred = (parse_int64(tok) for tok in toks[:4])
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"line {lineno}: bad id field: {exc}") from None
         if not 0 <= subj < n_obj or not 0 <= obj < n_obj:
             raise EmbeddingFormatError(f"line {lineno}: object class outside declared range")
         if not 0 <= pred < n_pred:
             raise EmbeddingFormatError(f"line {lineno}: predicate outside declared range")
         has_boxes = toks[4]
         rest = toks[5:]
-        boxes = None
+        box = None
         if has_boxes == "1":
             flat, rest = _parse_floats(rest, 8, lineno, "boxes")
-            boxes = (tuple(flat[:4]), tuple(flat[4:]))
+            box = (flat[:4], flat[4:])
+            if not all(b[0] < b[2] and b[1] < b[3] for b in box):
+                raise EmbeddingFormatError(f"line {lineno}: degenerate box {box}")
         elif has_boxes != "0":
             raise EmbeddingFormatError(f"line {lineno}: has_boxes must be 0 or 1, got {has_boxes!r}")
         if not rest:
             raise EmbeddingFormatError(f"line {lineno}: missing confidence field")
         conf_tok, rest = rest[0], rest[1:]
-        if conf_tok == "-":
-            confidence = None
-        else:
-            (confidence,), _ = _parse_floats([conf_tok], 1, lineno, "confidence")
-            confidence = float(confidence)
-        f_c, rest = _parse_floats(rest, d_c, lineno, "f_c")
-        f_r, rest = _parse_floats(rest, d_r, lineno, "f_r")
-        f_s, rest = _parse_floats(rest, d_o, lineno, "f_s")
-        f_o, rest = _parse_floats(rest, d_o, lineno, "f_o")
+        conf = np.nan
+        if conf_tok != "-":
+            (conf,), _ = _parse_floats([conf_tok], 1, lineno, "confidence")
+            if not 0.0 <= conf <= 1.0:
+                raise EmbeddingFormatError(f"line {lineno}: confidence {conf} outside [0,1]")
+        for kind, rows in feats.items():
+            vals, rest = _parse_floats(rest, widths[kind], lineno, f"f_{kind}")
+            rows.append(vals)
         if rest:
             raise EmbeddingFormatError(f"line {lineno}: {len(rest)} unexpected trailing fields")
-        inst = RelationInstance(
-            image_id=image_id, f_c=f_c, f_r=f_r, f_s=f_s, f_o=f_o,
-            subject_class=subj, object_class=obj, predicate=pred,
-            boxes=boxes, confidence=confidence,
-        )
-        inst.validate()
-        out.append(inst)
-    return out
+        ids.append((image_id, subj, obj, pred))
+        boxes.append(box)
+        confs.append(conf)
+
+    image, subj, obj, pred = np.array(ids, dtype=np.int64).reshape(-1, 4).T
+    return relation_table(image, subj, obj, pred,
+                          {kind: np.array(rows, dtype=np.float64).reshape(-1, widths[kind])
+                           for kind, rows in feats.items()},
+                          np.array(confs, dtype=np.float64), box_column(boxes))

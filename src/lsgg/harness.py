@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .datastream import (SynthConfig, TaskSchedule, load_embeddings, make_stage_datasets,
                          predicate_counts, split_by_frequency, split_random, synth_generate)
-from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, box_column,
-                      concat_tables, forgetting_measure, m_at_k, positions_in_runs,
-                      recall_at_ks, save_gt, save_predictions, score_wtd, weighted_map)
+from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, concat_tables,
+                      forgetting_measure, m_at_k, positions_in_runs, recall_at_ks, save_gt,
+                      save_predictions, score_wtd, weighted_map)
 # the single-K metrics stay names of this module: perfbench/probe.py wraps
 # harness.recall_at_k and harness.mean_recall_at_k by name
 from .metrics import mean_recall_at_k, recall_at_k  # noqa: F401
@@ -222,27 +222,13 @@ def load_config_file(path) -> ExperimentConfig:
 # -- the protocol --------------------------------------------------------------------
 
 
-def _build_gt_ids(dataset) -> dict:
-    """Stable (image-local) GT id per instance: its occurrence index in file order."""
-    occ: dict = {}
-    out = {}
-    for inst in dataset:
-        n = occ.get(inst.image_id, 0)
-        occ[inst.image_id] = n + 1
-        out[id(inst)] = n
-    return out
-
-
-def _gt_table(instances, gt_ids) -> GTTable:
-    """The ground truth of a task's test instances, in instance order."""
-    def col(values):
-        return np.array(values, dtype=np.int64)
-    return GTTable(image=col([inst.image_id for inst in instances]),
-                   gt_id=col([gt_ids[id(inst)] for inst in instances]),
-                   subj=col([inst.subject_class for inst in instances]),
-                   pred=col([inst.predicate for inst in instances]),
-                   obj=col([inst.object_class for inst in instances]),
-                   boxes=box_column([inst.boxes for inst in instances]))
+def _gt_table(split) -> GTTable:
+    """The ground truth of a task's test split (``datastream.Rows``), in
+    split order; no feature column is copied."""
+    d, rows = split.data, split.index
+    return GTTable(image=d.image[rows], gt_id=d.gt_id[rows], subj=d.subj[rows],
+                   pred=d.pred[rows], obj=d.obj[rows],
+                   boxes=None if d.boxes is None else d.boxes[rows])
 
 
 def _rank_pairs(image_ids: np.ndarray, confs: np.ndarray, gids: np.ndarray):
@@ -285,7 +271,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
 
     if config.dataset_path:
         dataset = load_embeddings(config.dataset_path)
-        n_pred = max(inst.predicate for inst in dataset) + 1
+        n_pred = int(dataset.pred.max()) + 1
     else:
         dataset, _ = synth_generate(config.synth, rng.derive("data"))
         n_pred = config.synth.n_pred
@@ -305,13 +291,11 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
     schedule = TaskSchedule(schedule.stages)  # re-assert disjointness + coverage
 
     stages = make_stage_datasets(dataset, schedule, config.split_fractions)
-    gt_ids = _build_gt_ids(dataset)
     for t, stage in enumerate(stages):
-        if not stage.train or not stage.test:
+        if not len(stage.train) or not len(stage.test):
             raise ValueError(f"stage {t + 1} has an empty train or test split")
 
-    d_c, d_r = len(dataset[0].f_c), len(dataset[0].f_r)
-    d_o = len(dataset[0].f_o)
+    d_c, d_r, d_o = (dataset.feats[kind].shape[1] for kind in ("c", "r", "o"))
     token_counts = TOKEN_PRESETS[config.token_preset]
     pool = init_pool(config.n_t, config.n_p, config.d_tok, d_c, config.n_e,
                      rng.derive("pool"))
@@ -337,10 +321,10 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         t0 = time.perf_counter()
         train_stage(stages[t], pool, tr, vocab, config.train, opt,
                     rng.derive("stage", t), quota)
-        stages[t] = replace(stages[t], train=[])  # stage isolation: never re-read
+        stages[t] = replace(stages[t], train=None)  # stage isolation: never re-read
         pool.check_invariants()
 
-        task_gt.append(_gt_table(stages[t].test, gt_ids))
+        task_gt.append(_gt_table(stages[t].test))
         candidates = schedule.arrived_labels(t)
         table = freeze_table(pool, tr, vocab, config.train)
         per_task = {}

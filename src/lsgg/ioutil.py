@@ -1,4 +1,5 @@
-"""Bit-exact float serialization shared by the file formats."""
+"""Bit-exact float serialization and integer-field parsing shared by the file
+formats."""
 
 import base64
 
@@ -9,6 +10,14 @@ def pack_floats(arr) -> str:
     """Base64 of the little-endian float64 bytes; round-trips bit-exactly."""
     a = np.ascontiguousarray(arr, dtype="<f8")
     return base64.b64encode(a.tobytes()).decode("ascii")
+
+
+def parse_int64(tok: str) -> int:
+    """An integer field that must fit a signed 64-bit column; ValueError else."""
+    v = int(tok)
+    if not -2**63 <= v < 2**63:
+        raise ValueError(f"{tok} does not fit in 64 bits")
+    return v
 
 
 def format_float(x) -> str:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .ioutil import format_float
+from .ioutil import format_float, parse_int64
 
 MATCH_MODES = ("ids", "triplet", "rel", "phr")
 
@@ -401,13 +401,6 @@ def _data_lines(path, n_fields: tuple):
             yield lineno, toks
 
 
-def _int64(tok: str) -> int:
-    v = int(tok)
-    if not -2**63 <= v < 2**63:
-        raise ValueError(f"{tok} does not fit in 64 bits")
-    return v
-
-
 def _boxes_of(toks) -> tuple:
     vals = [float(t) for t in toks]
     return tuple(vals[:4]), tuple(vals[4:])
@@ -420,10 +413,10 @@ def load_predictions(path) -> PredTable:
     ints, confs, boxes = [], [], []
     for lineno, toks in _data_lines(path, (7, 15)):
         try:
-            image_id, rank, subj, pred, obj = (_int64(t) for t in toks[:5])
+            image_id, rank, subj, pred, obj = (parse_int64(t) for t in toks[:5])
             conf = float(toks[5])
             box = _boxes_of(toks[6:14]) if len(toks) == 15 else None
-            gt_id = None if toks[-1] == "-" else _int64(toks[-1])
+            gt_id = None if toks[-1] == "-" else parse_int64(toks[-1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if rank < 1:
@@ -456,7 +449,7 @@ def load_gt(path) -> GTTable:
     ints, boxes = [], []
     for lineno, toks in _data_lines(path, (5, 13)):
         try:
-            ints.append(tuple(_int64(t) for t in toks[:5]))
+            ints.append(tuple(parse_int64(t) for t in toks[:5]))
             boxes.append(_boxes_of(toks[5:]) if len(toks) == 13 else None)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None

@@ -19,7 +19,6 @@ import numpy as np
 from .ioutil import pack_floats, unpack_floats
 from .numerics import random_unit_vector
 from .rng import SeededRng
-from .token_mapper import KINDS
 
 POOL_MAGIC = "LSGG-POOL"
 POOL_VERSION = 1
@@ -169,12 +168,12 @@ def _relation_norm(f_r: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int) -> None:
+def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int,
+                rnorm: float) -> None:
     """Write one exemplar's raw features (kind -> 1-D array), label and
-    relation norm into store slot (entry, slot). The first exemplar written
-    fixes each kind's width; a later one of other widths, or a degenerate
-    relation feature, raises ValueError and writes nothing."""
-    rnorm = _relation_norm(feats["r"])
+    relation norm ``rnorm``, ``_relation_norm(feats["r"])``, into store slot
+    (entry, slot). The first exemplar written fixes each kind's width; a
+    later one of other widths raises ValueError and writes nothing."""
     widths = {kind: v.size for kind, v in feats.items()}
     if not pool.store_feats:
         pool.store_feats.update({kind: np.zeros((pool.n_t, pool.n_e, n))
@@ -188,8 +187,9 @@ def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int
     pool.store_rnorm[entry, slot] = rnorm
 
 
-def admit_exemplar(pool: PromptPool, instance, rng: SeededRng):
-    """Offer an instance to the pool; returns the entry index if stored, else None.
+def admit_exemplar(pool: PromptPool, feats: dict, label: int, rng: SeededRng):
+    """Offer an instance, its raw features (kind -> 1-D array) and predicate
+    label, to the pool; returns the entry index if stored, else None.
 
     Routing: the entry retrieval ranks first for f_c (the cosine-nearest key,
     ties to the lower index). Storage: one row write, into the next free slot
@@ -197,8 +197,7 @@ def admit_exemplar(pool: PromptPool, instance, rng: SeededRng):
     probability n_e/N, replacing a uniform slot. A degenerate relation
     feature raises ValueError before the instance is routed or counted.
     """
-    feats = {kind: np.asarray(getattr(instance, f"f_{kind}"), dtype=float) for kind in KINDS}
-    _relation_norm(feats["r"])
+    rnorm = _relation_norm(feats["r"])
     entry = int(retrieve_entries(pool.keys, feats["c"][None], 1)[0][0, 0])
     pool.seen[entry] += 1
     slot = int(pool.store_len[entry])
@@ -206,7 +205,7 @@ def admit_exemplar(pool: PromptPool, instance, rng: SeededRng):
         slot = rng.randint(int(pool.seen[entry]))  # single draw decides both fate and slot
         if slot >= pool.n_e:
             return None
-    _write_slot(pool, entry, slot, feats, int(instance.predicate))
+    _write_slot(pool, entry, slot, feats, label, rnorm)
     if slot == pool.store_len[entry]:  # an append grows the store
         pool.store_len[entry] += 1
     return entry
@@ -301,7 +300,7 @@ def deserialize_pool(path) -> PromptPool:
                 feats[kind] = _floats(tok, -1, f"{where} exemplar")
             label = _int(xtoks[1], f"{where} predicate")
             try:
-                _write_slot(pool, i, s, feats, label)
+                _write_slot(pool, i, s, feats, label, _relation_norm(feats["r"]))
             except ValueError as exc:
                 raise PoolFormatError(f"{where}: {exc}") from None
             pos += 1

@@ -11,7 +11,6 @@ selection identity is fixed during the backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -184,10 +183,6 @@ class _Batch:
     def __len__(self) -> int:
         return len(self.targets)
 
-    def take(self, sel) -> "_Batch":
-        return _Batch({kind: f[sel] for kind, f in self.feats.items()},
-                      self.targets[sel], self.replay[sel])
-
     def concat(self, other: "_Batch") -> "_Batch":
         return _Batch({kind: np.concatenate([f, other.feats[kind]])
                        for kind, f in self.feats.items()},
@@ -195,24 +190,9 @@ class _Batch:
                       np.concatenate([self.replay, other.replay]))
 
 
-_SOURCE_FIELDS = attrgetter(*(f"f_{kind}" for kind in KINDS), "predicate")
-
-
-def _stack_sources(sources, replay) -> _Batch:
-    """One (B, d_kind) float array per feature kind plus the targets, in one
-    pass over ``sources``; the features of one kind must share a width."""
-    n = len(sources)
-    if not n:
-        raise ValueError("empty batch")
-    cols = zip(*map(_SOURCE_FIELDS, sources))
-    feats = {}
-    for kind, col in zip(KINDS, cols):
-        widths = set(map(len, col))
-        if len(widths) > 1:
-            raise ValueError(f"f_{kind} widths differ: {sorted(widths)}")
-        feats[kind] = np.concatenate(col, dtype=float).reshape(n, widths.pop())
-    targets = np.array(next(cols), dtype=np.int64)
-    return _Batch(feats, targets, np.asarray(replay, dtype=bool))
+def _queries(rows) -> _Batch:
+    """The rows of a relation table as query items: features and targets."""
+    return _Batch(rows.feats, rows.pred, np.zeros(len(rows), dtype=bool))
 
 
 def _replays(pool: PromptPool, picks: np.ndarray) -> _Batch:
@@ -642,7 +622,9 @@ def stage_quota(pool: PromptPool, n_stages: int) -> int:
 def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
                 config: TrainConfig, opt: AdamW, rng: SeededRng,
                 quota: int = 0) -> dict:
-    """Train on one stage's train split with rehearsal and pool admissions.
+    """Train on one stage's train split ``stage.train`` (``datastream.Rows``
+    or a ``RelationTable``) with rehearsal and pool admissions; each batch
+    takes its rows out of the split.
 
     Only this stage's data and the pool are visible here; earlier stages reach
     the loop solely through stored exemplars. ``quota`` admissions are spread
@@ -650,8 +632,8 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
     pool stays untouched when the quota is 0 or the naive path is active.
     """
     config.validate()
-    train = list(stage.train)
-    if not train:
+    train = stage.train
+    if not len(train):
         raise ValueError("stage train split is empty")
     ab_rng = rng.derive("ablation")
     replay_rng = rng.derive("replay")
@@ -668,7 +650,6 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
     n_re_full = int(round(config.batch_size * rho))
     chunk = max(1, config.batch_size - n_re_full)
 
-    data = _stack_sources(train, np.zeros(len(train), dtype=bool))
     cache = _PassCache(tr, vocab)
     epoch_losses = []
     visit = next_admit = admitted = 0
@@ -679,13 +660,12 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
             idxs = order[start : start + chunk]
             end = visit + len(idxs)
             while next_admit < len(admit_at) and admit_at[next_admit] < end:
-                entry = admit_exemplar(pool, train[idxs[admit_at[next_admit] - visit]],
-                                       admit_rng)
-                if entry is not None:
+                row = train.take(int(idxs[admit_at[next_admit] - visit]))
+                if admit_exemplar(pool, row.feats, int(row.pred), admit_rng) is not None:
                     admitted += 1
                 next_admit += 1
             visit = end
-            batch = data.take(idxs)
+            batch = _queries(train.take(idxs))
             if rho > 0:
                 n_stored = pool.total_stored()
                 if n_stored:
@@ -707,8 +687,9 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
 def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
                    config: TrainConfig, candidates=None, ab_rng: SeededRng | None = None,
                    batch_size: int = EVAL_BATCH, table: _PassCache | None = None) -> Rankings:
-    """Ranked predicates and their scores for a sequence of instances, one
-    ``Rankings`` row per instance.
+    """Ranked predicates and their scores for ``instances``, a split
+    (``datastream.Rows``) or a ``RelationTable``, one ``Rankings`` row per
+    instance; each batch takes its rows out of ``instances``.
 
     Forward-only; never admits or mutates. Runs ``batch_size`` instances at a
     time against ``table``, the frozen state ``freeze_table`` builds once per
@@ -730,11 +711,10 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
         table = freeze_table(pool, tr, vocab, config, n_query)
     elif table.n_query < n_query:
         raise ValueError(f"table holds {table.n_query} query items, the batch needs {n_query}")
-    data = _stack_sources(instances, np.zeros(len(instances), dtype=bool))
     labels, scores = [], []
     for start in range(0, len(instances), batch_size):
-        fw = _forward(data.take(slice(start, start + batch_size)), pool, tr, config,
-                      ab_rng, table)
+        fw = _forward(_queries(instances.take(slice(start, start + batch_size))), pool, tr,
+                      config, ab_rng, table)
         ranked = rank_predicates_batch(fw.probs(), vocab, candidates=candidates)
         labels.append(ranked.labels)
         scores.append(ranked.scores)

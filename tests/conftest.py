@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from lsgg.datastream import RelationInstance
 from lsgg.prompt_pool import init_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, init_scorer
 from lsgg.token_mapper import init_mapper
 from lsgg.trainer import TrainConfig, TrainableSet, _nearest_slots, init_y_mask
 
-from oracles import append_exemplar
+from oracles import RelationInstance, append_exemplar
 
 
 def finite_diff(fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:

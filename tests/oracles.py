@@ -3,10 +3,12 @@ kernels, the loss terms one item at a time, and the in-context prompt
 assembled and scored for a single query, the per-row random draw of
 ``wo_kap``'s prompts, plus helpers that write and read single exemplar-store
 slots, compare pools, and run one list of items through the production
-training pass, the token mapper written out as its affine formula, and the
+training pass, the token mapper written out as its affine formula, the
 metrics' matching one record at a time, with converters between records and
-the metrics' column tables. ``reference_trainer`` builds on them, and the
-unit tests check each oracle against direct arithmetic or the production
+the metrics' column tables, and the dataset one ``RelationInstance`` object
+per row: its generator, stage split and GT ids, with converters to and from
+the production ``RelationTable``. ``reference_trainer`` builds on them, and
+the unit tests check each oracle against direct arithmetic or the production
 code."""
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from lsgg.datastream import RelationTable, StageDataset, zipf_counts
 from lsgg.metrics import GTTable, PredTable, box_column, iou, union_box
-from lsgg.numerics import softmax
-from lsgg.prompt_pool import _write_slot
-from lsgg.rng import SeededRng
+from lsgg.numerics import random_unit_vector, softmax
+from lsgg.prompt_pool import _relation_norm, _write_slot, admit_exemplar
+from lsgg.rng import SeededRng, _mix64
 from lsgg.scorer import PredicateVocab, ScorerParams, position_weights
 from lsgg.token_mapper import KINDS, MapperKindCache, MapperParams
-from lsgg.trainer import _PassCache, _loss_and_grads, _stack_sources
+from lsgg.trainer import _Batch, _PassCache, _loss_and_grads
 
 
 # -- cosine kernels ---------------------------------------------------------------
@@ -151,11 +154,22 @@ def token_norm_penalty(block: np.ndarray):
 # -- exemplar stores ----------------------------------------------------------------
 
 
+def features(inst) -> dict:
+    """An instance's raw features as float arrays, kind -> 1-D."""
+    return {kind: np.asarray(getattr(inst, f"f_{kind}"), dtype=float) for kind in KINDS}
+
+
+def admit(pool, inst, rng):
+    """``admit_exemplar`` of one instance object."""
+    return admit_exemplar(pool, features(inst), int(inst.predicate), rng)
+
+
 def append_exemplar(pool, entry: int, inst) -> None:
     """Append ``inst`` to entry's store as one more routed instance,
     bypassing routing and the reservoir."""
-    feats = {kind: np.asarray(getattr(inst, f"f_{kind}"), dtype=float) for kind in KINDS}
-    _write_slot(pool, entry, int(pool.store_len[entry]), feats, int(inst.predicate))
+    feats = features(inst)
+    _write_slot(pool, entry, int(pool.store_len[entry]), feats, int(inst.predicate),
+                _relation_norm(feats["r"]))
     pool.store_len[entry] += 1
     pool.seen[entry] += 1
 
@@ -165,7 +179,8 @@ def rewrite_relation(pool, entry: int, slot: int, f_r) -> None:
     with relation features ``f_r``; the other kinds and the label stay."""
     stored = {kind: f[entry, slot].copy() for kind, f in pool.store_feats.items()}
     stored["r"] = np.asarray(f_r, dtype=float)
-    _write_slot(pool, entry, slot, stored, int(pool.store_labels[entry, slot]))
+    _write_slot(pool, entry, slot, stored, int(pool.store_labels[entry, slot]),
+                _relation_norm(stored["r"]))
 
 
 def stored_exemplar(pool, entry: int, slot: int) -> SimpleNamespace:
@@ -207,7 +222,10 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
     Replayed items contribute only the prediction loss; query items add the
     key-alignment term and, when bound, the auxiliary token-norm term.
     """
-    batch = _stack_sources([it.source for it in items], [it.replay for it in items])
+    batch = _Batch({kind: np.stack([features(it.source)[kind] for it in items])
+                    for kind in KINDS},
+                   np.array([it.source.predicate for it in items], dtype=np.int64),
+                   np.array([it.replay for it in items], dtype=bool))
     return _loss_and_grads(batch, pool, tr, config, ab_rng, _PassCache(tr, vocab))
 
 
@@ -557,3 +575,146 @@ def record_weighted_map(records, gt, mode: str = "rel", iou_thr: float = 0.5) ->
                 ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
         weighted_sum += (npos / total_gt) * ap
     return float(100.0 * weighted_sum)
+
+
+# -- the dataset one object per instance -------------------------------------------
+
+
+@dataclass
+class RelationInstance:
+    """One subject-object pair: features, entity labels, predicate label."""
+
+    image_id: int
+    f_c: np.ndarray
+    f_r: np.ndarray
+    f_s: np.ndarray
+    f_o: np.ndarray
+    subject_class: int
+    object_class: int
+    predicate: int
+    boxes: tuple | None = None  # ((x1,y1,x2,y2) subject, (x1,y1,x2,y2) object)
+    confidence: float | None = None
+
+
+def build_gt_ids(dataset) -> dict:
+    """GT id per instance, keyed by ``id(inst)``: its occurrence index among
+    its image's instances, in dataset order."""
+    occ: dict = {}
+    out = {}
+    for inst in dataset:
+        n = occ.get(inst.image_id, 0)
+        occ[inst.image_id] = n + 1
+        out[id(inst)] = n
+    return out
+
+
+def table_of(records) -> RelationTable:
+    """Instance objects as the production column table, rows in list order;
+    ``gt_id`` from ``build_gt_ids``. Needs at least one record."""
+    gt_ids = build_gt_ids(records)
+
+    def col(values):
+        return np.array(values, dtype=np.int64)
+    return RelationTable(image=col([r.image_id for r in records]),
+                         gt_id=col([gt_ids[id(r)] for r in records]),
+                         subj=col([r.subject_class for r in records]),
+                         obj=col([r.object_class for r in records]),
+                         pred=col([r.predicate for r in records]),
+                         feats={kind: np.stack([features(r)[kind] for r in records])
+                                for kind in KINDS},
+                         conf=np.array([np.nan if r.confidence is None else r.confidence
+                                        for r in records], dtype=np.float64),
+                         boxes=box_column([r.boxes for r in records]))
+
+
+def records_of(table) -> list:
+    """The rows of a ``RelationTable`` (or of ``Rows``) as instance objects."""
+    t = table.take(slice(None))
+    out = []
+    for i in range(len(t)):
+        box = None
+        if t.boxes is not None and not np.isnan(t.boxes[i, 0]):
+            box = (tuple(t.boxes[i, :4].tolist()), tuple(t.boxes[i, 4:].tolist()))
+        out.append(RelationInstance(
+            image_id=int(t.image[i]), f_c=t.feats["c"][i], f_r=t.feats["r"][i],
+            f_s=t.feats["s"][i], f_o=t.feats["o"][i], subject_class=int(t.subj[i]),
+            object_class=int(t.obj[i]), predicate=int(t.pred[i]), boxes=box,
+            confidence=None if np.isnan(t.conf[i]) else float(t.conf[i])))
+    return out
+
+
+def train_split(records) -> StageDataset:
+    """A stage whose train split holds ``records``; val and test are empty."""
+    table = table_of(records)
+    empty = table.take(slice(0, 0))
+    return StageDataset(train=table, val=empty, test=empty)
+
+
+def synth_generate_records(config, rng: SeededRng):
+    """``datastream.synth_generate`` one instance object at a time: each
+    class's instances drawn in turn, then the list shuffled by the
+    ``image-order`` stream and cut into images of ``pairs_per_image``."""
+    config.validate()
+    counts = zipf_counts(config.n_pred, config.zipf_s, config.total_n)
+    group_of_class = [c % config.n_groups for c in range(config.n_pred)]
+
+    mean_rng = rng.derive("means")
+    rel_means = [random_unit_vector(config.d_r, mean_rng) for _ in range(config.n_pred)]
+    ctx_means = [random_unit_vector(config.d_c, mean_rng) for _ in range(config.n_groups)]
+    obj_means = [random_unit_vector(config.d_o, mean_rng) for _ in range(config.n_obj)]
+
+    obj_table = np.asarray(obj_means)
+    draw_rng = rng.derive("instances")
+    instances = []
+    for c in range(config.n_pred):
+        g = group_of_class[c]
+        n = counts[c]
+        if n == 0:
+            continue
+        bounds = np.full(n, config.n_obj)
+        subj = draw_rng.randint_block(bounds)
+        obj = draw_rng.randint_block(bounds)
+        f_c = ctx_means[g] + config.sigma * draw_rng.normal((n, config.d_c))
+        f_r = rel_means[c] + config.sigma * draw_rng.normal((n, config.d_r))
+        f_s = obj_table[subj] + config.sigma * draw_rng.normal((n, config.d_o))
+        f_o = obj_table[obj] + config.sigma * draw_rng.normal((n, config.d_o))
+        for i, (s, o) in enumerate(zip(subj.tolist(), obj.tolist())):
+            instances.append(
+                RelationInstance(
+                    image_id=0, f_c=f_c[i], f_r=f_r[i], f_s=f_s[i], f_o=f_o[i],
+                    subject_class=s, object_class=o, predicate=c,
+                )
+            )
+
+    order = rng.derive("image-order").permutation(len(instances))
+    shuffled = [instances[i] for i in order]
+    for idx, inst in enumerate(shuffled):
+        inst.image_id = idx // config.pairs_per_image
+    return shuffled, group_of_class
+
+
+def _split_hash(image_id: int, occurrence: int) -> int:
+    return _mix64(_mix64(image_id ^ 0xD1B54A32D192ED03) + occurrence)
+
+
+def make_stage_datasets_records(dataset, schedule, split_fractions=(0.7, 0.1, 0.2)) -> list:
+    """``datastream.make_stage_datasets`` one instance object at a time;
+    each stage's splits as (train, val, test) lists of the instances."""
+    fr = tuple(float(f) for f in split_fractions)
+    per_stage = [[] for _ in range(schedule.n_stages)]
+    occ_counter: dict = {}
+    for inst in dataset:
+        t = schedule.stage_of(inst.predicate)
+        occ = occ_counter.get(inst.image_id, 0)
+        occ_counter[inst.image_id] = occ + 1
+        per_stage[t].append((_split_hash(inst.image_id, occ), inst.image_id, occ, inst))
+
+    out = []
+    for members in per_stage:
+        members.sort(key=lambda rec: rec[:3])
+        n = len(members)
+        b1 = int(np.floor(fr[0] * n + 0.5))
+        b2 = int(np.floor((fr[0] + fr[1]) * n + 0.5))
+        insts = [rec[3] for rec in members]
+        out.append((insts[:b1], insts[b1:b2], insts[b2:]))
+    return out

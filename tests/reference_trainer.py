@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lsgg.prompt_pool import PromptPool, admit_exemplar
+from lsgg.prompt_pool import PromptPool
 from lsgg.rng import SeededRng
 from lsgg.scorer import PredicateVocab, position_weights
 from lsgg.token_mapper import KINDS, encode_batch, encode_batch_backward, init_grads
 from lsgg.trainer import TrainConfig, TrainableSet, loss_total
 
-from oracles import (Item, RowCache, assemble_prompt, choice_without_replacement,
-                     loss_predicate_ce, score, stored_exemplar, token_norm_penalty)
+from oracles import (Item, RowCache, admit, assemble_prompt, choice_without_replacement,
+                     loss_predicate_ce, records_of, score, stored_exemplar,
+                     token_norm_penalty)
 
 
 class AdamW:
@@ -262,8 +263,9 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
 
 def train_stage(stage, pool, tr, vocab, config, opt: AdamW, rng: SeededRng,
                 quota: int = 0) -> dict:
-    """The stage loop with a fresh retrieval context per batch."""
-    train = list(stage.train)
+    """The stage loop with a fresh retrieval context per batch, over the
+    train split's rows as instance objects."""
+    train = records_of(stage.train)
     ab_rng = rng.derive("ablation")
     replay_rng = rng.derive("replay")
     admit_rng = rng.derive("admit")
@@ -293,7 +295,7 @@ def train_stage(stage, pool, tr, vocab, config, opt: AdamW, rng: SeededRng,
             for idx in idxs:
                 inst = train[idx]
                 if visit in admit_at:
-                    if admit_exemplar(pool, inst, admit_rng) is not None:
+                    if admit(pool, inst, admit_rng) is not None:
                         admitted += 1
                 visit += 1
                 batch.append(Item(source=inst, replay=False))
@@ -326,8 +328,10 @@ def rank_predicates(dist, vocab: PredicateVocab, candidates=None) -> list:
 
 def predict_ranked(instances, pool, tr, vocab, config, candidates=None, ab_rng=None,
                    batch_size: int = 256) -> list:
+    """Per instance of the table ``instances``, its ranked (label, score) list."""
     out = []
     ctx = _RetrievalCtx(pool)
+    instances = records_of(instances)
     for start in range(0, len(instances), batch_size):
         group = [Item(source=inst, replay=False)
                  for inst in instances[start : start + batch_size]]

@@ -10,16 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lsgg.datastream import RelationInstance, SynthConfig, TaskSchedule, split_random
+from lsgg.datastream import SynthConfig, TaskSchedule, split_random
 from lsgg.harness import ExperimentConfig, preset_config, run_experiment
 from lsgg.metrics import (MetricReport, forgetting_measure, m_at_k,
                           mean_recall_at_k, recall_at_k, score_wtd, weighted_map)
-from lsgg.prompt_pool import _write_slot, admit_exemplar, init_pool, retrieve_entries
+from lsgg.prompt_pool import _relation_norm, _write_slot, init_pool, retrieve_entries
 from lsgg.rng import SeededRng
 from lsgg.trainer import TrainConfig
 
 from conftest import TinyWorld, finite_diff, grad_rel_err, nearest_exemplar
-from oracles import Item, append_exemplar, batch_loss_and_grads, cosine_to_rows, tables
+from oracles import (Item, RelationInstance, admit, append_exemplar, batch_loss_and_grads,
+                     cosine_to_rows, tables)
 from test_metrics import (make_random_case, oracle_mean_recall, oracle_recall,
                           oracle_weighted_map)
 
@@ -164,7 +165,8 @@ def test_retrieval_equals_full_sort_oracles():
             onehot_r[-1] = 1.0
             for slot, label in ((1, 99), (n_store - 1, 77)):
                 _write_slot(pool, 0, slot, {"c": rng.normal(d_c), "r": onehot_r,
-                                            "s": rng.normal(2), "o": rng.normal(2)}, label)
+                                            "s": rng.normal(2), "o": rng.normal(2)}, label,
+                            _relation_norm(onehot_r))
         q_r = rng.normal(d_r)
         got_ex = nearest_exemplar(pool, 0, q_r)
         if not n_store:
@@ -243,7 +245,7 @@ def test_reservoir_retention_statistics():
         arrivals = {}
         for i in range(n_offers):
             inst = light_instance(rng.derive("inst", s, i), 3, 2, predicate=i)
-            admit_exemplar(pool, inst, rng)
+            admit(pool, inst, rng)
             arrivals[i] = inst.predicate
         assert pool.store_len[0] == n_e
         assert pool.seen[0] == n_offers
@@ -301,7 +303,7 @@ def test_protocol_invariants_enforced(tmp_path, monkeypatch):
     seen = []
 
     def spy(stage, *args, **kwargs):
-        seen.append(sorted({inst.predicate for inst in stage.train}))
+        seen.append(np.unique(stage.train.take().pred).tolist())
         return real_train_stage(stage, *args, **kwargs)
 
     monkeypatch.setattr(harness, "train_stage", spy)
@@ -321,7 +323,7 @@ def test_protocol_invariants_enforced(tmp_path, monkeypatch):
     pool.check_invariants()
     rng = SeededRng(7)
     for i in range(5):
-        admit_exemplar(pool, light_instance(rng.derive(i), 3, 2), rng)
+        admit(pool, light_instance(rng.derive(i), 3, 2), rng)
     pool.check_invariants()
     pool.store_len[0] += 1  # force an overflow
     with pytest.raises(AssertionError):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import reference_trainer as ref
-from lsgg.datastream import StageDataset
 from lsgg.rng import SeededRng
 from lsgg.trainer import AdamW, TrainConfig, freeze_table, predict_ranked, train_stage
 
 from conftest import TinyWorld
-from oracles import Item, batch_loss_and_grads, pools_equal, rewrite_relation, stored_exemplar
+from oracles import (Item, batch_loss_and_grads, pools_equal, rewrite_relation, stored_exemplar,
+                     table_of, train_split)
 
 SWITCHES = [
     ("default", {}, {}),
@@ -69,7 +69,7 @@ def test_batch_loss_and_grads_equal_per_item_reference(label, config_kw, world_k
 @pytest.mark.parametrize("label,config_kw,world_kw", SWITCHES, ids=IDS)
 def test_predict_ranked_equals_per_item_reference(label, config_kw, world_kw):
     w = make_world(config_kw, world_kw)
-    queries = [w.instance(predicate=i % w.n_pred) for i in range(11)]
+    queries = table_of([w.instance(predicate=i % w.n_pred) for i in range(11)])
     for candidates in (None, [4, 0, 2]):
         rng_a, rng_b = SeededRng(6), SeededRng(6)
         want = ref.predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
@@ -87,8 +87,8 @@ def test_train_stage_equals_per_item_reference(label, config_kw, world_kw):
     for stage_fn, opt in ((ref.train_stage, ref.AdamW()), (train_stage, AdamW())):
         w = make_world(config_kw, world_kw)
         train = [w.instance(predicate=i % w.n_pred, image_id=i) for i in range(14)]
-        out = stage_fn(StageDataset(train=train, val=[], test=[]), w.pool, w.tr,
-                       w.vocab, w.config, opt, SeededRng(9), quota=8)
+        out = stage_fn(train_split(train), w.pool, w.tr, w.vocab, w.config, opt,
+                       SeededRng(9), quota=8)
         runs.append((w, out))
     (w_a, out_a), (w_b, out_b) = runs
     assert out_b["epoch_losses"] == out_a["epoch_losses"]
@@ -120,8 +120,8 @@ def test_predict_ranked_equals_per_item_reference_at_bench_widths():
         batch = [Item(source=q, replay=False) for q in queries[start : start + 16]]
         state = ref._forward(batch, w.pool, w.tr, w.vocab, config, None, ctx=ctx)
         assert len(state.uniq_ex) >= 10
-    want = ref.predict_ranked(queries, w.pool, w.tr, w.vocab, config, batch_size=16)
-    got = predict_ranked(queries, w.pool, w.tr, w.vocab, config, batch_size=16)
+    want = ref.predict_ranked(table_of(queries), w.pool, w.tr, w.vocab, config, batch_size=16)
+    got = predict_ranked(table_of(queries), w.pool, w.tr, w.vocab, config, batch_size=16)
     assert list(got) == want
 
 
@@ -136,7 +136,8 @@ def test_stage_table_predictions_equal_per_call(label, config_kw, world_kw):
     # each task what a call that freezes its own table gives, and draws the
     # ablation stream in the same order
     w = make_world(config_kw, world_kw)
-    tasks = [[w.instance(predicate=(i + n) % w.n_pred) for i in range(n)] for n in (3, 9, 6)]
+    tasks = [table_of([w.instance(predicate=(i + n) % w.n_pred) for i in range(n)])
+             for n in (3, 9, 6)]
     for candidates in (None, [4, 0, 2]):
         rng_a, rng_b = SeededRng(8), SeededRng(8)
         table = freeze_table(w.pool, w.tr, w.vocab, w.config, 4)
@@ -153,7 +154,7 @@ def test_stage_table_predictions_equal_per_call(label, config_kw, world_kw):
 
 def test_stage_table_rejects_a_batch_it_has_no_room_for():
     w = make_world({}, {})
-    queries = [w.instance(predicate=i % w.n_pred) for i in range(5)]
+    queries = table_of([w.instance(predicate=i % w.n_pred) for i in range(5)])
     table = freeze_table(w.pool, w.tr, w.vocab, w.config, 4)
     with pytest.raises(ValueError, match="query items"):
         predict_ranked(queries, w.pool, w.tr, w.vocab, w.config, table=table)
@@ -168,7 +169,7 @@ def test_degenerate_filled_slot_raises_at_inference():
     for row in (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0]),
                 np.array([np.inf, 0, 0, 0, 0])):
         w = make_world({}, {})
-        queries = [w.instance(predicate=i % w.n_pred) for i in range(4)]
+        queries = table_of([w.instance(predicate=i % w.n_pred) for i in range(4)])
         want = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
         before = copy.deepcopy(w.pool)
         with pytest.raises(ValueError, match="degenerate"):
@@ -185,4 +186,4 @@ def test_degenerate_query_relation_raises_at_inference():
     for row in (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0])):
         queries[1].f_r = row
         with pytest.raises(ValueError, match="query relation feature is degenerate"):
-            predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
+            predict_ranked(table_of(queries), w.pool, w.tr, w.vocab, w.config)

@@ -10,7 +10,10 @@ test fails then:
   name, and each call is a calibration-kernel point, so a harness that
   stopped calling it by that name would drop kernel points;
 - the store sizes are read through ``PromptPool.entries``, so a view that
-  reported wrong sizes would fail it.
+  reported wrong sizes would fail it;
+- the throughput denominators are ``len()`` of ``train_stage``'s split and
+  of ``predict_ranked``'s first argument, so a split type whose ``len()``
+  counted anything but rows would skew them.
 """
 
 import os
@@ -19,6 +22,12 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
+
+import pytest  # noqa: E402
+
+from lsgg.datastream import (make_stage_datasets, predicate_counts, split_by_frequency,  # noqa: E402
+                             split_random, synth_generate)
+from lsgg.rng import SeededRng  # noqa: E402
 
 import run  # noqa: E402
 from test_checks import small_config  # noqa: E402
@@ -37,3 +46,25 @@ def test_traced_round_counts_replayed_items(tmp_path):
     assert probe.counts["metrics.calls"] == cfg.n_stages
     sizes = probe.pool.store_len.tolist()
     assert probe.stages[-1]["store_sizes"] == sizes and any(sizes)
+
+
+@pytest.mark.parametrize("mode", ["random", "frequency"])
+def test_round_denominators_count_split_rows(tmp_path, mode):
+    # train_items = epochs x the train splits' rows; eval_instances = after
+    # each stage t, the test rows of every task j <= t; both from the splits
+    # make_stage_datasets gives on the round's config and seed
+    cfg = small_config()
+    cfg.schedule_mode = mode
+    rnd = run.run_round(cfg, 0, str(tmp_path / "run"), False, time.perf_counter())
+    assert rnd["failed"] == 0 and rnd["problems"] == []
+    rng = SeededRng(0)
+    data, _ = synth_generate(cfg.synth, rng.derive("data"))
+    labels = list(range(cfg.synth.n_pred))
+    if mode == "frequency":
+        schedule = split_by_frequency(labels, predicate_counts(data, labels), cfg.n_stages)
+    else:
+        schedule = split_random(labels, cfg.n_stages, rng.derive("schedule"))
+    stages = make_stage_datasets(data, schedule, cfg.split_fractions)
+    n_test = [len(stage.test) for stage in stages]
+    assert rnd["train_items"] == cfg.train.epochs * sum(len(stage.train) for stage in stages)
+    assert rnd["eval_instances"] == sum(sum(n_test[: t + 1]) for t in range(cfg.n_stages))

@@ -1,15 +1,18 @@
-"""Task schedules, synthetic data generation, and the embedding file format."""
+"""Task schedules, synthetic data generation, stage splits, and the embedding
+file format; the column table against its per-instance oracles."""
 
 import numpy as np
 import pytest
 
-from lsgg.datastream import (EmbeddingFormatError, RelationInstance, StageDataset,
-                             SynthConfig, TaskSchedule, load_embeddings,
-                             make_stage_datasets, predicate_counts, save_embeddings,
-                             split_by_frequency, split_random, synth_generate, zipf_counts)
+from lsgg.datastream import (EmbeddingFormatError, Rows, StageDataset, SynthConfig,
+                             TaskSchedule, load_embeddings, make_stage_datasets,
+                             predicate_counts, save_embeddings, split_by_frequency,
+                             split_random, synth_generate, zipf_counts)
 from lsgg.rng import SeededRng
 
 from conftest import random_instance
+from oracles import (build_gt_ids, make_stage_datasets_records, records_of,
+                     synth_generate_records, table_of)
 
 
 # -- schedules ---------------------------------------------------------------
@@ -59,7 +62,7 @@ def test_split_by_frequency_head_to_tail():
 
 def test_predicate_counts_keeps_label_order_and_zeros():
     rng = SeededRng(4)
-    dataset = [random_instance(rng, predicate=p) for p in (2, 0, 2, 2, 0)]
+    dataset = table_of([random_instance(rng, predicate=p) for p in (2, 0, 2, 2, 0)])
     counts = predicate_counts(dataset, [3, 2, 1, 0])
     assert list(counts.items()) == [(3, 0), (2, 3), (1, 0), (0, 2)]
     with pytest.raises(KeyError):
@@ -95,21 +98,20 @@ def make_dataset(n, n_pred, rng, pairs_per_image=4):
 
 def test_make_stage_datasets_routes_by_predicate():
     rng = SeededRng(4)
-    data = make_dataset(300, 6, rng)
+    data = table_of(make_dataset(300, 6, rng))
     sched = TaskSchedule([(0, 1), (2, 3), (4, 5)])
     stages = make_stage_datasets(data, sched, (0.7, 0.1, 0.2))
     assert len(stages) == 3
     for stage, labels in zip(stages, sched.stages):
         for split in (stage.train, stage.val, stage.test):
-            for inst in split:
-                assert inst.predicate in labels
+            assert set(split.take().pred.tolist()) <= set(labels)
     total = sum(len(s.train) + len(s.val) + len(s.test) for s in stages)
     assert total == 300
 
 
 def test_make_stage_datasets_split_sizes_near_fractions():
     rng = SeededRng(5)
-    data = make_dataset(10_000, 4, rng)
+    data = table_of(make_dataset(10_000, 4, rng))
     sched = TaskSchedule([(0, 1), (2, 3)])
     stages = make_stage_datasets(data, sched, (0.7, 0.1, 0.2))
     for stage in stages:
@@ -127,22 +129,22 @@ def test_make_stage_datasets_stable_under_image_reordering():
     rng = SeededRng(6)
     data = make_dataset(400, 4, rng)
     sched = TaskSchedule([(0, 1), (2, 3)])
-    stages_a = make_stage_datasets(data, sched)
+    stages_a = make_stage_datasets(table_of(data), sched)
     images = sorted({inst.image_id for inst in data})
     order = SeededRng(7).permutation(len(images))
-    reordered = []
+    origin = []  # row of the reordered table -> row of the original
     for pos in order:
-        img = images[pos]
-        reordered.extend(inst for inst in data if inst.image_id == img)
-    stages_b = make_stage_datasets(reordered, sched)
+        origin.extend(i for i, inst in enumerate(data) if inst.image_id == images[pos])
+    stages_b = make_stage_datasets(table_of([data[i] for i in origin]), sched)
+    origin = np.array(origin)
     for sa, sb in zip(stages_a, stages_b):
         for split_a, split_b in ((sa.train, sb.train), (sa.val, sb.val), (sa.test, sb.test)):
-            assert sorted(id(x) for x in split_a) == sorted(id(x) for x in split_b)
+            assert sorted(split_a.index.tolist()) == sorted(origin[split_b.index].tolist())
 
 
 def test_make_stage_datasets_rejects_unscheduled_predicate():
     rng = SeededRng(8)
-    data = [random_instance(rng, predicate=5)]
+    data = table_of([random_instance(rng, predicate=5)])
     with pytest.raises(ValueError):
         make_stage_datasets(data, TaskSchedule([(0,), (1,)]))
     with pytest.raises(ValueError):
@@ -181,22 +183,16 @@ def test_synth_generate_counts_groups_and_images():
     data, groups = synth_generate(cfg, SeededRng(0))
     assert len(data) == 500
     assert groups == [c % 3 for c in range(10)]
-    per_class = [0] * 10
-    for inst in data:
-        per_class[inst.predicate] += 1
-        assert inst.f_c.shape == (8,)
-        assert inst.f_r.shape == (8,)
-        assert inst.f_s.shape == (4,)
-        assert inst.f_o.shape == (4,)
-        assert 0 <= inst.subject_class < 6
-        assert 0 <= inst.object_class < 6
-    assert per_class == zipf_counts(10, 0.8, 500)
-    # image ids: consecutive blocks of pairs_per_image
-    ids = [inst.image_id for inst in data]
-    assert ids == sorted(ids)
-    assert max(ids) == (500 - 1) // 4
-    for img in set(ids):
-        assert ids.count(img) <= 4
+    assert {kind: f.shape for kind, f in data.feats.items()} == {
+        "c": (500, 8), "r": (500, 8), "s": (500, 4), "o": (500, 4)}
+    assert all(f.dtype == np.float64 for f in data.feats.values())
+    assert 0 <= data.subj.min() and data.subj.max() < 6
+    assert 0 <= data.obj.min() and data.obj.max() < 6
+    assert np.bincount(data.pred, minlength=10).tolist() == zipf_counts(10, 0.8, 500)
+    assert np.isnan(data.conf).all() and data.boxes is None
+    # image ids: consecutive blocks of pairs_per_image, gt ids count within them
+    assert data.image.tolist() == [i // 4 for i in range(500)]
+    assert data.gt_id.tolist() == [i % 4 for i in range(500)]
 
 
 def test_synth_generate_deterministic_and_seed_sensitive():
@@ -206,11 +202,11 @@ def test_synth_generate_deterministic_and_seed_sensitive():
     b, _ = synth_generate(cfg, SeededRng(1))
     c, _ = synth_generate(cfg, SeededRng(2))
     assert len(a) == len(b) == len(c)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.f_c, y.f_c) and np.array_equal(x.f_r, y.f_r)
-        assert (x.subject_class, x.object_class, x.predicate, x.image_id) == (
-            y.subject_class, y.object_class, y.predicate, y.image_id)
-    assert any(not np.array_equal(x.f_r, z.f_r) for x, z in zip(a, c))
+    for name in ("image", "gt_id", "subj", "obj", "pred"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for kind in a.feats:
+        assert np.array_equal(a.feats[kind], b.feats[kind]), kind
+    assert not np.array_equal(a.feats["r"], c.feats["r"])
 
 
 def test_synth_sigma_zero_gives_separable_clusters():
@@ -219,16 +215,13 @@ def test_synth_sigma_zero_gives_separable_clusters():
     data, _ = synth_generate(cfg, SeededRng(3))
     # with sigma 0 every f_r equals its class mean: grouping by predicate
     # yields exactly one distinct vector per class, distinct across classes
-    means = {}
-    for inst in data:
-        key = inst.predicate
-        if key in means:
-            assert np.array_equal(means[key], inst.f_r)
-        else:
-            means[key] = inst.f_r
-    vecs = list(means.values())
+    vecs = []
+    for c in np.unique(data.pred):
+        rows = data.feats["r"][data.pred == c]
+        assert (rows == rows[0]).all()
+        assert float(np.linalg.norm(rows[0])) == pytest.approx(1.0, abs=1e-12)
+        vecs.append(rows[0])
     for i in range(len(vecs)):
-        assert float(np.linalg.norm(vecs[i])) == pytest.approx(1.0, abs=1e-12)
         for j in range(i + 1, len(vecs)):
             assert not np.array_equal(vecs[i], vecs[j])
 
@@ -238,18 +231,14 @@ def test_synth_context_features_carry_group_identity():
                       sigma=0.2, total_n=600)
     data, groups = synth_generate(cfg, SeededRng(4))
     # per-group mean of f_c should be far closer to its own group's centroid
-    by_group = {0: [], 1: []}
-    for inst in data:
-        by_group[groups[inst.predicate]].append(inst.f_c)
-    cent = {g: np.mean(np.stack(v), axis=0) for g, v in by_group.items()}
-    for g, vecs in by_group.items():
-        other = cent[1 - g]
-        own = cent[g]
-        closer = sum(
-            1 for v in vecs
-            if float(np.linalg.norm(v - own)) < float(np.linalg.norm(v - other))
-        )
-        assert closer / len(vecs) > 0.9
+    group = np.array(groups)[data.pred]
+    f_c = data.feats["c"]
+    cent = {g: f_c[group == g].mean(axis=0) for g in (0, 1)}
+    for g in (0, 1):
+        vecs = f_c[group == g]
+        own = np.linalg.norm(vecs - cent[g], axis=1)
+        other = np.linalg.norm(vecs - cent[1 - g], axis=1)
+        assert np.mean(own < other) > 0.9
 
 
 def test_synth_config_validation():
@@ -264,30 +253,42 @@ def test_synth_config_validation():
 # -- embedding file format ---------------------------------------------------
 
 
+def columns_equal(a, b) -> bool:
+    """Two tables with equal columns, NaN equal to NaN."""
+    if (a.boxes is None) != (b.boxes is None) or a.feats.keys() != b.feats.keys():
+        return False
+    return (all(np.array_equal(getattr(a, n), getattr(b, n))
+                for n in ("image", "gt_id", "subj", "obj", "pred"))
+            and all(np.array_equal(f, b.feats[kind]) for kind, f in a.feats.items())
+            and np.array_equal(a.conf, b.conf, equal_nan=True)
+            and (a.boxes is None or np.array_equal(a.boxes, b.boxes, equal_nan=True)))
+
+
 def test_embeddings_round_trip_bit_exact(tmp_path):
     cfg = SynthConfig(n_pred=6, n_groups=2, n_obj=5, d_c=7, d_r=6, d_o=4,
                       total_n=100)
     data, _ = synth_generate(cfg, SeededRng(5))
-    data[0].boxes = ((1.0, 2.0, 3.5, 4.25), (0.5, 0.5, 2.0, 2.0))
-    data[0].confidence = 0.625
+    data.boxes = np.full((100, 8), np.nan)
+    data.boxes[0] = (1.0, 2.0, 3.5, 4.25, 0.5, 0.5, 2.0, 2.0)
+    data.conf[0] = 0.625
     path = tmp_path / "emb.txt"
     save_embeddings(data, path)
     back = load_embeddings(path)
     assert len(back) == len(data)
-    for x, y in zip(data, back):
-        assert x.image_id == y.image_id
-        assert (x.subject_class, x.object_class, x.predicate) == (
-            y.subject_class, y.object_class, y.predicate)
-        for f in ("f_c", "f_r", "f_s", "f_o"):
-            assert np.array_equal(getattr(x, f), getattr(y, f))
-        assert x.boxes == y.boxes
-        assert x.confidence == y.confidence
+    assert columns_equal(back, data)
+    save_embeddings(back, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 def test_embeddings_empty_round_trip(tmp_path):
+    # an empty table keeps its feature widths through the file
+    cfg = SynthConfig(n_pred=6, n_groups=2, n_obj=5, d_c=7, d_r=6, d_o=4, total_n=20)
+    empty = synth_generate(cfg, SeededRng(5))[0].take(slice(0, 0))
     path = tmp_path / "empty.txt"
-    save_embeddings([], path)
-    assert load_embeddings(path) == []
+    save_embeddings(empty, path)
+    assert path.read_text() == "LSGG-EMB 1 7 6 4 1 1\n"
+    back = load_embeddings(path)
+    assert len(back) == 0 and columns_equal(back, empty)
 
 
 def test_embeddings_reject_malformed(tmp_path):
@@ -298,7 +299,7 @@ def test_embeddings_reject_malformed(tmp_path):
 
     rng = SeededRng(6)
     good = random_instance(rng, d_c=3, d_r=2, d_o=2, predicate=0)
-    save_embeddings([good], path)
+    save_embeddings(table_of([good]), path)
     lines = path.read_text().splitlines()
     # drop one float from the record: dimension mismatch at line 2
     lines[1] = " ".join(lines[1].split()[:-1])
@@ -308,11 +309,36 @@ def test_embeddings_reject_malformed(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_embeddings_reject_header_dimensions_below_one(tmp_path):
+    # a zero width would load records with empty features, and zero classes
+    # admit no record
+    path = tmp_path / "dims.txt"
+    for header in ("LSGG-EMB 1 0 0 0 3 3", "LSGG-EMB 1 2 2 0 3 3", "LSGG-EMB 1 2 2 2 0 3",
+                   "LSGG-EMB 1 2 2 2 3 -1", f"LSGG-EMB 1 2 2 2 3 {2**64}"):
+        path.write_text(f"# comment\n{header}\n")
+        with pytest.raises(EmbeddingFormatError, match="line 2"):
+            load_embeddings(path)
+
+
+def test_embeddings_reject_ids_outside_64_bits(tmp_path):
+    # an image id int64 columns cannot hold is refused where it is read,
+    # not later where the ground truth is built
+    path = tmp_path / "ids.txt"
+    record = "0 0 0 0 - 0.5 0.5 0.25 0.25"  # subj obj pred, no boxes, no conf
+    for image_id in (2**63, -(2**63) - 1, 10**30):
+        path.write_text(f"LSGG-EMB 1 1 1 1 1 1\n0 {record}\n{image_id} {record}\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3.*64 bits"):
+            load_embeddings(path)
+    for image_id in (2**63 - 1, -(2**63)):
+        path.write_text(f"LSGG-EMB 1 1 1 1 1 1\n{image_id} {record}\n")
+        assert load_embeddings(path).image.tolist() == [image_id]
+
+
 def test_embeddings_reject_nonfinite(tmp_path):
     rng = SeededRng(7)
     inst = random_instance(rng, d_c=3, d_r=2, d_o=2)
     path = tmp_path / "nan.txt"
-    save_embeddings([inst], path)
+    save_embeddings(table_of([inst]), path)
     text = path.read_text()
     token = repr(float(inst.f_c[0]))
     path.write_text(text.replace(token, "nan", 1))
@@ -325,7 +351,7 @@ def test_embeddings_comments_and_blank_lines(tmp_path):
     rng = SeededRng(8)
     inst = random_instance(rng, d_c=3, d_r=2, d_o=2)
     path = tmp_path / "comments.txt"
-    save_embeddings([inst], path)
+    save_embeddings(table_of([inst]), path)
     lines = path.read_text().splitlines()
     lines.insert(1, "# a comment")
     lines.insert(2, "")
@@ -333,19 +359,92 @@ def test_embeddings_comments_and_blank_lines(tmp_path):
     assert len(load_embeddings(path)) == 1
 
 
-def test_instance_validation():
+def test_instance_validation(tmp_path):
+    # the loader refuses a degenerate box or a confidence outside [0, 1],
+    # with the line number
     rng = SeededRng(9)
-    inst = random_instance(rng)
-    inst.validate()
-    bad = random_instance(rng)
-    bad.f_r = np.array([np.nan] * 5)
-    with pytest.raises(ValueError):
-        bad.validate()
-    boxed = random_instance(rng, boxes=((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 3.0)))
-    with pytest.raises(ValueError):
-        boxed.validate()
+    path = tmp_path / "inst.txt"
+    good = random_instance(rng, boxes=((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)))
+    good.confidence = 1.0
+    save_embeddings(table_of([good]), path)
+    assert len(load_embeddings(path)) == 1
+    for boxes, conf in ((((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 3.0)), None),
+                        (((0.0, 1.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)), None),
+                        (None, 1.5), (None, -0.25)):
+        bad = random_instance(rng, boxes=boxes)
+        bad.confidence = conf
+        save_embeddings(table_of([good, bad]), path)
+        with pytest.raises(EmbeddingFormatError, match="line 3"):
+            load_embeddings(path)
 
 
 def test_stage_dataset_shape():
-    ds = StageDataset(train=[1], val=[], test=[2])
-    assert ds.train == [1] and ds.test == [2]
+    # every split is Rows of the one table, and the splits partition its rows
+    data = table_of(make_dataset(60, 4, SeededRng(10)))
+    stages = make_stage_datasets(data, TaskSchedule([(0, 1), (2, 3)]))
+    rows = []
+    for stage in stages:
+        assert isinstance(stage, StageDataset)
+        for split in (stage.train, stage.val, stage.test):
+            assert isinstance(split, Rows) and split.data is data
+            assert split.index.dtype == np.int64
+            rows.extend(split.index.tolist())
+    assert sorted(rows) == list(range(60))
+
+
+# -- the column table against the per-instance oracles ------------------------------
+
+
+def assert_splits_equal_oracle(table, records, schedule):
+    """``make_stage_datasets`` on the table picks, split by split and in
+    order, the rows the per-instance oracle picks; the table's GT ids are
+    the oracle's."""
+    gt_ids = build_gt_ids(records)
+    assert np.array_equal(table.gt_id, [gt_ids[id(r)] for r in records])
+    row_of = {id(r): i for i, r in enumerate(records)}
+    got = make_stage_datasets(table, schedule)
+    want = make_stage_datasets_records(records, schedule)
+    assert len(got) == len(want)
+    for stage, splits in zip(got, want):
+        for split, insts in zip((stage.train, stage.val, stage.test), splits):
+            assert np.array_equal(split.index, [row_of[id(r)] for r in insts])
+
+
+@pytest.mark.parametrize("total_n", [2_000, 20_000])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_synth_columns_and_splits_equal_per_instance_oracles(total_n, seed):
+    cfg = SynthConfig(total_n=total_n)
+    table, groups = synth_generate(cfg, SeededRng(seed).derive("data"))
+    records, want_groups = synth_generate_records(cfg, SeededRng(seed).derive("data"))
+    assert groups == want_groups
+    assert columns_equal(table, table_of(records))
+    labels = list(range(cfg.n_pred))
+    schedule = split_by_frequency(labels, predicate_counts(table, labels), 5)
+    assert_splits_equal_oracle(table, records, schedule)
+    assert_splits_equal_oracle(table, records, split_random(labels, 4, SeededRng(seed)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_loaded_columns_and_splits_equal_per_instance_oracles(tmp_path, seed):
+    # negative image ids, images whose pairs fall in several stages, uneven
+    # pairs per image, and an image's pairs spread over the file
+    rng = SeededRng(100 + seed)
+    n_pred = 2 + rng.randint(6)
+    records = []
+    for img in range(40 + rng.randint(40)):
+        image_id = rng.randint(2**40) - 2**39 if img % 3 else -img
+        for _ in range(1 + rng.randint(7)):
+            records.append(random_instance(rng, d_c=3, d_r=2, d_o=2,
+                                           predicate=rng.randint(n_pred), image_id=image_id))
+    rng.shuffle(records)
+    records[1].confidence = 0.5
+    records[2].boxes = ((0.0, 0.0, 1.0, 2.0), (1.0, 1.0, 2.0, 2.0))
+    path = tmp_path / "data.emb"
+    save_embeddings(table_of(records), path)
+    table = load_embeddings(path)
+    assert columns_equal(table, table_of(records))
+    assert [r.image_id for r in records_of(table)] == [r.image_id for r in records]
+    schedule = split_random(list(range(n_pred)), 2 + rng.randint(n_pred - 1), rng)
+    assert any(len({schedule.stage_of(r.predicate) for r in records if r.image_id == img}) > 1
+               for img in {r.image_id for r in records})
+    assert_splits_equal_oracle(table, records, schedule)

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from lsgg.ioutil import pack_floats
-from lsgg.prompt_pool import (PoolFormatError, _write_slot, admit_exemplar, deserialize_pool,
+from lsgg.prompt_pool import (PoolFormatError, _relation_norm, _write_slot, deserialize_pool,
                               init_pool, retrieve_entries, serialize_pool)
 from lsgg.rng import SeededRng
-from lsgg.trainer import TrainConfig, _nearest_slots, _select, _stack_sources
+from lsgg.trainer import TrainConfig, _nearest_slots, _queries, _select
 
 from conftest import nearest_exemplar, random_instance
-from oracles import append_exemplar, cosine, pools_equal, rewrite_relation
+from oracles import admit, append_exemplar, cosine, pools_equal, rewrite_relation, table_of
 
 DEGENERATE_ROWS = (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0]),
                    np.array([np.inf, 0, 0, 0, 0]))
@@ -208,7 +208,7 @@ def test_stored_norms_equal_gathered_rows_bit_for_bit():
         for e in range(100):
             for s in range(20):
                 _write_slot(pool, e, s, {"c": np.ones(3), "r": rows[e, s], "s": np.ones(1),
-                                         "o": np.ones(1)}, 0)
+                                         "o": np.ones(1)}, 0, _relation_norm(rows[e, s]))
         pool.store_len[:] = pool.seen[:] = 20
         pool.check_invariants()
         gathered = np.linalg.norm(pool.store_feats["r"][np.arange(100), :20], axis=-1)
@@ -226,7 +226,7 @@ def test_admit_routes_to_nearest_key_and_fills():
     rng = SeededRng(11)
     inst = random_instance(rng, d_c=3)
     inst.f_c = np.array([0.1, 5.0, 0.2])
-    got = admit_exemplar(pool, inst, rng)
+    got = admit(pool, inst, rng)
     assert got == 1
     assert pool.store_len.tolist() == [0, 1, 0] and pool.seen.tolist() == [0, 1, 0]
     assert is_stored(pool, 1, inst)
@@ -247,10 +247,10 @@ def test_admit_routes_to_the_entry_select_ranks_first():
         queries = [random_instance(rng.derive("q", trial, j), d_c=d_c) for j in range(12)]
         for j, inst in enumerate(queries[:4]):
             inst.f_c = (2.0 + j) * pool.keys[rng.randint(n_t)]
-        batch = _stack_sources(queries, np.zeros(len(queries), dtype=bool))
+        batch = _queries(table_of(queries))
         config = TrainConfig(k_retrieve=1 + rng.randint(n_t))
         selection = _select(batch, pool, config, None)[0]
-        routed = [admit_exemplar(pool, inst, rng) for inst in queries]
+        routed = [admit(pool, inst, rng) for inst in queries]
         assert routed == selection[:, 0].tolist(), trial
 
 
@@ -258,7 +258,7 @@ def test_admit_seen_count_and_capacity():
     pool = init_pool(1, 2, 4, 3, 4, SeededRng(12))
     rng = SeededRng(13)
     for n in range(1, 30):
-        admit_exemplar(pool, random_instance(rng, d_c=3), rng)
+        admit(pool, random_instance(rng, d_c=3), rng)
         assert pool.seen[0] == n
         assert pool.store_len[0] == min(n, 4)
         pool.check_invariants()
@@ -276,7 +276,7 @@ def test_admit_rejects_degenerate_relation_rows_whatever_the_draw():
             inst = random_instance(SeededRng(90 + trial), d_c=3)
             inst.f_r = row
             with pytest.raises(ValueError, match="degenerate"):
-                admit_exemplar(pool, inst, rng)
+                admit(pool, inst, rng)
             assert pools_equal(pool, before)
             assert rng.next_u64() == twin.next_u64()
 
@@ -290,8 +290,8 @@ def test_admit_reservoir_keep_rate_two_items():
         pool = init_pool(1, 1, 2, 3, 1, SeededRng(100 + t))
         a = random_instance(rng, d_c=3, predicate=0)
         b = random_instance(rng, d_c=3, predicate=1)
-        admit_exemplar(pool, a, rng)
-        admit_exemplar(pool, b, rng)
+        admit(pool, a, rng)
+        admit(pool, b, rng)
         if pool.store_labels[0, 0] == 1:
             kept += 1
     sd = math.sqrt(trials * 0.25)
@@ -310,7 +310,7 @@ def test_admit_reservoir_long_run_retention_unbiased():
         for i in range(n_items):
             inst = random_instance(rng, d_c=3, predicate=i % 3)
             items.append(inst)
-            admit_exemplar(pool, inst, rng)
+            admit(pool, inst, rng)
         for i, inst in enumerate(items):
             if is_stored(pool, 0, inst):
                 retained[i] += 1
@@ -325,7 +325,7 @@ def test_admit_reservoir_long_run_retention_unbiased():
 
 def fill_pool(pool, rng, n_admit):
     for _ in range(n_admit):
-        admit_exemplar(pool, random_instance(rng, d_c=pool.d_c), rng)
+        admit(pool, random_instance(rng, d_c=pool.d_c), rng)
 
 
 def test_pool_round_trip_fresh_and_filled(tmp_path):

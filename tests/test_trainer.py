@@ -9,16 +9,16 @@ from mpmath import mp, mpf, workdps
 
 from lsgg.datastream import StageDataset
 from lsgg.ioutil import pack_floats
-from lsgg.prompt_pool import admit_exemplar, deserialize_pool, init_pool, serialize_pool
+from lsgg.prompt_pool import deserialize_pool, init_pool, serialize_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, default_vocab
-from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, _stack_sources,
-                          load_checkpoint, loss_total, predict_ranked, save_checkpoint,
-                          stage_quota, train_stage)
+from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, load_checkpoint,
+                          loss_total, predict_ranked, save_checkpoint, stage_quota,
+                          train_stage)
 
 from conftest import TinyWorld, finite_diff, grad_rel_err
-from oracles import (Item, batch_loss_and_grads, cosine_to_rows, loss_key_alignment,
-                     loss_predicate_ce, token_norm_penalty)
+from oracles import (Item, admit, batch_loss_and_grads, cosine_to_rows, loss_key_alignment,
+                     loss_predicate_ce, table_of, token_norm_penalty, train_split)
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -195,12 +195,6 @@ def test_parts_l2_matches_alignment_loss():
     assert parts["l2"] == pytest.approx(expect / len(batch), abs=1e-12)
 
 
-def test_empty_batch_rejected():
-    w, _ = fd_world()
-    with pytest.raises(ValueError):
-        batch_loss_and_grads([], w.pool, w.tr, w.vocab, w.config)
-
-
 # -- optimizer -------------------------------------------------------------------
 
 
@@ -294,8 +288,7 @@ def loop_world(seed=50, **config_kw):
     w = TinyWorld(seed=seed, n_t=4, n_e=3, n_pred=4, config=config)
     train = [w.instance(predicate=p % w.n_pred, image_id=i)
              for i, p in enumerate(range(12))]
-    stage = StageDataset(train=train, val=[], test=[])
-    return w, stage
+    return w, train_split(train)
 
 
 def test_train_stage_deterministic():
@@ -332,8 +325,8 @@ def test_pool_file_round_trip_mid_run(tmp_path):
     runs = []
     for reload in (False, True):
         w, stage1 = loop_world()
-        stage2 = StageDataset(train=[w.instance(predicate=p % w.n_pred, image_id=i)
-                                     for i, p in enumerate(range(3, 15))], val=[], test=[])
+        stage2 = train_split([w.instance(predicate=p % w.n_pred, image_id=i)
+                              for i, p in enumerate(range(3, 15))])
         opt = AdamW()
         train_stage(stage1, w.pool, w.tr, w.vocab, w.config, opt, SeededRng(14), quota=6)
         assert w.pool.total_stored() > 0
@@ -350,14 +343,14 @@ def test_pool_file_round_trip_mid_run(tmp_path):
     serialize_pool(init_pool(3, 2, 8, w.d_c, 2, SeededRng(16)), tmp_path / "empty.lsgg")
     empty = deserialize_pool(tmp_path / "empty.lsgg")
     assert empty.store_feats == {}
-    assert admit_exemplar(empty, w.instance(predicate=1), SeededRng(17)) is not None
+    assert admit(empty, w.instance(predicate=1), SeededRng(17)) is not None
     assert empty.total_stored() == 1
     widths = {kind: f.shape[2] for kind, f in empty.store_feats.items()}
     assert widths == {"c": w.d_c, "r": w.d_r, "s": w.d_o, "o": w.d_o}
     wide = w.instance(predicate=2)
     wide.f_r = np.ones(w.d_r + 1)
     with pytest.raises(ValueError, match="lengths"):
-        admit_exemplar(empty, wide, SeededRng(18))
+        admit(empty, wide, SeededRng(18))
 
 
 def test_train_stage_zero_quota_never_admits():
@@ -376,10 +369,10 @@ def test_train_stage_naive_ignores_quota():
 
 
 def test_train_stage_rejects_empty_split():
-    w, _ = loop_world()
+    w, stage = loop_world()
+    empty = StageDataset(train=stage.train.take(slice(0, 0)), val=stage.val, test=stage.test)
     with pytest.raises(ValueError):
-        train_stage(StageDataset(train=[], val=[], test=[]), w.pool, w.tr,
-                    w.vocab, w.config, AdamW(), SeededRng(11))
+        train_stage(empty, w.pool, w.tr, w.vocab, w.config, AdamW(), SeededRng(11))
 
 
 def test_stage_quota_formula():
@@ -388,38 +381,13 @@ def test_stage_quota_formula():
     assert stage_quota(w.pool, 1) == 12
 
 
-def test_stack_sources_matches_np_stack():
-    w = TinyWorld()
-    sources = [w.instance(predicate=i % 4) for i in range(7)]
-    sources[2].f_r = sources[2].f_r.tolist()  # list-valued features stack too
-    sources[3].f_o = [int(v) for v in np.round(sources[3].f_o * 10)]
-    batch = _stack_sources(sources, np.zeros(7, dtype=bool))
-    for kind in "crso":
-        want = np.stack([np.asarray(getattr(s, f"f_{kind}"), dtype=float) for s in sources])
-        assert batch.feats[kind].dtype == np.float64
-        assert np.array_equal(batch.feats[kind], want), kind
-    assert batch.targets.tolist() == [i % 4 for i in range(7)]
-
-
-def test_stack_sources_rejects_ragged_widths():
-    # 6 + 4 + 5 values fill three rows of width 5, so a reshape alone need
-    # not fail
-    w = TinyWorld()
-    sources = [w.instance(), w.instance(), w.instance()]
-    sources[0].f_r, sources[1].f_r = np.ones(6), np.ones(4)
-    with pytest.raises(ValueError, match=r"f_r widths differ: \[4, 5, 6\]"):
-        _stack_sources(sources, np.zeros(3, dtype=bool))
-    with pytest.raises(ValueError, match="empty batch"):
-        _stack_sources([], [])
-
-
 def test_predict_ranked_is_pure():
     w, stage = loop_world()
     train_stage(stage, w.pool, w.tr, w.vocab, w.config, AdamW(), SeededRng(12),
                 quota=6)
     before = {name: arr.copy() for name, arr in w.tr.param_items()}
     stores_before = w.pool.store_len.copy()
-    queries = [w.instance(predicate=i % 4) for i in range(5)]
+    queries = table_of([w.instance(predicate=i % 4) for i in range(5)])
     ranked = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
     assert len(ranked) == 5
     for rr in ranked:
