@@ -139,22 +139,36 @@ def retrieve_entries(keys: np.ndarray, f_c: np.ndarray, k: int):
     """Key retrieval for a batch of context features ``f_c`` (B, d_c).
 
     Returns (top (B, k) entry indices by descending key cosine, exactly equal
-    cosines in ascending index order; cosines (B, n_t) to every key; context
-    feature norms (B,); key norms (n_t,)). Never mutates its inputs.
+    cosines, +0.0 and -0.0 among them, in ascending index order; cosines
+    (B, n_t) to every key; context feature norms (B,); key norms (n_t,)).
+    Never mutates its inputs.
+
+    The top k are taken by k argmax passes over a scratch copy of the
+    cosines, each setting the cell it chose to -inf; argmax returns the first
+    maximum, so this is the stable descending sort's first k columns. Raises
+    ValueError for a zero or non-finite norm, such as the infinite norm of a
+    finite row whose squares overflow, and for a non-finite cosine, the rule
+    that keeps the -inf sentinel below every cosine not yet chosen.
     """
     n_t, d_c = keys.shape
     if not 1 <= k <= n_t:
         raise ValueError(f"K={k} outside [1, {n_t}]")
     if f_c.ndim != 2 or f_c.shape[1] != d_c:
         raise ValueError(f"context features must be (B, {d_c}), got {f_c.shape}")
-    cnorms = np.sqrt(np.vecdot(f_c, f_c))
-    if not np.isfinite(f_c).all() or (cnorms == 0.0).any():
+    cnorms = np.sqrt(np.vecdot(f_c, f_c))  # inf for a finite row whose norm overflows
+    if not np.isfinite(cnorms).all() or (cnorms == 0.0).any():
         raise ValueError("query context feature is degenerate")
     knorms = np.linalg.norm(keys, axis=1)
-    if not np.isfinite(keys).all() or (knorms == 0.0).any():
+    if not np.isfinite(knorms).all() or (knorms == 0.0).any():
         raise ValueError("cosine undefined for zero-norm or non-finite key")
     sims = np.matmul(keys, f_c[:, :, None])[:, :, 0] / (knorms * cnorms[:, None])
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    if not np.isfinite(sims).all():
+        raise ValueError("key cosine is not finite")
+    rows, scratch = np.arange(len(sims)), sims.copy()
+    top = np.empty((len(sims), k), dtype=np.int64)
+    for j in range(k):
+        top[:, j] = np.argmax(scratch, axis=1)
+        scratch[rows, top[:, j]] = -np.inf
     return top, sims, cnorms, knorms
 
 

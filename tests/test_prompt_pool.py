@@ -119,6 +119,78 @@ def test_retrieve_topk_rejects_bad_k_and_never_mutates():
     assert pool.total_stored() == 0
 
 
+def stable_sort_top(sims, k):
+    """The first k columns of the stable descending sort: the order retrieval
+    promises, with exact ties (+0.0 against -0.0 among them) to the lower index."""
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
+
+
+def test_retrieve_top_equals_stable_sort_over_batches():
+    # retrieval takes its top k by argmax passes; each batch row must equal
+    # the stable sort's first k columns for every k. A version that breaks
+    # exact ties toward the higher index, or orders -0.0 apart from +0.0,
+    # fails here: the rows hold tied one-hot keys on both sides of the k-th
+    # place, and cosines of exactly +0.0 and -0.0.
+    rng = SeededRng(30)
+    n_t, d_c = 12, 4
+    e0, e1, e2 = np.eye(d_c)[:3]
+    tied = np.zeros((n_t, d_c))
+    tied[:, 1:] = rng.normal((n_t, d_c - 1))  # orthogonal to e0
+    tied[[1, 4, 9]], tied[[2, 7, 11]] = e0, -e0
+    queries = rng.normal((6, d_c))
+    queries[:, 0] = [3.0, 3.0, 3.0, -3.0, -3.0, 0.0]  # one group on top, the other last
+    # nearly orthogonal keys: their cosine underflows to -0.0 or +0.0
+    zeros = rng.normal((n_t, d_c))
+    zeros[[0, 5, 6]], zeros[[1, 3, 10]] = e1, -e1
+    zeros[[2, 11]] = e2
+    tiny = np.array([[1e150, -1e-200, 0.0, 0.0], [1e150, 1e-200, 0.0, 0.0]])
+    cases = ((tied, queries), (zeros, np.vstack([tiny, rng.normal((3, d_c))])))
+    for keys, f_c in cases:
+        sims = retrieve_entries(keys, f_c, 1)[1]
+        assert np.isfinite(sims).all()
+        for k in (1, 2, 3, n_t - 1, n_t):
+            top, got_sims, _, _ = retrieve_entries(keys, f_c, k)
+            assert np.array_equal(top, stable_sort_top(sims, k)), k
+            assert np.array_equal(got_sims, sims), k  # the -inf sentinels stay in scratch
+    top = retrieve_entries(tied, queries, n_t)[0]
+    assert top[0, :3].tolist() == [1, 4, 9] and top[0, -3:].tolist() == [2, 7, 11]
+    assert top[3, :3].tolist() == [2, 7, 11] and top[3, -3:].tolist() == [1, 4, 9]
+    sims = retrieve_entries(zeros, tiny, 1)[1]
+    assert (sims[:, [0, 1, 2, 3, 5, 6, 10, 11]] == 0.0).all()
+    assert np.signbit(sims[0, [0, 5, 6]]).all() and not np.signbit(sims[0, [1, 3, 10]]).any()
+    assert np.signbit(sims[1, [1, 3, 10]]).all() and not np.signbit(sims[1, [0, 5, 6]]).any()
+
+
+OVERFLOWING_ROW = np.array([1e200, 1e200, 0.0])  # finite entries, infinite norm
+
+
+def test_retrieve_rejects_overflowing_norms():
+    # an overflowing norm would make every cosine of the row +-0 and route it
+    # silently to entries 0 and 1; it raises instead
+    pool = init_pool(4, 2, 4, 3, 5, SeededRng(31))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="query context feature is degenerate"):
+            retrieve_entries(pool.keys, np.stack([np.ones(3), OVERFLOWING_ROW]), 2)
+        keys = pool.keys.copy()
+        keys[2] = OVERFLOWING_ROW
+        with pytest.raises(ValueError, match="non-finite key"):
+            retrieve_entries(keys, np.ones((1, 3)), 2)
+
+
+def test_admit_rejects_an_overflowing_context_feature_before_counting():
+    pool = init_pool(3, 1, 2, 3, 2, SeededRng(32))
+    fill_pool(pool, SeededRng(33), 5)
+    before = copy.deepcopy(pool)
+    rng, twin = SeededRng(34), SeededRng(34)
+    inst = random_instance(SeededRng(35), d_c=3)
+    inst.f_c = OVERFLOWING_ROW
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="query context feature is degenerate"):
+        admit(pool, inst, rng)
+    assert pools_equal(pool, before)  # seen counts included
+    assert rng.next_u64() == twin.next_u64()
+
+
 def test_retrieve_topk_k1_equals_head_of_full_ranking():
     rng = SeededRng(7)
     pool = init_pool(12, 2, 4, 5, 5, rng)
