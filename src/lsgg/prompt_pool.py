@@ -201,18 +201,20 @@ def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int
     pool.store_rnorm[entry, slot] = rnorm
 
 
-def admit_exemplar(pool: PromptPool, feats: dict, label: int, rng: SeededRng):
+def admit_exemplar(pool: PromptPool, entry: int, feats: dict, label: int, rnorm: float,
+                   rng: SeededRng):
     """Offer an instance, its raw features (kind -> 1-D array) and predicate
-    label, to the pool; returns the entry index if stored, else None.
+    label, to the store of ``entry``; returns ``entry`` if stored, else None.
 
-    Routing: the entry retrieval ranks first for f_c (the cosine-nearest key,
-    ties to the lower index). Storage: one row write, into the next free slot
-    while under capacity, then uniform reservoir: item number N is kept with
-    probability n_e/N, replacing a uniform slot. A degenerate relation
-    feature raises ValueError before the instance is routed or counted.
+    The caller routes and measures: ``entry`` is the entry key retrieval
+    ranks first for f_c (the cosine-nearest key, ties to the lower index),
+    and ``rnorm`` is ``_relation_norm(feats["r"])``, which refuses a
+    degenerate relation feature before anything is counted. ``train_stage``
+    reads both from its step's one ranking. Here: the instance is counted in
+    ``seen[entry]`` and stored by one row write, into the next free slot
+    while under capacity, then by uniform reservoir: item number N is kept
+    with probability n_e/N, replacing a uniform slot.
     """
-    rnorm = _relation_norm(feats["r"])
-    entry = int(retrieve_entries(pool.keys, feats["c"][None], 1)[0][0, 0])
     pool.seen[entry] += 1
     slot = int(pool.store_len[entry])
     if slot == pool.n_e:

@@ -11,12 +11,13 @@ selection identity is fixed during the backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .ioutil import pack_floats, unpack_floats
 from .numerics import softmax
-from .prompt_pool import PromptPool, admit_exemplar, retrieve_entries
+from .prompt_pool import PromptPool, _relation_norm, admit_exemplar, retrieve_entries
 from .rng import SeededRng
 from .scorer import (PredicateVocab, Rankings, ScorerParams, position_weights,
                      rank_predicates_batch)
@@ -59,6 +60,8 @@ class TrainConfig:
             raise ValueError("epochs, batch size, and K must be >= 1")
         if self.l1_mode not in ("none", "token_norm"):
             raise ValueError(f"unknown l1_mode {self.l1_mode!r}")
+        if self.random_prompts and self.random_exemplar:
+            raise ValueError("random_prompts and random_exemplar are separate ablations")
 
     def effective_k(self) -> int:
         return 1 if self.naive else self.k_retrieve
@@ -188,6 +191,28 @@ class _Batch:
                        for kind, f in self.feats.items()},
                       np.concatenate([self.targets, other.targets]),
                       np.concatenate([self.replay, other.replay]))
+
+
+class _Ranking(NamedTuple):
+    """Key retrieval of a batch's rows, ``retrieve_entries``' results: top
+    (B, k) entries, cosines (B, n_t), context norms (B,), key norms (n_t,)."""
+
+    top: np.ndarray
+    sims: np.ndarray
+    cnorms: np.ndarray
+    knorms: np.ndarray
+
+    def concat(self, other: "_Ranking") -> "_Ranking":
+        """The rows of ``self`` then ``other``, ranked against the same keys."""
+        return _Ranking(np.concatenate([self.top, other.top]),
+                        np.concatenate([self.sims, other.sims]),
+                        np.concatenate([self.cnorms, other.cnorms]), self.knorms)
+
+
+def _retrieve(batch: _Batch, pool: PromptPool, config: TrainConfig) -> _Ranking:
+    """The batch's rows ranked by key cosine, K entries each."""
+    k = min(config.effective_k(), pool.n_t)
+    return _Ranking(*retrieve_entries(pool.keys, batch.feats["c"], k))
 
 
 def _queries(rows) -> _Batch:
@@ -344,30 +369,23 @@ def _n_context(config: TrainConfig, pool: PromptPool) -> int:
     return min(config.effective_k(), pool.n_t) - 1
 
 
-def _select(batch: _Batch, pool: PromptPool, config: TrainConfig, ab_rng: SeededRng | None):
-    """Retrieval for the whole batch.
+def _select(batch: _Batch, ranked: _Ranking, pool: PromptPool, config: TrainConfig,
+            ab_rng: SeededRng | None):
+    """Prompt and exemplar choice for the whole batch from ``ranked``, its
+    rows' key retrieval.
 
     Returns (selection (B, k) entries, query entry first; their key cosines;
     slots (B, k-1): the store slot each context entry shows, -1 if empty;
     context feature norms (B,); key norms (n_t,)).
     """
-    k = min(config.effective_k(), pool.n_t)
-    top, sims, cnorms, knorms = retrieve_entries(pool.keys, batch.feats["c"], k)
+    top, sims, cnorms, knorms = ranked
     n_ctx = _n_context(config, pool)
-    if config.random_prompts and config.random_exemplar and n_ctx:
-        # both draws share the stream item by item: prompts, then exemplars
-        selection = np.empty((len(batch), k), dtype=np.int64)
-        slots = np.empty((len(batch), n_ctx), dtype=np.int64)
-        for b in range(len(batch)):
-            selection[b] = _random_prompts(ab_rng, sims[b : b + 1], k)[0]
-            slots[b] = _random_slots(ab_rng, pool.store_len[selection[b, 1:]])
+    selection = _random_prompts(ab_rng, sims, top.shape[1]) if config.random_prompts else top
+    context = selection[:, 1 : 1 + n_ctx]
+    if config.random_exemplar:
+        slots = _random_slots(ab_rng, pool.store_len[context])
     else:
-        selection = _random_prompts(ab_rng, sims, k) if config.random_prompts else top
-        context = selection[:, 1 : 1 + n_ctx]
-        if config.random_exemplar:
-            slots = _random_slots(ab_rng, pool.store_len[context])
-        else:
-            slots = _nearest_slots(batch.feats["r"], context, pool)
+        slots = _nearest_slots(batch.feats["r"], context, pool)
     return selection, np.take_along_axis(sims, selection, axis=1), slots, cnorms, knorms
 
 
@@ -404,15 +422,15 @@ class _Pass:
         return out
 
 
-def _forward(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainConfig,
-             ab_rng: SeededRng | None, cache: _PassCache) -> _Pass:
+def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet,
+             config: TrainConfig, ab_rng: SeededRng | None, cache: _PassCache) -> _Pass:
     scorer, d_tok, n_p = tr.scorer, pool.d_tok, pool.n_p
     n_b, n_mask = len(batch), tr.y_mask.shape[0]
     if n_mask != scorer.n_mask:
         raise ValueError(f"{n_mask} mask rows but decoder expects {scorer.n_mask}")
     q_blocks, q_caches = _encode(tr.mapper, batch.feats)
     n_ex_rows = q_blocks.shape[1]
-    selection, sims, slots, cnorms, knorms = _select(batch, pool, config, ab_rng)
+    selection, sims, slots, cnorms, knorms = _select(batch, ranked, pool, config, ab_rng)
     n_ctx = slots.shape[1]
 
     # the exemplar each context segment shows, as a block of the token table
@@ -496,11 +514,11 @@ def _ordered_sum(values) -> float:
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-def _loss_and_grads(batch: _Batch, pool: PromptPool, tr: TrainableSet, config: TrainConfig,
-                    ab_rng: SeededRng | None, cache: _PassCache):
+def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet,
+                    config: TrainConfig, ab_rng: SeededRng | None, cache: _PassCache):
     """Mean total loss, gradients keyed as ``TrainableSet.param_items``, and
-    the raw loss parts."""
-    fw = _forward(batch, pool, tr, config, ab_rng, cache)
+    the raw loss parts, for ``batch`` and its rows' key retrieval ``ranked``."""
+    fw = _forward(batch, ranked, pool, tr, config, ab_rng, cache)
     scorer = tr.scorer
     n_b, d_tok, n_mask = len(batch), scorer.d_tok, scorer.n_mask
     n_ex_rows = fw.q_blocks.shape[1]
@@ -630,6 +648,15 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
     the loop solely through stored exemplars. ``quota`` admissions are spread
     evenly over the stage's full visit stream (epochs x instances); the
     pool stays untouched when the quota is 0 or the naive path is active.
+
+    Each step ranks its query rows once, before its admissions. An offered
+    row is routed to its top-1 entry in that ranking, its relation norm is
+    taken once over the step's offered rows, and the forward pass reads the
+    same ranking joined by the replayed rows' own. This is exact: no key
+    moves between a step's admissions and its forward pass, and a row's
+    cosines and norm have the same bits alone or in a batch. A degenerate
+    context feature in any query row of a step, or relation feature in an
+    offered row, raises ValueError before any of the step's admissions.
     """
     config.validate()
     train = stage.train
@@ -644,7 +671,7 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
     if config.naive:
         quota = 0
     n_admit = min(quota, total_visits)
-    admit_at = sorted({(i * total_visits) // n_admit for i in range(n_admit)})
+    admit_at = np.arange(n_admit) * total_visits // n_admit  # ascending and distinct
 
     rho = config.effective_rho()
     n_re_full = int(round(config.batch_size * rho))
@@ -652,27 +679,34 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
 
     cache = _PassCache(tr, vocab)
     epoch_losses = []
-    visit = next_admit = admitted = 0
+    visit = admitted = 0
     for _ in range(config.epochs):
         order = np.array(order_rng.permutation(len(train)), dtype=np.int64)
         step_losses = []
         for start in range(0, len(order), chunk):
             idxs = order[start : start + chunk]
-            end = visit + len(idxs)
-            while next_admit < len(admit_at) and admit_at[next_admit] < end:
-                row = train.take(int(idxs[admit_at[next_admit] - visit]))
-                if admit_exemplar(pool, row.feats, int(row.pred), admit_rng) is not None:
-                    admitted += 1
-                next_admit += 1
-            visit = end
             batch = _queries(train.take(idxs))
+            ranked = _retrieve(batch, pool, config)
+            end = visit + len(idxs)
+            # batch positions of the rows offered in this step
+            offered = admit_at[(visit <= admit_at) & (admit_at < end)] - visit
+            if offered.size:
+                rnorms = _relation_norm(batch.feats["r"][offered])
+                for p, rnorm in zip(offered.tolist(), rnorms):
+                    feats = {kind: f[p] for kind, f in batch.feats.items()}
+                    if admit_exemplar(pool, int(ranked.top[p, 0]), feats,
+                                      int(batch.targets[p]), rnorm, admit_rng) is not None:
+                        admitted += 1
+            visit = end
             if rho > 0:
                 n_stored = pool.total_stored()
                 if n_stored:
                     want = int(round(len(idxs) * rho / (1.0 - rho)))
                     picks = replay_rng.randint_block(np.full(want, n_stored))
-                    batch = batch.concat(_replays(pool, picks))
-            loss, grads, _ = _loss_and_grads(batch, pool, tr, config, ab_rng, cache)
+                    replays = _replays(pool, picks)
+                    batch = batch.concat(replays)
+                    ranked = ranked.concat(_retrieve(replays, pool, config))
+            loss, grads, _ = _loss_and_grads(batch, ranked, pool, tr, config, ab_rng, cache)
             opt.step(tr, grads, config)
             step_losses.append(loss)
         epoch_losses.append(float(np.mean(step_losses)))
@@ -700,6 +734,7 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
     randomness (random prompts/exemplars) still applies when
     configured, via ``ab_rng``, batch by batch.
     """
+    config.validate()
     needs_rng = config.random_prompts or config.random_exemplar
     if needs_rng and ab_rng is None:
         raise ValueError("configured ablations need an rng at inference")
@@ -713,8 +748,8 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
         raise ValueError(f"table holds {table.n_query} query items, the batch needs {n_query}")
     labels, scores = [], []
     for start in range(0, len(instances), batch_size):
-        fw = _forward(_queries(instances.take(slice(start, start + batch_size))), pool, tr,
-                      config, ab_rng, table)
+        batch = _queries(instances.take(slice(start, start + batch_size)))
+        fw = _forward(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng, table)
         ranked = rank_predicates_batch(fw.probs(), vocab, candidates=candidates)
         labels.append(ranked.labels)
         scores.append(ranked.scores)

@@ -21,11 +21,11 @@ import numpy as np
 from lsgg.datastream import RelationTable, StageDataset, zipf_counts
 from lsgg.metrics import GTTable, PredTable, box_column, iou, union_box
 from lsgg.numerics import random_unit_vector, softmax
-from lsgg.prompt_pool import _relation_norm, _write_slot, admit_exemplar
+from lsgg.prompt_pool import _relation_norm, _write_slot, admit_exemplar, retrieve_entries
 from lsgg.rng import SeededRng, _mix64
 from lsgg.scorer import PredicateVocab, ScorerParams, position_weights
 from lsgg.token_mapper import KINDS, MapperKindCache, MapperParams
-from lsgg.trainer import _Batch, _PassCache, _loss_and_grads
+from lsgg.trainer import _Batch, _PassCache, _loss_and_grads, _retrieve
 
 
 # -- cosine kernels ---------------------------------------------------------------
@@ -160,8 +160,13 @@ def features(inst) -> dict:
 
 
 def admit(pool, inst, rng):
-    """``admit_exemplar`` of one instance object."""
-    return admit_exemplar(pool, features(inst), int(inst.predicate), rng)
+    """``admit_exemplar`` of one instance object, routed and measured alone:
+    its relation norm first (a degenerate row raises before it is routed or
+    counted), then its entry from a single-row key retrieval."""
+    feats = features(inst)
+    rnorm = _relation_norm(feats["r"])
+    entry = int(retrieve_entries(pool.keys, feats["c"][None], 1)[0][0, 0])
+    return admit_exemplar(pool, entry, feats, int(inst.predicate), rnorm, rng)
 
 
 def append_exemplar(pool, entry: int, inst) -> None:
@@ -226,7 +231,8 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
                     for kind in KINDS},
                    np.array([it.source.predicate for it in items], dtype=np.int64),
                    np.array([it.replay for it in items], dtype=bool))
-    return _loss_and_grads(batch, pool, tr, config, ab_rng, _PassCache(tr, vocab))
+    return _loss_and_grads(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng,
+                           _PassCache(tr, vocab))
 
 
 # -- the token mapper written out ------------------------------------------------------

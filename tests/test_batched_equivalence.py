@@ -20,7 +20,6 @@ SWITCHES = [
     ("default", {}, {}),
     ("random_prompts", {"random_prompts": True}, {}),
     ("random_exemplar", {"random_exemplar": True}, {}),
-    ("random_prompts+exemplar", {"random_prompts": True, "random_exemplar": True}, {}),
     ("naive", {"naive": True}, {}),
     ("train_scorer", {}, {"train_scorer": True}),
     ("l1_token_norm", {"l1_mode": "token_norm", "alpha": 0.3}, {}),
@@ -80,25 +79,52 @@ def test_predict_ranked_equals_per_item_reference(label, config_kw, world_kw):
         assert rng_b.next_u64() == rng_a.next_u64()
 
 
-@pytest.mark.parametrize("label,config_kw,world_kw", SWITCHES, ids=IDS)
-def test_train_stage_equals_per_item_reference(label, config_kw, world_kw):
-    # quota > 0: admissions land mid-stage, so cached store rows must follow
+def stages_agree(config_kw, world_kw, quota):
+    """One stage of 14 rows through the reference and the production loop;
+    asserts they agree bit for bit and returns the reference's world and
+    result."""
     runs = []
     for stage_fn, opt in ((ref.train_stage, ref.AdamW()), (train_stage, AdamW())):
         w = make_world(config_kw, world_kw)
         train = [w.instance(predicate=i % w.n_pred, image_id=i) for i in range(14)]
         out = stage_fn(train_split(train), w.pool, w.tr, w.vocab, w.config, opt,
-                       SeededRng(9), quota=8)
+                       SeededRng(9), quota=quota)
         runs.append((w, out))
     (w_a, out_a), (w_b, out_b) = runs
     assert out_b["epoch_losses"] == out_a["epoch_losses"]
     assert out_b["admitted"] == out_a["admitted"]
-    if not w_a.config.naive:
-        assert out_a["admitted"] > 0
     assert pools_equal(w_b.pool, w_a.pool)
     params_a = dict(w_a.tr.param_items())
     for name, arr in w_b.tr.param_items():
         assert np.array_equal(arr, params_a[name]), name
+    return w_a, out_a
+
+
+@pytest.mark.parametrize("label,config_kw,world_kw", SWITCHES, ids=IDS)
+def test_train_stage_equals_per_item_reference(label, config_kw, world_kw):
+    # quota > 0: admissions land mid-stage, so cached store rows must follow
+    w, out = stages_agree(config_kw, world_kw, quota=8)
+    if not w.config.naive:
+        assert out["admitted"] > 0
+
+
+DENSE_SWITCHES = [s for s in SWITCHES if s[0] != "naive"]  # naive never admits
+
+
+@pytest.mark.parametrize("label,config_kw,world_kw", DENSE_SWITCHES,
+                         ids=[s[0] for s in DENSE_SWITCHES])
+def test_train_stage_offering_every_visit_equals_per_item_reference(label, config_kw,
+                                                                     world_kw):
+    # quota >= epochs x rows, as on the eval_heavy bench: every row of every
+    # step is offered, each routed by the step's one ranking; stores of
+    # capacity 3 overflow, so reservoir draws drop some offers and replace
+    # stored exemplars between steps
+    start = make_world(config_kw, world_kw).pool
+    w, out = stages_agree(config_kw, world_kw, quota=1000)
+    offered = w.config.epochs * 14
+    assert w.pool.seen.sum() - start.seen.sum() == offered
+    appended = w.pool.total_stored() - start.total_stored()
+    assert appended < out["admitted"] < offered  # some kept by replacement, some dropped
 
 
 def test_predict_ranked_equals_per_item_reference_at_bench_widths():

@@ -13,7 +13,13 @@ test fails then:
   reported wrong sizes would fail it;
 - the throughput denominators are ``len()`` of ``train_stage``'s split and
   of ``predict_ranked``'s first argument, so a split type whose ``len()``
-  counted anything but rows would skew them.
+  counted anything but rows would skew them;
+- admissions are counted by wrapping ``admit_exemplar`` in ``trainer``'s
+  namespace, and the checks fail a round whose count differs from
+  ``train_stage``'s ``admitted``. So every offered row must make exactly
+  one call through that name: a trainer that batched several offers into
+  one call, or imported the function under another name, would fail every
+  round as outputs_incorrect.
 """
 
 import os
@@ -66,5 +72,9 @@ def test_round_denominators_count_split_rows(tmp_path, mode):
         schedule = split_random(labels, cfg.n_stages, rng.derive("schedule"))
     stages = make_stage_datasets(data, schedule, cfg.split_fractions)
     n_test = [len(stage.test) for stage in stages]
+    # one admit_exemplar call per offered row: min(quota, visits) per stage
+    quota = (cfg.n_t * cfg.n_e) // cfg.n_stages
+    offers = sum(min(quota, cfg.train.epochs * len(stage.train)) for stage in stages)
+    assert rnd["probe"].counts["prompt_pool.admit_attempts"] == offers
     assert rnd["train_items"] == cfg.train.epochs * sum(len(stage.train) for stage in stages)
     assert rnd["eval_instances"] == sum(sum(n_test[: t + 1]) for t in range(cfg.n_stages))

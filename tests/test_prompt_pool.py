@@ -11,7 +11,7 @@ from lsgg.ioutil import pack_floats
 from lsgg.prompt_pool import (PoolFormatError, _relation_norm, _write_slot, deserialize_pool,
                               init_pool, retrieve_entries, serialize_pool)
 from lsgg.rng import SeededRng
-from lsgg.trainer import TrainConfig, _nearest_slots, _queries, _select
+from lsgg.trainer import TrainConfig, _nearest_slots, _queries, _retrieve, _select
 
 from conftest import nearest_exemplar, random_instance
 from oracles import admit, append_exemplar, cosine, pools_equal, rewrite_relation, table_of
@@ -321,7 +321,7 @@ def test_admit_routes_to_the_entry_select_ranks_first():
             inst.f_c = (2.0 + j) * pool.keys[rng.randint(n_t)]
         batch = _queries(table_of(queries))
         config = TrainConfig(k_retrieve=1 + rng.randint(n_t))
-        selection = _select(batch, pool, config, None)[0]
+        selection = _select(batch, _retrieve(batch, pool, config), pool, config, None)[0]
         routed = [admit(pool, inst, rng) for inst in queries]
         assert routed == selection[:, 0].tolist(), trial
 

@@ -1,6 +1,7 @@
 """Losses, analytic gradients vs finite differences, the optimizer, the stage
 loop, and checkpoint files."""
 
+import copy
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, load_checkp
 
 from conftest import TinyWorld, finite_diff, grad_rel_err
 from oracles import (Item, admit, batch_loss_and_grads, cosine_to_rows, loss_key_alignment,
-                     loss_predicate_ce, table_of, token_norm_penalty, train_split)
+                     loss_predicate_ce, pools_equal, table_of, token_norm_penalty, train_split)
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -104,7 +105,8 @@ def test_token_norm_penalty_value_and_gradient():
 def test_config_validation():
     TrainConfig().validate()
     for bad in (TrainConfig(alpha=-0.1), TrainConfig(rho=1.0), TrainConfig(lr=-1e-3),
-                TrainConfig(epochs=0), TrainConfig(l1_mode="huber")):
+                TrainConfig(epochs=0), TrainConfig(l1_mode="huber"),
+                TrainConfig(random_prompts=True, random_exemplar=True)):
         with pytest.raises(ValueError):
             bad.validate()
     assert TrainConfig(naive=True, k_retrieve=5).effective_k() == 1
@@ -373,6 +375,26 @@ def test_train_stage_rejects_empty_split():
     empty = StageDataset(train=stage.train.take(slice(0, 0)), val=stage.val, test=stage.test)
     with pytest.raises(ValueError):
         train_stage(empty, w.pool, w.tr, w.vocab, w.config, AdamW(), SeededRng(11))
+
+
+@pytest.mark.parametrize("kind,row", [("r", [0.0] * 5), ("r", [1.0, np.nan, 0, 0, 0]),
+                                      ("r", [np.inf, 0, 0, 0, 0]), ("c", [0.0] * 6),
+                                      ("c", [np.nan] + [1.0] * 5)])
+def test_degenerate_row_raises_before_its_step_admits(kind, row):
+    # every visit is offered; the degenerate row is the last of the first
+    # step, so the step's other rows would be counted first if each offer
+    # were checked as it came; a step refuses before any of its admissions
+    w, stage = loop_world()
+    for e in range(w.pool.n_t):
+        w.fill_store(e, e % 3, start_pred=e)
+    chunk = w.config.batch_size - round(w.config.batch_size * w.config.rho)
+    bad = SeededRng(12).derive("order").permutation(len(stage.train))[chunk - 1]
+    stage.train.feats[kind][bad] = row
+    before = copy.deepcopy(w.pool)
+    with pytest.raises(ValueError, match="degenerate"):
+        train_stage(stage, w.pool, w.tr, w.vocab, w.config, AdamW(), SeededRng(12),
+                    quota=1000)
+    assert pools_equal(w.pool, before)  # seen counts and store lengths included
 
 
 def test_stage_quota_formula():
