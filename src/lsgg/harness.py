@@ -125,17 +125,10 @@ def preset_config(base: ExperimentConfig, name: str) -> ExperimentConfig:
 
 
 def config_diff(a: ExperimentConfig, b: ExperimentConfig) -> list:
-    """Dotted names of fields that differ; used to assert preset minimality."""
-    out = []
-    for key, av in sorted(vars(a).items()):
-        bv = getattr(b, key)
-        if key in ("train", "synth"):
-            for sub, sav in sorted(vars(av).items()):
-                if sav != getattr(bv, sub):
-                    out.append(f"{key}.{sub}")
-        elif av != bv:
-            out.append(key)
-    return out
+    """Dotted names of the fields whose echoes (``config_to_kv``, as
+    ``manifest.json`` writes them) differ; used to assert preset minimality."""
+    ka, kb = config_to_kv(a), config_to_kv(b)
+    return [key for key in ka if ka[key] != kb[key]]
 
 
 # -- flat key=value config encoding ------------------------------------------------
@@ -311,8 +304,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
     opt = AdamW()
     quota = stage_quota(pool, config.n_stages)
 
-    matrices = {k: AccuracyMatrix(config.n_stages, metric=f"mR@{k}")
-                for k in config.eval_ks}
+    matrices = {k: AccuracyMatrix(config.n_stages) for k in config.eval_ks}
     reports, stage_seconds = [], []
     eval_rng = rng.derive("eval")
     task_gt = []  # each arrived task's test ground truth
@@ -327,19 +319,14 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         task_gt.append(_gt_table(stages[t].test))
         candidates = schedule.arrived_labels(t)
         table = freeze_table(pool, tr, vocab, config.train)
-        per_task = {}
         task_preds = []
         for j in range(t + 1):
             preds = _evaluate_instances(stages[j].test, task_gt[j], pool, tr, vocab,
                                         config.train, candidates, eval_rng, table)
             task_preds.append(preds)
-            task_metrics = {}
-            for k, (r_k, mr_k) in recall_at_ks(preds, task_gt[j], config.eval_ks,
-                                               mode="ids").items():
-                task_metrics[f"R@{k}"] = r_k
-                task_metrics[f"mR@{k}"] = mr_k
+            for k, (_, mr_k) in recall_at_ks(preds, task_gt[j], config.eval_ks,
+                                             mode="ids").items():
                 matrices[k].set(t, j, mr_k)
-            per_task[j] = task_metrics
         del table  # stale from here on; held through the next stage, it raises peak memory
 
         union_preds, union_gt = concat_tables(task_preds), concat_tables(task_gt)
@@ -348,7 +335,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         mr = {k: union[k][1] for k in config.eval_ks}
         m = {k: m_at_k(r[k], mr[k]) for k in config.eval_ks}
         wmap = weighted_map(union_preds, union_gt, mode="ids")
-        report = MetricReport(stage=t, r=r, mr=mr, m=m, per_task=per_task, wmap=wmap,
+        report = MetricReport(stage=t, r=r, mr=mr, m=m, wmap=wmap,
                               score=score_wtd(r[min(config.eval_ks)], wmap, wmap))
         report.check_invariants()
         reports.append(report)

@@ -256,7 +256,6 @@ class MetricReport:
     r: dict  # K -> R@K
     mr: dict  # K -> mR@K
     m: dict  # K -> M@K
-    per_task: dict  # task index -> {metric name -> value}
     wmap: float | None = None  # weighted mAP by instance-id matching
     score: float | None = None
 
@@ -269,10 +268,9 @@ class MetricReport:
 class AccuracyMatrix:
     """Lower-triangular a[l][j]: metric on task j measured after stage l."""
 
-    def __init__(self, n_stages: int, metric: str = "mR@50"):
+    def __init__(self, n_stages: int):
         if n_stages < 1:
             raise ValueError("need at least one stage")
-        self.metric = metric
         self.values = [[None] * (l + 1) for l in range(n_stages)]
 
     @property

@@ -182,12 +182,10 @@ def _relation_norm(f_r: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int,
-                rnorm: float) -> None:
-    """Write one exemplar's raw features (kind -> 1-D array), label and
-    relation norm ``rnorm``, ``_relation_norm(feats["r"])``, into store slot
-    (entry, slot). The first exemplar written fixes each kind's width; a
-    later one of other widths raises ValueError and writes nothing."""
+def _check_widths(pool: PromptPool, feats: dict) -> None:
+    """Raise ValueError if the raw features (kind -> 1-D array) have other
+    widths than the stored ones. The first exemplar fixes each kind's width:
+    with no store yet, this allocates the stores at the given widths."""
     widths = {kind: v.size for kind, v in feats.items()}
     if not pool.store_feats:
         pool.store_feats.update({kind: np.zeros((pool.n_t, pool.n_e, n))
@@ -195,6 +193,15 @@ def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int
     stored = {kind: f.shape[2] for kind, f in pool.store_feats.items()}
     if widths != stored:
         raise ValueError(f"exemplar feature lengths {widths} != stored {stored}")
+
+
+def _write_slot(pool: PromptPool, entry: int, slot: int, feats: dict, label: int,
+                rnorm: float) -> None:
+    """Write one exemplar's raw features (kind -> 1-D array), label and
+    relation norm ``rnorm``, ``_relation_norm(feats["r"])``, into store slot
+    (entry, slot); features of other widths than the stored ones raise
+    ValueError (``_check_widths``) and write nothing."""
+    _check_widths(pool, feats)
     for kind, v in feats.items():
         pool.store_feats[kind][entry, slot] = v
     pool.store_labels[entry, slot] = label
@@ -210,11 +217,14 @@ def admit_exemplar(pool: PromptPool, entry: int, feats: dict, label: int, rnorm:
     ranks first for f_c (the cosine-nearest key, ties to the lower index),
     and ``rnorm`` is ``_relation_norm(feats["r"])``, which refuses a
     degenerate relation feature before anything is counted. ``train_stage``
-    reads both from its step's one ranking. Here: the instance is counted in
-    ``seen[entry]`` and stored by one row write, into the next free slot
-    while under capacity, then by uniform reservoir: item number N is kept
-    with probability n_e/N, replacing a uniform slot.
+    reads both from its step's one ranking. Here: features of other widths
+    than the stored ones raise ValueError before the instance is counted or
+    a draw is made; otherwise the instance is counted in ``seen[entry]`` and
+    stored by one row write, into the next free slot while under capacity,
+    then by uniform reservoir: item number N is kept with probability n_e/N,
+    replacing a uniform slot.
     """
+    _check_widths(pool, feats)
     pool.seen[entry] += 1
     slot = int(pool.store_len[entry])
     if slot == pool.n_e:

@@ -22,7 +22,6 @@ import numpy as np
 from .rng import SeededRng
 
 KINDS = ("c", "r", "s", "o")
-DEFAULT_TOKEN_COUNTS = {"c": 4, "r": 4, "s": 2, "o": 2}
 
 
 @dataclass
@@ -45,11 +44,8 @@ class MapperParams:
         return sum(self.token_counts[k] for k in KINDS)
 
 
-def init_mapper(feat_dims: dict, d_tok: int = 64, token_counts=None,
-                rng: SeededRng | None = None) -> MapperParams:
-    if rng is None:
-        raise ValueError("init_mapper requires an rng")
-    counts = dict(DEFAULT_TOKEN_COUNTS if token_counts is None else token_counts)
+def init_mapper(feat_dims: dict, d_tok: int, token_counts: dict, rng: SeededRng) -> MapperParams:
+    counts = dict(token_counts)
     if sorted(feat_dims) != sorted(KINDS) or sorted(counts) != sorted(KINDS):
         raise ValueError(f"feature dims and token counts must cover kinds {KINDS}")
     if d_tok < 1 or min(counts.values()) < 1:

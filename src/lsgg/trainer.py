@@ -32,7 +32,6 @@ EVAL_BATCH = 256  # instances per inference pass
 
 @dataclass
 class TrainConfig:
-    alpha: float = 0.2  # weight of the auxiliary loss slot
     lam: float = 0.5  # weight of the key-alignment loss
     lr: float = 0.002
     weight_decay: float = 1e-4
@@ -41,15 +40,14 @@ class TrainConfig:
     rho: float = 0.25  # fraction of each batch drawn from the pool
     k_retrieve: int = 3
     scorer_lr_scale: float = 0.1  # applied when the decoder is unfrozen
-    l1_mode: str = "none"  # "none" (constant 0) or "token_norm"
     # ablation switches
     random_prompts: bool = False  # ignore keys, pick K entries at random
     random_exemplar: bool = False  # ignore relation similarity inside stores
     naive: bool = False  # single prompt, no exemplars, no replay, no admissions
 
     def validate(self) -> None:
-        if self.alpha < 0 or self.lam < 0:
-            raise ValueError("loss weights must be >= 0")
+        if self.lam < 0:
+            raise ValueError("loss weight must be >= 0")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rehearsal ratio must lie in [0, 1)")
         if self.lr < 0:  # lr == 0 is the diagnostic no-op case
@@ -58,8 +56,6 @@ class TrainConfig:
             raise ValueError("weight decay must be >= 0")
         if self.epochs < 1 or self.batch_size < 1 or self.k_retrieve < 1:
             raise ValueError("epochs, batch size, and K must be >= 1")
-        if self.l1_mode not in ("none", "token_norm"):
-            raise ValueError(f"unknown l1_mode {self.l1_mode!r}")
         if self.random_prompts and self.random_exemplar:
             raise ValueError("random_prompts and random_exemplar are separate ablations")
 
@@ -106,11 +102,11 @@ def init_y_mask(n_mask: int, d_tok: int, rng: SeededRng) -> np.ndarray:
 # -- losses --------------------------------------------------------------------
 
 
-def loss_total(l1_aux: float, l2: float, l3: float, config: TrainConfig) -> float:
-    for name, val in (("l1", l1_aux), ("l2", l2), ("l3", l3)):
+def loss_total(l2: float, l3: float, config: TrainConfig) -> float:
+    for name, val in (("l2", l2), ("l3", l3)):
         if not np.isfinite(val):
             raise ValueError(f"loss component {name} is not finite: {val}")
-    return config.alpha * l1_aux + config.lam * l2 + l3
+    return config.lam * l2 + l3
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -578,7 +574,7 @@ def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: Train
     grads = {"pool.v": d_table[:off_ex].reshape(pool.prompts.shape),
              "y_mask": d_table[off_mask:off_q]}
 
-    # key alignment and the token-norm term, query items only
+    # key alignment, query items only
     query = np.flatnonzero(~batch.replay)
     sims = fw.sims[query]
     l2_sum = _ordered_sum(1.0 - sims.ravel())
@@ -588,12 +584,6 @@ def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: Train
     coeff = config.lam * inv
     terms = coeff * (-(u / knorm) + sims.reshape(-1, 1) * pool.keys[entries] / (knorm * knorm))
     grads["pool.k"] = _scatter_rows(entries, terms, pool.n_t)
-    l1_sum = 0.0
-    if config.l1_mode == "token_norm" and query.size:
-        block = fw.q_blocks[query]
-        dev = np.sum(block * block, axis=2) - 1.0
-        l1_sum = _ordered_sum(np.mean(dev * dev, axis=1))
-        d_q[query] += config.alpha * inv * ((4.0 / n_ex_rows) * dev[:, :, None] * block)
 
     mapper_grads = init_grads(tr.mapper)
     slices = _kind_slices(tr.mapper)
@@ -625,8 +615,8 @@ def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: Train
                                                  minlength=scorer.pos_weight.size)
 
     l3_sum = _ordered_sum(l3)
-    loss = loss_total(l1_sum * inv, l2_sum * inv, l3_sum * inv, config)
-    parts = {"l1": l1_sum * inv, "l2": l2_sum * inv, "l3": l3_sum * inv}
+    loss = loss_total(l2_sum * inv, l3_sum * inv, config)
+    parts = {"l2": l2_sum * inv, "l3": l3_sum * inv}
     return loss, grads, parts
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lsgg.harness import TOKEN_PRESETS
 from lsgg.prompt_pool import init_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, init_scorer
@@ -75,8 +76,9 @@ class TinyWorld:
             names = {p: f"rel{p}" for p in range(n_pred)}
         self.vocab = build_vocab(names)
         self.pool = init_pool(n_t, n_p, d_tok, d_c, n_e, rng.derive("pool"))
-        self.mapper = init_mapper({"c": d_c, "r": d_r, "s": d_o, "o": d_o},
-                                  d_tok=d_tok, rng=rng.derive("mapper"))
+        self.mapper = init_mapper({"c": d_c, "r": d_r, "s": d_o, "o": d_o}, d_tok=d_tok,
+                                  token_counts=TOKEN_PRESETS["default"],
+                                  rng=rng.derive("mapper"))
         ex_rows = sum(self.mapper.token_counts.values())
         max_rows = k_retrieve * (n_p + ex_rows + self.vocab.n_mask)
         self.scorer = init_scorer(self.vocab.n_word_tokens, d_tok, self.vocab.n_mask,

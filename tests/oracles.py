@@ -139,18 +139,6 @@ def loss_predicate_ce(distributions, target: int, vocab: PredicateVocab) -> floa
     return total
 
 
-def token_norm_penalty(block: np.ndarray):
-    """Mean squared deviation of row norms from 1; the optional auxiliary loss.
-
-    Returns (value, gradient wrt the block rows).
-    """
-    sq = np.sum(block * block, axis=1)
-    dev = sq - 1.0
-    value = float(np.mean(dev * dev))
-    grad = (4.0 / block.shape[0]) * dev[:, None] * block
-    return value, grad
-
-
 # -- exemplar stores ----------------------------------------------------------------
 
 
@@ -225,7 +213,7 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
     ``trainer._loss_and_grads`` on a fresh pass cache.
 
     Replayed items contribute only the prediction loss; query items add the
-    key-alignment term and, when bound, the auxiliary token-norm term.
+    key-alignment term.
     """
     batch = _Batch({kind: np.stack([features(it.source)[kind] for it in items])
                     for kind in KINDS},

@@ -20,8 +20,7 @@ from lsgg.token_mapper import KINDS, encode_batch, encode_batch_backward, init_g
 from lsgg.trainer import TrainConfig, TrainableSet, loss_total
 
 from oracles import (Item, RowCache, admit, assemble_prompt, choice_without_replacement,
-                     loss_predicate_ce, records_of, score, stored_exemplar,
-                     token_norm_penalty)
+                     loss_predicate_ce, records_of, score, stored_exemplar)
 
 
 class AdamW:
@@ -193,7 +192,7 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
     d_q_blocks = np.zeros_like(state.q_blocks)
     d_ex_blocks = None if state.ex_blocks is None else np.zeros_like(state.ex_blocks)
 
-    l1_sum = l2_sum = l3_sum = 0.0
+    l2_sum = l3_sum = 0.0
     for i, it in enumerate(items):
         prompt, p = state.prompts[i], state.probs[i]
         w, base = state.weights[i], state.bases[i]
@@ -241,10 +240,6 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
                 knorm = state.keys.norms[idx]
                 k = pool.keys[idx]
                 grads["pool.k"][idx] += coeff * (-(u / knorm) + sim * k / (knorm * knorm))
-            if config.l1_mode == "token_norm":
-                val, d_block = token_norm_penalty(state.q_blocks[i])
-                l1_sum += val
-                d_q_blocks[i] += config.alpha * inv * d_block
 
     slices = _kind_slices(tr.mapper)
     for kind in KINDS:
@@ -256,8 +251,8 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
     for name, g in mapper_grads.items():
         grads[f"mapper.{name}"] += g
 
-    loss = loss_total(l1_sum * inv, l2_sum * inv, l3_sum * inv, config)
-    parts = {"l1": l1_sum * inv, "l2": l2_sum * inv, "l3": l3_sum * inv}
+    loss = loss_total(l2_sum * inv, l3_sum * inv, config)
+    parts = {"l2": l2_sum * inv, "l3": l3_sum * inv}
     return loss, grads, parts
 
 

@@ -75,7 +75,7 @@ def test_gradients_match_finite_differences():
     # d_tok=8, vocabulary of 10 tokens (9 single-word labels + padding), K=2
     t0 = time.perf_counter()
     for train_scorer in (False, True):
-        config = TrainConfig(alpha=0.2, lam=0.5, k_retrieve=2)
+        config = TrainConfig(lam=0.5, k_retrieve=2)
         w = TinyWorld(seed=77, d_tok=8, n_t=4, n_p=2, n_e=3, n_pred=9, k_retrieve=2,
                       train_scorer=train_scorer, config=config)
         assert w.vocab.n_word_tokens == 10
@@ -334,8 +334,7 @@ def test_protocol_invariants_enforced(tmp_path, monkeypatch):
         rep.check_invariants()
         for k in rep.m:
             assert rep.m[k] == (rep.r[k] + rep.mr[k]) / 2.0
-    broken = MetricReport(stage=0, r={5: 10.0}, mr={5: 20.0},
-                          m={5: 15.0 + 1e-12}, per_task={})
+    broken = MetricReport(stage=0, r={5: 10.0}, mr={5: 20.0}, m={5: 15.0 + 1e-12})
     with pytest.raises(AssertionError):
         broken.check_invariants()
     _passed("protocol invariants (schedule, isolation, capacity, M@K)")

@@ -22,7 +22,6 @@ SWITCHES = [
     ("random_exemplar", {"random_exemplar": True}, {}),
     ("naive", {"naive": True}, {}),
     ("train_scorer", {}, {"train_scorer": True}),
-    ("l1_token_norm", {"l1_mode": "token_norm", "alpha": 0.3}, {}),
 ]
 IDS = [s[0] for s in SWITCHES]
 

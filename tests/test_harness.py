@@ -58,7 +58,6 @@ def test_config_kv_round_trip():
     cfg = tiny_config(dataset_path="data.lsgg", schedule_mode="frequency",
                       train_scorer=True, seeds=(3, 4), split_fractions=(0.5, 0.25, 0.25))
     cfg.train.rho = 0.125
-    cfg.train.l1_mode = "token_norm"
     kv = config_to_kv(cfg)
     back = config_from_kv(kv)
     assert back == cfg
@@ -70,8 +69,9 @@ def test_config_kv_round_trip():
 def test_config_from_kv_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_kv({"n_bogus": "3"})
-    with pytest.raises(ValueError, match="unknown config key"):
-        config_from_kv({"train.bogus": "3"})
+    for key in ("train.bogus", "train.alpha", "train.l1_mode"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            config_from_kv({key: "3"})
     with pytest.raises(ValueError):
         config_from_kv({"train_scorer": "yes"})
     for section in ("train", "synth", "train."):
@@ -114,7 +114,9 @@ def test_run_experiment_protocol_shape():
     assert len(bundle.reports) == cfg.n_stages
     for t, rep in enumerate(bundle.reports):
         assert rep.stage == t
-        assert sorted(rep.per_task) == list(range(t + 1))
+        for k in cfg.eval_ks:  # stage t measured tasks 0..t
+            row = bundle.matrices[k].values[t]
+            assert len(row) == t + 1 and None not in row
         for k in cfg.eval_ks:
             assert 0.0 <= rep.r[k] <= 100.0
             assert rep.m[k] == (rep.r[k] + rep.mr[k]) / 2.0  # exact
@@ -132,7 +134,8 @@ def test_run_experiment_single_stage_has_no_fm():
     bundle = run_experiment(tiny_config(n_stages=1), seed=0)
     assert bundle.fm == {}
     assert len(bundle.reports) == 1
-    assert bundle.reports[0].per_task.keys() == {0}
+    for k in bundle.matrices:  # stage 0 measured task 0
+        assert bundle.matrices[k].values == [[bundle.matrices[k].get(0, 0)]]
 
 
 def test_rank_pairs_matches_sorted_oracle():

@@ -397,7 +397,7 @@ def test_forgetting_input_validation():
 
 
 def test_accuracy_matrix_write_once_and_bounds():
-    m = AccuracyMatrix(3, metric="mR@50")
+    m = AccuracyMatrix(3)
     assert not m.is_complete()
     m.set(0, 0, 60.0)
     with pytest.raises(ValueError, match="already"):
@@ -421,8 +421,7 @@ def test_accuracy_matrix_write_once_and_bounds():
 
 
 def test_metric_report_m_at_k_exactness():
-    rep = MetricReport(stage=1, r={50: 54.1}, mr={50: 18.6},
-                       m={50: m_at_k(54.1, 18.6)}, per_task={})
+    rep = MetricReport(stage=1, r={50: 54.1}, mr={50: 18.6}, m={50: m_at_k(54.1, 18.6)})
     rep.check_invariants()
     rep.m[50] += 1e-9
     with pytest.raises(AssertionError):

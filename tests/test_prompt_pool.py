@@ -353,6 +353,24 @@ def test_admit_rejects_degenerate_relation_rows_whatever_the_draw():
             assert rng.next_u64() == twin.next_u64()
 
 
+def test_admit_refuses_other_widths_before_counting():
+    # an offer wider than the stored exemplars is refused before it is
+    # counted in seen or drawn for, whether its entry's store has room (one
+    # earlier offer over two entries) or is full, where the draw would keep
+    # or drop it (six offers to one entry of capacity 2)
+    for n_t, n_offers in ((2, 1), (1, 6)):
+        for trial in range(20):
+            pool = init_pool(n_t, 1, 2, 3, 2, SeededRng(trial))
+            fill_pool(pool, SeededRng(50 + trial), n_offers)
+            before = copy.deepcopy(pool)
+            rng, twin = SeededRng(trial), SeededRng(trial)
+            inst = random_instance(SeededRng(90 + trial), d_c=3, d_r=6)
+            with pytest.raises(ValueError, match="feature lengths"):
+                admit(pool, inst, rng)
+            assert pools_equal(pool, before)  # seen, store_len and the stores
+            assert rng.next_u64() == twin.next_u64()
+
+
 def test_admit_reservoir_keep_rate_two_items():
     # n_e = 1: the second admission replaces the first with probability 1/2
     trials = 10_000

@@ -8,8 +8,8 @@ import pytest
 
 from lsgg.harness import TOKEN_PRESETS
 from lsgg.rng import SeededRng
-from lsgg.token_mapper import (DEFAULT_TOKEN_COUNTS, KINDS, encode_batch,
-                               encode_batch_backward, init_grads, init_mapper)
+from lsgg.token_mapper import (KINDS, encode_batch, encode_batch_backward, init_grads,
+                               init_mapper)
 from lsgg.trainer import _encode
 
 from conftest import finite_diff, grad_rel_err, random_instance
@@ -18,7 +18,7 @@ from oracles import encode_batch_all_rows, encode_batch_backward_all_rows
 FEAT_DIMS = {"c": 6, "r": 5, "s": 4, "o": 4}
 
 
-def small_mapper(seed=0, d_tok=8, token_counts=None):
+def small_mapper(seed=0, d_tok=8, token_counts=TOKEN_PRESETS["default"]):
     return init_mapper(FEAT_DIMS, d_tok=d_tok, token_counts=token_counts, rng=SeededRng(seed))
 
 
@@ -37,7 +37,7 @@ def test_default_token_counts_per_kind():
         block = encode_one(m, rng.normal(FEAT_DIMS[kind]), kind)
         assert block.shape == (expect, 8)
         assert np.all(np.isfinite(block))
-    assert DEFAULT_TOKEN_COUNTS == {"c": 4, "r": 4, "s": 2, "o": 2}
+    assert TOKEN_PRESETS["default"] == {"c": 4, "r": 4, "s": 2, "o": 2}
 
 
 def test_encode_feature_pure_and_deterministic():
@@ -147,9 +147,10 @@ def test_init_mapper_deterministic_and_validated():
         assert na == nb
         assert np.array_equal(pa, pb)
     with pytest.raises(ValueError):
-        init_mapper(FEAT_DIMS, d_tok=0, rng=SeededRng(0))
+        init_mapper(FEAT_DIMS, d_tok=0, token_counts=TOKEN_PRESETS["default"],
+                    rng=SeededRng(0))
     with pytest.raises(ValueError):
-        init_mapper(FEAT_DIMS, d_tok=8, token_counts={**DEFAULT_TOKEN_COUNTS, "r": 0},
+        init_mapper(FEAT_DIMS, d_tok=8, token_counts={**TOKEN_PRESETS["default"], "r": 0},
                     rng=SeededRng(0))
 
 

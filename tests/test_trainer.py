@@ -19,7 +19,7 @@ from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, load_checkp
 
 from conftest import TinyWorld, finite_diff, grad_rel_err
 from oracles import (Item, admit, batch_loss_and_grads, cosine_to_rows, loss_key_alignment,
-                     loss_predicate_ce, pools_equal, table_of, token_norm_penalty, train_split)
+                     loss_predicate_ce, pools_equal, table_of, train_split)
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -80,33 +80,20 @@ def test_predicate_ce_rejects_bad_tokens():
 
 
 def test_loss_total_weighting():
-    config = TrainConfig()  # alpha 0.2, lam 0.5
-    assert loss_total(0.0, 0.0, 3.25, config) == pytest.approx(3.25, abs=1e-15)
-    assert loss_total(1.0, 1.0, 1.0, config) == pytest.approx(1.7, abs=1e-12)
-    off = TrainConfig(alpha=0.0, lam=0.0)
-    assert loss_total(9.0, 9.0, 2.0, off) == pytest.approx(2.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        loss_total(float("nan"), 0.0, 0.0, config)
-
-
-def test_token_norm_penalty_value_and_gradient():
-    block = np.array([[1.0, 0.0], [0.0, 2.0]])
-    val, grad = token_norm_penalty(block)
-    assert val == pytest.approx((0.0 + 9.0) / 2.0, abs=1e-12)
-    work = block.copy()
-
-    def fn():
-        return token_norm_penalty(work)[0]
-
-    numeric = finite_diff(fn, work)
-    assert grad_rel_err(grad, numeric) < 1e-6
+    config = TrainConfig()  # lam 0.5
+    assert loss_total(0.0, 3.25, config) == pytest.approx(3.25, abs=1e-15)
+    assert loss_total(1.0, 1.0, config) == pytest.approx(1.5, abs=1e-12)
+    off = TrainConfig(lam=0.0)
+    assert loss_total(9.0, 2.0, off) == pytest.approx(2.0, abs=1e-15)
+    for bad in ((float("nan"), 0.0), (0.0, float("inf"))):
+        with pytest.raises(ValueError):
+            loss_total(*bad, config)
 
 
 def test_config_validation():
     TrainConfig().validate()
-    for bad in (TrainConfig(alpha=-0.1), TrainConfig(rho=1.0), TrainConfig(lr=-1e-3),
-                TrainConfig(epochs=0), TrainConfig(l1_mode="huber"),
-                TrainConfig(random_prompts=True, random_exemplar=True)):
+    for bad in (TrainConfig(lam=-0.1), TrainConfig(rho=1.0), TrainConfig(lr=-1e-3),
+                TrainConfig(epochs=0), TrainConfig(random_prompts=True, random_exemplar=True)):
         with pytest.raises(ValueError):
             bad.validate()
     assert TrainConfig(naive=True, k_retrieve=5).effective_k() == 1
@@ -116,10 +103,9 @@ def test_config_validation():
 # -- batched loss and analytic gradients ----------------------------------------
 
 
-def fd_world(train_scorer=False, l1_mode="none", n_pred=10):
+def fd_world(train_scorer=False, n_pred=10):
     # d_tok = 8, vocabulary of 10 predicates, K = 2
-    config = TrainConfig(alpha=0.3 if l1_mode != "none" else 0.2, lam=0.5,
-                         k_retrieve=2, l1_mode=l1_mode)
+    config = TrainConfig(lam=0.5, k_retrieve=2)
     w = TinyWorld(seed=21, d_tok=8, n_t=4, n_p=2, n_e=3, n_pred=n_pred,
                   k_retrieve=2, train_scorer=train_scorer,
                   two_word_labels=True, config=config)
@@ -142,7 +128,6 @@ def batch_loss_only(w, batch):
 FD_CASES = [
     ("frozen-d0", dict(train_scorer=False)),
     ("finetune-d0", dict(train_scorer=True)),
-    ("l1-token-norm", dict(train_scorer=False, l1_mode="token_norm")),
 ]
 
 
@@ -268,11 +253,11 @@ def test_loss_decreases_on_separable_batch():
 
 
 def test_naive_config_reduces_surface():
-    config = TrainConfig(alpha=0.0, lam=0.0, naive=True, k_retrieve=3)
+    config = TrainConfig(lam=0.0, naive=True, k_retrieve=3)
     w = TinyWorld(seed=33, config=config, k_retrieve=3)
     batch = [Item(source=w.instance(predicate=1), replay=False)]
     loss, grads, parts = batch_loss_and_grads(batch, w.pool, w.tr, w.vocab, config)
-    assert parts["l1"] == 0.0
+    assert set(parts) == {"l2", "l3"}
     # parts report raw components; lam = 0 zeroes the weighted contribution
     assert loss == pytest.approx(parts["l3"], abs=1e-15)
     assert np.max(np.abs(grads["pool.k"])) == 0.0
