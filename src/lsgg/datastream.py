@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .ioutil import format_float, parse_int64
+from .ioutil import data_lines, format_float, parse_int64
 from .metrics import box_column, positions_in_runs
 from .rng import SeededRng, _mix64_block
 from .numerics import random_unit_vector
@@ -336,34 +336,26 @@ def _parse_floats(tokens, n, lineno, what):
 
 def load_embeddings(path) -> RelationTable:
     """Parse an LSGG-EMB v1 file; errors carry the offending line number."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    header_idx = None
-    for i, line in enumerate(lines):
-        if line.strip() and not line.lstrip().startswith("#"):
-            header_idx = i
-            break
-    if header_idx is None:
+    lines = data_lines(path)
+    head_no, head_text = next(lines, (None, None))
+    if head_no is None:
         raise EmbeddingFormatError("missing header line")
-    head = lines[header_idx].split()
+    head = head_text.split()
     if len(head) != 7 or head[0] != EMB_MAGIC or head[1] != str(EMB_VERSION):
-        raise EmbeddingFormatError(f"line {header_idx + 1}: bad header {lines[header_idx].strip()!r}")
+        raise EmbeddingFormatError(f"line {head_no}: bad header {head_text!r}")
     try:
         dims = [parse_int64(tok) for tok in head[2:]]
     except ValueError as exc:
-        raise EmbeddingFormatError(f"line {header_idx + 1}: bad header field: {exc}") from None
+        raise EmbeddingFormatError(f"line {head_no}: bad header field: {exc}") from None
     if min(dims) < 1:
-        raise EmbeddingFormatError(f"line {header_idx + 1}: header dimensions must be >= 1")
+        raise EmbeddingFormatError(f"line {head_no}: header dimensions must be >= 1")
     d_c, d_r, d_o, n_obj, n_pred = dims
 
     ids, boxes, confs = [], [], []
     feats = {"c": [], "r": [], "s": [], "o": []}
     widths = {"c": d_c, "r": d_r, "s": d_o, "o": d_o}
-    for lineno, line in enumerate(lines[header_idx + 1 :], start=header_idx + 2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        toks = stripped.split()
+    for lineno, text in lines:
+        toks = text.split()
         if len(toks) < 5:
             raise EmbeddingFormatError(f"line {lineno}: truncated record")
         try:

@@ -9,7 +9,7 @@ byte-comparable across runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 import json
 import os
 import time
@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .datastream import (SynthConfig, TaskSchedule, load_embeddings, make_stage_datasets,
                          predicate_counts, split_by_frequency, split_random, synth_generate)
+from .ioutil import data_lines, format_float
 from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, concat_tables,
                       forgetting_measure, m_at_k, positions_in_runs, recall_at_ks, save_gt,
                       save_predictions, score_wtd, weighted_map)
@@ -153,7 +154,7 @@ def _kv_str(val) -> str:
     if isinstance(val, (tuple, list)):
         return ",".join(_kv_str(v) for v in val)
     if isinstance(val, float):
-        return repr(val)
+        return format_float(val)
     return str(val)
 
 
@@ -200,15 +201,11 @@ def config_from_kv(kv: dict) -> ExperimentConfig:
 
 def load_config_file(path) -> ExperimentConfig:
     kv = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"line {lineno}: expected key=value")
-            key, _, val = stripped.partition("=")
-            kv[key.strip()] = val.strip()
+    for lineno, text in data_lines(path):
+        if "=" not in text:
+            raise ValueError(f"line {lineno}: expected key=value")
+        key, _, val = text.partition("=")
+        kv[key.strip()] = val.strip()
     return config_from_kv(kv)
 
 
@@ -232,21 +229,25 @@ def _rank_pairs(image_ids: np.ndarray, confs: np.ndarray, gids: np.ndarray):
     return order, positions_in_runs(image_ids[order]) + 1
 
 
+def _ranked_dump(preds: PredTable) -> PredTable:
+    """``preds`` in dump order with each pair's rank within its image
+    (``_rank_pairs``); the rank column it holds is not read."""
+    order, ranks = _rank_pairs(preds.image, preds.conf, preds.gt_id)
+    cols = {f.name: getattr(preds, f.name) for f in fields(preds)}
+    return PredTable(**{name: None if col is None else col[order]
+                        for name, col in cols.items()} | {"rank": ranks})
+
+
 def _evaluate_instances(instances, gt: GTTable, pool, tr, vocab, train_cfg, candidates,
                         ab_rng, table) -> PredTable:
     """Predict each instance's predicate; the ranked dump of a task whose
-    ground truth is ``gt``.
-
-    One prediction per pair (its top-1 predicate); within an image, pairs are
-    ranked by descending confidence, ties by GT id.
-    """
+    ground truth is ``gt``: one prediction per pair, its top-1 predicate."""
     ranked = predict_ranked(instances, pool, tr, vocab, train_cfg,
                             candidates=candidates, ab_rng=ab_rng, table=table)
     confs = np.exp(np.ascontiguousarray(ranked.scores[:, 0]))
-    order, ranks = _rank_pairs(gt.image, confs, gt.gt_id)
-    return PredTable(image=gt.image[order], rank=ranks, subj=gt.subj[order],
-                     pred=ranked.labels[order, 0], obj=gt.obj[order], conf=confs[order],
-                     gt_id=gt.gt_id[order], has_id=np.ones(len(order), dtype=bool))
+    return _ranked_dump(PredTable(image=gt.image, rank=None, subj=gt.subj,
+                                  pred=ranked.labels[:, 0], obj=gt.obj, conf=confs,
+                                  gt_id=gt.gt_id, has_id=np.ones(len(gt), dtype=bool)))
 
 
 def run_experiment(config: ExperimentConfig, seed: int | None = None,
@@ -329,7 +330,9 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
                 matrices[k].set(t, j, mr_k)
         del table  # stale from here on; held through the next stage, it raises peak memory
 
-        union_preds, union_gt = concat_tables(task_preds), concat_tables(task_gt)
+        # a task's ranks hold within the task; an image spans several tasks
+        union_preds = _ranked_dump(concat_tables(task_preds))
+        union_gt = concat_tables(task_gt)
         union = recall_at_ks(union_preds, union_gt, config.eval_ks, mode="ids")
         r = {k: union[k][0] for k in config.eval_ks}
         mr = {k: union[k][1] for k in config.eval_ks}
@@ -352,7 +355,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
                            matrices=matrices, fm=fm, stage_seconds=stage_seconds)
     if run_dir is not None:
         # the final dump is the last stage's union over all tasks
-        write_run_files(bundle, config, run_dir, tr, pool, vocab, (union_preds, union_gt))
+        write_run_files(bundle, run_dir, tr, pool, vocab, (union_preds, union_gt))
     return bundle
 
 
@@ -363,48 +366,38 @@ def _csv_cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(float(v))  # plain-float repr even for numpy scalars
+        return format_float(v)
     return str(v)
 
 
-def write_run_files(bundle: ResultsBundle, config: ExperimentConfig, run_dir,
-                    tr, pool, vocab, final_dump) -> None:
+def _write_csv(path, header, rows) -> None:
+    """``header`` and then ``rows``, one line each, every cell through ``_csv_cell``."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def write_run_files(bundle: ResultsBundle, run_dir, tr, pool, vocab, final_dump) -> None:
     """Write the deterministic result set plus a separate timing log."""
     os.makedirs(run_dir, exist_ok=True)
     ks = sorted(bundle.matrices)
-
-    cols = ["stage"]
-    for k in ks:
-        cols += [f"R@{k}", f"mR@{k}", f"M@{k}"]
-    cols += ["wmAP_ids", "score_wtd"]
-    with open(os.path.join(run_dir, "results.csv"), "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rep in bundle.reports:
-            row = [rep.stage + 1]
-            for k in ks:
-                row += [rep.r[k], rep.mr[k], rep.m[k]]
-            row += [rep.wmap, rep.score]
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-    with open(os.path.join(run_dir, "matrix.csv"), "w") as fh:
-        fh.write("stage,task," + ",".join(f"mR@{k}" for k in ks) + "\n")
-        for l in range(bundle.matrices[ks[0]].n_stages):
-            for j in range(l + 1):
-                cells = [str(l + 1), str(j + 1)]
-                cells += [_csv_cell(bundle.matrices[k].get(l, j)) for k in ks]
-                fh.write(",".join(cells) + "\n")
-
-    with open(os.path.join(run_dir, "fm.csv"), "w") as fh:
-        fh.write("K,FM\n")
-        for k in ks:
-            if k in bundle.fm:
-                fh.write(f"{k},{_csv_cell(bundle.fm[k])}\n")
+    _write_csv(os.path.join(run_dir, "results.csv"),
+               ["stage", *(f"{m}@{k}" for k in ks for m in ("R", "mR", "M")),
+                "wmAP_ids", "score_wtd"],
+               [[rep.stage + 1, *(v for k in ks for v in (rep.r[k], rep.mr[k], rep.m[k])),
+                 rep.wmap, rep.score] for rep in bundle.reports])
+    _write_csv(os.path.join(run_dir, "matrix.csv"),
+               ["stage", "task", *(f"mR@{k}" for k in ks)],
+               [[l + 1, j + 1, *(bundle.matrices[k].get(l, j) for k in ks)]
+                for l in range(bundle.matrices[ks[0]].n_stages) for j in range(l + 1)])
+    _write_csv(os.path.join(run_dir, "fm.csv"), ["K", "FM"],
+               [[k, bundle.fm[k]] for k in ks if k in bundle.fm])
 
     manifest = {
         "config": bundle.config_echo,
         "seed": bundle.seed,
         "package_version": __version__,
-        "file_formats": {"embeddings": 1, "pool": 1, "checkpoint": 1},
+        "file_formats": {"embeddings": 1, "pool": 1, "checkpoint": 2},
     }
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -420,7 +413,8 @@ def write_run_files(bundle: ResultsBundle, config: ExperimentConfig, run_dir,
     save_predictions(preds, os.path.join(run_dir, "predictions_final.txt"))
     save_gt(gt, os.path.join(run_dir, "gt_final.txt"))
     serialize_pool(pool, os.path.join(run_dir, "pool.lsgg"))
-    save_checkpoint(os.path.join(run_dir, "checkpoint.lsgg"), tr, config.train, "pool.lsgg")
+    save_checkpoint(os.path.join(run_dir, "checkpoint.lsgg"), tr, bundle.config_echo,
+                    "pool.lsgg")
     save_vocab(vocab, os.path.join(run_dir, "vocab.txt"))
 
 
@@ -501,36 +495,25 @@ def report(groups: dict, out_dir) -> list:
     multi_seed = any(len(groups[label]) > 1 for label in labels)
     written = []
 
-    path = os.path.join(out_dir, "comparison.csv")
-    with open(path, "w") as fh:
-        header = ["config", "seeds"]
+    header = ["config", "seeds"]
+    for name in metric_names:
+        header += [f"{name}_mean", f"{name}_std"] if multi_seed else [f"{name}_mean"]
+    rows = []
+    for label in labels:
+        row = [shown[label], len(groups[label])]
         for name in metric_names:
-            header.append(f"{name}_mean")
-            if multi_seed:
-                header.append(f"{name}_std")
-        fh.write(",".join(header) + "\n")
-        for label in labels:
-            row = [shown[label], str(len(groups[label]))]
-            for name in metric_names:
-                mean, std = summaries[label][name]
-                row.append(repr(float(mean)))
-                if multi_seed:
-                    row.append(repr(float(std)))
-            fh.write(",".join(row) + "\n")
+            mean, std = summaries[label][name]
+            row += [mean, std] if multi_seed else [mean]
+        rows.append(row)
+    path = os.path.join(out_dir, "comparison.csv")
+    _write_csv(path, header, rows)
     written.append(path)
 
     path = os.path.join(out_dir, "per_stage.csv")
-    with open(path, "w") as fh:
-        fh.write("config,stage," + ",".join(
-            f"mR@{k}_mean" for k in ks_ref) + "\n")
-        for label in labels:
-            n_stages = len(groups[label][0].reports)
-            for t in range(n_stages):
-                cells = [shown[label], str(t + 1)]
-                for k in ks_ref:
-                    mean, _ = _mean_std([b.reports[t].mr[k] for b in groups[label]])
-                    cells.append(repr(float(mean)))
-                fh.write(",".join(cells) + "\n")
+    _write_csv(path, ["config", "stage", *(f"mR@{k}_mean" for k in ks_ref)],
+               [[shown[label], t + 1,
+                 *(_mean_std([b.reports[t].mr[k] for b in groups[label]])[0] for k in ks_ref)]
+                for label in labels for t in range(len(groups[label][0].reports))])
     written.append(path)
 
     path = os.path.join(out_dir, "comparison.txt")
@@ -553,14 +536,19 @@ def report(groups: dict, out_dir) -> list:
 
 def load_comparison_csv(path) -> dict:
     """Parse comparison.csv back into {config: {column: value}}."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
+    lines = data_lines(path)
+    _, head = next(lines, (None, None))
+    if head is None:
+        raise ValueError("comparison file has no header line")
+    header = head.split(",")
     out = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        row = {}
-        for name, cell in zip(header[1:], cells[1:]):
-            row[name] = int(cell) if name == "seeds" else float(cell)
-        out[cells[0]] = row
+    for lineno, text in lines:
+        cells = text.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
+        try:
+            out[cells[0]] = {name: int(cell) if name == "seeds" else float(cell)
+                             for name, cell in zip(header[1:], cells[1:])}
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return out

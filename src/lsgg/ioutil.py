@@ -1,9 +1,19 @@
-"""Bit-exact float serialization and integer-field parsing shared by the file
-formats."""
+"""The format rules every file shares: data lines, float text, integer
+fields, and bit-exact float arrays."""
 
 import base64
 
 import numpy as np
+
+
+def data_lines(path):
+    """(1-based line number, stripped text) of each line of ``path`` that is
+    neither blank nor a ``#`` comment, read as a stream."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text and not text.startswith("#"):
+                yield lineno, text
 
 
 def pack_floats(arr) -> str:

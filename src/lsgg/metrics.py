@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .ioutil import format_float, parse_int64
+from .ioutil import data_lines, format_float, parse_int64
 
 MATCH_MODES = ("ids", "triplet", "rel", "phr")
 
@@ -386,17 +386,13 @@ def save_predictions(preds: PredTable, path) -> None:
 
 
 def _data_lines(path, n_fields: tuple):
-    """(line number, fields) of each line that is not blank or a comment."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            toks = stripped.split()
-            if len(toks) not in n_fields:
-                raise ValueError(f"line {lineno}: expected {' or '.join(map(str, n_fields))} "
-                                 f"fields, got {len(toks)}")
-            yield lineno, toks
+    """(line number, fields) of each data line (``ioutil.data_lines``)."""
+    for lineno, text in data_lines(path):
+        toks = text.split()
+        if len(toks) not in n_fields:
+            raise ValueError(f"line {lineno}: expected {' or '.join(map(str, n_fields))} "
+                             f"fields, got {len(toks)}")
+        yield lineno, toks
 
 
 def _boxes_of(toks) -> tuple:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ioutil import data_lines
 from .numerics import softmax
 from .rng import SeededRng
 
@@ -81,21 +82,17 @@ def save_vocab(vocab: PredicateVocab, path) -> None:
 
 def load_vocab(path) -> PredicateVocab:
     names = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: need '<label_id> <word> [...]'")
-            try:
-                label = int(parts[0])
-            except ValueError:
-                raise ValueError(f"line {lineno}: label id must be an integer") from None
-            if label in names:
-                raise ValueError(f"line {lineno}: duplicate label {label}")
-            names[label] = " ".join(parts[1:])
+    for lineno, text in data_lines(path):
+        parts = text.split()
+        if len(parts) < 2:
+            raise ValueError(f"line {lineno}: need '<label_id> <word> [...]'")
+        try:
+            label = int(parts[0])
+        except ValueError:
+            raise ValueError(f"line {lineno}: label id must be an integer") from None
+        if label in names:
+            raise ValueError(f"line {lineno}: duplicate label {label}")
+        names[label] = " ".join(parts[1:])
     return build_vocab(names)
 
 

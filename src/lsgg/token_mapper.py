@@ -66,18 +66,8 @@ def init_grads(params: MapperParams) -> dict:
     return {name: np.zeros_like(arr) for name, arr in params.param_items()}
 
 
-@dataclass
-class MapperKindCache:
-    kind: str
-    feats: np.ndarray  # (B, d_in)
-
-
-def encode_batch(params: MapperParams, feats: np.ndarray, kind: str):
-    """Map a batch of same-kind features to token blocks.
-
-    Returns (out, cache): out is (B, n_kind, d_tok); the cache feeds
-    ``encode_batch_backward``.
-    """
+def encode_batch(params: MapperParams, feats: np.ndarray, kind: str) -> np.ndarray:
+    """Map a batch of same-kind features to token blocks (B, n_kind, d_tok)."""
     if kind not in KINDS:
         raise ValueError(f"unknown feature kind {kind!r}")
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
@@ -89,14 +79,14 @@ def encode_batch(params: MapperParams, feats: np.ndarray, kind: str):
     out += params.proj_b[kind]
     out = out.reshape(feats.shape[0], params.token_counts[kind], params.d_tok)
     out += params.pos[kind]
-    return out, MapperKindCache(kind=kind, feats=feats)
+    return out
 
 
-def encode_batch_backward(params: MapperParams, cache: MapperKindCache,
+def encode_batch_backward(params: MapperParams, kind: str, feats: np.ndarray,
                           d_out: np.ndarray, grads: dict) -> None:
-    """Accumulate parameter gradients for one batched encode into ``grads``."""
-    kind = cache.kind
+    """Accumulate into ``grads`` the parameter gradients of the encode of
+    ``feats`` (B, d_in) that received ``d_out`` (B, n_kind, d_tok)."""
     grads[f"pos.{kind}"] += d_out.sum(axis=0)
-    d_flat = d_out.reshape(cache.feats.shape[0], -1)
-    grads[f"proj_w.{kind}"] += d_flat.T @ cache.feats
+    d_flat = d_out.reshape(feats.shape[0], -1)
+    grads[f"proj_w.{kind}"] += d_flat.T @ feats
     grads[f"proj_b.{kind}"] += d_flat.sum(axis=0)

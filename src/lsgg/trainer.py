@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ioutil import pack_floats, unpack_floats
+from .ioutil import data_lines, pack_floats, unpack_floats
 from .numerics import softmax
 from .prompt_pool import PromptPool, _relation_norm, admit_exemplar, retrieve_entries
 from .rng import SeededRng
@@ -25,8 +25,8 @@ from .token_mapper import (KINDS, MapperParams, encode_batch, encode_batch_backw
                            init_grads)
 
 CKPT_MAGIC = "LSGG-CKPT"
-CKPT_VERSION = 1
-_CKPT_RECORDS = ("pool", "config", "scorer_trainable", "mapper_meta", "mapper_kind", "array")
+CKPT_VERSION = 2
+_CKPT_RECORDS = ("pool", "config", "array")
 EVAL_BATCH = 256  # instances per inference pass
 
 
@@ -254,22 +254,21 @@ def _token_table(pool: PromptPool, tr: TrainableSet, ent: np.ndarray, slot: np.n
 
     Returns (table; slot_rows (n_t, n_e), the exemplar index of each
     encoded slot, -1 elsewhere; the offsets of the exemplars, label
-    embeddings, mask rows and query rows; the exemplars' encode caches, None
-    when there are none)."""
+    embeddings, mask rows and query rows; the exemplars' features by kind,
+    None when there are none)."""
     d_tok, n_ex_rows = pool.d_tok, tr.mapper.exemplar_rows()
     slot_rows = np.full((pool.n_t, pool.n_e), -1, dtype=np.int64)
     slot_rows[ent, slot] = np.arange(ent.size)
-    parts, ex_caches = [pool.prompts.reshape(-1, d_tok)], None
+    parts, ex_feats = [pool.prompts.reshape(-1, d_tok)], None
     if ent.size:
-        ex_blocks, ex_caches = _encode(tr.mapper, {kind: f[ent, slot]
-                                                   for kind, f in pool.store_feats.items()})
-        parts.append(ex_blocks.reshape(-1, d_tok))
+        ex_feats = {kind: f[ent, slot] for kind, f in pool.store_feats.items()}
+        parts.append(_encode(tr.mapper, ex_feats).reshape(-1, d_tok))
     parts += [tr.scorer.emb, tr.y_mask, np.empty((n_query * n_ex_rows, d_tok))]
     off_ex = pool.n_t * pool.n_p
     off_emb = off_ex + ent.size * n_ex_rows
     off_mask = off_emb + tr.scorer.v
     offsets = (off_ex, off_emb, off_mask, off_mask + tr.y_mask.shape[0])
-    return np.concatenate(parts), slot_rows, offsets, ex_caches
+    return np.concatenate(parts), slot_rows, offsets, ex_feats
 
 
 def freeze_table(pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
@@ -299,14 +298,9 @@ def _kind_slices(mapper: MapperParams):
     return slices
 
 
-def _encode(mapper: MapperParams, feats: dict):
-    """Token blocks (B, rows_ex, d_tok), kinds concatenated in order, plus
-    the per-kind caches for the backward pass."""
-    outs, caches = [], {}
-    for kind in KINDS:
-        out, caches[kind] = encode_batch(mapper, feats[kind], kind)
-        outs.append(out)
-    return np.concatenate(outs, axis=1), caches
+def _encode(mapper: MapperParams, feats: dict) -> np.ndarray:
+    """Token blocks (B, rows_ex, d_tok), kinds concatenated in order."""
+    return np.concatenate([encode_batch(mapper, feats[kind], kind) for kind in KINDS], axis=1)
 
 
 def _random_prompts(ab_rng: SeededRng | None, sims: np.ndarray, k: int) -> np.ndarray:
@@ -371,10 +365,9 @@ def _select(batch: _Batch, ranked: _Ranking, pool: PromptPool, config: TrainConf
     rows' key retrieval.
 
     Returns (selection (B, k) entries, query entry first; their key cosines;
-    slots (B, k-1): the store slot each context entry shows, -1 if empty;
-    context feature norms (B,); key norms (n_t,)).
+    slots (B, k-1): the store slot each context entry shows, -1 if empty).
     """
-    top, sims, cnorms, knorms = ranked
+    top, sims = ranked.top, ranked.sims
     n_ctx = _n_context(config, pool)
     selection = _random_prompts(ab_rng, sims, top.shape[1]) if config.random_prompts else top
     context = selection[:, 1 : 1 + n_ctx]
@@ -382,7 +375,7 @@ def _select(batch: _Batch, ranked: _Ranking, pool: PromptPool, config: TrainConf
         slots = _random_slots(ab_rng, pool.store_len[context])
     else:
         slots = _nearest_slots(batch.feats["r"], context, pool)
-    return selection, np.take_along_axis(sims, selection, axis=1), slots, cnorms, knorms
+    return selection, np.take_along_axis(sims, selection, axis=1), slots
 
 
 @dataclass
@@ -403,11 +396,8 @@ class _Pass:
     groups: list
     selection: np.ndarray  # (B, k)
     sims: np.ndarray  # (B, k)
-    cnorms: np.ndarray  # (B,)
-    knorms: np.ndarray  # (n_t,)
     q_blocks: np.ndarray  # (B, rows_ex, d_tok)
-    q_caches: dict
-    ex_caches: dict | None  # None at inference or when no segment shows an exemplar
+    ex_feats: dict | None  # None at inference or when no segment shows an exemplar
     offsets: tuple  # token-table starts: exemplars, label embeddings, masks, queries
 
     def probs(self) -> np.ndarray:
@@ -424,9 +414,9 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
     n_b, n_mask = len(batch), tr.y_mask.shape[0]
     if n_mask != scorer.n_mask:
         raise ValueError(f"{n_mask} mask rows but decoder expects {scorer.n_mask}")
-    q_blocks, q_caches = _encode(tr.mapper, batch.feats)
+    q_blocks = _encode(tr.mapper, batch.feats)
     n_ex_rows = q_blocks.shape[1]
-    selection, sims, slots, cnorms, knorms = _select(batch, ranked, pool, config, ab_rng)
+    selection, sims, slots = _select(batch, ranked, pool, config, ab_rng)
     n_ctx = slots.shape[1]
 
     # the exemplar each context segment shows, as a block of the token table
@@ -435,12 +425,12 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
     label = np.zeros(slots.shape, dtype=np.int64)
     label[pb, pc] = cache.label_rows(pool.store_labels[ent, slot])
     if cache.frozen is not None:  # inference: every stored exemplar is encoded
-        (table, slot_rows, offsets), ex_caches = cache.frozen, None
+        (table, slot_rows, offsets), ex_feats = cache.frozen, None
     else:  # training: the batch's exemplars, once each in first-seen order
         # flat slot e * n_e + s names an exemplar: stores change only between steps
         first = np.sort(np.unique(ent * pool.n_e + slot, return_index=True)[1])
-        table, slot_rows, offsets, ex_caches = _token_table(pool, tr, ent[first],
-                                                            slot[first], n_b)
+        table, slot_rows, offsets, ex_feats = _token_table(pool, tr, ent[first],
+                                                           slot[first], n_b)
     shown = np.full(slots.shape, -1, dtype=np.int64)
     shown[pb, pc] = slot_rows[ent, slot]
     off_ex, off_emb, off_mask, off_q = offsets
@@ -477,9 +467,8 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
             pooled = base + rows[:, n_rows - n_mask + j]
             probs[:, j] = softmax(np.matmul(scorer.readout[j], pooled[:, :, None])[:, :, 0])
         groups.append(_Group(items, idx, label_cols, rows, w, base, probs))
-    return _Pass(groups=groups, selection=selection, sims=sims, cnorms=cnorms,
-                 knorms=knorms, q_blocks=q_blocks, q_caches=q_caches, ex_caches=ex_caches,
-                 offsets=offsets)
+    return _Pass(groups=groups, selection=selection, sims=sims, q_blocks=q_blocks,
+                 ex_feats=ex_feats, offsets=offsets)
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -579,8 +568,8 @@ def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: Train
     sims = fw.sims[query]
     l2_sum = _ordered_sum(1.0 - sims.ravel())
     entries = fw.selection[query].ravel()
-    u = np.repeat(batch.feats["c"][query] / fw.cnorms[query, None], sims.shape[1], axis=0)
-    knorm = fw.knorms[entries, None]
+    u = np.repeat(batch.feats["c"][query] / ranked.cnorms[query, None], sims.shape[1], axis=0)
+    knorm = ranked.knorms[entries, None]
     coeff = config.lam * inv
     terms = coeff * (-(u / knorm) + sims.reshape(-1, 1) * pool.keys[entries] / (knorm * knorm))
     grads["pool.k"] = _scatter_rows(entries, terms, pool.n_t)
@@ -589,10 +578,10 @@ def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: Train
     slices = _kind_slices(tr.mapper)
     d_ex = d_table[off_ex:off_emb].reshape(-1, n_ex_rows, d_tok)
     for kind in KINDS:
-        encode_batch_backward(tr.mapper, fw.q_caches[kind], d_q[:, slices[kind], :],
+        encode_batch_backward(tr.mapper, kind, batch.feats[kind], d_q[:, slices[kind], :],
                               mapper_grads)
-        if fw.ex_caches is not None:
-            encode_batch_backward(tr.mapper, fw.ex_caches[kind], d_ex[:, slices[kind], :],
+        if fw.ex_feats is not None:
+            encode_batch_backward(tr.mapper, kind, fw.ex_feats[kind], d_ex[:, slices[kind], :],
                                   mapper_grads)
     for name, g in mapper_grads.items():
         grads[f"mapper.{name}"] = g
@@ -749,18 +738,14 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
 # -- checkpoints -------------------------------------------------------------------
 
 
-def save_checkpoint(path, tr: TrainableSet, config: TrainConfig, pool_path: str) -> None:
-    """LSGG-CKPT 1: config echo, pool file reference, and all non-pool arrays."""
+def save_checkpoint(path, tr: TrainableSet, config_echo: dict, pool_path: str) -> None:
+    """LSGG-CKPT 2: the pool file reference, the run's config echo
+    (``harness.config_to_kv``), and every non-pool array."""
     with open(path, "w") as fh:
         fh.write(f"{CKPT_MAGIC} {CKPT_VERSION}\n")
         fh.write(f"pool {pool_path}\n")
-        for key in sorted(vars(config)):
-            fh.write(f"config {key}={getattr(config, key)}\n")
-        fh.write(f"scorer_trainable {int(tr.scorer.trainable)}\n")
-        fh.write(f"mapper_meta {tr.mapper.d_tok} 0\n")  # depth 0: no mixing layer
-        for kind in KINDS:  # the token count twice: rows read out, rows projected
-            n_tok = tr.mapper.token_counts[kind]
-            fh.write(f"mapper_kind {kind} {tr.mapper.feat_dims[kind]} {n_tok} {n_tok}\n")
+        for key, val in config_echo.items():
+            fh.write(f"config {key}={val}\n")
         for name, arr in tr.checkpoint_items():
             shape = ",".join(str(s) for s in arr.shape)
             fh.write(f"array {name} {shape} {pack_floats(arr)}\n")
@@ -771,18 +756,15 @@ class CheckpointFormatError(ValueError):
 
 
 def load_checkpoint(path):
-    """Returns (arrays by name, config echo dict, pool path, metadata dict);
-    any malformed content raises CheckpointFormatError."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].split() != [CKPT_MAGIC, str(CKPT_VERSION)]:
-        raise CheckpointFormatError(f"bad checkpoint header: {lines[0] if lines else ''!r}")
-    arrays, config_echo, meta = {}, {}, {"kinds": {}}
-    pool_path = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tag, _, rest = line.partition(" ")
+    """Returns (arrays by name, config echo dict, pool path); any malformed
+    content raises CheckpointFormatError."""
+    lines = data_lines(path)
+    _, head = next(lines, (None, ""))
+    if head.split() != [CKPT_MAGIC, str(CKPT_VERSION)]:
+        raise CheckpointFormatError(f"bad checkpoint header: {head!r}")
+    arrays, config_echo, pool_path = {}, {}, None
+    for lineno, text in lines:
+        tag, _, rest = text.partition(" ")
         if tag not in _CKPT_RECORDS:
             raise CheckpointFormatError(f"line {lineno}: unknown record {tag!r}")
         try:
@@ -791,16 +773,6 @@ def load_checkpoint(path):
             elif tag == "config":
                 key, _, val = rest.partition("=")
                 config_echo[key] = val
-            elif tag == "scorer_trainable":
-                meta["scorer_trainable"] = bool(int(rest))
-            elif tag == "mapper_meta":
-                d_tok, depth = rest.split()
-                meta["d_tok"], meta["depth"] = int(d_tok), int(depth)
-                if meta["depth"] != 0:
-                    raise ValueError(f"depth {depth}: this mapper has no mixing layer")
-            elif tag == "mapper_kind":
-                kind, d_in, n_tok, l_proj = rest.split()
-                meta["kinds"][kind] = (int(d_in), int(n_tok), int(l_proj))
             else:
                 name, shape_s, payload = rest.split(" ", 2)
                 shape = tuple(int(s) for s in shape_s.split(","))
@@ -809,4 +781,4 @@ def load_checkpoint(path):
             raise CheckpointFormatError(f"line {lineno}: malformed {tag!r} record: {exc}") from None
     if pool_path is None:
         raise CheckpointFormatError("checkpoint is missing its pool reference")
-    return arrays, config_echo, pool_path, meta
+    return arrays, config_echo, pool_path

@@ -24,7 +24,7 @@ from lsgg.numerics import random_unit_vector, softmax
 from lsgg.prompt_pool import _relation_norm, _write_slot, admit_exemplar, retrieve_entries
 from lsgg.rng import SeededRng, _mix64
 from lsgg.scorer import PredicateVocab, ScorerParams, position_weights
-from lsgg.token_mapper import KINDS, MapperKindCache, MapperParams
+from lsgg.token_mapper import KINDS, MapperParams
 from lsgg.trainer import _Batch, _PassCache, _loss_and_grads, _retrieve
 
 
@@ -235,20 +235,18 @@ def encode_batch_all_rows(params: MapperParams, feats: np.ndarray, kind: str):
     proj = feats @ params.proj_w[kind].T
     proj += params.proj_b[kind]
     proj = proj.reshape(b, n, params.d_tok)
-    out = proj + params.pos[kind]
-    return out, MapperKindCache(kind=kind, feats=feats)
+    return proj + params.pos[kind]
 
 
-def encode_batch_backward_all_rows(params: MapperParams, cache: MapperKindCache,
+def encode_batch_backward_all_rows(params: MapperParams, kind: str, feats: np.ndarray,
                                    d_out: np.ndarray, grads: dict) -> None:
-    """``token_mapper.encode_batch_backward`` for a cache of
-    ``encode_batch_all_rows``: the affine map's gradients, term by term."""
-    kind = cache.kind
-    b = cache.feats.shape[0]
+    """``token_mapper.encode_batch_backward``: the affine map's gradients,
+    term by term."""
+    b = feats.shape[0]
     n = params.token_counts[kind]
     grads[f"pos.{kind}"] += d_out.sum(axis=0)
     d_flat = d_out.reshape(b, n * params.d_tok)
-    grads[f"proj_w.{kind}"] += d_flat.T @ cache.feats
+    grads[f"proj_w.{kind}"] += d_flat.T @ feats
     grads[f"proj_b.{kind}"] += d_flat.sum(axis=0)
 
 

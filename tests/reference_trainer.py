@@ -57,10 +57,10 @@ class _ForwardState:
     weights: list
     bases: list
     q_blocks: np.ndarray
-    q_caches: dict
+    q_feats: dict
     uniq_ex: list
     ex_blocks: np.ndarray | None
-    ex_caches: dict
+    ex_feats: dict
     ex_index: dict
     selections: list
     f_cs: list
@@ -131,10 +131,7 @@ def _select(ctx: _RetrievalCtx, inst, config: TrainConfig, ab_rng):
 def _forward(items, pool, tr, vocab, config, ab_rng, ctx=None) -> _ForwardState:
     feats = {kind: np.stack([np.asarray(getattr(it.source, f"f_{kind}"), dtype=float)
                              for it in items]) for kind in KINDS}
-    q_out, q_caches = {}, {}
-    for kind in KINDS:
-        q_out[kind], q_caches[kind] = encode_batch(tr.mapper, feats[kind], kind)
-    q_blocks = np.concatenate([q_out[k] for k in KINDS], axis=1)
+    q_blocks = np.concatenate([encode_batch(tr.mapper, feats[k], k) for k in KINDS], axis=1)
 
     if ctx is None:
         ctx = _RetrievalCtx(pool)
@@ -151,15 +148,12 @@ def _forward(items, pool, tr, vocab, config, ab_rng, ctx=None) -> _ForwardState:
                 ex_index[ex] = len(uniq_ex)
                 uniq_ex.append(ex)
 
-    ex_blocks, ex_caches = None, {}
+    ex_blocks, ex_feats = None, {}
     if uniq_ex:
-        parts = []
         ent, slot = np.divmod(np.array(uniq_ex), pool.n_e)
-        for kind in KINDS:
-            out, ex_caches[kind] = encode_batch(tr.mapper, pool.store_feats[kind][ent, slot],
-                                                kind)
-            parts.append(out)
-        ex_blocks = np.concatenate(parts, axis=1)
+        ex_feats = {kind: pool.store_feats[kind][ent, slot] for kind in KINDS}
+        ex_blocks = np.concatenate([encode_batch(tr.mapper, ex_feats[k], k) for k in KINDS],
+                                   axis=1)
 
     prompts, probs, weights, bases = [], [], [], []
     for i in range(len(items)):
@@ -175,8 +169,8 @@ def _forward(items, pool, tr, vocab, config, ab_rng, ctx=None) -> _ForwardState:
         weights.append(w)
         bases.append(base)
     return _ForwardState(prompts=prompts, probs=probs, weights=weights, bases=bases,
-                         q_blocks=q_blocks, q_caches=q_caches, uniq_ex=uniq_ex,
-                         ex_blocks=ex_blocks, ex_caches=ex_caches, ex_index=ex_index,
+                         q_blocks=q_blocks, q_feats=feats, uniq_ex=uniq_ex,
+                         ex_blocks=ex_blocks, ex_feats=ex_feats, ex_index=ex_index,
                          selections=selections, f_cs=f_cs, cnorms=cnorms, keys=ctx.keys)
 
 
@@ -243,10 +237,10 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
 
     slices = _kind_slices(tr.mapper)
     for kind in KINDS:
-        encode_batch_backward(tr.mapper, state.q_caches[kind],
+        encode_batch_backward(tr.mapper, kind, state.q_feats[kind],
                               d_q_blocks[:, slices[kind], :], mapper_grads)
         if state.uniq_ex:
-            encode_batch_backward(tr.mapper, state.ex_caches[kind],
+            encode_batch_backward(tr.mapper, kind, state.ex_feats[kind],
                                   d_ex_blocks[:, slices[kind], :], mapper_grads)
     for name, g in mapper_grads.items():
         grads[f"mapper.{name}"] += g

@@ -226,13 +226,16 @@ def test_run_files_are_reloadable_and_consistent(tmp_path):
     assert manifest["seed"] == 0
     assert manifest["config"] == config_to_kv(cfg)
     assert config_from_kv(manifest["config"]) == cfg
+    assert manifest["file_formats"]["checkpoint"] == 2
 
     pool = deserialize_pool(run_dir / "pool.lsgg")
     pool.check_invariants()
     assert pool.n_t == cfg.n_t
-    arrays, _, pool_ref, meta = load_checkpoint(run_dir / "checkpoint.lsgg")
+    arrays, config_echo, pool_ref = load_checkpoint(run_dir / "checkpoint.lsgg")
     assert pool_ref == "pool.lsgg"
-    assert meta["d_tok"] == cfg.d_tok
+    assert config_echo == manifest["config"]
+    assert config_from_kv(config_echo) == cfg
+    assert arrays["y_mask"].shape[1] == cfg.d_tok
     vocab = load_vocab(run_dir / "vocab.txt")
     assert sorted(vocab.tokens) == list(range(cfg.synth.n_pred))
 
@@ -252,6 +255,18 @@ def test_run_files_are_reloadable_and_consistent(tmp_path):
     assert len(matrix_lines) == 1 + t * (t + 1) // 2
     fm_lines = (run_dir / "fm.csv").read_text().splitlines()
     assert [ln.split(",")[0] for ln in fm_lines] == ["K"] + [str(k) for k in sorted(cfg.eval_ks)]
+
+
+def test_final_dump_ranks_each_image_once_over_all_tasks(tmp_path):
+    # six pairs per image over three tasks, so most images have pairs in
+    # several tasks; the union of the tasks' dumps is ranked again as a whole
+    cfg = tiny_config(n_stages=3, eval_ks=(1, 2))
+    cfg.synth.pairs_per_image = 6
+    run_experiment(cfg, seed=0, run_dir=tmp_path)
+    preds = load_predictions(tmp_path / "predictions_final.txt")
+    order, ranks = _rank_pairs(preds.image, preds.conf, preds.gt_id)
+    assert np.array_equal(order, np.arange(len(preds)))
+    assert np.array_equal(preds.rank, ranks)
 
 
 def test_run_experiment_rejects_uncovered_vocab(tmp_path):

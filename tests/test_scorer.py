@@ -84,7 +84,7 @@ def selection_for(w, k):
 
 def exemplar_block(w, ex):
     """The exemplar's token rows: its features' blocks in ``KINDS`` order."""
-    return np.concatenate([encode_batch(w.mapper, getattr(ex, f"f_{kind}"), kind)[0][0]
+    return np.concatenate([encode_batch(w.mapper, getattr(ex, f"f_{kind}"), kind)[0]
                            for kind in KINDS])
 
 

@@ -153,3 +153,26 @@ def test_every_config_field_is_read_in_src():
     assert sorted(f"{cls}.{name}" for cls, name in fields
                   if name not in reads and (cls, name) not in ALLOWED_UNREAD_FIELDS) == []
     assert ALLOWED_UNREAD_FIELDS <= fields
+
+
+def format_rule_sites(tree) -> list:
+    """(line, what) of each ``repr(...)`` call and ``.startswith("#")`` test:
+    how a float is written and what a comment line is."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "repr":
+            out.append((node.lineno, "repr("))
+        elif (isinstance(node.func, ast.Attribute) and node.func.attr == "startswith"
+              and any(isinstance(a, ast.Constant) and a.value == "#" for a in node.args)):
+            out.append((node.lineno, '.startswith("#")'))
+    return out
+
+
+def test_format_rules_live_only_in_ioutil():
+    # every file writes floats with ioutil.format_float and reads its lines
+    # with ioutil.data_lines; a second copy of either rule drifts apart
+    sites = {name: format_rule_sites(tree) for name, tree in _modules()}
+    assert {what for _, what in sites.pop("ioutil.py")} == {"repr(", '.startswith("#")'}
+    assert {name: found for name, found in sites.items() if found} == {}

@@ -24,7 +24,7 @@ def small_mapper(seed=0, d_tok=8, token_counts=TOKEN_PRESETS["default"]):
 
 def encode_one(m, f, kind):
     """The token block of one feature vector: a batch of one."""
-    return encode_batch(m, f, kind)[0][0]
+    return encode_batch(m, f, kind)[0]
 
 
 # -- shapes and purity --------------------------------------------------------
@@ -64,7 +64,7 @@ def test_encode_exemplar_concatenation_order():
     rng = SeededRng(3)
     ex = random_instance(rng, d_c=6, d_r=5, d_o=4)
     feats = {kind: getattr(ex, f"f_{kind}")[None] for kind in KINDS}
-    block = _encode(m, feats)[0][0]
+    block = _encode(m, feats)[0]
     assert block.shape == (12, 8)  # 4 + 4 + 2 + 2
     parts = [encode_one(m, getattr(ex, f"f_{kind}"), kind) for kind in KINDS]
     assert np.array_equal(block, np.concatenate(parts, axis=0))
@@ -74,7 +74,7 @@ def test_encode_batch_matches_per_feature_encode():
     m = small_mapper()
     rng = SeededRng(5)
     feats = rng.normal((7, 6))
-    out, _ = encode_batch(m, feats, "c")
+    out = encode_batch(m, feats, "c")
     assert out.shape == (7, 4, 8)
     for i in range(7):
         single = encode_one(m, feats[i], "c")
@@ -98,7 +98,7 @@ def test_depth_zero_is_affine_projection_plus_positions():
 
 
 def mapper_scalar_loss(m, feats, kind, coeff):
-    out, _ = encode_batch(m, feats, kind)
+    out = encode_batch(m, feats, kind)
     return float(np.sum(out * coeff))
 
 
@@ -115,9 +115,8 @@ def test_encode_batch_backward_matches_finite_differences(seed, preset):
         n_tok = m.token_counts[kind]
         coeff = rng.normal((3, n_tok, 8))
 
-        out, cache = encode_batch(m, feats, kind)
         grads = init_grads(m)
-        encode_batch_backward(m, cache, coeff.copy(), grads)
+        encode_batch_backward(m, kind, feats, coeff.copy(), grads)
 
         params = {name: arr for name, arr in m.param_items()}
         for name in (f"proj_w.{kind}", f"proj_b.{kind}", f"pos.{kind}"):
@@ -130,9 +129,9 @@ def test_backward_leaves_other_kind_gradients_zero():
     m = small_mapper(seed=11)
     rng = SeededRng(12)
     feats = rng.normal((2, FEAT_DIMS["s"]))
-    out, cache = encode_batch(m, feats, "s")
+    out = encode_batch(m, feats, "s")
     grads = init_grads(m)
-    encode_batch_backward(m, cache, np.ones_like(out), grads)
+    encode_batch_backward(m, "s", feats, np.ones_like(out), grads)
     for other in ("c", "r", "o"):
         assert not np.any(grads[f"proj_w.{other}"])
         assert not np.any(grads[f"pos.{other}"])
@@ -171,9 +170,9 @@ def test_projector_row_blocks_get_distinct_gradients(preset):
     rng = SeededRng(31)
     n = m.token_counts["c"]
     feats = rng.normal((5, FEAT_DIMS["c"]))
-    out, cache = encode_batch(m, feats, "c")
+    out = encode_batch(m, feats, "c")
     grads = init_grads(m)
-    encode_batch_backward(m, cache, rng.normal(out.shape), grads)
+    encode_batch_backward(m, "c", feats, rng.normal(out.shape), grads)
     blocks = grads["proj_w.c"].reshape(n, m.d_tok, FEAT_DIMS["c"])
     for i in range(n):
         for j in range(i):
@@ -196,12 +195,12 @@ def test_encode_batch_equals_all_rows_oracle_bit_for_bit(seed, d_tok):
             for kind in KINDS:
                 feats = rng.normal((b, FEAT_DIMS[kind]))
                 d_out = rng.normal((b, token_counts[kind], d_tok))
-                out, cache = encode_batch(m, feats, kind)
-                want, want_cache = encode_batch_all_rows(m, feats, kind)
+                out = encode_batch(m, feats, kind)
+                want = encode_batch_all_rows(m, feats, kind)
                 case = (token_counts[kind], b, kind)
                 assert np.array_equal(out, want), case
                 grads, want_grads = init_grads(m), init_grads(m)
-                encode_batch_backward(m, cache, d_out.copy(), grads)
-                encode_batch_backward_all_rows(m, want_cache, d_out.copy(), want_grads)
+                encode_batch_backward(m, kind, feats, d_out.copy(), grads)
+                encode_batch_backward_all_rows(m, kind, feats, d_out.copy(), want_grads)
                 for name, g in grads.items():
                     assert np.array_equal(g, want_grads[name]), (case, name)

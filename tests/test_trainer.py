@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp, mpf, workdps
 
 from lsgg.datastream import StageDataset
+from lsgg.harness import ExperimentConfig, config_from_kv, config_to_kv
 from lsgg.ioutil import pack_floats
 from lsgg.prompt_pool import deserialize_pool, init_pool, serialize_pool
 from lsgg.rng import SeededRng
@@ -419,34 +420,36 @@ def test_checkpoint_round_trip(tmp_path):
     train_stage(stage, w.pool, w.tr, w.vocab, w.config, AdamW(), SeededRng(13),
                 quota=4)
     path = tmp_path / "ckpt.lsgg"
-    save_checkpoint(path, w.tr, w.config, "pool.lsgg")
-    arrays, config_echo, pool_path, meta = load_checkpoint(path)
+    echo = config_to_kv(ExperimentConfig(train=w.config))
+    save_checkpoint(path, w.tr, echo, "pool.lsgg")
+    arrays, config_echo, pool_path = load_checkpoint(path)
     assert pool_path == "pool.lsgg"
-    assert meta["d_tok"] == 8 and meta["depth"] == 0
-    assert meta["scorer_trainable"] is False
-    assert config_echo["rho"] == str(w.config.rho)
+    assert config_echo == echo
+    assert config_from_kv(config_echo).train == w.config
+    assert list(arrays) == [name for name, _ in w.tr.checkpoint_items()]
     for name, arr in w.tr.checkpoint_items():
         assert np.array_equal(arrays[name], arr), name
 
 
 def test_checkpoint_rejects_malformed(tmp_path):
     path = tmp_path / "ckpt.lsgg"
-    path.write_text("LSGG-CKPT 2\n")
-    with pytest.raises(CheckpointFormatError):
+    path.write_text("LSGG-CKPT 1\npool p.lsgg\n")  # the format before the config echo
+    with pytest.raises(CheckpointFormatError, match="header"):
         load_checkpoint(path)
-    path.write_text("LSGG-CKPT 1\nmystery record\n")
+    path.write_text("LSGG-CKPT 2\nmystery record\n")
     with pytest.raises(CheckpointFormatError, match="line 2"):
         load_checkpoint(path)
-    path.write_text("LSGG-CKPT 1\nconfig lr=0.1\n")
+    path.write_text("LSGG-CKPT 2\nconfig lr=0.1\n")
     with pytest.raises(CheckpointFormatError, match="pool"):
         load_checkpoint(path)
     path.write_text("")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
-    # "mapper_meta 8 1": a depth-1 checkpoint's mixing arrays have no place here
-    for record in ("scorer_trainable x", "mapper_meta 1", "mapper_meta 8 1",
-                   "mapper_kind c 1 2", "array foo", "array foo 2 not*b64",
+    # the first three are LSGG-CKPT 1 records, of the mixing layer and the
+    # decoder flag that the arrays and the config echo now carry
+    for record in ("scorer_trainable 0", "mapper_meta 64 0", "mapper_kind c 64 4 4",
+                   "array foo", "array foo 2 not*b64",
                    f"array foo 3 {pack_floats(np.zeros(2))}"):
-        path.write_text(f"LSGG-CKPT 1\npool p.lsgg\n{record}\n")
+        path.write_text(f"LSGG-CKPT 2\npool p.lsgg\n{record}\n")
         with pytest.raises(CheckpointFormatError, match="line 3"):
             load_checkpoint(path)
