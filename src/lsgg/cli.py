@@ -6,8 +6,8 @@ import argparse
 import os
 import sys
 
-from .datastream import (SynthConfig, predicate_counts, save_embeddings, split_by_frequency,
-                         split_random, synth_generate)
+from .datastream import (SynthConfig, load_embeddings, make_schedule, save_embeddings,
+                         synth_generate)
 from .harness import (ABLATION_SUITE, ExperimentConfig, load_comparison_csv,
                       load_config_file, run_ablation_suite, run_experiment)
 from .metrics import load_gt, load_predictions, m_at_k, recall_at_ks, score_wtd, weighted_map
@@ -35,13 +35,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    from .datastream import load_embeddings
     dataset = load_embeddings(args.dataset)
-    labels = sorted(set(dataset.pred.tolist()))
-    if args.mode == "frequency":
-        schedule = split_by_frequency(labels, predicate_counts(dataset, labels), args.stages)
-    else:
-        schedule = split_random(labels, args.stages, SeededRng(args.seed).derive("schedule"))
+    schedule = make_schedule(dataset, int(dataset.pred.max()) + 1, args.stages, args.mode,
+                             SeededRng(args.seed).derive("schedule"))
     with open(args.out, "w") as fh:
         for stage in schedule.stages:
             fh.write("stage " + " ".join(str(label) for label in stage) + "\n")

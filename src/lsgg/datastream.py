@@ -149,8 +149,8 @@ def predicate_counts(data: RelationTable, labels) -> dict:
 def split_by_frequency(vocab, counts: dict, t: int) -> TaskSchedule:
     """Head-to-tail split: stage 1 gets the most frequent predicates.
 
-    Labels are sorted by descending training count (ties by label id) and
-    chunked into t near-equal stages.
+    Labels are sorted by descending instance count (ties by label id) and
+    chunked into t near-equal stages; the runs count over the whole dataset.
     """
     labels = sorted(vocab)
     if t < 1 or t > len(labels):
@@ -164,6 +164,16 @@ def split_by_frequency(vocab, counts: dict, t: int) -> TaskSchedule:
         stages.append(tuple(sorted(ordered[pos : pos + size])))
         pos += size
     return TaskSchedule(stages)
+
+
+def make_schedule(data: RelationTable, n_pred: int, t: int, mode: str,
+                  rng: SeededRng) -> TaskSchedule:
+    """The t-stage schedule of predicates 0..n_pred-1 that a run uses: by their
+    instance counts in ``data`` for mode ``frequency``, else at random by ``rng``."""
+    labels = list(range(n_pred))
+    if mode == "frequency":
+        return split_by_frequency(labels, predicate_counts(data, labels), t)
+    return split_random(labels, t, rng)
 
 
 def make_stage_datasets(data, schedule: TaskSchedule, split_fractions=(0.7, 0.1, 0.2)) -> list:

@@ -17,14 +17,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .datastream import (SynthConfig, TaskSchedule, load_embeddings, make_stage_datasets,
-                         predicate_counts, split_by_frequency, split_random, synth_generate)
+from .datastream import (SynthConfig, load_embeddings, make_schedule, make_stage_datasets,
+                         synth_generate)
 from .ioutil import data_lines, format_float
 from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, concat_tables,
                       forgetting_measure, m_at_k, positions_in_runs, recall_at_ks, save_gt,
                       save_predictions, score_wtd, weighted_map)
-# the single-K metrics stay names of this module: perfbench/probe.py wraps
-# harness.recall_at_k and harness.mean_recall_at_k by name
+# names of this module only because perfbench/probe.py wraps them by name:
+# the single-K metrics, and the splitters that datastream.make_schedule calls
+from .datastream import split_by_frequency, split_random  # noqa: F401
 from .metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .numerics import blas_summary
 from .prompt_pool import init_pool, serialize_pool
@@ -276,13 +277,8 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
     if sorted(vocab.tokens) != list(range(n_pred)):
         raise ValueError("vocabulary does not cover predicate ids 0..n_pred-1")
 
-    labels = list(range(n_pred))
-    if config.schedule_mode == "frequency":
-        schedule = split_by_frequency(labels, predicate_counts(dataset, labels),
-                                      config.n_stages)
-    else:
-        schedule = split_random(labels, config.n_stages, rng.derive("schedule"))
-    schedule = TaskSchedule(schedule.stages)  # re-assert disjointness + coverage
+    schedule = make_schedule(dataset, n_pred, config.n_stages, config.schedule_mode,
+                             rng.derive("schedule"))
 
     stages = make_stage_datasets(dataset, schedule, config.split_fractions)
     for t, stage in enumerate(stages):
@@ -397,7 +393,7 @@ def write_run_files(bundle: ResultsBundle, run_dir, tr, pool, vocab, final_dump)
         "config": bundle.config_echo,
         "seed": bundle.seed,
         "package_version": __version__,
-        "file_formats": {"embeddings": 1, "pool": 1, "checkpoint": 2},
+        "file_formats": {"embeddings": 1, "pool": 2, "checkpoint": 2},
     }
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import pack_floats, unpack_floats
+from .ioutil import array_record, data_lines, exact_ints, read_array
 from .numerics import random_unit_vector
 from .rng import SeededRng
 
 POOL_MAGIC = "LSGG-POOL"
-POOL_VERSION = 1
-_FILE_KINDS = ("c", "s", "o", "r")  # feature order of an "ex" record
+POOL_VERSION = 2
+_EX_KINDS = ("c", "s", "o", "r")  # record order of the exemplar features
+_POOL_ARRAYS = ("keys", "prompts", "seen", "store_len", "labels", "ex.c", "ex.s", "ex.o", "ex.r")
 
 
 @dataclass(eq=False)
@@ -81,9 +82,9 @@ class PromptPool:
         return int(self.store_len.sum())
 
     def check_invariants(self) -> None:
-        if self.prompts.ndim != 3 or self.keys.ndim != 2:
+        if self.prompts.ndim != 3 or self.keys.ndim != 2 or not self.prompts.size * self.keys.size:
             raise AssertionError(f"prompts {self.prompts.shape} / keys {self.keys.shape} "
-                                 "must be (n_t, n_p, d_tok) / (n_t, d_c)")
+                                 "must be (n_t, n_p, d_tok) / (n_t, d_c), sizes >= 1")
         n_t, n_e = self.n_t, self.n_e
         if self.prompts.shape[0] != n_t or self.store_labels.shape[0] != n_t:
             raise AssertionError(f"{self.prompts.shape[0]} prompt blocks, {n_t} keys "
@@ -237,100 +238,65 @@ def admit_exemplar(pool: PromptPool, entry: int, feats: dict, label: int, rnorm:
     return entry
 
 
-# -- serialization (LSGG-POOL 1) ----------------------------------------------
-#
-# Text container; float arrays as base64 of little-endian float64 bytes so the
-# round-trip is bit-exact.
+# -- serialization (LSGG-POOL 2) ----------------------------------------------
+# A header line "LSGG-POOL 2 <n_e>", then ioutil's bit-exact array records:
+# keys, prompts, seen and store_len, then the filled slots in entry-major
+# order, their labels and, once the widths are fixed, ex.c, ex.s, ex.o, ex.r.
 
 
 def serialize_pool(pool: PromptPool, path) -> None:
+    filled = np.arange(pool.n_e) < pool.store_len[:, None]
     with open(path, "w") as fh:
-        fh.write(f"{POOL_MAGIC} {POOL_VERSION} {pool.n_t} {pool.n_p} {pool.d_tok} {pool.d_c} {pool.n_e}\n")
-        for i in range(pool.n_t):
-            n = int(pool.store_len[i])
-            fh.write(f"entry {i} {int(pool.seen[i])} {n}\n")
-            fh.write(f"k {pack_floats(pool.keys[i])}\n")
-            fh.write(f"v {pack_floats(pool.prompts[i])}\n")
-            for s in range(n):
-                fh.write("ex {} {}\n".format(
-                    int(pool.store_labels[i, s]),
-                    " ".join(pack_floats(pool.store_feats[kind][i, s]) for kind in _FILE_KINDS)))
+        fh.write(f"{POOL_MAGIC} {POOL_VERSION} {pool.n_e}\n")
+        for name, arr in (("keys", pool.keys), ("prompts", pool.prompts), ("seen", pool.seen),
+                          ("store_len", pool.store_len), ("labels", pool.store_labels[filled])):
+            fh.write(array_record(name, arr))
+        for kind in _EX_KINDS if pool.store_feats else ():  # one gathered copy at a time
+            fh.write(array_record(f"ex.{kind}", pool.store_feats[kind][filled]))
 
 
 class PoolFormatError(ValueError):
     pass
 
 
-def _int(token: str, what: str, minimum=None) -> int:
-    try:
-        n = int(token)
-    except ValueError:
-        raise PoolFormatError(f"{what}: {token!r} is not an integer") from None
-    if minimum is not None and n < minimum:
-        raise PoolFormatError(f"{what}: {n} < {minimum}")
-    return n
-
-
-def _floats(token: str, shape, what: str) -> np.ndarray:
-    try:
-        return unpack_floats(token, shape)
-    except ValueError as exc:
-        raise PoolFormatError(f"{what}: {exc}") from None
-
-
 def deserialize_pool(path) -> PromptPool:
-    """Load an LSGG-POOL 1 file; any malformed content raises PoolFormatError."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise PoolFormatError("empty pool file")
-    head = lines[0].split()
-    if len(head) != 7 or head[0] != POOL_MAGIC:
-        raise PoolFormatError(f"bad magic line {lines[0]!r}")
-    if head[1] != str(POOL_VERSION):
-        raise PoolFormatError(f"unsupported pool version {head[1]!r}")
-    n_t, n_p, d_tok, d_c, n_e = (_int(t, "pool dimension", 1) for t in head[2:])
+    """Load an LSGG-POOL 2 file; any malformed content, one that breaks the
+    pool's invariants among it, raises PoolFormatError."""
+    try:
+        return _read_pool(path)
+    except KeyError as exc:
+        raise PoolFormatError(f"truncated file: no array record {exc}") from None
+    except (ValueError, IndexError, AssertionError) as exc:  # IndexError: mismatched shapes
+        raise PoolFormatError(str(exc)) from None
 
-    pool = _empty_pool(np.empty((n_t, n_p, d_tok)), np.empty((n_t, d_c)), n_e)
-    pos = 1
-    for i in range(n_t):
-        if pos + 3 > len(lines):
-            raise PoolFormatError(f"truncated file: entry {i} incomplete")
-        etoks = lines[pos].split()
-        if len(etoks) != 4 or etoks[0] != "entry" or etoks[1] != str(i):
-            raise PoolFormatError(f"line {pos + 1}: expected 'entry {i} ...', got {lines[pos]!r}")
-        where = f"line {pos + 1}: entry {i}"
-        seen_count = _int(etoks[2], f"{where} seen count", 0)
-        n_stored = _int(etoks[3], f"{where} stored count", 0)
-        if n_stored > n_e:
-            raise PoolFormatError(f"{where} claims {n_stored} > capacity {n_e}")
-        if n_stored > seen_count:
-            raise PoolFormatError(f"{where} stores {n_stored} > seen count {seen_count}")
-        ktoks = lines[pos + 1].split()
-        vtoks = lines[pos + 2].split()
-        if len(ktoks) != 2 or ktoks[0] != "k" or len(vtoks) != 2 or vtoks[0] != "v":
-            raise PoolFormatError(f"entry {i}: malformed key/prompt lines")
-        pool.keys[i] = _floats(ktoks[1], (d_c,), f"entry {i} key")
-        pool.prompts[i] = _floats(vtoks[1], (n_p, d_tok), f"entry {i} prompt block")
-        pool.seen[i], pool.store_len[i] = seen_count, n_stored
-        pos += 3
-        for s in range(n_stored):
-            if pos >= len(lines):
-                raise PoolFormatError(f"truncated file: entry {i} store incomplete")
-            xtoks = lines[pos].split()
-            where = f"line {pos + 1}"
-            if len(xtoks) != 6 or xtoks[0] != "ex":
-                raise PoolFormatError(f"{where}: malformed exemplar record")
-            feats = {"c": _floats(xtoks[2], (d_c,), f"{where} exemplar f_c")}
-            for kind, tok in zip(_FILE_KINDS[1:], xtoks[3:]):
-                feats[kind] = _floats(tok, -1, f"{where} exemplar")
-            label = _int(xtoks[1], f"{where} predicate")
-            try:
-                _write_slot(pool, i, s, feats, label, _relation_norm(feats["r"]))
-            except ValueError as exc:
-                raise PoolFormatError(f"{where}: {exc}") from None
-            pos += 1
-    if pos != len(lines) and any(ln.strip() for ln in lines[pos:]):
-        raise PoolFormatError(f"line {pos + 1}: trailing content after last entry")
+
+def _read_pool(path) -> PromptPool:
+    lines = data_lines(path)
+    _, head = next(lines, (None, ""))
+    toks = head.split()
+    if toks[:2] != [POOL_MAGIC, str(POOL_VERSION)] or len(toks) != 3 or int(toks[2]) < 1:
+        raise ValueError(f"unsupported pool header {head!r}")
+    arrays = {}
+    for lineno, text in lines:
+        tag, _, rest = text.partition(" ")
+        if tag != "array" or read_array(arrays, lineno, rest) not in _POOL_ARRAYS:
+            raise ValueError(f"line {lineno}: unknown record {' '.join(text.split()[:2])!r}")
+    pool = _empty_pool(arrays["prompts"], arrays["keys"], int(toks[2]))
+    pool.seen, pool.store_len = exact_ints(arrays["seen"]), exact_ints(arrays["store_len"])
+    filled = np.arange(pool.n_e) < pool.store_len[:, None]
+    n_filled = int(filled.sum())
+    if arrays["labels"].shape != (n_filled,):
+        raise ValueError(f"labels {arrays['labels'].shape} for {n_filled} filled slots")
+    pool.store_labels[filled] = exact_ints(arrays["labels"])
+    if n_filled or any(name.startswith("ex.") for name in arrays):  # the widths are fixed
+        for kind in _EX_KINDS:
+            f = arrays[f"ex.{kind}"]
+            width = pool.d_c if kind == "c" else f.shape[-1]
+            if f.shape != (n_filled, width):
+                raise ValueError(f"exemplar widths: ex.{kind} {f.shape} for {n_filled} "
+                                 f"filled slots of width {width}")
+            pool.store_feats[kind] = np.zeros((pool.n_t, pool.n_e, width))
+            pool.store_feats[kind][filled] = f
+        pool.store_rnorm[filled] = _relation_norm(arrays["ex.r"])
     pool.check_invariants()
     return pool

@@ -82,8 +82,8 @@ def encode_batch(params: MapperParams, feats: np.ndarray, kind: str) -> np.ndarr
     return out
 
 
-def encode_batch_backward(params: MapperParams, kind: str, feats: np.ndarray,
-                          d_out: np.ndarray, grads: dict) -> None:
+def encode_batch_backward(kind: str, feats: np.ndarray, d_out: np.ndarray,
+                          grads: dict) -> None:
     """Accumulate into ``grads`` the parameter gradients of the encode of
     ``feats`` (B, d_in) that received ``d_out`` (B, n_kind, d_tok)."""
     grads[f"pos.{kind}"] += d_out.sum(axis=0)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ioutil import data_lines, pack_floats, unpack_floats
+from .ioutil import array_record, data_lines, put_once, read_array
 from .numerics import softmax
 from .prompt_pool import PromptPool, _relation_norm, admit_exemplar, retrieve_entries
 from .rng import SeededRng
@@ -26,7 +26,6 @@ from .token_mapper import (KINDS, MapperParams, encode_batch, encode_batch_backw
 
 CKPT_MAGIC = "LSGG-CKPT"
 CKPT_VERSION = 2
-_CKPT_RECORDS = ("pool", "config", "array")
 EVAL_BATCH = 256  # instances per inference pass
 
 
@@ -578,11 +577,9 @@ def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: Train
     slices = _kind_slices(tr.mapper)
     d_ex = d_table[off_ex:off_emb].reshape(-1, n_ex_rows, d_tok)
     for kind in KINDS:
-        encode_batch_backward(tr.mapper, kind, batch.feats[kind], d_q[:, slices[kind], :],
-                              mapper_grads)
+        encode_batch_backward(kind, batch.feats[kind], d_q[:, slices[kind], :], mapper_grads)
         if fw.ex_feats is not None:
-            encode_batch_backward(tr.mapper, kind, fw.ex_feats[kind], d_ex[:, slices[kind], :],
-                                  mapper_grads)
+            encode_batch_backward(kind, fw.ex_feats[kind], d_ex[:, slices[kind], :], mapper_grads)
     for name, g in mapper_grads.items():
         grads[f"mapper.{name}"] = g
 
@@ -747,8 +744,7 @@ def save_checkpoint(path, tr: TrainableSet, config_echo: dict, pool_path: str) -
         for key, val in config_echo.items():
             fh.write(f"config {key}={val}\n")
         for name, arr in tr.checkpoint_items():
-            shape = ",".join(str(s) for s in arr.shape)
-            fh.write(f"array {name} {shape} {pack_floats(arr)}\n")
+            fh.write(array_record(name, arr))
 
 
 class CheckpointFormatError(ValueError):
@@ -757,28 +753,26 @@ class CheckpointFormatError(ValueError):
 
 def load_checkpoint(path):
     """Returns (arrays by name, config echo dict, pool path); any malformed
-    content raises CheckpointFormatError."""
+    content, a repeated record among it, raises CheckpointFormatError."""
     lines = data_lines(path)
     _, head = next(lines, (None, ""))
     if head.split() != [CKPT_MAGIC, str(CKPT_VERSION)]:
         raise CheckpointFormatError(f"bad checkpoint header: {head!r}")
-    arrays, config_echo, pool_path = {}, {}, None
+    arrays, config_echo, refs = {}, {}, {}
     for lineno, text in lines:
         tag, _, rest = text.partition(" ")
-        if tag not in _CKPT_RECORDS:
-            raise CheckpointFormatError(f"line {lineno}: unknown record {tag!r}")
         try:
             if tag == "pool":
-                pool_path = rest
+                put_once(refs, tag, rest, lineno)
             elif tag == "config":
                 key, _, val = rest.partition("=")
-                config_echo[key] = val
+                put_once(config_echo, key, val, lineno)
+            elif tag == "array":
+                read_array(arrays, lineno, rest)
             else:
-                name, shape_s, payload = rest.split(" ", 2)
-                shape = tuple(int(s) for s in shape_s.split(","))
-                arrays[name] = unpack_floats(payload, shape)
+                raise ValueError(f"line {lineno}: unknown record {tag!r}")
         except ValueError as exc:
-            raise CheckpointFormatError(f"line {lineno}: malformed {tag!r} record: {exc}") from None
-    if pool_path is None:
+            raise CheckpointFormatError(str(exc)) from None
+    if "pool" not in refs:
         raise CheckpointFormatError("checkpoint is missing its pool reference")
-    return arrays, config_echo, pool_path
+    return arrays, config_echo, refs["pool"]

@@ -238,14 +238,13 @@ def encode_batch_all_rows(params: MapperParams, feats: np.ndarray, kind: str):
     return proj + params.pos[kind]
 
 
-def encode_batch_backward_all_rows(params: MapperParams, kind: str, feats: np.ndarray,
-                                   d_out: np.ndarray, grads: dict) -> None:
+def encode_batch_backward_all_rows(kind: str, feats: np.ndarray, d_out: np.ndarray,
+                                   grads: dict) -> None:
     """``token_mapper.encode_batch_backward``: the affine map's gradients,
     term by term."""
-    b = feats.shape[0]
-    n = params.token_counts[kind]
+    b, n, d_tok = d_out.shape
     grads[f"pos.{kind}"] += d_out.sum(axis=0)
-    d_flat = d_out.reshape(b, n * params.d_tok)
+    d_flat = d_out.reshape(b, n * d_tok)
     grads[f"proj_w.{kind}"] += d_flat.T @ feats
     grads[f"proj_b.{kind}"] += d_flat.sum(axis=0)
 

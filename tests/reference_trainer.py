@@ -237,10 +237,10 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
 
     slices = _kind_slices(tr.mapper)
     for kind in KINDS:
-        encode_batch_backward(tr.mapper, kind, state.q_feats[kind],
+        encode_batch_backward(kind, state.q_feats[kind],
                               d_q_blocks[:, slices[kind], :], mapper_grads)
         if state.uniq_ex:
-            encode_batch_backward(tr.mapper, kind, state.ex_feats[kind],
+            encode_batch_backward(kind, state.ex_feats[kind],
                                   d_ex_blocks[:, slices[kind], :], mapper_grads)
     for name, g in mapper_grads.items():
         grads[f"mapper.{name}"] += g

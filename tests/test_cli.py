@@ -1,10 +1,12 @@
 """End-to-end smoke of the command-line surface on a miniature dataset."""
 
+import numpy as np
 import pytest
 
 from lsgg.cli import main
-from lsgg.datastream import load_embeddings
+from lsgg.datastream import SynthConfig, load_embeddings, save_embeddings, synth_generate
 from lsgg.harness import load_comparison_csv
+from lsgg.rng import SeededRng
 
 
 def write_tiny_config(path, total_n=200):
@@ -40,6 +42,28 @@ def test_synth_and_split_commands(tmp_path, capsys):
     assert len(lines) == 3
     labels = [int(t) for ln in lines for t in ln.split()[1:]]
     assert sorted(labels) == list(range(6))
+
+
+def test_split_writes_the_schedule_the_run_uses(tmp_path):
+    # a dataset of predicates {0, 1, 3, 4}: a run schedules 0..4, the absent
+    # 2 among them, and so must the split command
+    cfg = SynthConfig(n_pred=5, n_groups=1, n_obj=5, d_c=4, d_r=4, d_o=4, total_n=60,
+                      pairs_per_image=3)
+    dataset, _ = synth_generate(cfg, SeededRng(0).derive("data"))
+    data = tmp_path / "gap.lsgg"
+    save_embeddings(dataset.take(np.flatnonzero(dataset.pred != 2)), data, n_pred=5)
+    assert sorted(set(load_embeddings(data).pred.tolist())) == [0, 1, 3, 4]
+    sched = tmp_path / "schedule.txt"
+    for mode, want in (("random", "stage 0 3 4\nstage 1 2\n"),
+                       ("frequency", None)):
+        assert main(["split", "--dataset", str(data), "--out", str(sched), "--stages", "2",
+                     "--mode", mode, "--seed", "0"]) == 0
+        stages = [[int(t) for t in line.split()[1:]] for line in sched.read_text().splitlines()]
+        assert sorted(sum(stages, [])) == [0, 1, 2, 3, 4]
+        if want is not None:
+            assert sched.read_text() == want
+        else:  # the absent predicate has the fewest instances: the tail stage
+            assert 2 in stages[-1]
 
 
 def test_train_then_eval_commands(tmp_path, capsys):

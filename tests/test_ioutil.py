@@ -7,6 +7,7 @@ import pytest
 from lsgg.datastream import load_embeddings
 from lsgg.harness import load_comparison_csv, load_config_file
 from lsgg.metrics import load_gt, load_predictions
+from lsgg.prompt_pool import deserialize_pool
 from lsgg.scorer import load_vocab
 from lsgg.trainer import load_checkpoint
 
@@ -20,6 +21,10 @@ READERS = {
     "embeddings": (load_embeddings, ["LSGG-EMB 1 1 1 1 2 2", "0 0 1 1 0 - 0.1 0.2 0.3 0.4"],
                    "0 0 1 5 0 - 0.1 0.2 0.3 0.4"),
     "checkpoint": (load_checkpoint, ["LSGG-CKPT 2", "pool p.lsgg"], "array foo 3 AAAA"),
+    "pool": (deserialize_pool,  # one entry, n_p = d_tok = d_c = 1, no exemplar
+             ["LSGG-POOL 2 1", "array keys 1,1 AAAAAAAA8D8=", "array prompts 1,1,1 AAAAAAAA8D8=",
+              "array seen 1 AAAAAAAAAAA=", "array store_len 1 AAAAAAAAAAA=", "array labels 0"],
+             "array seen 1 AAAA"),
 }
 
 

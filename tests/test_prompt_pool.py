@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lsgg.ioutil import pack_floats
+from lsgg.ioutil import array_record, pack_floats
 from lsgg.prompt_pool import (PoolFormatError, _relation_norm, _write_slot, deserialize_pool,
                               init_pool, retrieve_entries, serialize_pool)
 from lsgg.rng import SeededRng
@@ -440,69 +440,88 @@ def test_pool_round_trip_at_full_capacity(tmp_path):
     assert pools_equal(deserialize_pool(path), pool)
 
 
-def test_pool_file_errors(tmp_path):
+def filled_pool_file(tmp_path):
+    """(pool, the lines of its file, its filled-slot mask) of a small pool
+    with filled slots in both entries."""
     pool = init_pool(2, 2, 4, 3, 2, SeededRng(20))
     fill_pool(pool, SeededRng(21), 5)
-    path = tmp_path / "pool.lsgg"
-    serialize_pool(pool, path)
-    text = path.read_text()
+    serialize_pool(pool, tmp_path / "pool.lsgg")
+    assert pool.store_len.tolist() == [1, 2]
+    filled = np.arange(pool.n_e) < pool.store_len[:, None]
+    return pool, (tmp_path / "pool.lsgg").read_text().splitlines(), filled
 
+
+def with_array(lines, name, arr):
+    """The file's lines with the record of array ``name`` rewritten to hold ``arr``."""
+    at = next(i for i, line in enumerate(lines) if line.split()[:2] == ["array", name])
+    return lines[:at] + [array_record(name, np.asarray(arr)).rstrip("\n")] + lines[at + 1:]
+
+
+def refuses(tmp_path, lines, match=None):
     bad = tmp_path / "bad.lsgg"
-    bad.write_text(text.replace("LSGG-POOL 1", "LSGG-POOL 2", 1))
-    with pytest.raises(PoolFormatError, match="version"):
-        deserialize_pool(bad)
-    bad.write_text(text.replace("LSGG-POOL", "SOMETHING", 1))
-    with pytest.raises(PoolFormatError):
-        deserialize_pool(bad)
-    # truncation: drop the last line
-    bad.write_text("\n".join(text.splitlines()[:-1]) + "\n")
-    with pytest.raises(PoolFormatError):
-        deserialize_pool(bad)
-    bad.write_text("")
-    with pytest.raises(PoolFormatError):
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PoolFormatError, match=match):
         deserialize_pool(bad)
 
-    lines = text.splitlines()
 
-    def load_edited(at, edit):
-        edited = list(lines)
-        edited[at] = edit(edited[at].split())
-        bad.write_text("\n".join(edited) + "\n")
-        return deserialize_pool(bad)
+def test_pool_file_errors(tmp_path):
+    pool, lines, filled = filled_pool_file(tmp_path)
+    assert [line.split()[1] for line in lines[1:]] == [
+        "keys", "prompts", "seen", "store_len", "labels", "ex.c", "ex.s", "ex.o", "ex.r"]
+    n_filled = int(filled.sum())
 
-    ex_at = [i for i, line in enumerate(lines) if line.startswith("ex ")]
-    assert len(ex_at) >= 2
-    wide = pack_floats(np.ones(pool.d_c + 4))
-    with pytest.raises(PoolFormatError, match="f_c"):  # 7 values in a d_c=3 pool
-        load_edited(ex_at[0], lambda t: " ".join(t[:2] + [wide] + t[3:]))
-    for col in (3, 4, 5):  # f_s, f_o, f_r lengths differ between exemplars
-        with pytest.raises(PoolFormatError, match="lengths"):
-            load_edited(ex_at[-1], lambda t: " ".join(t[:col] + [wide] + t[col + 1:]))
-    with pytest.raises(PoolFormatError, match="predicate"):
-        load_edited(ex_at[0], lambda t: " ".join(t[:1] + ["two"] + t[2:]))
-    with pytest.raises(PoolFormatError, match="base64"):
-        load_edited(ex_at[0], lambda t: " ".join(t[:5] + ["not*base64"]))
-    entry_at = lines.index(next(ln for ln in lines if ln.startswith("entry 0 ")))
-    for seen, stored in (("-1", "0"), ("1.5", "0"), ("x", "0"), ("3", "-2"), ("0", "1")):
-        with pytest.raises(PoolFormatError):
-            load_edited(entry_at, lambda t: " ".join(t[:2] + [seen, stored]))
-    with pytest.raises(PoolFormatError, match="pool dimension"):
-        load_edited(0, lambda t: " ".join(t[:2] + ["0"] + t[3:]))
+    # header or version: the per-entry LSGG-POOL 1 is no longer read
+    for head in ("LSGG-POOL 1 2 2 4 3 2", "SOMETHING 2 2", "LSGG-POOL 2 0", "LSGG-POOL 2"):
+        refuses(tmp_path, [head, *lines[1:]], f"unsupported pool header '{head}'")
+    refuses(tmp_path, ["LSGG-POOL 2 two", *lines[1:]])
+    # truncation, a missing record, and an empty file
+    refuses(tmp_path, lines[:-1], "truncated")
+    refuses(tmp_path, [lines[0], *lines[2:]], "truncated")
+    refuses(tmp_path, [], "unsupported pool header ''")
+    # records that are not this grammar's, or repeated
+    refuses(tmp_path, [*lines, "entry 0 1 1"], "line 11: unknown record 'entry 0'")
+    refuses(tmp_path, [*lines, f"array bogus 1 {pack_floats([1.0])}"],
+            "unknown record 'array bogus'")
+    refuses(tmp_path, [*lines, lines[2]], f"line {len(lines) + 1}: repeated record 'prompts'")
+    # widths and shapes
+    refuses(tmp_path, with_array(lines, "ex.c", np.ones((n_filled, pool.d_c + 4))), "widths")
+    for kind in ("s", "o", "r"):  # one exemplar row short
+        refuses(tmp_path, with_array(lines, f"ex.{kind}", pool.store_feats[kind][filled][1:]),
+                "widths")
+    refuses(tmp_path, with_array(lines, "labels", pool.store_labels[filled][1:]), "labels")
+    refuses(tmp_path, with_array(lines, "keys", np.ones((3, pool.d_c))))
+    refuses(tmp_path, with_array(lines, "seen", pool.seen[:1]))
+    refuses(tmp_path, with_array(lines, "prompts", np.ones((2, 0, 4))), "sizes >= 1")
+    # integer fields
+    for name, arr in (("labels", pool.store_labels[filled] + 0.5), ("seen", [np.nan, 3.0]),
+                      ("store_len", [1.0, np.inf]), ("seen", [2.0**53, 3.0])):
+        refuses(tmp_path, with_array(lines, name, arr), "integer")
+    # base64 and payload size
+    refuses(tmp_path, [*lines[:-1], " ".join(lines[-1].split()[:3] + ["not*base64"])], "base64")
+    name, _, payload = lines[-1].split()[1:]
+    refuses(tmp_path, [*lines[:-1], f"array {name} 7,5 {payload}"], "payload")
+    # store larger than seen, and outside capacity
+    refuses(tmp_path, with_array(lines, "seen", pool.store_len - [0, 1]), "seen")
+    refuses(tmp_path, with_array(lines, "store_len", [1, 3]), "capacity")
+    refuses(tmp_path, with_array(lines, "store_len", [-2, 2]))
 
 
 def test_pool_file_rejects_degenerate_relation_rows(tmp_path):
-    pool = init_pool(2, 2, 4, 3, 2, SeededRng(20))
-    fill_pool(pool, SeededRng(21), 5)
-    path = tmp_path / "pool.lsgg"
-    serialize_pool(pool, path)
-    lines = path.read_text().splitlines()
-    ex_at = next(i for i, line in enumerate(lines) if line.startswith("ex "))
+    pool, lines, filled = filled_pool_file(tmp_path)
     for row in DEGENERATE_ROWS:
-        toks = lines[ex_at].split()
-        toks[5] = pack_floats(row)  # f_r, of width 5
-        path.write_text("\n".join(lines[:ex_at] + [" ".join(toks)] + lines[ex_at + 1:]) + "\n")
-        with pytest.raises(PoolFormatError, match="degenerate"):
-            deserialize_pool(path)
+        f_r = pool.store_feats["r"][filled]
+        f_r[1] = row  # f_r, of width 5
+        refuses(tmp_path, with_array(lines, "ex.r", f_r), "degenerate")
+
+
+def test_pool_file_holds_widths_fixed_before_any_slot_is_filled(tmp_path):
+    pool, _, _ = filled_pool_file(tmp_path)
+    pool.store_len[:] = 0
+    serialize_pool(pool, tmp_path / "pool.lsgg")
+    back = deserialize_pool(tmp_path / "pool.lsgg")
+    assert {kind: f.shape for kind, f in back.store_feats.items()} == {
+        kind: f.shape for kind, f in pool.store_feats.items()}
+    assert pools_equal(back, pool)
 
 
 def test_pool_invariants_catch_relation_rows_edited_behind_the_writer():

@@ -116,7 +116,7 @@ def test_encode_batch_backward_matches_finite_differences(seed, preset):
         coeff = rng.normal((3, n_tok, 8))
 
         grads = init_grads(m)
-        encode_batch_backward(m, kind, feats, coeff.copy(), grads)
+        encode_batch_backward(kind, feats, coeff.copy(), grads)
 
         params = {name: arr for name, arr in m.param_items()}
         for name in (f"proj_w.{kind}", f"proj_b.{kind}", f"pos.{kind}"):
@@ -131,7 +131,7 @@ def test_backward_leaves_other_kind_gradients_zero():
     feats = rng.normal((2, FEAT_DIMS["s"]))
     out = encode_batch(m, feats, "s")
     grads = init_grads(m)
-    encode_batch_backward(m, "s", feats, np.ones_like(out), grads)
+    encode_batch_backward("s", feats, np.ones_like(out), grads)
     for other in ("c", "r", "o"):
         assert not np.any(grads[f"proj_w.{other}"])
         assert not np.any(grads[f"pos.{other}"])
@@ -172,7 +172,7 @@ def test_projector_row_blocks_get_distinct_gradients(preset):
     feats = rng.normal((5, FEAT_DIMS["c"]))
     out = encode_batch(m, feats, "c")
     grads = init_grads(m)
-    encode_batch_backward(m, "c", feats, rng.normal(out.shape), grads)
+    encode_batch_backward("c", feats, rng.normal(out.shape), grads)
     blocks = grads["proj_w.c"].reshape(n, m.d_tok, FEAT_DIMS["c"])
     for i in range(n):
         for j in range(i):
@@ -200,7 +200,7 @@ def test_encode_batch_equals_all_rows_oracle_bit_for_bit(seed, d_tok):
                 case = (token_counts[kind], b, kind)
                 assert np.array_equal(out, want), case
                 grads, want_grads = init_grads(m), init_grads(m)
-                encode_batch_backward(m, kind, feats, d_out.copy(), grads)
-                encode_batch_backward_all_rows(m, kind, feats, d_out.copy(), want_grads)
+                encode_batch_backward(kind, feats, d_out.copy(), grads)
+                encode_batch_backward_all_rows(kind, feats, d_out.copy(), want_grads)
                 for name, g in grads.items():
                     assert np.array_equal(g, want_grads[name]), (case, name)

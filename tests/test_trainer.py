@@ -453,3 +453,13 @@ def test_checkpoint_rejects_malformed(tmp_path):
         path.write_text(f"LSGG-CKPT 2\npool p.lsgg\n{record}\n")
         with pytest.raises(CheckpointFormatError, match="line 3"):
             load_checkpoint(path)
+    # a repeated record is refused, not read over: the pool reference, a
+    # config key, or an array name even at another shape
+    y_mask = f"array y_mask 2 {pack_floats(np.zeros(2))}"
+    for records in (["pool p.lsgg", "config lr=0.1", "pool q.lsgg"],
+                    ["pool p.lsgg", "config n_t=5", "# a comment", "config n_t=6"],
+                    ["pool p.lsgg", y_mask, f"array y_mask 1,1 {pack_floats(np.zeros(1))}"]):
+        path.write_text("\n".join(["LSGG-CKPT 2", *records]) + "\n")
+        with pytest.raises(CheckpointFormatError,
+                           match=f"line {len(records) + 1}: repeated record"):
+            load_checkpoint(path)
