@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 
 from .numerics import use_one_blas_thread
 from .rng import SeededRng
-from .datastream import (RelationTable, Rows, SynthConfig, TaskSchedule, StageDataset,
-                         load_embeddings, make_stage_datasets, predicate_counts,
-                         save_embeddings, split_by_frequency, split_random, synth_generate)
+from .datastream import (RelationTable, Rows, SynthConfig, StageDataset, load_embeddings,
+                         make_schedule, make_stage_datasets, save_embeddings,
+                         split_by_frequency, split_random, synth_generate)
 from .prompt_pool import (PromptPool, admit_exemplar, deserialize_pool, init_pool,
                           retrieve_entries, serialize_pool)
 from .token_mapper import MapperParams, init_mapper

@@ -6,6 +6,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .datastream import (SynthConfig, load_embeddings, make_schedule, save_embeddings,
                          synth_generate)
 from .harness import (ABLATION_SUITE, ExperimentConfig, load_comparison_csv,
@@ -39,8 +41,8 @@ def _cmd_split(args) -> int:
     schedule = make_schedule(dataset, int(dataset.pred.max()) + 1, args.stages, args.mode,
                              SeededRng(args.seed).derive("schedule"))
     with open(args.out, "w") as fh:
-        for stage in schedule.stages:
-            fh.write("stage " + " ".join(str(label) for label in stage) + "\n")
+        for s in range(args.stages):
+            fh.write("stage " + " ".join(map(str, np.flatnonzero(schedule == s))) + "\n")
     print(f"wrote {args.stages}-stage schedule to {args.out}")
     return 0
 

@@ -1,8 +1,8 @@
 """Task schedules, synthetic embedding datasets, and the LSGG-EMB file format.
 
 A dataset is one column table, :class:`RelationTable`, one row per relation
-instance (a subject-object pair). The lifelong protocol partitions the
-predicate vocabulary into disjoint per-stage label sets; each stage's
+instance (a subject-object pair). The lifelong protocol gives each predicate
+one stage: a schedule is the int64 array ``stage[p]``; each stage's
 train/val/test splits are :class:`Rows`, row numbers into that one table.
 """
 
@@ -76,40 +76,6 @@ class Rows:
 
 
 @dataclass
-class TaskSchedule:
-    """Ordered partition of the predicate vocabulary into per-stage label sets."""
-
-    stages: list  # list of sorted tuples of label ids
-
-    def __post_init__(self):
-        seen = set()
-        for t, labels in enumerate(self.stages):
-            if len(labels) == 0:
-                raise ValueError(f"stage {t + 1} is empty")
-            overlap = seen.intersection(labels)
-            if overlap:
-                raise ValueError(f"stage {t + 1} shares labels with an earlier stage: {sorted(overlap)}")
-            seen.update(labels)
-        self._owner = {label: t for t, labels in enumerate(self.stages) for label in labels}
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.stages)
-
-    def stage_of(self, label: int) -> int:
-        if label not in self._owner:
-            raise ValueError(f"predicate {label} not covered by the schedule")
-        return self._owner[label]
-
-    def arrived_labels(self, t: int) -> list:
-        """All labels of stages 0..t, sorted."""
-        out = []
-        for labels in self.stages[: t + 1]:
-            out.extend(labels)
-        return sorted(out)
-
-
-@dataclass
 class StageDataset:
     """One stage's splits: ``Rows`` of the dataset, or any tables."""
 
@@ -123,61 +89,49 @@ def _chunk_sizes(n: int, t: int) -> list:
     return [base + 1 if i < rem else base for i in range(t)]
 
 
-def split_random(vocab, t: int, rng: SeededRng) -> TaskSchedule:
-    """Randomly partition the vocabulary into t near-equal stage label sets."""
-    labels = sorted(vocab)
-    if t < 1 or t > len(labels):
-        raise ValueError(f"cannot split {len(labels)} predicates into {t} stages")
-    rng.shuffle(labels)
-    stages, pos = [], 0
-    for size in _chunk_sizes(len(labels), t):
-        stages.append(tuple(sorted(labels[pos : pos + size])))
-        pos += size
-    return TaskSchedule(stages)
+def _stages_of(order, t: int) -> np.ndarray:
+    """The schedule that cuts predicate order ``order`` into t near-equal
+    stages: ``stage[p]`` is the 0-based stage of predicate ``p``."""
+    n = len(order)
+    if t < 1 or t > n:
+        raise ValueError(f"cannot split {n} predicates into {t} stages")
+    stage = np.empty(n, dtype=np.int64)
+    stage[np.asarray(order, dtype=np.int64)] = np.repeat(np.arange(t), _chunk_sizes(n, t))
+    return stage
 
 
-def predicate_counts(data: RelationTable, labels) -> dict:
-    """Instances per predicate, keyed by ``labels`` in their order (0 for a
-    label with no instance); a predicate outside ``labels`` raises KeyError."""
-    counts = np.bincount(data.pred, minlength=max(labels, default=-1) + 1)
-    stray = np.setdiff1d(np.flatnonzero(counts), labels)
-    if stray.size:
-        raise KeyError(int(stray[0]))
-    return {label: int(counts[label]) for label in labels}
+def split_random(n_pred: int, t: int, rng: SeededRng) -> np.ndarray:
+    """Randomly partition predicates 0..n_pred-1 into t near-equal stages."""
+    order = list(range(n_pred))
+    rng.shuffle(order)
+    return _stages_of(order, t)
 
 
-def split_by_frequency(vocab, counts: dict, t: int) -> TaskSchedule:
+def split_by_frequency(counts, t: int) -> np.ndarray:
     """Head-to-tail split: stage 1 gets the most frequent predicates.
 
-    Labels are sorted by descending instance count (ties by label id) and
-    chunked into t near-equal stages; the runs count over the whole dataset.
+    Predicates are ordered by descending instance count ``counts[p]`` (ties
+    by lower id) and cut into t near-equal stages.
     """
-    labels = sorted(vocab)
-    if t < 1 or t > len(labels):
-        raise ValueError(f"cannot split {len(labels)} predicates into {t} stages")
-    missing = [l for l in labels if l not in counts]
-    if missing:
-        raise ValueError(f"missing counts for labels {missing}")
-    ordered = sorted(labels, key=lambda l: (-counts[l], l))
-    stages, pos = [], 0
-    for size in _chunk_sizes(len(labels), t):
-        stages.append(tuple(sorted(ordered[pos : pos + size])))
-        pos += size
-    return TaskSchedule(stages)
+    return _stages_of(np.argsort(-np.asarray(counts, dtype=np.int64), kind="stable"), t)
 
 
 def make_schedule(data: RelationTable, n_pred: int, t: int, mode: str,
-                  rng: SeededRng) -> TaskSchedule:
+                  rng: SeededRng) -> np.ndarray:
     """The t-stage schedule of predicates 0..n_pred-1 that a run uses: by their
-    instance counts in ``data`` for mode ``frequency``, else at random by ``rng``."""
-    labels = list(range(n_pred))
+    instance counts over the whole of ``data`` for mode ``frequency``, else at
+    random by ``rng``; ValueError for a predicate of ``data`` outside them."""
+    counts = np.bincount(data.pred, minlength=n_pred)
+    if len(counts) > n_pred:
+        raise ValueError(f"predicate {len(counts) - 1} outside 0..{n_pred - 1}")
     if mode == "frequency":
-        return split_by_frequency(labels, predicate_counts(data, labels), t)
-    return split_random(labels, t, rng)
+        return split_by_frequency(counts, t)
+    return split_random(n_pred, t, rng)
 
 
-def make_stage_datasets(data, schedule: TaskSchedule, split_fractions=(0.7, 0.1, 0.2)) -> list:
-    """Route rows to their predicate's stage and split train/val/test.
+def make_stage_datasets(data, stage: np.ndarray, split_fractions=(0.7, 0.1, 0.2)) -> list:
+    """Route each row to its predicate's stage ``stage[pred]`` and split
+    train/val/test.
 
     The within-stage split sorts rows by a content-free hash of (image,
     ``gt_id``, the row's occurrence index within its image over the whole
@@ -189,15 +143,15 @@ def make_stage_datasets(data, schedule: TaskSchedule, split_fractions=(0.7, 0.1,
     if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must be three positives summing to 1, got {fr}")
 
-    labels, inverse = np.unique(data.pred, return_inverse=True)
-    # stage_of raises for uncovered predicates
-    stage = np.array([schedule.stage_of(int(p)) for p in labels], dtype=np.int64)[inverse]
+    if len(data) and (data.pred.min() < 0 or data.pred.max() >= len(stage)):
+        raise ValueError(f"a predicate lies outside the schedule's 0..{len(stage) - 1}")
+    row_stage = stage[data.pred]
     key = _mix64_block(data.image.astype(np.uint64) ^ np.uint64(0xD1B54A32D192ED03))
     key = _mix64_block(key + data.gt_id.astype(np.uint64))
-    order = np.lexsort((data.gt_id, data.image, key, stage))
+    order = np.lexsort((data.gt_id, data.image, key, row_stage))
 
     out, start = [], 0
-    for n in np.bincount(stage, minlength=schedule.n_stages).tolist():
+    for n in np.bincount(row_stage, minlength=stage.max(initial=-1) + 1).tolist():
         rows = order[start : start + n]
         start += n
         b1 = int(np.floor(fr[0] * n + 0.5))

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .datastream import (SynthConfig, load_embeddings, make_schedule, make_stage_datasets,
                          synth_generate)
-from .ioutil import data_lines, format_float
+from .ioutil import data_lines, format_float, put_once
 from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, concat_tables,
                       forgetting_measure, m_at_k, positions_in_runs, recall_at_ks, save_gt,
                       save_predictions, score_wtd, weighted_map)
@@ -201,12 +201,17 @@ def config_from_kv(kv: dict) -> ExperimentConfig:
 
 
 def load_config_file(path) -> ExperimentConfig:
+    """The config of a ``key=value`` file; each error names its line."""
     kv = {}
     for lineno, text in data_lines(path):
         if "=" not in text:
             raise ValueError(f"line {lineno}: expected key=value")
-        key, _, val = text.partition("=")
-        kv[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in text.partition("="))
+        put_once(kv, key, val, lineno)
+        try:
+            config_from_kv({key: val})  # a key's value parses on its own
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return config_from_kv(kv)
 
 
@@ -255,9 +260,9 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
                    run_dir: str | None = None) -> ResultsBundle:
     """One full staged run for one seed.
 
-    Asserted on every run: schedule disjointness, stage isolation (a stage's
-    train split is discarded the moment its stage completes), pool capacity,
-    and exact M@K arithmetic.
+    Asserted on every run: stage isolation (a stage's train split is
+    discarded the moment its stage completes), pool capacity, and exact M@K
+    arithmetic.
     """
     config.validate()
     if seed is None:
@@ -314,7 +319,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         pool.check_invariants()
 
         task_gt.append(_gt_table(stages[t].test))
-        candidates = schedule.arrived_labels(t)
+        candidates = np.flatnonzero(schedule <= t)
         table = freeze_table(pool, tr, vocab, config.train)
         task_preds = []
         for j in range(t + 1):
@@ -531,7 +536,8 @@ def report(groups: dict, out_dir) -> list:
 
 
 def load_comparison_csv(path) -> dict:
-    """Parse comparison.csv back into {config: {column: value}}."""
+    """Parse comparison.csv back into {config: {column: value}}; ValueError
+    naming the line of a malformed row or a repeated config."""
     lines = data_lines(path)
     _, head = next(lines, (None, None))
     if head is None:
@@ -543,8 +549,9 @@ def load_comparison_csv(path) -> dict:
         if len(cells) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
         try:
-            out[cells[0]] = {name: int(cell) if name == "seeds" else float(cell)
-                             for name, cell in zip(header[1:], cells[1:])}
+            row = {name: int(cell) if name == "seeds" else float(cell)
+                   for name, cell in zip(header[1:], cells[1:])}
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        put_once(out, cells[0], row, lineno)
     return out

@@ -49,7 +49,10 @@ def unpack_floats(text: str, shape: tuple) -> np.ndarray:
 def array_record(name: str, arr) -> str:
     """The line ``array <name> <shape> <base64>`` that ``read_array`` reads back
     bit-exactly: comma-separated sizes, then float64 values (``pack_floats``),
-    exact for integers below 2**53; an empty array's line ends at its shape."""
+    exact for integers below 2**53; an empty array's line ends at its shape.
+    A 0-d array has no shape to write (store a scalar with shape ``(1,)``)."""
+    if np.ndim(arr) == 0:
+        raise ValueError(f"array {name!r} is 0-d; write it with shape (1,)")
     shape = ",".join(str(n) for n in np.shape(arr))
     return f"array {name} {shape} {pack_floats(arr)}".rstrip() + "\n"
 

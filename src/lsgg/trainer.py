@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight decay must be >= 0")
+        if self.scorer_lr_scale < 0:
+            raise ValueError("scorer learning-rate scale must be >= 0")
         if self.epochs < 1 or self.batch_size < 1 or self.k_retrieve < 1:
             raise ValueError("epochs, batch size, and K must be >= 1")
         if self.random_prompts and self.random_exemplar:
@@ -117,8 +119,9 @@ class AdamW:
     looked up by ``TrainableSet.param_items`` names.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.m: dict = {}
         self.v: dict = {}
         self.t = 0

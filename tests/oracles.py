@@ -688,14 +688,14 @@ def _split_hash(image_id: int, occurrence: int) -> int:
     return _mix64(_mix64(image_id ^ 0xD1B54A32D192ED03) + occurrence)
 
 
-def make_stage_datasets_records(dataset, schedule, split_fractions=(0.7, 0.1, 0.2)) -> list:
+def make_stage_datasets_records(dataset, stage, split_fractions=(0.7, 0.1, 0.2)) -> list:
     """``datastream.make_stage_datasets`` one instance object at a time;
     each stage's splits as (train, val, test) lists of the instances."""
     fr = tuple(float(f) for f in split_fractions)
-    per_stage = [[] for _ in range(schedule.n_stages)]
+    per_stage = [[] for _ in range(max(stage) + 1)]
     occ_counter: dict = {}
     for inst in dataset:
-        t = schedule.stage_of(inst.predicate)
+        t = stage[inst.predicate]
         occ = occ_counter.get(inst.image_id, 0)
         occ_counter[inst.image_id] = occ + 1
         per_stage[t].append((_split_hash(inst.image_id, occ), inst.image_id, occ, inst))

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lsgg.datastream import SynthConfig, TaskSchedule, split_random
+from lsgg.datastream import SynthConfig, make_schedule, synth_generate
 from lsgg.harness import ExperimentConfig, preset_config, run_experiment
 from lsgg.metrics import (MetricReport, forgetting_measure, m_at_k,
                           mean_recall_at_k, recall_at_k, score_wtd, weighted_map)
@@ -292,9 +292,15 @@ def test_run_files_are_byte_identical(tmp_path):
 
 
 def test_protocol_invariants_enforced(tmp_path, monkeypatch):
-    # (a) overlapping schedules are rejected outright
-    with pytest.raises(ValueError):
-        TaskSchedule([[0, 1], [1, 2]])
+    # (a) the run's schedule gives every predicate exactly one stage in
+    # 0..T-1, and no stage is empty
+    cfg = acceptance_config()
+    rng = SeededRng(5)
+    data, _ = synth_generate(cfg.synth, rng.derive("data"))
+    schedule = make_schedule(data, cfg.synth.n_pred, cfg.n_stages, cfg.schedule_mode,
+                             rng.derive("schedule"))
+    assert schedule.shape == (cfg.synth.n_pred,)
+    assert np.array_equal(np.unique(schedule), np.arange(cfg.n_stages))
 
     # (b) stage isolation: each training call sees only that stage's labels
     import lsgg.harness as harness
@@ -307,16 +313,10 @@ def test_protocol_invariants_enforced(tmp_path, monkeypatch):
         return real_train_stage(stage, *args, **kwargs)
 
     monkeypatch.setattr(harness, "train_stage", spy)
-    cfg = acceptance_config()
     bundle = run_experiment(cfg, seed=5, run_dir=tmp_path / "run")
-    schedule = split_random(list(range(cfg.synth.n_pred)), cfg.n_stages,
-                            SeededRng(5).derive("schedule"))
     assert len(seen) == cfg.n_stages
     for t, labels in enumerate(seen):
-        assert set(labels) <= set(schedule.stages[t])
-        for other in range(cfg.n_stages):
-            if other != t:
-                assert not set(labels) & set(schedule.stages[other])
+        assert np.all(schedule[labels] == t)
 
     # (c) pool capacity bounds are live assertions
     pool = init_pool(1, 1, 2, 3, 2, SeededRng(6))

@@ -31,8 +31,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import pytest  # noqa: E402
 
-from lsgg.datastream import (make_stage_datasets, predicate_counts, split_by_frequency,  # noqa: E402
-                             split_random, synth_generate)
+from lsgg.datastream import make_schedule, make_stage_datasets, synth_generate  # noqa: E402
 from lsgg.rng import SeededRng  # noqa: E402
 
 import run  # noqa: E402
@@ -65,11 +64,7 @@ def test_round_denominators_count_split_rows(tmp_path, mode):
     assert rnd["failed"] == 0 and rnd["problems"] == []
     rng = SeededRng(0)
     data, _ = synth_generate(cfg.synth, rng.derive("data"))
-    labels = list(range(cfg.synth.n_pred))
-    if mode == "frequency":
-        schedule = split_by_frequency(labels, predicate_counts(data, labels), cfg.n_stages)
-    else:
-        schedule = split_random(labels, cfg.n_stages, rng.derive("schedule"))
+    schedule = make_schedule(data, cfg.synth.n_pred, cfg.n_stages, mode, rng.derive("schedule"))
     stages = make_stage_datasets(data, schedule, cfg.split_fractions)
     n_test = [len(stage.test) for stage in stages]
     # one admit_exemplar call per offered row: min(quota, visits) per stage

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from lsgg.datastream import (EmbeddingFormatError, Rows, StageDataset, SynthConfig,
-                             TaskSchedule, load_embeddings, make_stage_datasets,
-                             predicate_counts, save_embeddings, split_by_frequency,
-                             split_random, synth_generate, zipf_counts)
+                             load_embeddings, make_schedule, make_stage_datasets,
+                             save_embeddings, split_by_frequency, split_random,
+                             synth_generate, zipf_counts)
 from lsgg.rng import SeededRng
 
 from conftest import random_instance
@@ -18,72 +18,82 @@ from oracles import (build_gt_ids, make_stage_datasets_records, records_of,
 # -- schedules ---------------------------------------------------------------
 
 
-def check_partition(schedule: TaskSchedule, vocab):
-    seen = []
-    for stage in schedule.stages:
-        assert stage  # non-empty
-        seen.extend(stage)
-    assert sorted(seen) == sorted(vocab)
-    assert len(seen) == len(set(seen))  # disjoint
+def check_partition(stage, n_pred, t):
+    """Every predicate has exactly one stage in 0..t-1, and no stage is empty."""
+    assert stage.dtype == np.int64 and stage.shape == (n_pred,)
+    assert np.array_equal(np.unique(stage), np.arange(t))
+
+
+def members(stage, t):
+    """Each stage's predicates, ascending."""
+    return [np.flatnonzero(stage == s).tolist() for s in range(t)]
 
 
 def test_split_random_sizes_and_determinism():
-    vocab = list(range(50))
-    s1 = split_random(vocab, 5, SeededRng(0))
-    s2 = split_random(vocab, 5, SeededRng(0))
-    s3 = split_random(vocab, 5, SeededRng(1))
-    check_partition(s1, vocab)
-    assert all(len(st) == 10 for st in s1.stages)
-    assert s1.stages == s2.stages
-    assert s1.stages != s3.stages
+    s1 = split_random(50, 5, SeededRng(0))
+    s2 = split_random(50, 5, SeededRng(0))
+    s3 = split_random(50, 5, SeededRng(1))
+    check_partition(s1, 50, 5)
+    assert np.bincount(s1).tolist() == [10] * 5
+    assert np.array_equal(s1, s2)
+    assert not np.array_equal(s1, s3)
+    # the stages are consecutive runs of the rng's shuffle of 0..n_pred-1
+    order = SeededRng(0).permutation(50)
+    assert members(s1, 5) == [sorted(order[10 * i : 10 * (i + 1)]) for i in range(5)]
 
 
 def test_split_random_uneven_and_singletons():
-    sched = split_random(list(range(7)), 3, SeededRng(2))
-    check_partition(sched, range(7))
-    sizes = sorted(len(st) for st in sched.stages)
-    assert max(sizes) - min(sizes) <= 1
-    singles = split_random([4, 9, 2], 3, SeededRng(3))
-    assert sorted(len(st) for st in singles.stages) == [1, 1, 1]
-    with pytest.raises(ValueError):
-        split_random([1, 2], 3, SeededRng(0))
+    sched = split_random(7, 3, SeededRng(2))
+    check_partition(sched, 7, 3)
+    sizes = np.bincount(sched)
+    assert sizes.max() - sizes.min() <= 1
+    singles = split_random(3, 3, SeededRng(3))
+    check_partition(singles, 3, 3)
+    for n_pred, t in ((2, 3), (4, 0)):
+        with pytest.raises(ValueError, match="cannot split"):
+            split_random(n_pred, t, SeededRng(0))
 
 
 def test_split_by_frequency_head_to_tail():
-    counts = {0: 100, 1: 50, 2: 10, 3: 5}
-    sched = split_by_frequency([0, 1, 2, 3], counts, 2)
-    assert [sorted(st) for st in sched.stages] == [[0, 1], [2, 3]]
+    assert members(split_by_frequency([100, 50, 10, 5], 2), 2) == [[0, 1], [2, 3]]
+    assert members(split_by_frequency([5, 100, 10, 50], 2), 2) == [[1, 3], [0, 2]]
     # ties fall back to label id order
-    equal = split_by_frequency([3, 1, 0, 2], {i: 7 for i in range(4)}, 2)
-    assert [sorted(st) for st in equal.stages] == [[0, 1], [2, 3]]
-    with pytest.raises(ValueError):
-        split_by_frequency([0, 1], {0: 3}, 2)
+    assert members(split_by_frequency([7, 7, 7, 7], 2), 2) == [[0, 1], [2, 3]]
+    assert members(split_by_frequency([3, 9, 3, 9, 3], 3), 3) == [[1, 3], [0, 2], [4]]
+    for counts, t in (([3], 2), ([3, 4], 0)):
+        with pytest.raises(ValueError, match="cannot split"):
+            split_by_frequency(counts, t)
 
 
-def test_predicate_counts_keeps_label_order_and_zeros():
+def test_make_schedule_counts_every_predicate_and_refuses_one_outside():
     rng = SeededRng(4)
     dataset = table_of([random_instance(rng, predicate=p) for p in (2, 0, 2, 2, 0)])
-    counts = predicate_counts(dataset, [3, 2, 1, 0])
-    assert list(counts.items()) == [(3, 0), (2, 3), (1, 0), (0, 2)]
-    with pytest.raises(KeyError):
-        predicate_counts(dataset, [0, 1])
+    # counts 2, 0, 3, 0: a predicate with no instance counts 0 and goes last
+    assert members(make_schedule(dataset, 4, 2, "frequency", None), 2) == [[0, 2], [1, 3]]
+    assert np.array_equal(make_schedule(dataset, 4, 2, "random", SeededRng(5)),
+                          split_random(4, 2, SeededRng(5)))
+    for mode in ("frequency", "random"):
+        with pytest.raises(ValueError, match="predicate 2 outside 0..1"):
+            make_schedule(dataset, 2, 2, mode, SeededRng(5))
 
 
 def test_split_by_frequency_on_zipf_counts_orders_stage_mass():
-    counts = dict(enumerate(zipf_counts(50, 0.8, 10_000)))
-    sched = split_by_frequency(list(range(50)), counts, 5)
-    check_partition(sched, range(50))
-    mass = [sum(counts[c] for c in stage) for stage in sched.stages]
+    counts = np.array(zipf_counts(50, 0.8, 10_000))
+    sched = split_by_frequency(counts, 5)
+    check_partition(sched, 50, 5)
+    mass = np.bincount(sched, weights=counts).tolist()
     assert mass[0] >= mass[-1]
     assert mass == sorted(mass, reverse=True)
 
 
-def test_schedule_rejects_overlap_and_gaps():
-    with pytest.raises(ValueError):
-        TaskSchedule([(0, 1), (1, 2)])
-    sched = TaskSchedule([(0, 1), (2,)])
-    assert sched.arrived_labels(0) == [0, 1]
-    assert sched.arrived_labels(1) == [0, 1, 2]
+def test_schedules_give_each_predicate_one_stage():
+    data = table_of(make_dataset(200, 9, SeededRng(9)))
+    for mode in ("frequency", "random"):
+        for t in (1, 2, 4, 9):
+            sched = make_schedule(data, 9, t, mode, SeededRng(t))
+            check_partition(sched, 9, t)
+            sizes = np.bincount(sched)
+            assert sizes.max() - sizes.min() <= 1
 
 
 # -- stage datasets ----------------------------------------------------------
@@ -99,10 +109,10 @@ def make_dataset(n, n_pred, rng, pairs_per_image=4):
 def test_make_stage_datasets_routes_by_predicate():
     rng = SeededRng(4)
     data = table_of(make_dataset(300, 6, rng))
-    sched = TaskSchedule([(0, 1), (2, 3), (4, 5)])
+    sched = np.array([0, 0, 1, 1, 2, 2])
     stages = make_stage_datasets(data, sched, (0.7, 0.1, 0.2))
     assert len(stages) == 3
-    for stage, labels in zip(stages, sched.stages):
+    for stage, labels in zip(stages, members(sched, 3)):
         for split in (stage.train, stage.val, stage.test):
             assert set(split.take().pred.tolist()) <= set(labels)
     total = sum(len(s.train) + len(s.val) + len(s.test) for s in stages)
@@ -112,7 +122,7 @@ def test_make_stage_datasets_routes_by_predicate():
 def test_make_stage_datasets_split_sizes_near_fractions():
     rng = SeededRng(5)
     data = table_of(make_dataset(10_000, 4, rng))
-    sched = TaskSchedule([(0, 1), (2, 3)])
+    sched = np.array([0, 0, 1, 1])
     stages = make_stage_datasets(data, sched, (0.7, 0.1, 0.2))
     for stage in stages:
         n = len(stage.train) + len(stage.val) + len(stage.test)
@@ -128,7 +138,7 @@ def test_make_stage_datasets_stable_under_image_reordering():
     # every instance identically
     rng = SeededRng(6)
     data = make_dataset(400, 4, rng)
-    sched = TaskSchedule([(0, 1), (2, 3)])
+    sched = np.array([0, 0, 1, 1])
     stages_a = make_stage_datasets(table_of(data), sched)
     images = sorted({inst.image_id for inst in data})
     order = SeededRng(7).permutation(len(images))
@@ -145,12 +155,16 @@ def test_make_stage_datasets_stable_under_image_reordering():
 def test_make_stage_datasets_rejects_unscheduled_predicate():
     rng = SeededRng(8)
     data = table_of([random_instance(rng, predicate=5)])
+    with pytest.raises(ValueError, match="outside the schedule"):
+        make_stage_datasets(data, np.array([0, 1]))
+    # a negative predicate would gather from the schedule's end
+    negative = table_of([random_instance(rng, predicate=-1)])
+    with pytest.raises(ValueError, match="outside the schedule"):
+        make_stage_datasets(negative, np.zeros(6, dtype=np.int64))
     with pytest.raises(ValueError):
-        make_stage_datasets(data, TaskSchedule([(0,), (1,)]))
+        make_stage_datasets(data, np.zeros(6, dtype=np.int64), (0.5, 0.5))  # fractions must be 3
     with pytest.raises(ValueError):
-        make_stage_datasets(data, TaskSchedule([(5,)]), (0.5, 0.5))  # fractions must be 3
-    with pytest.raises(ValueError):
-        make_stage_datasets(data, TaskSchedule([(5,)]), (0.7, 0.1, 0.1))  # must sum to 1
+        make_stage_datasets(data, np.zeros(6, dtype=np.int64), (0.7, 0.1, 0.1))  # must sum to 1
 
 
 # -- zipf counts ---------------------------------------------------------------
@@ -381,7 +395,7 @@ def test_instance_validation(tmp_path):
 def test_stage_dataset_shape():
     # every split is Rows of the one table, and the splits partition its rows
     data = table_of(make_dataset(60, 4, SeededRng(10)))
-    stages = make_stage_datasets(data, TaskSchedule([(0, 1), (2, 3)]))
+    stages = make_stage_datasets(data, np.array([0, 0, 1, 1]))
     rows = []
     for stage in stages:
         assert isinstance(stage, StageDataset)
@@ -418,10 +432,9 @@ def test_synth_columns_and_splits_equal_per_instance_oracles(total_n, seed):
     records, want_groups = synth_generate_records(cfg, SeededRng(seed).derive("data"))
     assert groups == want_groups
     assert columns_equal(table, table_of(records))
-    labels = list(range(cfg.n_pred))
-    schedule = split_by_frequency(labels, predicate_counts(table, labels), 5)
+    schedule = make_schedule(table, cfg.n_pred, 5, "frequency", None)
     assert_splits_equal_oracle(table, records, schedule)
-    assert_splits_equal_oracle(table, records, split_random(labels, 4, SeededRng(seed)))
+    assert_splits_equal_oracle(table, records, split_random(cfg.n_pred, 4, SeededRng(seed)))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -444,7 +457,7 @@ def test_loaded_columns_and_splits_equal_per_instance_oracles(tmp_path, seed):
     table = load_embeddings(path)
     assert columns_equal(table, table_of(records))
     assert [r.image_id for r in records_of(table)] == [r.image_id for r in records]
-    schedule = split_random(list(range(n_pred)), 2 + rng.randint(n_pred - 1), rng)
-    assert any(len({schedule.stage_of(r.predicate) for r in records if r.image_id == img}) > 1
+    schedule = split_random(n_pred, 2 + rng.randint(n_pred - 1), rng)
+    assert any(len({schedule[r.predicate] for r in records if r.image_id == img}) > 1
                for img in {r.image_id for r in records})
     assert_splits_equal_oracle(table, records, schedule)

@@ -92,6 +92,23 @@ def test_load_config_file(tmp_path):
     path.write_text("n_stages=3\ntrain=x\n")
     with pytest.raises(ValueError, match="'train' names a section"):
         load_config_file(path)
+    # a repeated key is refused, not overwritten; a bad value names its line
+    for text, match in (("n_t=100\n# again\nn_t=7\n", "line 3: repeated record 'n_t'"),
+                        ("train.lr=0.1\ntrain.lr = 0.2\n", "line 2: repeated record"),
+                        ("n_stages=3\n\nn_t=abc\n", "line 3: invalid literal"),
+                        ("seeds=1,x\n", "line 1: invalid literal"),
+                        ("train.naive=yes\n", "line 1: expected true/false"),
+                        ("n_stages=3\nn_tt=4\n", "line 2: unknown config key")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_config_file(path)
+
+
+def test_load_comparison_csv_refuses_a_repeated_config(tmp_path):
+    path = tmp_path / "comparison.csv"
+    path.write_text("config,seeds,mR@50_mean\nfull,1,12.5\nw/o-inc,1,10.5\nfull,1,3.0\n")
+    with pytest.raises(ValueError, match="line 4: repeated record 'full'"):
+        load_comparison_csv(path)
 
 
 def test_config_validation():

@@ -1,11 +1,13 @@
 """The line rule every text reader shares (``ioutil.data_lines``): blank
 lines and ``#`` comments, indented or not, carry no data, and every line
-counts toward the line number an error names."""
+counts toward the line number an error names; and the ``array`` record."""
 
+import numpy as np
 import pytest
 
 from lsgg.datastream import load_embeddings
 from lsgg.harness import load_comparison_csv, load_config_file
+from lsgg.ioutil import array_record, read_array
 from lsgg.metrics import load_gt, load_predictions
 from lsgg.prompt_pool import deserialize_pool
 from lsgg.scorer import load_vocab
@@ -38,3 +40,13 @@ def test_readers_skip_comments_and_blanks_and_name_the_record_line(tmp_path, nam
         reader(path)
     path.write_text("\n".join(lines[:-1]) + "\n")
     reader(path)  # the same file without its last line reads
+
+
+def test_array_record_refuses_a_0d_array_that_it_could_not_read_back():
+    # a scalar such as a step count is stored with shape (1,)
+    arrays = {}
+    read_array(arrays, 1, array_record("t", np.array([7.0])).split(None, 1)[1])
+    assert arrays["t"].shape == (1,) and arrays["t"][0] == 7.0
+    for scalar in (np.float64(7.0), np.array(7.0), 7):
+        with pytest.raises(ValueError, match="'t' is 0-d"):
+            array_record("t", scalar)

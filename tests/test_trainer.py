@@ -94,7 +94,8 @@ def test_loss_total_weighting():
 def test_config_validation():
     TrainConfig().validate()
     for bad in (TrainConfig(lam=-0.1), TrainConfig(rho=1.0), TrainConfig(lr=-1e-3),
-                TrainConfig(epochs=0), TrainConfig(random_prompts=True, random_exemplar=True)):
+                TrainConfig(scorer_lr_scale=-1.0), TrainConfig(epochs=0),
+                TrainConfig(random_prompts=True, random_exemplar=True)):
         with pytest.raises(ValueError):
             bad.validate()
     assert TrainConfig(naive=True, k_retrieve=5).effective_k() == 1
