@@ -37,8 +37,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    dataset = load_embeddings(args.dataset)
-    schedule = make_schedule(dataset, int(dataset.pred.max()) + 1, args.stages, args.mode,
+    dataset, _, n_pred = load_embeddings(args.dataset)
+    schedule = make_schedule(dataset, n_pred, args.stages, args.mode,
                              SeededRng(args.seed).derive("schedule"))
     with open(args.out, "w") as fh:
         for s in range(args.stages):

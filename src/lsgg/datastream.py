@@ -298,8 +298,9 @@ def _parse_floats(tokens, n, lineno, what):
     return vals, tokens[n:]
 
 
-def load_embeddings(path) -> RelationTable:
-    """Parse an LSGG-EMB v1 file; errors carry the offending line number."""
+def load_embeddings(path):
+    """Parse an LSGG-EMB v1 file into (table, n_obj, n_pred), the header's
+    class counts with the table; errors carry the offending line number."""
     lines = data_lines(path)
     head_no, head_text = next(lines, (None, None))
     if head_no is None:
@@ -358,7 +359,8 @@ def load_embeddings(path) -> RelationTable:
         confs.append(conf)
 
     image, subj, obj, pred = np.array(ids, dtype=np.int64).reshape(-1, 4).T
-    return relation_table(image, subj, obj, pred,
-                          {kind: np.array(rows, dtype=np.float64).reshape(-1, widths[kind])
-                           for kind, rows in feats.items()},
-                          np.array(confs, dtype=np.float64), box_column(boxes))
+    table = relation_table(image, subj, obj, pred,
+                           {kind: np.array(rows, dtype=np.float64).reshape(-1, widths[kind])
+                            for kind, rows in feats.items()},
+                           np.array(confs, dtype=np.float64), box_column(boxes))
+    return table, n_obj, n_pred

@@ -270,8 +270,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
     rng = SeededRng(seed)
 
     if config.dataset_path:
-        dataset = load_embeddings(config.dataset_path)
-        n_pred = int(dataset.pred.max()) + 1
+        dataset, _, n_pred = load_embeddings(config.dataset_path)
     else:
         dataset, _ = synth_generate(config.synth, rng.derive("data"))
         n_pred = config.synth.n_pred

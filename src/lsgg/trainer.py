@@ -261,16 +261,20 @@ def _token_table(pool: PromptPool, tr: TrainableSet, ent: np.ndarray, slot: np.n
     d_tok, n_ex_rows = pool.d_tok, tr.mapper.exemplar_rows()
     slot_rows = np.full((pool.n_t, pool.n_e), -1, dtype=np.int64)
     slot_rows[ent, slot] = np.arange(ent.size)
-    parts, ex_feats = [pool.prompts.reshape(-1, d_tok)], None
-    if ent.size:
-        ex_feats = {kind: f[ent, slot] for kind, f in pool.store_feats.items()}
-        parts.append(_encode(tr.mapper, ex_feats).reshape(-1, d_tok))
-    parts += [tr.scorer.emb, tr.y_mask, np.empty((n_query * n_ex_rows, d_tok))]
     off_ex = pool.n_t * pool.n_p
     off_emb = off_ex + ent.size * n_ex_rows
     off_mask = off_emb + tr.scorer.v
-    offsets = (off_ex, off_emb, off_mask, off_mask + tr.y_mask.shape[0])
-    return np.concatenate(parts), slot_rows, offsets, ex_feats
+    off_q = off_mask + tr.y_mask.shape[0]
+    table = np.empty((off_q + n_query * n_ex_rows, d_tok))
+    table[:off_ex] = pool.prompts.reshape(-1, d_tok)
+    ex_feats = None
+    if ent.size:
+        ex_feats = {kind: f[ent, slot] for kind, f in pool.store_feats.items()}
+        _encode_into(table[off_ex:off_emb].reshape(ent.size, n_ex_rows, d_tok), tr.mapper,
+                     ex_feats)
+    table[off_emb:off_mask] = tr.scorer.emb
+    table[off_mask:off_q] = tr.y_mask
+    return table, slot_rows, (off_ex, off_emb, off_mask, off_q), ex_feats
 
 
 def freeze_table(pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
@@ -300,9 +304,11 @@ def _kind_slices(mapper: MapperParams):
     return slices
 
 
-def _encode(mapper: MapperParams, feats: dict) -> np.ndarray:
-    """Token blocks (B, rows_ex, d_tok), kinds concatenated in order."""
-    return np.concatenate([encode_batch(mapper, feats[kind], kind) for kind in KINDS], axis=1)
+def _encode_into(blocks: np.ndarray, mapper: MapperParams, feats: dict) -> None:
+    """Write the token blocks of ``feats`` into ``blocks`` (B, rows_ex,
+    d_tok), each kind into its rows."""
+    for kind, rows in _kind_slices(mapper).items():
+        blocks[:, rows] = encode_batch(mapper, feats[kind], kind)
 
 
 def _random_prompts(ab_rng: SeededRng | None, sims: np.ndarray, k: int) -> np.ndarray:
@@ -398,13 +404,12 @@ class _Pass:
     groups: list
     selection: np.ndarray  # (B, k)
     sims: np.ndarray  # (B, k)
-    q_blocks: np.ndarray  # (B, rows_ex, d_tok)
     ex_feats: dict | None  # None at inference or when no segment shows an exemplar
     offsets: tuple  # token-table starts: exemplars, label embeddings, masks, queries
 
     def probs(self) -> np.ndarray:
         """(B, n_mask, V) slot distributions in batch order."""
-        out = np.empty((len(self.q_blocks),) + self.groups[0].probs.shape[1:])
+        out = np.empty((len(self.selection),) + self.groups[0].probs.shape[1:])
         for g in self.groups:
             out[g.items] = g.probs
         return out
@@ -416,8 +421,7 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
     n_b, n_mask = len(batch), tr.y_mask.shape[0]
     if n_mask != scorer.n_mask:
         raise ValueError(f"{n_mask} mask rows but decoder expects {scorer.n_mask}")
-    q_blocks = _encode(tr.mapper, batch.feats)
-    n_ex_rows = q_blocks.shape[1]
+    n_ex_rows = tr.mapper.exemplar_rows()
     selection, sims, slots = _select(batch, ranked, pool, config, ab_rng)
     n_ctx = slots.shape[1]
 
@@ -436,7 +440,8 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
     shown = np.full(slots.shape, -1, dtype=np.int64)
     shown[pb, pc] = slot_rows[ent, slot]
     off_ex, off_emb, off_mask, off_q = offsets
-    table[off_q : off_q + n_b * n_ex_rows] = q_blocks.reshape(-1, d_tok)
+    _encode_into(table[off_q : off_q + n_b * n_ex_rows].reshape(n_b, n_ex_rows, d_tok),
+                 tr.mapper, batch.feats)
 
     # context segments in ascending similarity
     ctx_entry = selection[:, n_ctx:0:-1]
@@ -469,8 +474,8 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
             pooled = base + rows[:, n_rows - n_mask + j]
             probs[:, j] = softmax(np.matmul(scorer.readout[j], pooled[:, :, None])[:, :, 0])
         groups.append(_Group(items, idx, label_cols, rows, w, base, probs))
-    return _Pass(groups=groups, selection=selection, sims=sims, q_blocks=q_blocks,
-                 ex_feats=ex_feats, offsets=offsets)
+    return _Pass(groups=groups, selection=selection, sims=sims, ex_feats=ex_feats,
+                 offsets=offsets)
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -508,7 +513,7 @@ def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: Train
     fw = _forward(batch, ranked, pool, tr, config, ab_rng, cache)
     scorer = tr.scorer
     n_b, d_tok, n_mask = len(batch), scorer.d_tok, scorer.n_mask
-    n_ex_rows = fw.q_blocks.shape[1]
+    n_ex_rows = tr.mapper.exemplar_rows()
     inv = 1.0 / n_b
     tuning = scorer.trainable
     target_rows = cache.label_rows(batch.targets)
@@ -517,7 +522,7 @@ def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: Train
 
     # prompt-row gradients; the query block rows go straight to d_q, the rest
     # are summed into the token table in item order
-    d_q = np.empty_like(fw.q_blocks)
+    d_q = np.empty((n_b, n_ex_rows, d_tok))
     items, kept_idx, kept_d, d_pos = [], [], [], []
     readout_terms = [[] for _ in range(n_mask)]
     l3 = np.zeros(n_b)
@@ -725,14 +730,19 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
         table = freeze_table(pool, tr, vocab, config, n_query)
     elif table.n_query < n_query:
         raise ValueError(f"table holds {table.n_query} query items, the batch needs {n_query}")
-    labels, scores = [], []
+    n_cand = len(vocab.labels() if candidates is None else candidates)
+    labels = np.empty((len(instances), n_cand), dtype=np.int64)
+    scores = np.empty((len(instances), n_cand))
     for start in range(0, len(instances), batch_size):
         batch = _queries(instances.take(slice(start, start + batch_size)))
-        fw = _forward(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng, table)
-        ranked = rank_predicates_batch(fw.probs(), vocab, candidates=candidates)
-        labels.append(ranked.labels)
-        scores.append(ranked.scores)
-    return Rankings(np.concatenate(labels), np.concatenate(scores))
+        # only the distributions outlive the pass, so one batch's gathered
+        # prompt rows are freed before the next batch gathers its own
+        probs = _forward(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng,
+                         table).probs()
+        ranked = rank_predicates_batch(probs, vocab, candidates=candidates)
+        rows = slice(start, start + len(batch))
+        labels[rows], scores[rows] = ranked.labels, ranked.scores
+    return Rankings(labels, scores)
 
 
 # -- checkpoints -------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The batched training and eval passes against the per-item reference in
 ``reference_trainer.py``: losses, loss parts, every gradient array, rankings
 and whole training stages must agree bit for bit, under every ablation
-switch."""
+switch; and the memory an evaluation holds at once, at the benchmark's
+widths."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +128,15 @@ def test_train_stage_offering_every_visit_equals_per_item_reference(label, confi
     assert appended < out["admitted"] < offered  # some kept by replacement, some dropped
 
 
+def bench_width_world():
+    w = TinyWorld(seed=67, d_tok=64, n_t=6, n_p=4, n_e=14, d_c=64, d_r=64, d_o=32,
+                  n_pred=8, k_retrieve=3, two_word_labels=True,
+                  config=TrainConfig(k_retrieve=3))
+    for e in range(w.pool.n_t):
+        w.fill_store(e, 10 + e % 4, start_pred=e)
+    return w
+
+
 def test_predict_ranked_equals_per_item_reference_at_bench_widths():
     # At the benchmark's widths (features 64/64/32, d_tok 64) the mapper's
     # 2-D products leave OpenBLAS's small-matrix path, and `feats @ proj_w.T`
@@ -134,11 +145,8 @@ def test_predict_ranked_equals_per_item_reference_at_bench_widths():
     # count). Every store holds >= 10 exemplars and each reference batch
     # shows >= 10 distinct ones, so the reference's per-batch exemplar encode
     # and the once-per-call exemplar table both take the tall path.
-    config = TrainConfig(k_retrieve=3)
-    w = TinyWorld(seed=67, d_tok=64, n_t=6, n_p=4, n_e=14, d_c=64, d_r=64, d_o=32,
-                  n_pred=8, k_retrieve=3, two_word_labels=True, config=config)
-    for e in range(w.pool.n_t):
-        w.fill_store(e, 10 + e % 4, start_pred=e)
+    w = bench_width_world()
+    config = w.config
     queries = [w.instance(predicate=i % w.n_pred) for i in range(48)]
     ctx = ref._RetrievalCtx(w.pool)
     for start in range(0, len(queries), 16):
@@ -148,6 +156,59 @@ def test_predict_ranked_equals_per_item_reference_at_bench_widths():
     want = ref.predict_ranked(table_of(queries), w.pool, w.tr, w.vocab, config, batch_size=16)
     got = predict_ranked(table_of(queries), w.pool, w.tr, w.vocab, config, batch_size=16)
     assert list(got) == want
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of its traced allocations above the memory
+    traced when it starts, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_freeze_table_holds_the_table_and_one_kind_block():
+    # the table is allocated once and each part written into its rows: no
+    # per-kind blocks joined and then the whole table joined again
+    w = bench_width_world()
+    freeze_table(w.pool, w.tr, w.vocab, w.config, 64)  # first calls import lazily
+    cache, peak = traced_peak(lambda: freeze_table(w.pool, w.tr, w.vocab, w.config, 64))
+    table = cache.frozen[0]
+    n_ex = int(w.pool.store_len.sum())
+    assert table.shape[0] == (w.pool.n_t * w.pool.n_p + n_ex * w.mapper.exemplar_rows()
+                              + w.scorer.v + w.scorer.n_mask + 64 * w.mapper.exemplar_rows())
+    kind_block = n_ex * max(w.mapper.token_counts.values()) * w.pool.d_tok * 8
+    feats = n_ex * sum(w.mapper.feat_dims.values()) * 8
+    # a second block bounds the buffer of encode_batch's in-place broadcast
+    # adds (at most the block) and the slot map's index arrays
+    assert peak < table.nbytes + 2 * kind_block + feats, peak
+
+
+def test_predict_ranked_holds_one_batch_at_a_time():
+    # a batch's pass (its gathered prompt rows) is released before the next
+    # batch gathers its own, and the rankings fill (N, C) arrays in place;
+    # the table is built before tracing starts
+    w = bench_width_world()
+    n, batch_size = 320, 64
+    queries = table_of([w.instance(predicate=i % w.n_pred) for i in range(n)])
+    table = freeze_table(w.pool, w.tr, w.vocab, w.config, batch_size)
+    predict_ranked(queries.take(slice(0, 2)), w.pool, w.tr, w.vocab, w.config,
+                   table=table)  # first calls import lazily
+    got, peak = traced_peak(lambda: predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
+                                                   batch_size=batch_size, table=table))
+    d_tok = w.pool.d_tok
+    prompt_rows = batch_size * w.scorer.pos_weight.size * d_tok * 8  # N <= pos_weight.size
+    result = got.labels.nbytes + got.scores.nbytes
+    assert result == n * len(w.vocab.labels()) * 16
+    # the query blocks are encoded into the table's query rows, one kind's
+    # block at a time; a second block bounds the broadcast buffer and the
+    # gather index, as above
+    kind_block = batch_size * max(w.mapper.token_counts.values()) * d_tok * 8
+    feats = batch_size * sum(w.mapper.feat_dims.values()) * 8
+    assert peak < prompt_rows + result + 2 * kind_block + feats, peak
 
 
 STAGE_SWITCHES = [s for s in SWITCHES

@@ -30,7 +30,7 @@ def test_synth_and_split_commands(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "wrote 120 instances" in out
-    dataset = load_embeddings(data)
+    dataset = load_embeddings(data)[0]
     assert len(dataset) == 120
     assert vocab.exists()
 
@@ -52,7 +52,7 @@ def test_split_writes_the_schedule_the_run_uses(tmp_path):
     dataset, _ = synth_generate(cfg, SeededRng(0).derive("data"))
     data = tmp_path / "gap.lsgg"
     save_embeddings(dataset.take(np.flatnonzero(dataset.pred != 2)), data, n_pred=5)
-    assert sorted(set(load_embeddings(data).pred.tolist())) == [0, 1, 3, 4]
+    assert sorted(set(load_embeddings(data)[0].pred.tolist())) == [0, 1, 3, 4]
     sched = tmp_path / "schedule.txt"
     for mode, want in (("random", "stage 0 3 4\nstage 1 2\n"),
                        ("frequency", None)):
@@ -64,6 +64,53 @@ def test_split_writes_the_schedule_the_run_uses(tmp_path):
             assert sched.read_text() == want
         else:  # the absent predicate has the fewest instances: the tail stage
             assert 2 in stages[-1]
+
+
+def synth_with_vocab(tmp_path, n_pred, total_n):
+    data, vocab = tmp_path / "data.emb", tmp_path / "vocab.txt"
+    assert main(["synth", "--out", str(data), "--vocab-out", str(vocab),
+                 "--n-pred", str(n_pred), "--n-groups", "2", "--n-obj", "6", "--d-c", "8",
+                 "--d-r", "8", "--d-o", "4", "--total-n", str(total_n),
+                 "--pairs-per-image", "3", "--seed", "1"]) == 0
+    return data, vocab
+
+
+def test_train_runs_the_predicates_the_header_declares(tmp_path, capsys):
+    # the header and the vocabulary declare 8 predicates; the records of the
+    # last one are dropped, so the largest id present is 6
+    data, vocab = synth_with_vocab(tmp_path, n_pred=8, total_n=200)
+    head, *records = data.read_text().splitlines(keepends=True)
+    kept = tmp_path / "no7.emb"
+    kept.write_text(head + "".join(r for r in records if r.split()[3] != "7"))
+    assert load_embeddings(kept)[0].pred.max() == 6
+    cfg = tmp_path / "run.cfg"
+    write_tiny_config(cfg)
+    with open(cfg, "a") as fh:
+        fh.write(f"dataset_path={kept}\nvocab_path={vocab}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert "final R@5=" in capsys.readouterr().out
+    sched = tmp_path / "schedule.txt"
+    assert main(["split", "--dataset", str(kept), "--out", str(sched), "--stages", "2"]) == 0
+    stages = [[int(t) for t in line.split()[1:]] for line in sched.read_text().splitlines()]
+    assert sorted(sum(stages, [])) == list(range(8))
+
+
+def test_a_file_with_no_records_splits_and_is_refused_by_training(tmp_path):
+    data, vocab = synth_with_vocab(tmp_path, n_pred=8, total_n=60)
+    empty = tmp_path / "empty.emb"
+    empty.write_text(data.read_text().splitlines(keepends=True)[0])
+    sched = tmp_path / "schedule.txt"
+    for mode in ("random", "frequency"):
+        assert main(["split", "--dataset", str(empty), "--out", str(sched), "--stages", "2",
+                     "--mode", mode]) == 0
+        stages = [[int(t) for t in line.split()[1:]] for line in sched.read_text().splitlines()]
+        assert len(stages) == 2 and sorted(sum(stages, [])) == list(range(8))
+    cfg = tmp_path / "run.cfg"
+    write_tiny_config(cfg)
+    with open(cfg, "a") as fh:
+        fh.write(f"dataset_path={empty}\nvocab_path={vocab}\n")
+    with pytest.raises(ValueError, match="stage 1 has an empty train or test split"):
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
 def test_train_then_eval_commands(tmp_path, capsys):

@@ -287,7 +287,8 @@ def test_embeddings_round_trip_bit_exact(tmp_path):
     data.conf[0] = 0.625
     path = tmp_path / "emb.txt"
     save_embeddings(data, path)
-    back = load_embeddings(path)
+    back, n_obj, n_pred = load_embeddings(path)
+    assert (n_obj, n_pred) == (5, 6)
     assert len(back) == len(data)
     assert columns_equal(back, data)
     save_embeddings(back, tmp_path / "again.txt")
@@ -301,8 +302,8 @@ def test_embeddings_empty_round_trip(tmp_path):
     path = tmp_path / "empty.txt"
     save_embeddings(empty, path)
     assert path.read_text() == "LSGG-EMB 1 7 6 4 1 1\n"
-    back = load_embeddings(path)
-    assert len(back) == 0 and columns_equal(back, empty)
+    back, n_obj, n_pred = load_embeddings(path)
+    assert len(back) == 0 and columns_equal(back, empty) and (n_obj, n_pred) == (1, 1)
 
 
 def test_embeddings_reject_malformed(tmp_path):
@@ -345,7 +346,7 @@ def test_embeddings_reject_ids_outside_64_bits(tmp_path):
             load_embeddings(path)
     for image_id in (2**63 - 1, -(2**63)):
         path.write_text(f"LSGG-EMB 1 1 1 1 1 1\n{image_id} {record}\n")
-        assert load_embeddings(path).image.tolist() == [image_id]
+        assert load_embeddings(path)[0].image.tolist() == [image_id]
 
 
 def test_embeddings_reject_nonfinite(tmp_path):
@@ -370,7 +371,7 @@ def test_embeddings_comments_and_blank_lines(tmp_path):
     lines.insert(1, "# a comment")
     lines.insert(2, "")
     path.write_text("\n".join(lines) + "\n")
-    assert len(load_embeddings(path)) == 1
+    assert len(load_embeddings(path)[0]) == 1
 
 
 def test_instance_validation(tmp_path):
@@ -381,7 +382,7 @@ def test_instance_validation(tmp_path):
     good = random_instance(rng, boxes=((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)))
     good.confidence = 1.0
     save_embeddings(table_of([good]), path)
-    assert len(load_embeddings(path)) == 1
+    assert len(load_embeddings(path)[0]) == 1
     for boxes, conf in ((((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 3.0)), None),
                         (((0.0, 1.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)), None),
                         (None, 1.5), (None, -0.25)):
@@ -454,7 +455,7 @@ def test_loaded_columns_and_splits_equal_per_instance_oracles(tmp_path, seed):
     records[2].boxes = ((0.0, 0.0, 1.0, 2.0), (1.0, 1.0, 2.0, 2.0))
     path = tmp_path / "data.emb"
     save_embeddings(table_of(records), path)
-    table = load_embeddings(path)
+    table = load_embeddings(path)[0]
     assert columns_equal(table, table_of(records))
     assert [r.image_id for r in records_of(table)] == [r.image_id for r in records]
     schedule = split_random(n_pred, 2 + rng.randint(n_pred - 1), rng)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from lsgg.datastream import SynthConfig
+from lsgg.datastream import SynthConfig, save_embeddings, synth_generate
 from lsgg.harness import (ABLATION_SUITE, PRESETS, ExperimentConfig,
                           _rank_pairs, config_diff, config_from_kv, config_to_kv,
                           load_comparison_csv, load_config_file, preset_config,
@@ -190,6 +190,30 @@ def test_run_files_byte_identical_across_reruns(tmp_path):
         assert pa.exists() and pb.exists(), name
         assert filecmp.cmp(pa, pb, shallow=False), name
     assert (dir_a / "timings.log").exists()  # quarantined, not compared
+
+
+def test_a_run_from_a_saved_dataset_writes_the_in_memory_run_files(tmp_path):
+    # the LSGG-EMB path end to end: the same synthetic data, saved and read
+    # back, gives the same run; only the config echo's dataset_path differs
+    cfg = ExperimentConfig()
+    cfg.synth.total_n = 1200
+    cfg.train.epochs = 1
+    run_experiment(cfg, seed=0, run_dir=tmp_path / "memory")
+    data, _ = synth_generate(cfg.synth, SeededRng(0).derive("data"))
+    path = tmp_path / "data.emb"
+    save_embeddings(data, path, n_obj=cfg.synth.n_obj, n_pred=cfg.synth.n_pred)
+    cfg.dataset_path = str(path)
+    run_experiment(cfg, seed=0, run_dir=tmp_path / "file")
+    for name in RESULT_FILES:
+        lines_a = (tmp_path / "memory" / name).read_bytes().splitlines()
+        lines_b = (tmp_path / "file" / name).read_bytes().splitlines()
+        assert len(lines_a) == len(lines_b), name
+        differ = [b for a, b in zip(lines_a, lines_b) if a != b]
+        if name in ("manifest.json", "checkpoint.lsgg"):
+            assert len(differ) == 1 and b"dataset_path" in differ[0], name
+            assert str(path).encode() in differ[0], name
+        else:
+            assert not differ, name
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

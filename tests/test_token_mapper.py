@@ -10,7 +10,7 @@ from lsgg.harness import TOKEN_PRESETS
 from lsgg.rng import SeededRng
 from lsgg.token_mapper import (KINDS, encode_batch, encode_batch_backward, init_grads,
                                init_mapper)
-from lsgg.trainer import _encode
+from lsgg.trainer import _encode_into
 
 from conftest import finite_diff, grad_rel_err, random_instance
 from oracles import encode_batch_all_rows, encode_batch_backward_all_rows
@@ -64,8 +64,9 @@ def test_encode_exemplar_concatenation_order():
     rng = SeededRng(3)
     ex = random_instance(rng, d_c=6, d_r=5, d_o=4)
     feats = {kind: getattr(ex, f"f_{kind}")[None] for kind in KINDS}
-    block = _encode(m, feats)[0]
-    assert block.shape == (12, 8)  # 4 + 4 + 2 + 2
+    blocks = np.full((1, 12, 8), np.nan)  # 4 + 4 + 2 + 2 rows
+    _encode_into(blocks, m, feats)
+    block = blocks[0]
     parts = [encode_one(m, getattr(ex, f"f_{kind}"), kind) for kind in KINDS]
     assert np.array_equal(block, np.concatenate(parts, axis=0))
 
