@@ -17,12 +17,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .datastream import (SynthConfig, load_embeddings, make_schedule, make_stage_datasets,
-                         synth_generate)
+from .datastream import (Rows, SynthConfig, load_embeddings, make_schedule,
+                         make_stage_datasets, synth_generate)
 from .ioutil import data_lines, format_float, put_once
-from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, concat_tables,
-                      forgetting_measure, m_at_k, positions_in_runs, recall_at_ks, save_gt,
-                      save_predictions, score_wtd, weighted_map)
+from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, forgetting_measure,
+                      m_at_k, positions_in_runs, recall_at_ks, save_gt, save_predictions,
+                      score_wtd, weighted_map)
 # names of this module only because perfbench/probe.py wraps them by name:
 # the single-K metrics, and the splitters that datastream.make_schedule calls
 from .datastream import split_by_frequency, split_random  # noqa: F401
@@ -32,8 +32,8 @@ from .prompt_pool import init_pool, serialize_pool
 from .rng import SeededRng
 from .scorer import default_vocab, init_scorer, load_vocab, save_vocab
 from .token_mapper import init_mapper
-from .trainer import (AdamW, TrainConfig, TrainableSet, freeze_table, init_y_mask,
-                      predict_ranked, save_checkpoint, stage_quota, train_stage)
+from .trainer import (AdamW, TrainConfig, TrainableSet, init_y_mask, predict_ranked,
+                      save_checkpoint, stage_quota, train_stage)
 
 TOKEN_PRESETS = {
     "small": {"c": 2, "r": 1, "s": 1, "o": 1},
@@ -219,8 +219,8 @@ def load_config_file(path) -> ExperimentConfig:
 
 
 def _gt_table(split) -> GTTable:
-    """The ground truth of a task's test split (``datastream.Rows``), in
-    split order; no feature column is copied."""
+    """The ground truth of test rows (``datastream.Rows``), in split order;
+    no feature column is copied."""
     d, rows = split.data, split.index
     return GTTable(image=d.image[rows], gt_id=d.gt_id[rows], subj=d.subj[rows],
                    pred=d.pred[rows], obj=d.obj[rows],
@@ -235,25 +235,17 @@ def _rank_pairs(image_ids: np.ndarray, confs: np.ndarray, gids: np.ndarray):
     return order, positions_in_runs(image_ids[order]) + 1
 
 
+def _take(table, sel):
+    """Rows ``sel`` of a column table (``GTTable`` or ``PredTable``)."""
+    return replace(table, **{f.name: getattr(table, f.name)[sel] for f in fields(table)
+                             if getattr(table, f.name) is not None})
+
+
 def _ranked_dump(preds: PredTable) -> PredTable:
     """``preds`` in dump order with each pair's rank within its image
     (``_rank_pairs``); the rank column it holds is not read."""
     order, ranks = _rank_pairs(preds.image, preds.conf, preds.gt_id)
-    cols = {f.name: getattr(preds, f.name) for f in fields(preds)}
-    return PredTable(**{name: None if col is None else col[order]
-                        for name, col in cols.items()} | {"rank": ranks})
-
-
-def _evaluate_instances(instances, gt: GTTable, pool, tr, vocab, train_cfg, candidates,
-                        ab_rng, table) -> PredTable:
-    """Predict each instance's predicate; the ranked dump of a task whose
-    ground truth is ``gt``: one prediction per pair, its top-1 predicate."""
-    ranked = predict_ranked(instances, pool, tr, vocab, train_cfg,
-                            candidates=candidates, ab_rng=ab_rng, table=table)
-    confs = np.exp(np.ascontiguousarray(ranked.scores[:, 0]))
-    return _ranked_dump(PredTable(image=gt.image, rank=None, subj=gt.subj,
-                                  pred=ranked.labels[:, 0], obj=gt.obj, conf=confs,
-                                  gt_id=gt.gt_id, has_id=np.ones(len(gt), dtype=bool)))
+    return replace(_take(preds, order), rank=ranks)
 
 
 def run_experiment(config: ExperimentConfig, seed: int | None = None,
@@ -308,7 +300,6 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
     matrices = {k: AccuracyMatrix(config.n_stages) for k in config.eval_ks}
     reports, stage_seconds = [], []
     eval_rng = rng.derive("eval")
-    task_gt = []  # each arrived task's test ground truth
 
     for t in range(config.n_stages):
         t0 = time.perf_counter()
@@ -317,22 +308,26 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         stages[t] = replace(stages[t], train=None)  # stage isolation: never re-read
         pool.check_invariants()
 
-        task_gt.append(_gt_table(stages[t].test))
-        candidates = np.flatnonzero(schedule <= t)
-        table = freeze_table(pool, tr, vocab, config.train)
-        task_preds = []
-        for j in range(t + 1):
-            preds = _evaluate_instances(stages[j].test, task_gt[j], pool, tr, vocab,
-                                        config.train, candidates, eval_rng, table)
-            task_preds.append(preds)
-            for k, (_, mr_k) in recall_at_ks(preds, task_gt[j], config.eval_ks,
+        # every arrived task's test split in one call; task j's rows follow
+        # those of the tasks before it
+        sizes = [len(stages[j].test) for j in range(t + 1)]
+        arrived = Rows(dataset, np.concatenate([stages[j].test.index for j in range(t + 1)]))
+        union_gt = _gt_table(arrived)
+        ranked = predict_ranked(arrived, pool, tr, vocab, config.train,
+                                candidates=np.flatnonzero(schedule <= t), ab_rng=eval_rng)
+        preds = PredTable(image=union_gt.image, rank=None, subj=union_gt.subj,
+                          pred=ranked.labels[:, 0], obj=union_gt.obj,
+                          conf=np.exp(ranked.scores[:, 0]), gt_id=union_gt.gt_id,
+                          has_id=np.ones(len(union_gt), dtype=bool))
+        for j, end in enumerate(np.cumsum(sizes)):
+            task = slice(end - sizes[j], end)
+            for k, (_, mr_k) in recall_at_ks(_ranked_dump(_take(preds, task)),
+                                             _take(union_gt, task), config.eval_ks,
                                              mode="ids").items():
                 matrices[k].set(t, j, mr_k)
-        del table  # stale from here on; held through the next stage, it raises peak memory
 
         # a task's ranks hold within the task; an image spans several tasks
-        union_preds = _ranked_dump(concat_tables(task_preds))
-        union_gt = concat_tables(task_gt)
+        union_preds = _ranked_dump(preds)
         union = recall_at_ks(union_preds, union_gt, config.eval_ks, mode="ids")
         r = {k: union[k][0] for k in config.eval_ks}
         mr = {k: union[k][1] for k in config.eval_ks}

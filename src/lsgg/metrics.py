@@ -11,7 +11,7 @@ confidence, image and rank for weighted mAP) are taken in row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -65,21 +65,6 @@ def box_column(boxes) -> np.ndarray | None:
         return None
     return np.array([(math.nan,) * 8 if b is None else (*b[0], *b[1]) for b in boxes],
                     dtype=np.float64)
-
-
-def concat_tables(tables):
-    """The rows of ``tables``, all of one type, in order, as one table."""
-    cols = {}
-    for f in fields(tables[0]):
-        parts = [getattr(t, f.name) for t in tables]
-        if f.name == "boxes":
-            if all(p is None for p in parts):
-                cols[f.name] = None
-                continue
-            parts = [np.full((len(t), 8), math.nan) if p is None else p
-                     for t, p in zip(tables, parts)]
-        cols[f.name] = np.concatenate(parts)
-    return type(tables[0])(**cols)
 
 
 def positions_in_runs(values: np.ndarray) -> np.ndarray:

@@ -228,9 +228,9 @@ def _replays(pool: PromptPool, picks: np.ndarray) -> _Batch:
 
 
 class _PassCache:
-    """Lookups that live for one ``train_stage`` call, or for one stage's
-    evaluation once ``freeze_table`` has filled in the frozen token table:
-    the padded label tokens, and the table with its slot map and offsets."""
+    """Lookups that live for one ``train_stage`` or ``predict_ranked`` call:
+    the padded label tokens, and at inference the frozen token table with
+    its slot map and offsets (``_freeze_table``)."""
 
     def __init__(self, tr: TrainableSet, vocab: PredicateVocab):
         self.label_ids = np.array(vocab.labels(), dtype=np.int64)
@@ -238,7 +238,6 @@ class _PassCache:
         if self.label_tokens.max() >= tr.scorer.v:
             raise ValueError(f"label tokens exceed the decoder vocabulary of {tr.scorer.v}")
         self.frozen = None  # (table, slot_rows, offsets) of ``_token_table``, inference only
-        self.n_query = 0  # items whose query rows fit at the frozen table's end
 
     def label_rows(self, predicates) -> np.ndarray:
         pos = np.minimum(np.searchsorted(self.label_ids, predicates), len(self.label_ids) - 1)
@@ -249,10 +248,10 @@ class _PassCache:
 
 
 def _token_table(pool: PromptPool, tr: TrainableSet, ent: np.ndarray, slot: np.ndarray,
-                 n_query: int):
+                 room: int):
     """The token table every prompt row is gathered from: the prompts, the
     exemplars of store slots (ent, slot) encoded in that order, the label
-    embeddings, the mask rows, and room for ``n_query`` items' query rows.
+    embeddings, the mask rows, and room for ``room`` items' query rows.
 
     Returns (table; slot_rows (n_t, n_e), the exemplar index of each
     encoded slot, -1 elsewhere; the offsets of the exemplars, label
@@ -265,7 +264,7 @@ def _token_table(pool: PromptPool, tr: TrainableSet, ent: np.ndarray, slot: np.n
     off_emb = off_ex + ent.size * n_ex_rows
     off_mask = off_emb + tr.scorer.v
     off_q = off_mask + tr.y_mask.shape[0]
-    table = np.empty((off_q + n_query * n_ex_rows, d_tok))
+    table = np.empty((off_q + room * n_ex_rows, d_tok))
     table[:off_ex] = pool.prompts.reshape(-1, d_tok)
     ex_feats = None
     if ent.size:
@@ -277,21 +276,16 @@ def _token_table(pool: PromptPool, tr: TrainableSet, ent: np.ndarray, slot: np.n
     return table, slot_rows, (off_ex, off_emb, off_mask, off_q), ex_feats
 
 
-def freeze_table(pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
-                 config: TrainConfig, max_batch: int = EVAL_BATCH) -> _PassCache:
-    """The inference state of one stage, where pool, mapper and decoder do
-    not move: the token table with every filled store slot encoded once
-    (when context segments show exemplars) and room for ``max_batch``
-    items' query rows.
-
-    ``predict_ranked(..., table=...)`` calls may share it until the next
-    ``train_stage``, which moves the pool and mapper; rebuild it after every
-    ``train_stage``."""
+def _freeze_table(pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
+                  config: TrainConfig, batch_size: int) -> _PassCache:
+    """The inference state of one ``predict_ranked`` call, during which pool,
+    mapper and decoder do not move: the token table with every filled store
+    slot encoded once (when context segments show exemplars) and room for
+    ``batch_size`` items' query rows."""
     cache = _PassCache(tr, vocab)
     filled = np.arange(pool.n_e) < pool.store_len[:, None]
     filled &= _n_context(config, pool) > 0  # else no segment shows an exemplar
-    cache.frozen = _token_table(pool, tr, *np.nonzero(filled), max_batch)[:3]
-    cache.n_query = max_batch
+    cache.frozen = _token_table(pool, tr, *np.nonzero(filled), batch_size)[:3]
     return cache
 
 
@@ -440,8 +434,15 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
     shown = np.full(slots.shape, -1, dtype=np.int64)
     shown[pb, pc] = slot_rows[ent, slot]
     off_ex, off_emb, off_mask, off_q = offsets
-    _encode_into(table[off_q : off_q + n_b * n_ex_rows].reshape(n_b, n_ex_rows, d_tok),
-                 tr.mapper, batch.feats)
+    # the query blocks fill the table's whole query room in one product per
+    # kind, zero rows padding a short batch: BLAS rounds a product's rows by
+    # its row count (one row takes a matrix-vector path, a few rows a
+    # small-matrix kernel), so a fixed count keeps an item's numbers
+    # independent of its batch
+    room = (len(table) - off_q) // n_ex_rows
+    feats = {kind: np.concatenate([f, np.zeros((room - n_b, f.shape[1]))])
+             for kind, f in batch.feats.items()} if room > n_b else batch.feats
+    _encode_into(table[off_q:].reshape(room, n_ex_rows, d_tok), tr.mapper, feats)
 
     # context segments in ascending similarity
     ctx_entry = selection[:, n_ctx:0:-1]
@@ -704,44 +705,36 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
 
 def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
                    config: TrainConfig, candidates=None, ab_rng: SeededRng | None = None,
-                   batch_size: int = EVAL_BATCH, table: _PassCache | None = None) -> Rankings:
-    """Ranked predicates and their scores for ``instances``, a split
-    (``datastream.Rows``) or a ``RelationTable``, one ``Rankings`` row per
-    instance; each batch takes its rows out of ``instances``.
+                   batch_size: int = EVAL_BATCH) -> Rankings:
+    """The first-ranked predicate of each instance of ``instances``, a split
+    (``datastream.Rows``) or a ``RelationTable``, and its score: a
+    ``Rankings`` of shape (N, 1).
 
-    Forward-only; never admits or mutates. Runs ``batch_size`` instances at a
-    time against ``table``, the frozen state ``freeze_table`` builds once per
-    stage (stored exemplars encoded once), which the calls of one stage
-    share; it must hold room for ``batch_size`` items or for all
-    ``instances``, whichever is fewer, and goes stale at the next
-    ``train_stage``. Without a table the call freezes its own. Ablation
-    randomness (random prompts/exemplars) still applies when
-    configured, via ``ab_rng``, batch by batch.
+    Forward-only; never admits or mutates. The call freezes its own state
+    once (``_freeze_table``: stored exemplars encoded once) and runs
+    ``batch_size`` instances at a time, each batch taking its rows out of
+    ``instances``. Every batch's query blocks are encoded as one product of
+    ``batch_size`` rows, so an instance's numbers do not depend on its
+    batch, and ablation randomness (random prompts/exemplars, via
+    ``ab_rng``) is drawn row by row: one call over several splits
+    concatenated gives each split what a call of its own would.
     """
     config.validate()
     needs_rng = config.random_prompts or config.random_exemplar
     if needs_rng and ab_rng is None:
         raise ValueError("configured ablations need an rng at inference")
-    if not len(instances):
-        return rank_predicates_batch(np.empty((0, vocab.n_mask, tr.scorer.v)), vocab,
-                                     candidates=candidates)
-    n_query = min(batch_size, len(instances))
-    if table is None:
-        table = freeze_table(pool, tr, vocab, config, n_query)
-    elif table.n_query < n_query:
-        raise ValueError(f"table holds {table.n_query} query items, the batch needs {n_query}")
-    n_cand = len(vocab.labels() if candidates is None else candidates)
-    labels = np.empty((len(instances), n_cand), dtype=np.int64)
-    scores = np.empty((len(instances), n_cand))
-    for start in range(0, len(instances), batch_size):
+    n = len(instances)
+    cache = _freeze_table(pool, tr, vocab, config, batch_size)
+    labels, scores = np.empty((n, 1), dtype=np.int64), np.empty((n, 1))
+    for start in range(0, n, batch_size):
         batch = _queries(instances.take(slice(start, start + batch_size)))
         # only the distributions outlive the pass, so one batch's gathered
         # prompt rows are freed before the next batch gathers its own
         probs = _forward(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng,
-                         table).probs()
+                         cache).probs()
         ranked = rank_predicates_batch(probs, vocab, candidates=candidates)
         rows = slice(start, start + len(batch))
-        labels[rows], scores[rows] = ranked.labels, ranked.scores
+        labels[rows], scores[rows] = ranked.labels[:, :1], ranked.scores[:, :1]
     return Rankings(labels, scores)
 
 

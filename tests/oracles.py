@@ -2,8 +2,9 @@
 kernels, the loss terms one item at a time, and the in-context prompt
 assembled and scored for a single query, the per-row random draw of
 ``wo_kap``'s prompts, plus helpers that write and read single exemplar-store
-slots, compare pools, and run one list of items through the production
-training pass, the token mapper written out as its affine formula, the
+slots, compare pools, run one list of items through the production
+training pass and a table through the production eval pass with every
+candidate ranked, the token mapper written out as its affine formula, the
 metrics' matching one record at a time, with converters between records and
 the metrics' column tables, and the dataset one ``RelationInstance`` object
 per row: its generator, stage split and GT ids, with converters to and from
@@ -23,9 +24,10 @@ from lsgg.metrics import GTTable, PredTable, box_column, iou, union_box
 from lsgg.numerics import random_unit_vector, softmax
 from lsgg.prompt_pool import _relation_norm, _write_slot, admit_exemplar, retrieve_entries
 from lsgg.rng import SeededRng, _mix64
-from lsgg.scorer import PredicateVocab, ScorerParams, position_weights
+from lsgg.scorer import PredicateVocab, ScorerParams, position_weights, rank_predicates_batch
 from lsgg.token_mapper import KINDS, MapperParams
-from lsgg.trainer import _Batch, _PassCache, _loss_and_grads, _retrieve
+from lsgg.trainer import (_Batch, _PassCache, _forward, _freeze_table, _loss_and_grads,
+                          _queries, _retrieve)
 
 
 # -- cosine kernels ---------------------------------------------------------------
@@ -221,6 +223,22 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
                    np.array([it.replay for it in items], dtype=bool))
     return _loss_and_grads(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng,
                            _PassCache(tr, vocab))
+
+
+def rankings_by_batch(instances, pool, tr, vocab, config, candidates=None, ab_rng=None,
+                      batch_size: int = 256) -> list:
+    """Per instance of ``instances`` its ranked (label, score) list over
+    every candidate, from the production pass run batch by batch against one
+    frozen table, as ``trainer.predict_ranked`` runs it before it keeps
+    each instance's first-ranked candidate."""
+    cache = _freeze_table(pool, tr, vocab, config, batch_size)
+    out = []
+    for start in range(0, len(instances), batch_size):
+        batch = _queries(instances.take(slice(start, start + batch_size)))
+        probs = _forward(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng,
+                         cache).probs()
+        out.extend(rank_predicates_batch(probs, vocab, candidates=candidates))
+    return out
 
 
 # -- the token mapper written out ------------------------------------------------------

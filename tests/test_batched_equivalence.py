@@ -1,8 +1,8 @@
 """The batched training and eval passes against the per-item reference in
-``reference_trainer.py``: losses, loss parts, every gradient array, rankings
-and whole training stages must agree bit for bit, under every ablation
-switch; and the memory an evaluation holds at once, at the benchmark's
-widths."""
+``reference_trainer.py``: losses, loss parts, every gradient array, full
+rankings and whole training stages must agree bit for bit, under every
+ablation switch; batch boundaries must not change a prediction; and the
+memory an evaluation holds at once, at the benchmark's widths."""
 
 import copy
 import tracemalloc
@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import reference_trainer as ref
+from lsgg.datastream import Rows
 from lsgg.rng import SeededRng
-from lsgg.trainer import AdamW, TrainConfig, freeze_table, predict_ranked, train_stage
+from lsgg.trainer import AdamW, TrainConfig, _freeze_table, predict_ranked, train_stage
 
 from conftest import TinyWorld
-from oracles import (Item, batch_loss_and_grads, pools_equal, rewrite_relation, stored_exemplar,
-                     table_of, train_split)
+from oracles import (Item, batch_loss_and_grads, pools_equal, rankings_by_batch,
+                     rewrite_relation, stored_exemplar, table_of, train_split)
 
 SWITCHES = [
     ("default", {}, {}),
@@ -71,13 +72,16 @@ def test_predict_ranked_equals_per_item_reference(label, config_kw, world_kw):
     w = make_world(config_kw, world_kw)
     queries = table_of([w.instance(predicate=i % w.n_pred) for i in range(11)])
     for candidates in (None, [4, 0, 2]):
-        rng_a, rng_b = SeededRng(6), SeededRng(6)
+        rng_a, rng_b, rng_c = SeededRng(6), SeededRng(6), SeededRng(6)
         want = ref.predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
                                   candidates=candidates, ab_rng=rng_a, batch_size=4)
+        full = rankings_by_batch(queries, w.pool, w.tr, w.vocab, w.config,
+                                 candidates=candidates, ab_rng=rng_b, batch_size=4)
+        assert full == want  # every candidate's score, for every instance
         got = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
-                             candidates=candidates, ab_rng=rng_b, batch_size=4)
-        assert list(got) == want
-        assert rng_b.next_u64() == rng_a.next_u64()
+                             candidates=candidates, ab_rng=rng_c, batch_size=4)
+        assert list(got) == [ranking[:1] for ranking in want]
+        assert rng_b.next_u64() == rng_c.next_u64() == rng_a.next_u64()
 
 
 def stages_agree(config_kw, world_kw, quota):
@@ -154,8 +158,10 @@ def test_predict_ranked_equals_per_item_reference_at_bench_widths():
         state = ref._forward(batch, w.pool, w.tr, w.vocab, config, None, ctx=ctx)
         assert len(state.uniq_ex) >= 10
     want = ref.predict_ranked(table_of(queries), w.pool, w.tr, w.vocab, config, batch_size=16)
+    full = rankings_by_batch(table_of(queries), w.pool, w.tr, w.vocab, config, batch_size=16)
+    assert full == want
     got = predict_ranked(table_of(queries), w.pool, w.tr, w.vocab, config, batch_size=16)
-    assert list(got) == want
+    assert list(got) == [ranking[:1] for ranking in want]
 
 
 def traced_peak(fn):
@@ -170,16 +176,25 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def table_bytes(w, batch_size: int) -> int:
+    """The frozen token table's bytes, from shapes: prompts, every stored
+    exemplar's block, label embeddings, mask rows and one batch's query
+    blocks."""
+    n_ex = int(w.pool.store_len.sum())
+    rows = (w.pool.n_t * w.pool.n_p + n_ex * w.mapper.exemplar_rows() + w.scorer.v
+            + w.scorer.n_mask + batch_size * w.mapper.exemplar_rows())
+    return rows * w.pool.d_tok * 8
+
+
 def test_freeze_table_holds_the_table_and_one_kind_block():
     # the table is allocated once and each part written into its rows: no
     # per-kind blocks joined and then the whole table joined again
     w = bench_width_world()
-    freeze_table(w.pool, w.tr, w.vocab, w.config, 64)  # first calls import lazily
-    cache, peak = traced_peak(lambda: freeze_table(w.pool, w.tr, w.vocab, w.config, 64))
+    _freeze_table(w.pool, w.tr, w.vocab, w.config, 64)  # first calls import lazily
+    cache, peak = traced_peak(lambda: _freeze_table(w.pool, w.tr, w.vocab, w.config, 64))
     table = cache.frozen[0]
+    assert table.nbytes == table_bytes(w, 64)
     n_ex = int(w.pool.store_len.sum())
-    assert table.shape[0] == (w.pool.n_t * w.pool.n_p + n_ex * w.mapper.exemplar_rows()
-                              + w.scorer.v + w.scorer.n_mask + 64 * w.mapper.exemplar_rows())
     kind_block = n_ex * max(w.mapper.token_counts.values()) * w.pool.d_tok * 8
     feats = n_ex * sum(w.mapper.feat_dims.values()) * 8
     # a second block bounds the buffer of encode_batch's in-place broadcast
@@ -188,27 +203,27 @@ def test_freeze_table_holds_the_table_and_one_kind_block():
 
 
 def test_predict_ranked_holds_one_batch_at_a_time():
-    # a batch's pass (its gathered prompt rows) is released before the next
-    # batch gathers its own, and the rankings fill (N, C) arrays in place;
-    # the table is built before tracing starts
+    # the call builds its table, then a batch's pass (its gathered prompt
+    # rows) is released before the next batch gathers its own, and the
+    # first-ranked columns fill (N, 1) arrays in place
     w = bench_width_world()
     n, batch_size = 320, 64
     queries = table_of([w.instance(predicate=i % w.n_pred) for i in range(n)])
-    table = freeze_table(w.pool, w.tr, w.vocab, w.config, batch_size)
-    predict_ranked(queries.take(slice(0, 2)), w.pool, w.tr, w.vocab, w.config,
-                   table=table)  # first calls import lazily
+    predict_ranked(queries.take(slice(0, 2)), w.pool, w.tr, w.vocab,
+                   w.config)  # first calls import lazily
     got, peak = traced_peak(lambda: predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
-                                                   batch_size=batch_size, table=table))
+                                                   batch_size=batch_size))
     d_tok = w.pool.d_tok
     prompt_rows = batch_size * w.scorer.pos_weight.size * d_tok * 8  # N <= pos_weight.size
     result = got.labels.nbytes + got.scores.nbytes
-    assert result == n * len(w.vocab.labels()) * 16
+    assert result == n * 16
     # the query blocks are encoded into the table's query rows, one kind's
     # block at a time; a second block bounds the broadcast buffer and the
     # gather index, as above
     kind_block = batch_size * max(w.mapper.token_counts.values()) * d_tok * 8
     feats = batch_size * sum(w.mapper.feat_dims.values()) * 8
-    assert peak < prompt_rows + result + 2 * kind_block + feats, peak
+    assert peak < (table_bytes(w, batch_size) + prompt_rows + result + 2 * kind_block
+                   + feats), peak
 
 
 STAGE_SWITCHES = [s for s in SWITCHES
@@ -217,35 +232,42 @@ STAGE_SWITCHES = [s for s in SWITCHES
 
 @pytest.mark.parametrize("label,config_kw,world_kw", STAGE_SWITCHES,
                          ids=[s[0] for s in STAGE_SWITCHES])
-def test_stage_table_predictions_equal_per_call(label, config_kw, world_kw):
-    # one table shared by a stage's tasks, as the harness evaluates them, gives
-    # each task what a call that freezes its own table gives, and draws the
-    # ablation stream in the same order
+def test_one_call_over_concatenated_tasks_equals_per_task_calls(label, config_kw, world_kw):
+    # the harness evaluates a stage's tasks in one call over their test rows
+    # concatenated, whose batches straddle the task boundaries; each task
+    # must get what a call of its own gives, and the ablation stream must be
+    # drawn to the same point
     w = make_world(config_kw, world_kw)
-    tasks = [table_of([w.instance(predicate=(i + n) % w.n_pred) for i in range(n)])
-             for n in (3, 9, 6)]
+    data = table_of([w.instance(predicate=i % w.n_pred) for i in range(18)])
+    order = SeededRng(3).permutation(18)
+    tasks = [Rows(data, np.asarray(idx, dtype=np.int64))
+             for idx in (order[:3], order[3:12], order[12:])]
+    arrived = Rows(data, np.concatenate([task.index for task in tasks]))
     for candidates in (None, [4, 0, 2]):
         rng_a, rng_b = SeededRng(8), SeededRng(8)
-        table = freeze_table(w.pool, w.tr, w.vocab, w.config, 4)
-        for task in tasks:
-            want = predict_ranked(task, w.pool, w.tr, w.vocab, w.config,
-                                  candidates=candidates, ab_rng=rng_a, batch_size=4)
-            got = predict_ranked(task, w.pool, w.tr, w.vocab, w.config,
-                                 candidates=candidates, ab_rng=rng_b, batch_size=4,
-                                 table=table)
-            assert np.array_equal(got.labels, want.labels)
-            assert np.array_equal(got.scores, want.scores)
+        want = [predict_ranked(task, w.pool, w.tr, w.vocab, w.config, candidates=candidates,
+                               ab_rng=rng_a, batch_size=4) for task in tasks]
+        got = predict_ranked(arrived, w.pool, w.tr, w.vocab, w.config, candidates=candidates,
+                             ab_rng=rng_b, batch_size=4)
+        assert np.array_equal(got.labels, np.concatenate([r.labels for r in want]))
+        assert np.array_equal(got.scores, np.concatenate([r.scores for r in want]))
         assert rng_b.next_u64() == rng_a.next_u64()
 
 
-def test_stage_table_rejects_a_batch_it_has_no_room_for():
-    w = make_world({}, {})
-    queries = table_of([w.instance(predicate=i % w.n_pred) for i in range(5)])
-    table = freeze_table(w.pool, w.tr, w.vocab, w.config, 4)
-    with pytest.raises(ValueError, match="query items"):
-        predict_ranked(queries, w.pool, w.tr, w.vocab, w.config, table=table)
-    got = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config, batch_size=4, table=table)
-    assert len(got) == 5
+def test_one_call_over_concatenated_tasks_equals_per_task_calls_at_bench_widths():
+    # at the benchmark's widths a product of a few rows takes OpenBLAS's
+    # small-matrix kernel (up to 4 rows for kinds c and r, 9 for s and o)
+    # and rounds differently from a tall one; the tasks' short tails of 3
+    # and 2 rows must still get the bits they get inside a full batch
+    w = bench_width_world()
+    data = table_of([w.instance(predicate=i % w.n_pred) for i in range(37)])
+    tasks = [Rows(data, np.arange(a, b)) for a, b in ((0, 3), (3, 21), (21, 37))]
+    want = [predict_ranked(task, w.pool, w.tr, w.vocab, w.config, batch_size=16)
+            for task in tasks]
+    got = predict_ranked(Rows(data, np.arange(37)), w.pool, w.tr, w.vocab, w.config,
+                         batch_size=16)
+    assert np.array_equal(got.labels, np.concatenate([r.labels for r in want]))
+    assert np.array_equal(got.scores, np.concatenate([r.scores for r in want]))
 
 
 def test_degenerate_filled_slot_raises_at_inference():
@@ -261,8 +283,7 @@ def test_degenerate_filled_slot_raises_at_inference():
         with pytest.raises(ValueError, match="degenerate"):
             rewrite_relation(w.pool, 2, 1, row)  # entry 2 holds 2 exemplars
         assert pools_equal(w.pool, before)
-        got = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
-                             table=freeze_table(w.pool, w.tr, w.vocab, w.config, 4))
+        got = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
         assert np.array_equal(got.scores, want.scores)
 
 

@@ -19,7 +19,11 @@ test fails then:
   ``train_stage``'s ``admitted``. So every offered row must make exactly
   one call through that name: a trainer that batched several offers into
   one call, or imported the function under another name, would fail every
-  round as outputs_incorrect.
+  round as outputs_incorrect;
+- evaluation rows are counted only inside ``predict_ranked``, so each stage
+  must make one call through the harness's name, and that call must build
+  its own token table: a table built outside it would drop its exemplar
+  encodes from ``token_mapper.encode_eval_rows``.
 """
 
 import os
@@ -33,6 +37,7 @@ import pytest  # noqa: E402
 
 from lsgg.datastream import make_schedule, make_stage_datasets, synth_generate  # noqa: E402
 from lsgg.rng import SeededRng  # noqa: E402
+from lsgg.trainer import EVAL_BATCH  # noqa: E402
 
 import run  # noqa: E402
 from test_checks import small_config  # noqa: E402
@@ -73,3 +78,21 @@ def test_round_denominators_count_split_rows(tmp_path, mode):
     assert rnd["probe"].counts["prompt_pool.admit_attempts"] == offers
     assert rnd["train_items"] == cfg.train.epochs * sum(len(stage.train) for stage in stages)
     assert rnd["eval_instances"] == sum(sum(n_test[: t + 1]) for t in range(cfg.n_stages))
+
+
+def test_traced_round_counts_every_row_evaluation_encodes(tmp_path):
+    # one predict_ranked call per stage encodes the stage's filled store
+    # slots once into its table, then every batch's query room, a full
+    # EVAL_BATCH of rows (zero rows padding the last batch)
+    cfg = small_config()
+    rnd = run.run_round(cfg, 0, str(tmp_path / "run"), True, time.perf_counter())
+    assert rnd["failed"] == 0 and rnd["problems"] == []
+    probe = rnd["probe"]
+    calls = [span for span in probe.spans if span[0] == "trainer.predict_ranked"]
+    assert len(calls) == cfg.n_stages
+    slots = [sum(stage["store_sizes"]) for stage in probe.stages]
+    batches = [-(-stage["eval_instances"] // EVAL_BATCH) for stage in probe.stages]
+    assert all(slots) and all(batches)
+    want = sum(slots) + sum(batches) * EVAL_BATCH
+    for kind in ("c", "r", "s", "o"):
+        assert probe.counts[f"encode_eval_rows.{kind}"] == want, kind

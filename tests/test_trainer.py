@@ -20,7 +20,7 @@ from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, load_checkp
 
 from conftest import TinyWorld, finite_diff, grad_rel_err
 from oracles import (Item, admit, batch_loss_and_grads, cosine_to_rows, loss_key_alignment,
-                     loss_predicate_ce, pools_equal, table_of, train_split)
+                     loss_predicate_ce, pools_equal, rankings_by_batch, table_of, train_split)
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -398,8 +398,10 @@ def test_predict_ranked_is_pure():
     stores_before = w.pool.store_len.copy()
     queries = table_of([w.instance(predicate=i % 4) for i in range(5)])
     ranked = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config)
-    assert len(ranked) == 5
-    for rr in ranked:
+    assert ranked.labels.shape == ranked.scores.shape == (5, 1)
+    full = rankings_by_batch(queries, w.pool, w.tr, w.vocab, w.config)
+    assert list(ranked) == [rr[:1] for rr in full]
+    for rr in full:
         assert len({p for p, _ in rr}) == len(rr)
         assert all(np.isfinite(s) for _, s in rr)
     for name, arr in w.tr.param_items():
