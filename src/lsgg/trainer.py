@@ -724,8 +724,10 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
     if needs_rng and ab_rng is None:
         raise ValueError("configured ablations need an rng at inference")
     n = len(instances)
-    cache = _freeze_table(pool, tr, vocab, config, batch_size)
     labels, scores = np.empty((n, 1), dtype=np.int64), np.empty((n, 1))
+    if not n:
+        return Rankings(labels, scores)
+    cache = _freeze_table(pool, tr, vocab, config, batch_size)
     for start in range(0, n, batch_size):
         batch = _queries(instances.take(slice(start, start + batch_size)))
         # only the distributions outlive the pass, so one batch's gathered

@@ -5,6 +5,7 @@ ablation switch; batch boundaries must not change a prediction; and the
 memory an evaluation holds at once, at the benchmark's widths."""
 
 import copy
+import functools
 import tracemalloc
 
 import numpy as np
@@ -230,44 +231,40 @@ STAGE_SWITCHES = [s for s in SWITCHES
                   if s[0] in ("default", "random_prompts", "random_exemplar")]
 
 
-@pytest.mark.parametrize("label,config_kw,world_kw", STAGE_SWITCHES,
-                         ids=[s[0] for s in STAGE_SWITCHES])
-def test_one_call_over_concatenated_tasks_equals_per_task_calls(label, config_kw, world_kw):
+# (id, world, task sizes, batch size). At the benchmark's widths a product
+# of a few rows takes OpenBLAS's small-matrix kernel (up to 4 rows for kinds
+# c and r, 9 for s and o) and rounds differently from a tall one, so the
+# tails of 3 and 2 rows there must still get the bits of a full batch
+CONCAT_CASES = [(label, functools.partial(make_world, config_kw, world_kw), (3, 9, 6), 4)
+                for label, config_kw, world_kw in STAGE_SWITCHES]
+CONCAT_CASES.append(("bench_widths", bench_width_world, (3, 18, 16), 16))
+
+
+@pytest.mark.parametrize("label,world,sizes,batch_size", CONCAT_CASES,
+                         ids=[c[0] for c in CONCAT_CASES])
+def test_one_call_over_concatenated_tasks_equals_per_task_calls(label, world, sizes,
+                                                                batch_size):
     # the harness evaluates a stage's tasks in one call over their test rows
     # concatenated, whose batches straddle the task boundaries; each task
     # must get what a call of its own gives, and the ablation stream must be
     # drawn to the same point
-    w = make_world(config_kw, world_kw)
-    data = table_of([w.instance(predicate=i % w.n_pred) for i in range(18)])
-    order = SeededRng(3).permutation(18)
-    tasks = [Rows(data, np.asarray(idx, dtype=np.int64))
-             for idx in (order[:3], order[3:12], order[12:])]
+    w = world()
+    n = sum(sizes)
+    data = table_of([w.instance(predicate=i % w.n_pred) for i in range(n)])
+    order = SeededRng(3).permutation(n)
+    bounds = np.cumsum((0,) + sizes)
+    tasks = [Rows(data, np.asarray(order[a:b], dtype=np.int64))
+             for a, b in zip(bounds, bounds[1:])]
     arrived = Rows(data, np.concatenate([task.index for task in tasks]))
     for candidates in (None, [4, 0, 2]):
         rng_a, rng_b = SeededRng(8), SeededRng(8)
         want = [predict_ranked(task, w.pool, w.tr, w.vocab, w.config, candidates=candidates,
-                               ab_rng=rng_a, batch_size=4) for task in tasks]
+                               ab_rng=rng_a, batch_size=batch_size) for task in tasks]
         got = predict_ranked(arrived, w.pool, w.tr, w.vocab, w.config, candidates=candidates,
-                             ab_rng=rng_b, batch_size=4)
+                             ab_rng=rng_b, batch_size=batch_size)
         assert np.array_equal(got.labels, np.concatenate([r.labels for r in want]))
         assert np.array_equal(got.scores, np.concatenate([r.scores for r in want]))
         assert rng_b.next_u64() == rng_a.next_u64()
-
-
-def test_one_call_over_concatenated_tasks_equals_per_task_calls_at_bench_widths():
-    # at the benchmark's widths a product of a few rows takes OpenBLAS's
-    # small-matrix kernel (up to 4 rows for kinds c and r, 9 for s and o)
-    # and rounds differently from a tall one; the tasks' short tails of 3
-    # and 2 rows must still get the bits they get inside a full batch
-    w = bench_width_world()
-    data = table_of([w.instance(predicate=i % w.n_pred) for i in range(37)])
-    tasks = [Rows(data, np.arange(a, b)) for a, b in ((0, 3), (3, 21), (21, 37))]
-    want = [predict_ranked(task, w.pool, w.tr, w.vocab, w.config, batch_size=16)
-            for task in tasks]
-    got = predict_ranked(Rows(data, np.arange(37)), w.pool, w.tr, w.vocab, w.config,
-                         batch_size=16)
-    assert np.array_equal(got.labels, np.concatenate([r.labels for r in want]))
-    assert np.array_equal(got.scores, np.concatenate([r.scores for r in want]))
 
 
 def test_degenerate_filled_slot_raises_at_inference():

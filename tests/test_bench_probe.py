@@ -82,8 +82,8 @@ def test_round_denominators_count_split_rows(tmp_path, mode):
 
 def test_traced_round_counts_every_row_evaluation_encodes(tmp_path):
     # one predict_ranked call per stage encodes the stage's filled store
-    # slots once into its table, then every batch's query room, a full
-    # EVAL_BATCH of rows (zero rows padding the last batch)
+    # slots once into its table, then each evaluated instance's query rows,
+    # and zero rows padding the last batch to a full EVAL_BATCH
     cfg = small_config()
     rnd = run.run_round(cfg, 0, str(tmp_path / "run"), True, time.perf_counter())
     assert rnd["failed"] == 0 and rnd["problems"] == []
@@ -91,8 +91,9 @@ def test_traced_round_counts_every_row_evaluation_encodes(tmp_path):
     calls = [span for span in probe.spans if span[0] == "trainer.predict_ranked"]
     assert len(calls) == cfg.n_stages
     slots = [sum(stage["store_sizes"]) for stage in probe.stages]
-    batches = [-(-stage["eval_instances"] // EVAL_BATCH) for stage in probe.stages]
-    assert all(slots) and all(batches)
-    want = sum(slots) + sum(batches) * EVAL_BATCH
+    evaluated = [stage["eval_instances"] for stage in probe.stages]
+    padding = [-n % EVAL_BATCH for n in evaluated]
+    assert all(slots) and all(evaluated)
+    want = sum(slots) + sum(evaluated) + sum(padding)
     for kind in ("c", "r", "s", "o"):
         assert probe.counts[f"encode_eval_rows.{kind}"] == want, kind

@@ -408,11 +408,14 @@ def test_predict_ranked_is_pure():
         assert np.array_equal(arr, before[name]), name
     assert np.array_equal(w.pool.store_len, stores_before)
     # a different batch split changes BLAS blocking, not the ranking
-    again = predict_ranked(queries, w.pool, w.tr, w.vocab, w.config, batch_size=2)
-    for ra, rb in zip(again, ranked):
+    again = rankings_by_batch(queries, w.pool, w.tr, w.vocab, w.config, batch_size=2)
+    assert len(again) == len(full)
+    for ra, rb in zip(again, full):
         assert [p for p, _ in ra] == [p for p, _ in rb]
         for (_, sa), (_, sb) in zip(ra, rb):
             assert sa == pytest.approx(sb, abs=1e-9)
+    assert list(predict_ranked(queries, w.pool, w.tr, w.vocab, w.config,
+                               batch_size=2)) == [rr[:1] for rr in again]
 
 
 # -- checkpoints --------------------------------------------------------------------
