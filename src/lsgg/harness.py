@@ -270,8 +270,8 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
         vocab = load_vocab(config.vocab_path)
     else:
         vocab = default_vocab(n_pred)
-    if sorted(vocab.tokens) != list(range(n_pred)):
-        raise ValueError("vocabulary does not cover predicate ids 0..n_pred-1")
+    if vocab.n_labels != n_pred:  # build_vocab holds its ids to 0..L-1
+        raise ValueError(f"vocabulary has {vocab.n_labels} predicates, the data {n_pred}")
 
     schedule = make_schedule(dataset, n_pred, config.n_stages, config.schedule_mode,
                              rng.derive("schedule"))

@@ -23,61 +23,71 @@ PAD_TOKEN = 0
 
 @dataclass
 class PredicateVocab:
-    """Word tokenization for predicate labels over a closed vocabulary.
+    """Word tokenization for predicate ids 0..L-1 over a closed vocabulary.
 
     Token id 0 is padding; real words get ids 1..n_words in sorted order.
+    A predicate id is the row of its tokens in every label table.
     """
 
     words: list  # index (token id - 1) -> word
-    tokens: dict  # predicate label id -> tuple of token ids (no padding)
-    n_mask: int  # max token count over predicates; number of mask slots
+    tokens: tuple  # predicate id -> tuple of token ids (no padding)
+    token_ids: np.ndarray  # (L, n_mask) int64 token ids, padded with PAD_TOKEN
+    token_counts: np.ndarray  # (L,) int64 token count per predicate
 
     @property
     def n_word_tokens(self) -> int:
         return len(self.words) + 1  # + padding
 
-    def padded(self, predicate: int) -> tuple:
-        toks = self.tokens[predicate]
-        return toks + (PAD_TOKEN,) * (self.n_mask - len(toks))
+    @property
+    def n_labels(self) -> int:
+        return len(self.tokens)
 
-    def labels(self) -> list:
-        return sorted(self.tokens)
+    @property
+    def n_mask(self) -> int:  # max token count over predicates; number of mask slots
+        return self.token_ids.shape[1]
 
-    def token_table(self, labels=None):
-        """Padded token ids (L, n_mask) and token counts (L,) of ``labels``
-        (default: every label, ascending)."""
-        labels = self.labels() if labels is None else list(labels)
-        for label in labels:
-            if not self.tokens.get(label):
-                raise ValueError(f"predicate {label} has no tokens")
-        padded = np.array([self.padded(label) for label in labels], dtype=np.int64)
-        counts = np.array([len(self.tokens[label]) for label in labels], dtype=np.int64)
-        return padded.reshape(len(labels), self.n_mask), counts
+    def check_ids(self, predicates) -> np.ndarray:
+        """``predicates`` as int64 label-table rows; raises ValueError for an
+        id outside 0..L-1, so a negative id never wraps."""
+        ids = np.asarray(predicates, dtype=np.int64)
+        bad = (ids < 0) | (ids >= self.n_labels)
+        if bad.any():
+            raise ValueError(f"predicate {ids[bad][0]} has no tokens")
+        return ids
 
 
 def build_vocab(names: dict) -> PredicateVocab:
-    """names: predicate label id -> name string (whitespace-separated words)."""
+    """names: predicate id -> name string (whitespace-separated words); the
+    ids must be exactly 0..L-1."""
     if not names:
         raise ValueError("empty predicate vocabulary")
+    names = {int(label): name for label, name in names.items()}
+    missing = set(range(len(names))) - names.keys()
+    if missing:
+        raise ValueError(f"predicate ids must be 0..{len(names) - 1}: {min(missing)} is missing")
     words = sorted({w for name in names.values() for w in name.split()})
     if not words:
         raise ValueError("a predicate has zero words")
     wid = {w: i + 1 for i, w in enumerate(words)}
-    tokens = {}
-    for label, name in names.items():
-        parts = name.split()
+    tokens = []
+    for label in range(len(names)):
+        parts = names[label].split()
         if not parts:
             raise ValueError(f"predicate {label} has zero words")
-        tokens[int(label)] = tuple(wid[w] for w in parts)
-    n_mask = max(len(t) for t in tokens.values())
-    return PredicateVocab(words=words, tokens=tokens, n_mask=n_mask)
+        tokens.append(tuple(wid[w] for w in parts))
+    counts = np.array([len(t) for t in tokens], dtype=np.int64)
+    token_ids = np.full((len(tokens), counts.max()), PAD_TOKEN, dtype=np.int64)
+    for label, toks in enumerate(tokens):
+        token_ids[label, : len(toks)] = toks
+    return PredicateVocab(words=words, tokens=tuple(tokens), token_ids=token_ids,
+                          token_counts=counts)
 
 
 def save_vocab(vocab: PredicateVocab, path) -> None:
     inv = {i + 1: w for i, w in enumerate(vocab.words)}
     with open(path, "w") as fh:
-        for label in vocab.labels():
-            fh.write(f"{label} {' '.join(inv[t] for t in vocab.tokens[label])}\n")
+        for label, toks in enumerate(vocab.tokens):
+            fh.write(f"{label} {' '.join(inv[t] for t in toks)}\n")
 
 
 def load_vocab(path) -> PredicateVocab:
@@ -172,8 +182,9 @@ def rank_predicates_batch(distributions: np.ndarray, vocab: PredicateVocab,
     dist = np.asarray(distributions, dtype=float)
     if dist.ndim != 3 or dist.shape[1] != vocab.n_mask:
         raise ValueError(f"need (B, {vocab.n_mask}, V) distributions, got {dist.shape}")
-    labels = vocab.labels() if candidates is None else sorted(candidates)
-    toks, counts = vocab.token_table(labels)
+    labels = (np.arange(vocab.n_labels) if candidates is None
+              else vocab.check_ids(sorted(candidates)))
+    toks, counts = vocab.token_ids[labels], vocab.token_counts[labels]
     with np.errstate(divide="ignore"):
         logdist = np.log(dist)
     total = np.zeros((dist.shape[0], len(labels)))
@@ -182,5 +193,4 @@ def rank_predicates_batch(distributions: np.ndarray, vocab: PredicateVocab,
         total[:, scored] += logdist[:, j, toks[scored, j]]
     scores = total / counts
     order = np.argsort(-scores, axis=1, kind="stable")  # labels ascend: ties by id
-    return Rankings(np.asarray(labels, dtype=np.int64)[order],
-                    np.take_along_axis(scores, order, axis=1))
+    return Rankings(labels[order], np.take_along_axis(scores, order, axis=1))

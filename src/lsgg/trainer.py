@@ -227,24 +227,9 @@ def _replays(pool: PromptPool, picks: np.ndarray) -> _Batch:
                   pool.store_labels[e, s], np.ones(len(picks), dtype=bool))
 
 
-class _PassCache:
-    """Lookups that live for one ``train_stage`` or ``predict_ranked`` call:
-    the padded label tokens, and at inference the frozen token table with
-    its slot map and offsets (``_freeze_table``)."""
-
-    def __init__(self, tr: TrainableSet, vocab: PredicateVocab):
-        self.label_ids = np.array(vocab.labels(), dtype=np.int64)
-        self.label_tokens, self.label_counts = vocab.token_table()
-        if self.label_tokens.max() >= tr.scorer.v:
-            raise ValueError(f"label tokens exceed the decoder vocabulary of {tr.scorer.v}")
-        self.frozen = None  # (table, slot_rows, offsets) of ``_token_table``, inference only
-
-    def label_rows(self, predicates) -> np.ndarray:
-        pos = np.minimum(np.searchsorted(self.label_ids, predicates), len(self.label_ids) - 1)
-        missing = self.label_ids[pos] != predicates
-        if np.any(missing):
-            raise ValueError(f"predicate {np.asarray(predicates)[missing][0]} has no tokens")
-        return pos
+def _check_label_tokens(tr: TrainableSet, vocab: PredicateVocab) -> None:
+    if vocab.token_ids.max() >= tr.scorer.v:
+        raise ValueError(f"label tokens exceed the decoder vocabulary of {tr.scorer.v}")
 
 
 def _token_table(pool: PromptPool, tr: TrainableSet, ent: np.ndarray, slot: np.ndarray,
@@ -276,17 +261,14 @@ def _token_table(pool: PromptPool, tr: TrainableSet, ent: np.ndarray, slot: np.n
     return table, slot_rows, (off_ex, off_emb, off_mask, off_q), ex_feats
 
 
-def _freeze_table(pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab,
-                  config: TrainConfig, batch_size: int) -> _PassCache:
-    """The inference state of one ``predict_ranked`` call, during which pool,
-    mapper and decoder do not move: the token table with every filled store
-    slot encoded once (when context segments show exemplars) and room for
-    ``batch_size`` items' query rows."""
-    cache = _PassCache(tr, vocab)
+def _freeze_table(pool: PromptPool, tr: TrainableSet, config: TrainConfig, batch_size: int):
+    """The token table of one ``predict_ranked`` call, during which pool,
+    mapper and decoder do not move, with every filled store slot encoded once
+    (when context segments show exemplars) and room for ``batch_size`` items'
+    query rows: (table, slot_rows, offsets) of ``_token_table``."""
     filled = np.arange(pool.n_e) < pool.store_len[:, None]
     filled &= _n_context(config, pool) > 0  # else no segment shows an exemplar
-    cache.frozen = _token_table(pool, tr, *np.nonzero(filled), batch_size)[:3]
-    return cache
+    return _token_table(pool, tr, *np.nonzero(filled), batch_size)[:3]
 
 
 def _kind_slices(mapper: MapperParams):
@@ -410,7 +392,11 @@ class _Pass:
 
 
 def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet,
-             config: TrainConfig, ab_rng: SeededRng | None, cache: _PassCache) -> _Pass:
+             vocab: PredicateVocab, config: TrainConfig, ab_rng: SeededRng | None,
+             frozen: tuple | None) -> _Pass:
+    """The batch's slot distributions, against the ``_freeze_table`` table
+    ``frozen`` at inference, or at training (None) a table of the batch's
+    own exemplars."""
     scorer, d_tok, n_p = tr.scorer, pool.d_tok, pool.n_p
     n_b, n_mask = len(batch), tr.y_mask.shape[0]
     if n_mask != scorer.n_mask:
@@ -423,9 +409,9 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
     pb, pc = np.nonzero(slots >= 0)
     ent, slot = selection[pb, pc + 1], slots[pb, pc]
     label = np.zeros(slots.shape, dtype=np.int64)
-    label[pb, pc] = cache.label_rows(pool.store_labels[ent, slot])
-    if cache.frozen is not None:  # inference: every stored exemplar is encoded
-        (table, slot_rows, offsets), ex_feats = cache.frozen, None
+    label[pb, pc] = vocab.check_ids(pool.store_labels[ent, slot])
+    if frozen is not None:  # inference: every stored exemplar is encoded
+        (table, slot_rows, offsets), ex_feats = frozen, None
     else:  # training: the batch's exemplars, once each in first-seen order
         # flat slot e * n_e + s names an exemplar: stores change only between steps
         first = np.sort(np.unique(ent * pool.n_e + slot, return_index=True)[1])
@@ -461,7 +447,7 @@ def _forward(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet
             if code >> c & 1:
                 pieces.append(off_ex + ctx_shown[items, c, None] * n_ex_rows + ar_x)
                 label_cols.extend(sum(p.shape[1] for p in pieces) + np.arange(n_mask))
-                pieces.append(off_emb + cache.label_tokens[ctx_label[items, c]])
+                pieces.append(off_emb + vocab.token_ids[ctx_label[items, c]])
         pieces.append(selection[items, 0, None] * n_p + ar_p)  # query segment
         pieces.append(off_q + items[:, None] * n_ex_rows + ar_x)
         pieces.append(np.broadcast_to(mask_rows, (items.size, n_mask)))
@@ -508,18 +494,17 @@ def _ordered_sum(values) -> float:
 
 
 def _loss_and_grads(batch: _Batch, ranked: _Ranking, pool: PromptPool, tr: TrainableSet,
-                    config: TrainConfig, ab_rng: SeededRng | None, cache: _PassCache):
+                    vocab: PredicateVocab, config: TrainConfig, ab_rng: SeededRng | None):
     """Mean total loss, gradients keyed as ``TrainableSet.param_items``, and
     the raw loss parts, for ``batch`` and its rows' key retrieval ``ranked``."""
-    fw = _forward(batch, ranked, pool, tr, config, ab_rng, cache)
+    fw = _forward(batch, ranked, pool, tr, vocab, config, ab_rng, None)
     scorer = tr.scorer
     n_b, d_tok, n_mask = len(batch), scorer.d_tok, scorer.n_mask
     n_ex_rows = tr.mapper.exemplar_rows()
     inv = 1.0 / n_b
     tuning = scorer.trainable
-    target_rows = cache.label_rows(batch.targets)
-    toks = cache.label_tokens[target_rows]
-    counts = cache.label_counts[target_rows]
+    targets = vocab.check_ids(batch.targets)
+    toks, counts = vocab.token_ids[targets], vocab.token_counts[targets]
 
     # prompt-row gradients; the query block rows go straight to d_q, the rest
     # are summed into the token table in item order
@@ -662,7 +647,7 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
     n_re_full = int(round(config.batch_size * rho))
     chunk = max(1, config.batch_size - n_re_full)
 
-    cache = _PassCache(tr, vocab)
+    _check_label_tokens(tr, vocab)
     epoch_losses = []
     visit = admitted = 0
     for _ in range(config.epochs):
@@ -691,7 +676,7 @@ def train_stage(stage, pool: PromptPool, tr: TrainableSet, vocab: PredicateVocab
                     replays = _replays(pool, picks)
                     batch = batch.concat(replays)
                     ranked = ranked.concat(_retrieve(replays, pool, config))
-            loss, grads, _ = _loss_and_grads(batch, ranked, pool, tr, config, ab_rng, cache)
+            loss, grads, _ = _loss_and_grads(batch, ranked, pool, tr, vocab, config, ab_rng)
             opt.step(tr, grads, config)
             step_losses.append(loss)
         epoch_losses.append(float(np.mean(step_losses)))
@@ -727,13 +712,14 @@ def predict_ranked(instances, pool: PromptPool, tr: TrainableSet, vocab: Predica
     labels, scores = np.empty((n, 1), dtype=np.int64), np.empty((n, 1))
     if not n:
         return Rankings(labels, scores)
-    cache = _freeze_table(pool, tr, vocab, config, batch_size)
+    _check_label_tokens(tr, vocab)
+    frozen = _freeze_table(pool, tr, config, batch_size)
     for start in range(0, n, batch_size):
         batch = _queries(instances.take(slice(start, start + batch_size)))
         # only the distributions outlive the pass, so one batch's gathered
         # prompt rows are freed before the next batch gathers its own
-        probs = _forward(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng,
-                         cache).probs()
+        probs = _forward(batch, _retrieve(batch, pool, config), pool, tr, vocab, config, ab_rng,
+                         frozen).probs()
         ranked = rank_predicates_batch(probs, vocab, candidates=candidates)
         rows = slice(start, start + len(batch))
         labels[rows], scores[rows] = ranked.labels[:, :1], ranked.scores[:, :1]

@@ -24,10 +24,10 @@ from lsgg.metrics import GTTable, PredTable, box_column, iou, union_box
 from lsgg.numerics import random_unit_vector, softmax
 from lsgg.prompt_pool import _relation_norm, _write_slot, admit_exemplar, retrieve_entries
 from lsgg.rng import SeededRng, _mix64
-from lsgg.scorer import PredicateVocab, ScorerParams, position_weights, rank_predicates_batch
+from lsgg.scorer import (PAD_TOKEN, PredicateVocab, ScorerParams, position_weights,
+                         rank_predicates_batch)
 from lsgg.token_mapper import KINDS, MapperParams
-from lsgg.trainer import (_Batch, _PassCache, _forward, _freeze_table, _loss_and_grads,
-                          _queries, _retrieve)
+from lsgg.trainer import _Batch, _forward, _freeze_table, _loss_and_grads, _queries, _retrieve
 
 
 # -- cosine kernels ---------------------------------------------------------------
@@ -127,12 +127,23 @@ def loss_key_alignment(f_c_query, keys) -> float:
     return float(sum(1.0 - cosine(f_c_query, k) for k in keys))
 
 
+def label_tokens(vocab: PredicateVocab, label: int) -> tuple:
+    """Predicate ``label``'s token ids, without padding."""
+    if not 0 <= label < len(vocab.tokens):
+        raise ValueError(f"predicate {label} has no tokens")
+    return vocab.tokens[label]
+
+
+def padded_tokens(vocab: PredicateVocab, label: int) -> tuple:
+    """Predicate ``label``'s token ids padded to ``vocab.n_mask`` slots."""
+    toks = label_tokens(vocab, label)
+    return toks + (PAD_TOKEN,) * (vocab.n_mask - len(toks))
+
+
 def loss_predicate_ce(distributions, target: int, vocab: PredicateVocab) -> float:
     """Teacher-forced cross-entropy over the target's non-padding token slots."""
     dist = np.asarray(distributions, dtype=float)
-    toks = vocab.tokens.get(target)
-    if not toks:
-        raise ValueError(f"target predicate {target} has no tokens")
+    toks = label_tokens(vocab, target)
     total = 0.0
     for j, t in enumerate(toks):
         if not 0 <= t < dist.shape[1]:
@@ -212,7 +223,7 @@ class Item:
 def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
     """Mean total loss over the items, gradients keyed as
     ``TrainableSet.param_items`` and the loss parts, from the production
-    ``trainer._loss_and_grads`` on a fresh pass cache.
+    ``trainer._loss_and_grads``.
 
     Replayed items contribute only the prediction loss; query items add the
     key-alignment term.
@@ -221,8 +232,8 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
                     for kind in KINDS},
                    np.array([it.source.predicate for it in items], dtype=np.int64),
                    np.array([it.replay for it in items], dtype=bool))
-    return _loss_and_grads(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng,
-                           _PassCache(tr, vocab))
+    return _loss_and_grads(batch, _retrieve(batch, pool, config), pool, tr, vocab, config,
+                           ab_rng)
 
 
 def rankings_by_batch(instances, pool, tr, vocab, config, candidates=None, ab_rng=None,
@@ -231,12 +242,12 @@ def rankings_by_batch(instances, pool, tr, vocab, config, candidates=None, ab_rn
     every candidate, from the production pass run batch by batch against one
     frozen table, as ``trainer.predict_ranked`` runs it before it keeps
     each instance's first-ranked candidate."""
-    cache = _freeze_table(pool, tr, vocab, config, batch_size)
+    frozen = _freeze_table(pool, tr, config, batch_size)
     out = []
     for start in range(0, len(instances), batch_size):
         batch = _queries(instances.take(slice(start, start + batch_size)))
-        probs = _forward(batch, _retrieve(batch, pool, config), pool, tr, config, ab_rng,
-                         cache).probs()
+        probs = _forward(batch, _retrieve(batch, pool, config), pool, tr, vocab, config,
+                         ab_rng, frozen).probs()
         out.extend(rank_predicates_batch(probs, vocab, candidates=candidates))
     return out
 
@@ -349,7 +360,7 @@ def assemble_prompt(pool, selection, exemplars, query_block: np.ndarray,
             seg.exemplar, label, block = ex
             seg.exemplar_start = push(block)
             seg.n_exemplar = block.shape[0]
-            seg.label_tokens = vocab.padded(label)
+            seg.label_tokens = padded_tokens(vocab, label)
             seg.label_start = push(emb[list(seg.label_tokens)])
             seg.n_label = len(seg.label_tokens)
         segments.append(seg)

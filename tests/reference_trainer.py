@@ -20,7 +20,7 @@ from lsgg.token_mapper import KINDS, encode_batch, encode_batch_backward, init_g
 from lsgg.trainer import TrainConfig, TrainableSet, loss_total
 
 from oracles import (Item, RowCache, admit, assemble_prompt, choice_without_replacement,
-                     loss_predicate_ce, records_of, score, stored_exemplar)
+                     label_tokens, loss_predicate_ce, records_of, score, stored_exemplar)
 
 
 class AdamW:
@@ -191,7 +191,7 @@ def batch_loss_and_grads(items, pool, tr, vocab, config, ab_rng=None):
         prompt, p = state.prompts[i], state.probs[i]
         w, base = state.weights[i], state.bases[i]
         target = int(it.source.predicate)
-        toks = vocab.tokens[target]
+        toks = label_tokens(vocab, target)
         l3_sum += loss_predicate_ce(p, target, vocab)
 
         d_rows = np.zeros_like(prompt.rows)
@@ -303,12 +303,12 @@ def train_stage(stage, pool, tr, vocab, config, opt: AdamW, rng: SeededRng,
 
 
 def rank_predicates(dist, vocab: PredicateVocab, candidates=None) -> list:
-    labels = vocab.labels() if candidates is None else sorted(candidates)
+    labels = range(len(vocab.tokens)) if candidates is None else sorted(candidates)
     with np.errstate(divide="ignore"):
         logdist = np.log(dist)
     scored = []
     for label in labels:
-        toks = vocab.tokens[label]
+        toks = label_tokens(vocab, label)
         total = sum(logdist[j, t] for j, t in enumerate(toks))
         scored.append((label, float(total / len(toks))))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))

@@ -191,9 +191,8 @@ def test_freeze_table_holds_the_table_and_one_kind_block():
     # the table is allocated once and each part written into its rows: no
     # per-kind blocks joined and then the whole table joined again
     w = bench_width_world()
-    _freeze_table(w.pool, w.tr, w.vocab, w.config, 64)  # first calls import lazily
-    cache, peak = traced_peak(lambda: _freeze_table(w.pool, w.tr, w.vocab, w.config, 64))
-    table = cache.frozen[0]
+    _freeze_table(w.pool, w.tr, w.config, 64)  # first calls import lazily
+    (table, _, _), peak = traced_peak(lambda: _freeze_table(w.pool, w.tr, w.config, 64))
     assert table.nbytes == table_bytes(w, 64)
     n_ex = int(w.pool.store_len.sum())
     kind_block = n_ex * max(w.mapper.token_counts.values()) * w.pool.d_tok * 8

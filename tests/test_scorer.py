@@ -12,6 +12,7 @@ from lsgg.scorer import (PAD_TOKEN, build_vocab, default_vocab, init_scorer, loa
                          position_weights, rank_predicates_batch, save_vocab)
 from lsgg.token_mapper import KINDS, encode_batch, init_mapper
 
+import reference_trainer as ref
 from conftest import TinyWorld, random_instance
 from oracles import AssembledPrompt, assemble_prompt, score
 
@@ -26,9 +27,9 @@ def test_build_vocab_tokenization():
     assert vocab.tokens[0] == (1,)
     assert vocab.tokens[1] == (2, 1)  # shared word "on" reuses token id 1
     assert vocab.tokens[2] == (3,)
-    assert vocab.padded(0) == (1, PAD_TOKEN)
-    assert vocab.padded(1) == (2, 1)
-    assert vocab.labels() == [0, 1, 2]
+    assert vocab.token_ids.tolist() == [[1, PAD_TOKEN], [2, 1], [3, PAD_TOKEN]]
+    assert vocab.token_counts.tolist() == [1, 2, 1]
+    assert vocab.n_labels == 3
     assert vocab.n_word_tokens == 4  # 3 words + padding
 
 
@@ -39,14 +40,24 @@ def test_build_vocab_rejects_degenerate():
         build_vocab({0: "  "})
 
 
+@pytest.mark.parametrize("names,missing", [({0: "on", 2: "under"}, 1),
+                                           ({-1: "on", 0: "under"}, 1), ({1: "on"}, 0),
+                                           ({3: "standing next to", 0: "on", 7: "near"}, 1)])
+def test_build_vocab_refuses_ids_other_than_0_to_l(names, missing):
+    with pytest.raises(ValueError, match=f": {missing} is missing"):
+        build_vocab(names)
+
+
 def test_vocab_file_round_trip(tmp_path):
-    vocab = build_vocab({3: "standing next to", 0: "on", 7: "near"})
+    vocab = build_vocab({2: "standing next to", 0: "on", 1: "near"})
     path = tmp_path / "vocab.txt"
     save_vocab(vocab, path)
+    assert path.read_text().splitlines()[0] == "0 on"
     back = load_vocab(path)
     assert back.words == vocab.words
     assert back.tokens == vocab.tokens
-    assert back.n_mask == vocab.n_mask
+    assert np.array_equal(back.token_ids, vocab.token_ids)
+    assert np.array_equal(back.token_counts, vocab.token_counts)
 
 
 def test_vocab_file_errors(tmp_path):
@@ -60,12 +71,16 @@ def test_vocab_file_errors(tmp_path):
     path.write_text("5\n")
     with pytest.raises(ValueError, match="line 1"):
         load_vocab(path)
+    for text in ("0 on\n2 under\n", "-1 on\n0 under\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=": 1 is missing"):
+            load_vocab(path)
 
 
 def test_default_vocab_single_word_per_label():
     vocab = default_vocab(5)
     assert vocab.n_mask == 1
-    assert sorted(vocab.tokens) == list(range(5))
+    assert vocab.n_labels == 5
 
 
 # -- assembly -----------------------------------------------------------------
@@ -148,7 +163,8 @@ def test_assembly_row_content_matches_layout():
     prompt = assemble_prompt(w.pool, sel, pairs, qrows, w.y_mask,
                              w.scorer.emb, w.vocab)
     _, label, ex_block = pairs[0]
-    label_rows = w.scorer.emb[list(w.vocab.padded(label))]
+    padded = tuple(w.vocab.token_ids[label].tolist())  # the oracle pads on its own
+    label_rows = w.scorer.emb[list(padded)]
     expect = np.concatenate([
         w.pool.prompts[5], ex_block, label_rows,  # context segment (entry 5)
         w.pool.prompts[2], qrows, w.y_mask,       # query segment (entry 2)
@@ -156,7 +172,7 @@ def test_assembly_row_content_matches_layout():
     assert np.array_equal(prompt.rows, expect)
     seg = prompt.segments[0]
     assert seg.entry_index == 5 and not seg.is_query
-    assert seg.label_tokens == w.vocab.padded(label)
+    assert seg.label_tokens == padded
     assert prompt.mask_positions == [prompt.n_rows - 2, prompt.n_rows - 1]
 
 
@@ -317,8 +333,7 @@ def test_rank_matches_brute_force_over_random_cases():
         ranked = rank_predicates(dist, vocab)
 
         expect = []
-        for p in sorted(vocab.tokens):
-            toks = vocab.tokens[p]
+        for p, toks in enumerate(vocab.tokens):
             s = sum(math.log(dist[j, t]) for j, t in enumerate(toks)) / len(toks)
             expect.append((p, s))
         expect.sort(key=lambda item: (-item[1], item[0]))
@@ -334,6 +349,22 @@ def test_rank_candidate_filter_and_tie_break():
     assert [p for p, _ in ranked] == [0, 1, 2, 3]  # exact ties: label id order
     subset = rank_predicates(uniform, vocab, candidates=[3, 1])
     assert [p for p, _ in subset] == [1, 3]
+
+
+def test_rank_unsorted_candidates_equal_the_oracle():
+    rng = SeededRng(13)
+    vocab = build_vocab({p: " ".join(f"w{p}_{i}" for i in range(1 + p % 3)) for p in range(6)})
+    for _ in range(5):
+        dist = np.stack([softmax(row) for row in rng.normal((vocab.n_mask,
+                                                              vocab.n_word_tokens))])
+        assert rank_predicates(dist, vocab, candidates=[4, 0, 2]) == ref.rank_predicates(
+            dist, vocab, candidates=[4, 0, 2])
+
+
+@pytest.mark.parametrize("bad", [4, -1])  # 4 predicates: ids 0..3
+def test_rank_refuses_out_of_range_candidates(bad):
+    with pytest.raises(ValueError, match=f"predicate {bad} has no tokens"):
+        rank_predicates(np.full((1, 5), 0.2), default_vocab(4), candidates=[0, bad])
 
 
 def test_rank_validates_distribution_shape():

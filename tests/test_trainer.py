@@ -364,6 +364,30 @@ def test_train_stage_rejects_empty_split():
         train_stage(empty, w.pool, w.tr, w.vocab, w.config, AdamW(), SeededRng(11))
 
 
+@pytest.mark.parametrize("bad", [4, -1])  # 4 predicates: ids 0..3
+def test_out_of_range_target_raises(bad):
+    w = TinyWorld()
+    items = [Item(w.instance(predicate=p), replay=False) for p in (0, bad, 2)]
+    with pytest.raises(ValueError, match=f"predicate {bad} has no tokens"):
+        batch_loss_and_grads(items, w.pool, w.tr, w.vocab, w.config)
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_out_of_range_stored_label_raises(bad):
+    # every store holds the label, so every context segment shows it, in
+    # training and at inference
+    w = TinyWorld()
+    for e in range(w.pool.n_t):
+        w.fill_store(e, 2)
+    w.pool.store_labels[:, :2] = bad
+    items = [Item(w.instance(predicate=p), replay=False) for p in range(3)]
+    with pytest.raises(ValueError, match=f"predicate {bad} has no tokens"):
+        batch_loss_and_grads(items, w.pool, w.tr, w.vocab, w.config)
+    with pytest.raises(ValueError, match=f"predicate {bad} has no tokens"):
+        predict_ranked(table_of([it.source for it in items]), w.pool, w.tr, w.vocab,
+                       w.config)
+
+
 @pytest.mark.parametrize("kind,row", [("r", [0.0] * 5), ("r", [1.0, np.nan, 0, 0, 0]),
                                       ("r", [np.inf, 0, 0, 0, 0]), ("c", [0.0] * 6),
                                       ("c", [np.nan] + [1.0] * 5)])
