@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -11,7 +12,7 @@ import numpy as np
 from .datastream import (SynthConfig, load_embeddings, make_schedule, save_embeddings,
                          synth_generate)
 from .harness import (ABLATION_SUITE, ExperimentConfig, load_comparison_csv,
-                      load_config_file, run_ablation_suite, run_experiment)
+                      load_config_file, preset_config, run_ablation_suite, run_experiment)
 from .metrics import load_gt, load_predictions, m_at_k, recall_at_ks, score_wtd, weighted_map
 from .rng import SeededRng
 from .scorer import default_vocab, save_vocab
@@ -22,10 +23,7 @@ def _add_seed(p, default=0):
 
 
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(n_pred=args.n_pred, n_groups=args.n_groups, n_obj=args.n_obj,
-                      d_c=args.d_c, d_r=args.d_r, d_o=args.d_o, sigma=args.sigma,
-                      zipf_s=args.zipf, total_n=args.total_n,
-                      pairs_per_image=args.pairs_per_image)
+    cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)})
     rng = SeededRng(args.seed)
     dataset, _ = synth_generate(cfg, rng.derive("data"))
     save_embeddings(dataset, args.out, n_obj=cfg.n_obj, n_pred=cfg.n_pred)
@@ -48,18 +46,13 @@ def _cmd_split(args) -> int:
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
-    if args.config:
-        config = load_config_file(args.config)
-    else:
-        config = ExperimentConfig()
-    if args.preset:
-        from .harness import preset_config
-        config = preset_config(config, args.preset)
-    return config
+    return load_config_file(args.config) if args.config else ExperimentConfig()
 
 
 def _cmd_train(args) -> int:
     config = _load_experiment_config(args)
+    if args.preset:
+        config = preset_config(config, args.preset)
     seed = args.seed if args.seed is not None else config.seeds[0]
     run_dir = os.path.join(args.out, f"run_seed{seed}")
     bundle = run_experiment(config, seed=seed, run_dir=run_dir)
@@ -125,16 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic embedding dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-out", default=None)
-    p.add_argument("--n-pred", type=int, default=50)
-    p.add_argument("--n-groups", type=int, default=5)
-    p.add_argument("--n-obj", type=int, default=20)
-    p.add_argument("--d-c", type=int, default=64)
-    p.add_argument("--d-r", type=int, default=64)
-    p.add_argument("--d-o", type=int, default=32)
-    p.add_argument("--sigma", type=float, default=0.35)
-    p.add_argument("--zipf", type=float, default=0.8)
-    p.add_argument("--total-n", type=int, default=10000)
-    p.add_argument("--pairs-per-image", type=int, default=4)
+    synth = SynthConfig()
+    for f in dataclasses.fields(SynthConfig):  # one flag per field, defaulting to it
+        flag = "--zipf" if f.name == "zipf_s" else "--" + f.name.replace("_", "-")
+        default = getattr(synth, f.name)
+        p.add_argument(flag, dest=f.name, type=type(default), default=default)
     _add_seed(p)
     p.set_defaults(func=_cmd_synth)
 
@@ -161,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmap", action="store_true", help="also compute weighted mAP")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the ablation suite")
+    # no abbreviations: "--preset" would silently read as "--presets"
+    p = sub.add_parser("ablate", help="run the ablation suite", allow_abbrev=False)
     p.add_argument("--config", default=None)
-    p.add_argument("--preset", default=None, help=argparse.SUPPRESS)
     p.add_argument("--presets", default=None, help="comma-separated preset names")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None,

@@ -9,17 +9,19 @@ train/val/test splits are :class:`Rows`, row numbers into that one table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .ioutil import data_lines, format_float, parse_int64
-from .metrics import box_column, positions_in_runs
+from .ioutil import array_record, data_lines, exact_ints, parse_int64, read_array
+from .metrics import positions_in_runs
 from .rng import SeededRng, _mix64_block
 from .numerics import random_unit_vector
 
 EMB_MAGIC = "LSGG-EMB"
-EMB_VERSION = 1
+EMB_VERSION = 2
+_EMB_COLUMNS = ("image", "subj", "obj", "pred", "conf")
+_EMB_KINDS = ("c", "r", "s", "o")
+_EMB_ARRAYS = (*_EMB_COLUMNS, "boxes", *(f"f.{kind}" for kind in _EMB_KINDS))
 
 
 @dataclass(eq=False)
@@ -139,8 +141,8 @@ def make_stage_datasets(data, stage: np.ndarray, split_fractions=(0.7, 0.1, 0.2)
     of whole images. Quota boundaries are rounded from the fractions, so
     split sizes stay within one row of exact proportion.
     """
-    fr = tuple(float(f) for f in split_fractions)
-    if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+    fr = np.asarray(split_fractions, dtype=np.float64)
+    if fr.shape != (3,) or np.any(fr <= 0) or abs(fr.sum() - 1.0) > 1e-9:
         raise ValueError(f"split fractions must be three positives summing to 1, got {fr}")
 
     if len(data) and (data.pred.min() < 0 or data.pred.max() >= len(stage)):
@@ -249,118 +251,105 @@ def synth_generate(config: SynthConfig, rng: SeededRng):
     return table, group_of_class
 
 
-# -- LSGG-EMB v1 text format -------------------------------------------------
-#
-# header:  LSGG-EMB 1 <d_c> <d_r> <d_o> <n_obj> <n_pred>
-# record:  image_id subj_class obj_class pred_class has_boxes[0|1]
-#          (8 box floats if 1) confidence f_c... f_r... f_s... f_o...
-# confidence is '-' when absent; '#' lines are comments.
+# -- LSGG-EMB 2 ---------------------------------------------------------------
+# A header line "LSGG-EMB 2 <n_obj> <n_pred>", then ioutil's bit-exact array
+# records, one row per relation instance: image, subj, obj, pred and conf (NaN
+# where absent); boxes (n, 8), only when the table has a box column; then f.c,
+# f.r, f.s and f.o, whose shapes carry the feature widths.
 
 
 def save_embeddings(data, path, n_obj: int | None = None, n_pred: int | None = None) -> None:
-    """Write a dataset in LSGG-EMB v1; floats at full round-trip precision."""
-    d_c, d_r, d_o = (data.feats[kind].shape[1] for kind in ("c", "r", "o"))
+    """Write a dataset in LSGG-EMB 2; every column round-trips bit-exactly."""
     if n_obj is None:
         n_obj = int(max(data.subj.max(initial=0), data.obj.max(initial=0))) + 1
     if n_pred is None:
         n_pred = int(data.pred.max(initial=0)) + 1
-    ids = np.stack([data.image, data.subj, data.obj, data.pred], axis=1).tolist()
-    boxes = [None] * len(data) if data.boxes is None else data.boxes.tolist()
-    confs = data.conf.tolist()
-    floats = np.concatenate([data.feats[kind] for kind in ("c", "r", "s", "o")], axis=1)
     with open(path, "w") as fh:
-        fh.write(f"{EMB_MAGIC} {EMB_VERSION} {d_c} {d_r} {d_o} {n_obj} {n_pred}\n")
-        for i, row in enumerate(floats.tolist()):
-            parts = [str(v) for v in ids[i]]
-            if boxes[i] is None or math.isnan(boxes[i][0]):
-                parts.append("0")
-            else:
-                parts.append("1")
-                parts.extend(map(format_float, boxes[i]))
-            parts.append("-" if math.isnan(confs[i]) else format_float(confs[i]))
-            parts.extend(map(format_float, row))
-            fh.write(" ".join(parts) + "\n")
+        fh.write(f"{EMB_MAGIC} {EMB_VERSION} {n_obj} {n_pred}\n")
+        for name in _EMB_COLUMNS:
+            fh.write(array_record(name, getattr(data, name)))
+        if data.boxes is not None:
+            fh.write(array_record("boxes", data.boxes))
+        for kind in _EMB_KINDS:
+            fh.write(array_record(f"f.{kind}", data.feats[kind]))
 
 
 class EmbeddingFormatError(ValueError):
     pass
 
 
-def _parse_floats(tokens, n, lineno, what):
-    if len(tokens) < n:
-        raise EmbeddingFormatError(f"line {lineno}: expected {n} floats for {what}, found {len(tokens)}")
-    try:
-        vals = [float(tok) for tok in tokens[:n]]
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"line {lineno}: bad float in {what}: {exc}") from None
-    if not np.all(np.isfinite(vals)):
-        raise EmbeddingFormatError(f"line {lineno}: non-finite value in {what}")
-    return vals, tokens[n:]
-
-
 def load_embeddings(path):
-    """Parse an LSGG-EMB v1 file into (table, n_obj, n_pred), the header's
-    class counts with the table; errors carry the offending line number."""
-    lines = data_lines(path)
-    head_no, head_text = next(lines, (None, None))
-    if head_no is None:
-        raise EmbeddingFormatError("missing header line")
-    head = head_text.split()
-    if len(head) != 7 or head[0] != EMB_MAGIC or head[1] != str(EMB_VERSION):
-        raise EmbeddingFormatError(f"line {head_no}: bad header {head_text!r}")
+    """Read an LSGG-EMB 2 file into (table, n_obj, n_pred), the header's class
+    counts with the table. Any fault raises EmbeddingFormatError, naming its
+    line, or for a bad value its first row (counted from 0)."""
     try:
-        dims = [parse_int64(tok) for tok in head[2:]]
+        return _read_embeddings(path)
     except ValueError as exc:
-        raise EmbeddingFormatError(f"line {head_no}: bad header field: {exc}") from None
-    if min(dims) < 1:
-        raise EmbeddingFormatError(f"line {head_no}: header dimensions must be >= 1")
-    d_c, d_r, d_o, n_obj, n_pred = dims
+        raise EmbeddingFormatError(str(exc)) from None
 
-    ids, boxes, confs = [], [], []
-    feats = {"c": [], "r": [], "s": [], "o": []}
-    widths = {"c": d_c, "r": d_r, "s": d_o, "o": d_o}
+
+def _refuse_rows(bad: np.ndarray, what: str) -> None:
+    """ValueError naming the first row where ``bad`` holds, if any."""
+    rows = np.flatnonzero(bad)
+    if len(rows):
+        raise ValueError(f"row {rows[0]}: {what}")
+
+
+def _read_embeddings(path):
+    lines = data_lines(path)
+    head_no, head = next(lines, (1, ""))
+    toks = head.split()
+    version = toks[1] if toks[:1] == [EMB_MAGIC] and len(toks) > 1 else None
+    if version not in (None, str(EMB_VERSION)):
+        raise ValueError(f"line {head_no}: {EMB_MAGIC} version {version} is not read; "
+                         f"this reader takes version {EMB_VERSION}")
+    try:
+        if version is None or len(toks) != 4:
+            raise ValueError(f"expected '{EMB_MAGIC} {EMB_VERSION} <n_obj> <n_pred>'")
+        n_obj, n_pred = (parse_int64(tok) for tok in toks[2:])
+        if min(n_obj, n_pred) < 1:
+            raise ValueError("class counts must be >= 1")
+    except ValueError as exc:
+        raise ValueError(f"line {head_no}: bad header {head!r}: {exc}") from None
+    arrays = {}
     for lineno, text in lines:
-        toks = text.split()
-        if len(toks) < 5:
-            raise EmbeddingFormatError(f"line {lineno}: truncated record")
-        try:
-            image_id, subj, obj, pred = (parse_int64(tok) for tok in toks[:4])
-        except ValueError as exc:
-            raise EmbeddingFormatError(f"line {lineno}: bad id field: {exc}") from None
-        if not 0 <= subj < n_obj or not 0 <= obj < n_obj:
-            raise EmbeddingFormatError(f"line {lineno}: object class outside declared range")
-        if not 0 <= pred < n_pred:
-            raise EmbeddingFormatError(f"line {lineno}: predicate outside declared range")
-        has_boxes = toks[4]
-        rest = toks[5:]
-        box = None
-        if has_boxes == "1":
-            flat, rest = _parse_floats(rest, 8, lineno, "boxes")
-            box = (flat[:4], flat[4:])
-            if not all(b[0] < b[2] and b[1] < b[3] for b in box):
-                raise EmbeddingFormatError(f"line {lineno}: degenerate box {box}")
-        elif has_boxes != "0":
-            raise EmbeddingFormatError(f"line {lineno}: has_boxes must be 0 or 1, got {has_boxes!r}")
-        if not rest:
-            raise EmbeddingFormatError(f"line {lineno}: missing confidence field")
-        conf_tok, rest = rest[0], rest[1:]
-        conf = np.nan
-        if conf_tok != "-":
-            (conf,), _ = _parse_floats([conf_tok], 1, lineno, "confidence")
-            if not 0.0 <= conf <= 1.0:
-                raise EmbeddingFormatError(f"line {lineno}: confidence {conf} outside [0,1]")
-        for kind, rows in feats.items():
-            vals, rest = _parse_floats(rest, widths[kind], lineno, f"f_{kind}")
-            rows.append(vals)
-        if rest:
-            raise EmbeddingFormatError(f"line {lineno}: {len(rest)} unexpected trailing fields")
-        ids.append((image_id, subj, obj, pred))
-        boxes.append(box)
-        confs.append(conf)
+        tag, _, rest = text.partition(" ")
+        if tag != "array" or read_array(arrays, lineno, rest) not in _EMB_ARRAYS:
+            raise ValueError(f"line {lineno}: unknown record {' '.join(text.split()[:2])!r}")
+    missing = [name for name in _EMB_ARRAYS if name != "boxes" and name not in arrays]
+    if missing:
+        raise ValueError(f"no array record {missing[0]!r}")
 
-    image, subj, obj, pred = np.array(ids, dtype=np.int64).reshape(-1, 4).T
-    table = relation_table(image, subj, obj, pred,
-                           {kind: np.array(rows, dtype=np.float64).reshape(-1, widths[kind])
-                            for kind, rows in feats.items()},
-                           np.array(confs, dtype=np.float64), box_column(boxes))
+    n = len(arrays["pred"])
+    feats = {kind: arrays[f"f.{kind}"] for kind in _EMB_KINDS}
+    if not (all(arrays[name].shape == (n,) for name in _EMB_COLUMNS)
+            and all(f.ndim == 2 and len(f) == n for f in feats.values())
+            and ("boxes" not in arrays or arrays["boxes"].shape == (n, 8))):
+        raise ValueError("shapes do not give one row per instance: "
+                         + ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items()))
+    if min(f.shape[1] for f in feats.values()) < 1 or feats["s"].shape != feats["o"].shape:
+        raise ValueError("feature widths must be >= 1, and f.s's equal f.o's: "
+                         + ", ".join(f"f.{kind} {f.shape[1]}" for kind, f in feats.items()))
+    ids = {}
+    for name in _EMB_COLUMNS[:4]:
+        try:
+            ids[name] = exact_ints(arrays[name])
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    subj, obj, pred = ids["subj"], ids["obj"], ids["pred"]
+    _refuse_rows((subj < 0) | (subj >= n_obj) | (obj < 0) | (obj >= n_obj),
+                 f"object class outside 0..{n_obj - 1}")
+    _refuse_rows((pred < 0) | (pred >= n_pred), f"predicate outside 0..{n_pred - 1}")
+    for kind, f in feats.items():
+        _refuse_rows(~np.isfinite(f).all(axis=1), f"non-finite value in f.{kind}")
+    conf = arrays["conf"]
+    _refuse_rows(~(np.isnan(conf) | ((conf >= 0) & (conf <= 1))), "confidence outside [0, 1]")
+    boxes = arrays.get("boxes")
+    if boxes is not None:
+        absent = np.isnan(boxes).all(axis=1)
+        _refuse_rows(~absent & ~np.isfinite(boxes).all(axis=1), "box row neither finite nor all NaN")
+        corners = boxes.reshape(-1, 2, 2, 2)  # (row, box, corner, x|y)
+        _refuse_rows(~absent & ~(corners[:, :, 0] < corners[:, :, 1]).all(axis=(1, 2)),
+                     "degenerate box")
+    table = relation_table(ids["image"], subj, obj, pred, feats, conf, boxes)
     return table, n_obj, n_pred

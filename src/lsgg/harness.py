@@ -392,7 +392,7 @@ def write_run_files(bundle: ResultsBundle, run_dir, tr, pool, vocab, final_dump)
         "config": bundle.config_echo,
         "seed": bundle.seed,
         "package_version": __version__,
-        "file_formats": {"embeddings": 1, "pool": 2, "checkpoint": 2},
+        "file_formats": {"embeddings": 2, "pool": 2, "checkpoint": 2},
     }
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -79,9 +79,9 @@ def test_train_runs_the_predicates_the_header_declares(tmp_path, capsys):
     # the header and the vocabulary declare 8 predicates; the records of the
     # last one are dropped, so the largest id present is 6
     data, vocab = synth_with_vocab(tmp_path, n_pred=8, total_n=200)
-    head, *records = data.read_text().splitlines(keepends=True)
+    table, n_obj, n_pred = load_embeddings(data)
     kept = tmp_path / "no7.emb"
-    kept.write_text(head + "".join(r for r in records if r.split()[3] != "7"))
+    save_embeddings(table.take(np.flatnonzero(table.pred != 7)), kept, n_obj=n_obj, n_pred=n_pred)
     assert load_embeddings(kept)[0].pred.max() == 6
     cfg = tmp_path / "run.cfg"
     write_tiny_config(cfg)
@@ -97,8 +97,9 @@ def test_train_runs_the_predicates_the_header_declares(tmp_path, capsys):
 
 def test_a_file_with_no_records_splits_and_is_refused_by_training(tmp_path):
     data, vocab = synth_with_vocab(tmp_path, n_pred=8, total_n=60)
+    table, n_obj, n_pred = load_embeddings(data)
     empty = tmp_path / "empty.emb"
-    empty.write_text(data.read_text().splitlines(keepends=True)[0])
+    save_embeddings(table.take(slice(0, 0)), empty, n_obj=n_obj, n_pred=n_pred)
     sched = tmp_path / "schedule.txt"
     for mode in ("random", "frequency"):
         assert main(["split", "--dataset", str(empty), "--out", str(sched), "--stages", "2",
@@ -153,6 +154,25 @@ def test_ablate_and_report_commands(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "config" in stdout and "w/o-inc" in stdout
+
+
+def test_synth_defaults_are_the_synth_config_defaults(tmp_path, capsys):
+    out = tmp_path / "cli.emb"
+    assert main(["synth", "--out", str(out), "--seed", "0"]) == 0
+    want = tmp_path / "want.emb"
+    cfg = SynthConfig()
+    save_embeddings(synth_generate(cfg, SeededRng(0).derive("data"))[0], want,
+                    n_obj=cfg.n_obj, n_pred=cfg.n_pred)
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_ablate_has_no_preset_flag(tmp_path, capsys):
+    # a preset is a config file's setting; --preset must not pass as an
+    # abbreviation of --presets either
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--out", str(tmp_path / "suite"), "--preset", "wo_kap"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --preset wo_kap" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommand():

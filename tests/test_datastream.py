@@ -6,8 +6,8 @@ import pytest
 
 from lsgg.datastream import (EmbeddingFormatError, Rows, StageDataset, SynthConfig,
                              load_embeddings, make_schedule, make_stage_datasets,
-                             save_embeddings, split_by_frequency, split_random,
-                             synth_generate, zipf_counts)
+                             relation_table, save_embeddings, split_by_frequency,
+                             split_random, synth_generate, zipf_counts)
 from lsgg.rng import SeededRng
 
 from conftest import random_instance
@@ -301,65 +301,99 @@ def test_embeddings_empty_round_trip(tmp_path):
     empty = synth_generate(cfg, SeededRng(5))[0].take(slice(0, 0))
     path = tmp_path / "empty.txt"
     save_embeddings(empty, path)
-    assert path.read_text() == "LSGG-EMB 1 7 6 4 1 1\n"
+    assert path.read_text().splitlines()[0] == "LSGG-EMB 2 1 1"
     back, n_obj, n_pred = load_embeddings(path)
     assert len(back) == 0 and columns_equal(back, empty) and (n_obj, n_pred) == (1, 1)
+    assert {kind: f.shape for kind, f in back.feats.items()} == {
+        "c": (0, 7), "r": (0, 6), "s": (0, 4), "o": (0, 4)}
+
+
+def small_table(n=3, seed=6):
+    """An n-row table of 3-class ids and feature widths 3, 2, 2, 2."""
+    cfg = SynthConfig(n_pred=3, n_groups=1, n_obj=3, d_c=3, d_r=2, d_o=2, total_n=n)
+    return synth_generate(cfg, SeededRng(seed))[0]
+
+
+def refused(table, path, match, **counts):
+    """Save ``table`` and require the loader to refuse it, message matching."""
+    save_embeddings(table, path, **counts)
+    with pytest.raises(EmbeddingFormatError, match=match):
+        load_embeddings(path)
 
 
 def test_embeddings_reject_malformed(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("NOT-A-HEADER 1 2 3 4 5 6\n")
-    with pytest.raises(EmbeddingFormatError):
+    for header in ("NOT-A-HEADER 2 3 3", "LSGG-EMB 2 3", "LSGG-EMB 2 3 3 3", "LSGG-EMB 2 x 3"):
+        path.write_text(f"{header}\n")
+        with pytest.raises(EmbeddingFormatError, match="line 1: bad header"):
+            load_embeddings(path)
+    # version 1's per-token text records are not read
+    path.write_text("LSGG-EMB 1 1 1 1 2 2\n0 0 1 1 0 - 0.1 0.2 0.3 0.4\n")
+    with pytest.raises(EmbeddingFormatError, match="line 1: LSGG-EMB version 1 is not read"):
         load_embeddings(path)
 
-    rng = SeededRng(6)
-    good = random_instance(rng, d_c=3, d_r=2, d_o=2, predicate=0)
-    save_embeddings(table_of([good]), path)
+    # shapes that do not give one row per instance
+    for column in ("image", "pred", "conf"):
+        table = small_table()
+        setattr(table, column, getattr(table, column)[:-1])
+        refused(table, path, rf"one row per instance: .*{column} \(2,\)", n_obj=3, n_pred=3)
+    table = small_table()
+    table.feats["r"] = table.feats["r"][:-1]
+    refused(table, path, r"one row per instance: .*f\.r \(2, 2\)", n_obj=3, n_pred=3)
+    table = small_table()
+    table.boxes = np.full((3, 4), np.nan)
+    refused(table, path, r"one row per instance: .*boxes \(3, 4\)", n_obj=3, n_pred=3)
+
+    # a missing record, named
+    save_embeddings(small_table(), path)
     lines = path.read_text().splitlines()
-    # drop one float from the record: dimension mismatch at line 2
-    lines[1] = " ".join(lines[1].split()[:-1])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(EmbeddingFormatError) as err:
-        load_embeddings(path)
-    assert "line 2" in str(err.value)
+    for name in ("image", "conf", "f.o"):
+        path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"array {name} ")))
+        with pytest.raises(EmbeddingFormatError, match=f"no array record '{name}'"):
+            load_embeddings(path)
 
 
 def test_embeddings_reject_header_dimensions_below_one(tmp_path):
-    # a zero width would load records with empty features, and zero classes
-    # admit no record
+    # zero classes admit no record, and a zero width would load records with
+    # empty features
     path = tmp_path / "dims.txt"
-    for header in ("LSGG-EMB 1 0 0 0 3 3", "LSGG-EMB 1 2 2 0 3 3", "LSGG-EMB 1 2 2 2 0 3",
-                   "LSGG-EMB 1 2 2 2 3 -1", f"LSGG-EMB 1 2 2 2 3 {2**64}"):
+    for header in ("LSGG-EMB 2 0 3", "LSGG-EMB 2 3 0", "LSGG-EMB 2 3 -1",
+                   f"LSGG-EMB 2 3 {2**64}"):
         path.write_text(f"# comment\n{header}\n")
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_embeddings(path)
+    for kind in ("c", "s"):
+        table = small_table()
+        table.feats[kind] = table.feats[kind][:, :0]
+        refused(table, path, rf"widths must be >= 1.*f\.{kind} 0", n_obj=3, n_pred=3)
+    # the object widths must agree
+    table = small_table()
+    table.feats["o"] = np.ones((3, 3))
+    refused(table, path, r"f\.s's equal f\.o's.*f\.s 2, f\.o 3", n_obj=3, n_pred=3)
 
 
-def test_embeddings_reject_ids_outside_64_bits(tmp_path):
-    # an image id int64 columns cannot hold is refused where it is read,
-    # not later where the ground truth is built
+def test_embeddings_reject_ids_at_2_53(tmp_path):
+    # an array record holds integers exactly below 2**53 in magnitude, so
+    # the loader refuses any other id rather than round it
     path = tmp_path / "ids.txt"
-    record = "0 0 0 0 - 0.5 0.5 0.25 0.25"  # subj obj pred, no boxes, no conf
-    for image_id in (2**63, -(2**63) - 1, 10**30):
-        path.write_text(f"LSGG-EMB 1 1 1 1 1 1\n0 {record}\n{image_id} {record}\n")
-        with pytest.raises(EmbeddingFormatError, match="line 3.*64 bits"):
-            load_embeddings(path)
-    for image_id in (2**63 - 1, -(2**63)):
-        path.write_text(f"LSGG-EMB 1 1 1 1 1 1\n{image_id} {record}\n")
-        assert load_embeddings(path)[0].image.tolist() == [image_id]
+    table = small_table(n=2)
+    for image_id in (2**53, -(2**53), 1e30, 0.5, np.nan):
+        image = np.array([0, image_id], dtype=np.float64)
+        refused(relation_table(image, table.subj, table.obj, table.pred, table.feats,
+                               table.conf), path, "image: .*below 2\\*\\*53", n_obj=3, n_pred=3)
+    for image_id in (2**53 - 1, -(2**53 - 1)):
+        image = np.array([image_id, 0], dtype=np.int64)
+        save_embeddings(relation_table(image, table.subj, table.obj, table.pred, table.feats,
+                                       table.conf), path, n_obj=3, n_pred=3)
+        assert load_embeddings(path)[0].image.tolist() == [image_id, 0]
 
 
 def test_embeddings_reject_nonfinite(tmp_path):
-    rng = SeededRng(7)
-    inst = random_instance(rng, d_c=3, d_r=2, d_o=2)
     path = tmp_path / "nan.txt"
-    save_embeddings(table_of([inst]), path)
-    text = path.read_text()
-    token = repr(float(inst.f_c[0]))
-    path.write_text(text.replace(token, "nan", 1))
-    with pytest.raises(EmbeddingFormatError) as err:
-        load_embeddings(path)
-    assert "line 2" in str(err.value)
+    for kind, value in (("c", np.nan), ("r", np.inf), ("o", -np.inf)):
+        table = small_table()
+        table.feats[kind][1, 0] = value
+        refused(table, path, rf"row 1: non-finite value in f\.{kind}", n_obj=3, n_pred=3)
 
 
 def test_embeddings_comments_and_blank_lines(tmp_path):
@@ -375,22 +409,33 @@ def test_embeddings_comments_and_blank_lines(tmp_path):
 
 
 def test_instance_validation(tmp_path):
-    # the loader refuses a degenerate box or a confidence outside [0, 1],
-    # with the line number
+    # the loader refuses a class outside the header's counts, a degenerate
+    # box, a box row neither finite nor all NaN, or a confidence outside
+    # [0, 1], naming the first bad row
     rng = SeededRng(9)
     path = tmp_path / "inst.txt"
     good = random_instance(rng, boxes=((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)))
     good.confidence = 1.0
     save_embeddings(table_of([good]), path)
     assert len(load_embeddings(path)[0]) == 1
-    for boxes, conf in ((((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 3.0)), None),
-                        (((0.0, 1.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)), None),
-                        (None, 1.5), (None, -0.25)):
+    for boxes, conf, match in (
+            (((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 3.0)), None, "degenerate box"),
+            (((0.0, 1.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)), None, "degenerate box"),
+            (None, 1.5, "confidence outside"), (None, -0.25, "confidence outside"),
+            (None, np.inf, "confidence outside")):
         bad = random_instance(rng, boxes=boxes)
         bad.confidence = conf
-        save_embeddings(table_of([good, bad]), path)
-        with pytest.raises(EmbeddingFormatError, match="line 3"):
-            load_embeddings(path)
+        refused(table_of([good, bad]), path, f"row 1: {match}")
+    for cell, value in ((2, np.nan), (0, np.nan), (7, np.inf)):
+        table = table_of([good, good])
+        table.boxes[1, cell] = value
+        refused(table, path, "row 1: box row neither finite nor all NaN")
+    for column, value, match in (("subj", 5, "object class outside 0..4"),
+                                 ("obj", -1, "object class outside 0..4"),
+                                 ("pred", 2, "predicate outside 0..1")):
+        table = table_of([good, good, good])
+        getattr(table, column)[1:] = value
+        refused(table, path, f"row 1: {match}", n_obj=5, n_pred=2)
 
 
 def test_stage_dataset_shape():
