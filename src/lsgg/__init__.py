@@ -19,7 +19,7 @@ from .trainer import (AdamW, TrainConfig, TrainableSet, init_y_mask,
 from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable,
                       forgetting_measure, m_at_k, mean_recall_at_k, recall_at_k,
                       recall_at_ks, score_wtd, weighted_map)
-from .harness import (ExperimentConfig, ResultsBundle, preset_config, report,
-                      run_ablation_suite, run_experiment)
+from .harness import (ExperimentConfig, ResultsBundle, RunState, preset_config, report,
+                      run_ablation_suite, run_experiment, run_stage, start_run)
 
 use_one_blas_thread()  # run files and CPU time must not follow the host's cores

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .datastream import (Rows, SynthConfig, load_embeddings, make_schedule,
+from .datastream import (RelationTable, Rows, SynthConfig, load_embeddings, make_schedule,
                          make_stage_datasets, synth_generate)
 from .ioutil import data_lines, format_float, put_once
 from .metrics import (AccuracyMatrix, GTTable, MetricReport, PredTable, forgetting_measure,
@@ -30,7 +30,7 @@ from .metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .numerics import blas_summary
 from .prompt_pool import init_pool, serialize_pool
 from .rng import SeededRng
-from .scorer import default_vocab, init_scorer, load_vocab, save_vocab
+from .scorer import PredicateVocab, default_vocab, init_scorer, load_vocab, save_vocab
 from .token_mapper import init_mapper
 from .trainer import (AdamW, TrainConfig, TrainableSet, init_y_mask, predict_ranked,
                       save_checkpoint, stage_quota, train_stage)
@@ -248,14 +248,29 @@ def _ranked_dump(preds: PredTable) -> PredTable:
     return replace(_take(preds, order), rank=ranks)
 
 
-def run_experiment(config: ExperimentConfig, seed: int | None = None,
-                   run_dir: str | None = None) -> ResultsBundle:
-    """One full staged run for one seed.
+@dataclass
+class RunState:
+    """A staged run between stages: ``start_run`` builds it and each
+    ``run_stage`` advances it by one stage."""
 
-    Asserted on every run: stage isolation (a stage's train split is
-    discarded the moment its stage completes), pool capacity, and exact M@K
-    arithmetic.
-    """
+    config: ExperimentConfig
+    seed: int
+    dataset: RelationTable
+    vocab: PredicateVocab
+    schedule: np.ndarray  # predicate -> the stage it arrives in
+    stages: list  # StageDataset per stage; a run stage's train split is None
+    tr: TrainableSet  # tr.pool is the prompt pool
+    opt: AdamW
+    quota: int  # admissions per stage
+    eval_rng: SeededRng  # the random ablations' inference stream, across stages
+    matrices: dict  # K -> AccuracyMatrix of mR@K
+    reports: list = field(default_factory=list)  # one per run stage
+    stage_seconds: list = field(default_factory=list)
+    final_dump: tuple | None = None  # the last run stage's (predictions, GT) over all tasks
+
+
+def start_run(config: ExperimentConfig, seed: int | None = None) -> RunState:
+    """The run for ``seed`` (default: the config's first) before its first stage."""
     config.validate()
     if seed is None:
         seed = config.seeds[0]
@@ -293,64 +308,73 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None,
                          rng.derive("scorer"))
     scorer.trainable = config.train_scorer
     y_mask = init_y_mask(vocab.n_mask, config.d_tok, rng.derive("mask"))
-    tr = TrainableSet(mapper=mapper, pool=pool, y_mask=y_mask, scorer=scorer)
-    opt = AdamW()
-    quota = stage_quota(pool, config.n_stages)
+    return RunState(config, seed, dataset, vocab, schedule, stages,
+                    TrainableSet(mapper=mapper, pool=pool, y_mask=y_mask, scorer=scorer),
+                    AdamW(), stage_quota(pool, config.n_stages), rng.derive("eval"),
+                    {k: AccuracyMatrix(config.n_stages) for k in config.eval_ks})
 
-    matrices = {k: AccuracyMatrix(config.n_stages) for k in config.eval_ks}
-    reports, stage_seconds = [], []
-    eval_rng = rng.derive("eval")
 
+def run_stage(state: RunState, t: int) -> None:
+    """Train stage ``t`` and evaluate every arrived task; ValueError unless it
+    is the next stage. Asserts stage isolation, pool capacity and exact M@K."""
+    config, stages, pool = state.config, state.stages, state.tr.pool
+    if t != len(state.reports) or t >= config.n_stages:
+        raise ValueError(f"stage {t} is not the next of {config.n_stages} to run")
+    t0 = time.perf_counter()
+    train_stage(stages[t], pool, state.tr, state.vocab, config.train, state.opt,
+                SeededRng(state.seed).derive("stage", t), state.quota)
+    stages[t] = replace(stages[t], train=None)  # stage isolation: never re-read
+    pool.check_invariants()
+
+    # every arrived task's test split in one call; task j's rows follow
+    # those of the tasks before it
+    sizes = [len(stages[j].test) for j in range(t + 1)]
+    arrived = Rows(state.dataset, np.concatenate([stages[j].test.index for j in range(t + 1)]))
+    union_gt = _gt_table(arrived)
+    ranked = predict_ranked(arrived, pool, state.tr, state.vocab, config.train,
+                            candidates=np.flatnonzero(state.schedule <= t),
+                            ab_rng=state.eval_rng)
+    preds = PredTable(image=union_gt.image, rank=None, subj=union_gt.subj,
+                      pred=ranked.labels[:, 0], obj=union_gt.obj,
+                      conf=np.exp(ranked.scores[:, 0]), gt_id=union_gt.gt_id,
+                      has_id=np.ones(len(union_gt), dtype=bool))
+    for j, end in enumerate(np.cumsum(sizes)):
+        task = slice(end - sizes[j], end)
+        for k, (_, mr_k) in recall_at_ks(_ranked_dump(_take(preds, task)),
+                                         _take(union_gt, task), config.eval_ks,
+                                         mode="ids").items():
+            state.matrices[k].set(t, j, mr_k)
+
+    # a task's ranks hold within the task; an image spans several tasks
+    union_preds = _ranked_dump(preds)
+    union = recall_at_ks(union_preds, union_gt, config.eval_ks, mode="ids")
+    r = {k: union[k][0] for k in config.eval_ks}
+    mr = {k: union[k][1] for k in config.eval_ks}
+    m = {k: m_at_k(r[k], mr[k]) for k in config.eval_ks}
+    wmap = weighted_map(union_preds, union_gt, mode="ids")
+    report = MetricReport(stage=t, r=r, mr=mr, m=m, wmap=wmap,
+                          score=score_wtd(r[min(config.eval_ks)], wmap, wmap))
+    report.check_invariants()
+    state.reports.append(report)
+    state.final_dump = (union_preds, union_gt)
+    state.stage_seconds.append(time.perf_counter() - t0)
+
+
+def run_experiment(config: ExperimentConfig, seed: int | None = None,
+                   run_dir: str | None = None) -> ResultsBundle:
+    """One full staged run for one seed, with its run files in ``run_dir`` if given."""
+    state = start_run(config, seed)
     for t in range(config.n_stages):
-        t0 = time.perf_counter()
-        train_stage(stages[t], pool, tr, vocab, config.train, opt,
-                    rng.derive("stage", t), quota)
-        stages[t] = replace(stages[t], train=None)  # stage isolation: never re-read
-        pool.check_invariants()
+        run_stage(state, t)
 
-        # every arrived task's test split in one call; task j's rows follow
-        # those of the tasks before it
-        sizes = [len(stages[j].test) for j in range(t + 1)]
-        arrived = Rows(dataset, np.concatenate([stages[j].test.index for j in range(t + 1)]))
-        union_gt = _gt_table(arrived)
-        ranked = predict_ranked(arrived, pool, tr, vocab, config.train,
-                                candidates=np.flatnonzero(schedule <= t), ab_rng=eval_rng)
-        preds = PredTable(image=union_gt.image, rank=None, subj=union_gt.subj,
-                          pred=ranked.labels[:, 0], obj=union_gt.obj,
-                          conf=np.exp(ranked.scores[:, 0]), gt_id=union_gt.gt_id,
-                          has_id=np.ones(len(union_gt), dtype=bool))
-        for j, end in enumerate(np.cumsum(sizes)):
-            task = slice(end - sizes[j], end)
-            for k, (_, mr_k) in recall_at_ks(_ranked_dump(_take(preds, task)),
-                                             _take(union_gt, task), config.eval_ks,
-                                             mode="ids").items():
-                matrices[k].set(t, j, mr_k)
+    fm = {k: forgetting_measure(state.matrices[k])  # refuses an unmeasured cell
+          for k in config.eval_ks if config.n_stages >= 2}
 
-        # a task's ranks hold within the task; an image spans several tasks
-        union_preds = _ranked_dump(preds)
-        union = recall_at_ks(union_preds, union_gt, config.eval_ks, mode="ids")
-        r = {k: union[k][0] for k in config.eval_ks}
-        mr = {k: union[k][1] for k in config.eval_ks}
-        m = {k: m_at_k(r[k], mr[k]) for k in config.eval_ks}
-        wmap = weighted_map(union_preds, union_gt, mode="ids")
-        report = MetricReport(stage=t, r=r, mr=mr, m=m, wmap=wmap,
-                              score=score_wtd(r[min(config.eval_ks)], wmap, wmap))
-        report.check_invariants()
-        reports.append(report)
-        stage_seconds.append(time.perf_counter() - t0)
-
-    fm = {}
-    if config.n_stages >= 2:
-        for k in config.eval_ks:
-            if not matrices[k].is_complete():
-                raise AssertionError("accuracy matrix has unmeasured cells")
-            fm[k] = forgetting_measure(matrices[k])
-
-    bundle = ResultsBundle(seed=seed, config_echo=config_to_kv(config), reports=reports,
-                           matrices=matrices, fm=fm, stage_seconds=stage_seconds)
+    bundle = ResultsBundle(seed=state.seed, config_echo=config_to_kv(config),
+                           reports=state.reports, matrices=state.matrices, fm=fm,
+                           stage_seconds=state.stage_seconds)
     if run_dir is not None:
-        # the final dump is the last stage's union over all tasks
-        write_run_files(bundle, run_dir, tr, pool, vocab, (union_preds, union_gt))
+        write_run_files(bundle, run_dir, state)
     return bundle
 
 
@@ -372,8 +396,9 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
-def write_run_files(bundle: ResultsBundle, run_dir, tr, pool, vocab, final_dump) -> None:
-    """Write the deterministic result set plus a separate timing log."""
+def write_run_files(bundle: ResultsBundle, run_dir, state: RunState) -> None:
+    """Write the deterministic result set of a finished run plus a separate
+    timing log; the final dump is the last stage's union over all tasks."""
     os.makedirs(run_dir, exist_ok=True)
     ks = sorted(bundle.matrices)
     _write_csv(os.path.join(run_dir, "results.csv"),
@@ -404,13 +429,13 @@ def write_run_files(bundle: ResultsBundle, run_dir, tr, pool, vocab, final_dump)
             fh.write(f"stage {t + 1}: {secs:.3f}s\n")
         fh.write(blas_summary() + "\n")
 
-    preds, gt = final_dump
+    preds, gt = state.final_dump
     save_predictions(preds, os.path.join(run_dir, "predictions_final.txt"))
     save_gt(gt, os.path.join(run_dir, "gt_final.txt"))
-    serialize_pool(pool, os.path.join(run_dir, "pool.lsgg"))
-    save_checkpoint(os.path.join(run_dir, "checkpoint.lsgg"), tr, bundle.config_echo,
+    serialize_pool(state.tr.pool, os.path.join(run_dir, "pool.lsgg"))
+    save_checkpoint(os.path.join(run_dir, "checkpoint.lsgg"), state.tr, bundle.config_echo,
                     "pool.lsgg")
-    save_vocab(vocab, os.path.join(run_dir, "vocab.txt"))
+    save_vocab(state.vocab, os.path.join(run_dir, "vocab.txt"))
 
 
 # -- ablations and reporting -------------------------------------------------------------

@@ -35,24 +35,44 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
+# base64 characters decoded at a time: a multiple of 4, so each run but the
+# last decodes on its own, and small, so no full-size copy of the bytes exists
+UNPACK_RUN = 1 << 16
+
+
 def unpack_floats(text: str, shape: tuple) -> np.ndarray:
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except Exception as exc:
-        raise ValueError(f"bad base64 array payload: {exc}") from None
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if flat.size != int(np.prod(shape)):
-        raise ValueError(f"array payload has {flat.size} values, expected {np.prod(shape)}")
-    return flat.reshape(shape)
+    """The array of ``pack_floats`` text, decoded a run at a time straight
+    into the result; ValueError for text that is not base64 of exactly
+    ``prod(shape)`` float64 values."""
+    out = np.empty(int(np.prod(shape)), dtype="<f8")
+    dest, size = out.view(np.uint8), 0
+    for start in range(0, len(text), UNPACK_RUN):
+        run = text[start:start + UNPACK_RUN]
+        try:
+            if "=" in run and start + UNPACK_RUN < len(text):  # a whole decode refuses it
+                raise ValueError("padding before the end of the payload")
+            raw = base64.b64decode(run, validate=True)
+        except ValueError as exc:
+            raise ValueError(f"bad base64 array payload: {exc}") from None
+        if size + len(raw) <= dest.size:
+            dest[size:size + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+        size += len(raw)
+    if size != dest.size:
+        raise ValueError(f"array payload has {size} bytes, expected {dest.size}")
+    return out.reshape(shape).astype(np.float64, copy=False)
 
 
 def array_record(name: str, arr) -> str:
     """The line ``array <name> <shape> <base64>`` that ``read_array`` reads back
-    bit-exactly: comma-separated sizes, then float64 values (``pack_floats``),
-    exact for integers below 2**53; an empty array's line ends at its shape.
+    bit-exactly: comma-separated sizes, then float64 values (``pack_floats``);
+    an empty array's line ends at its shape. Integers must lie below 2**53 in
+    magnitude, where float64 holds them exactly.
     A 0-d array has no shape to write (store a scalar with shape ``(1,)``)."""
     if np.ndim(arr) == 0:
         raise ValueError(f"array {name!r} is 0-d; write it with shape (1,)")
+    if np.asarray(arr).dtype.kind in "iu" and np.size(arr) and not (
+            -2**53 < np.min(arr) and np.max(arr) < 2**53):  # np.abs wraps at -2**63
+        raise ValueError(f"array {name!r} holds an integer of magnitude 2**53 or more")
     shape = ",".join(str(n) for n in np.shape(arr))
     return f"array {name} {shape} {pack_floats(arr)}".rstrip() + "\n"
 

@@ -278,9 +278,6 @@ class AccuracyMatrix:
             raise ValueError(f"a[{l}][{j}] never measured")
         return v
 
-    def is_complete(self) -> bool:
-        return all(v is not None for row in self.values for v in row)
-
 
 def forgetting_measure(matrix) -> float:
     """Mean over tasks of (best historical accuracy - final accuracy).

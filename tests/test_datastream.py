@@ -381,6 +381,11 @@ def test_embeddings_reject_ids_at_2_53(tmp_path):
         image = np.array([0, image_id], dtype=np.float64)
         refused(relation_table(image, table.subj, table.obj, table.pred, table.feats,
                                table.conf), path, "image: .*below 2\\*\\*53", n_obj=3, n_pred=3)
+    for image_id in (2**53, -(2**53), 2**53 + 1):  # the writer refuses what it cannot hold
+        image = np.array([image_id, 0], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"'image' holds an integer of magnitude 2\*\*53"):
+            save_embeddings(relation_table(image, table.subj, table.obj, table.pred, table.feats,
+                                           table.conf), path, n_obj=3, n_pred=3)
     for image_id in (2**53 - 1, -(2**53 - 1)):
         image = np.array([image_id, 0], dtype=np.int64)
         save_embeddings(relation_table(image, table.subj, table.obj, table.pred, table.feats,

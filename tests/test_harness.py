@@ -1,6 +1,8 @@
-"""Experiment orchestration: presets, config files, full-run determinism,
-result files, and comparison reports."""
+"""Experiment orchestration: presets, config files, the stage step,
+full-run determinism, result files, and comparison reports."""
 
+import copy
+from dataclasses import replace
 import filecmp
 import json
 import os
@@ -11,11 +13,13 @@ import numpy as np
 import pytest
 
 from lsgg.datastream import SynthConfig, save_embeddings, synth_generate
-from lsgg.harness import (ABLATION_SUITE, PRESETS, ExperimentConfig,
+from lsgg.harness import (ABLATION_SUITE, PRESETS, ExperimentConfig, ResultsBundle,
                           _rank_pairs, config_diff, config_from_kv, config_to_kv,
                           load_comparison_csv, load_config_file, preset_config,
-                          report, run_ablation_suite, run_experiment, summarize)
-from lsgg.metrics import load_gt, load_predictions, mean_recall_at_k, recall_at_k
+                          report, run_ablation_suite, run_experiment, run_stage, start_run,
+                          summarize, write_run_files)
+from lsgg.metrics import (forgetting_measure, load_gt, load_predictions, mean_recall_at_k,
+                          recall_at_k)
 from lsgg.prompt_pool import deserialize_pool
 from lsgg.scorer import load_vocab
 from lsgg.rng import SeededRng
@@ -141,9 +145,7 @@ def test_run_experiment_protocol_shape():
         r_low = rep.r[min(cfg.eval_ks)]
         assert rep.score == 0.2 * r_low + 0.4 * rep.wmap + 0.4 * rep.wmap  # exact
         assert rep.score is not None
-    for k in cfg.eval_ks:
-        assert bundle.matrices[k].is_complete()
-        assert k in bundle.fm
+    assert set(bundle.fm) == set(cfg.eval_ks)
     assert len(bundle.stage_seconds) == cfg.n_stages
 
 
@@ -153,6 +155,65 @@ def test_run_experiment_single_stage_has_no_fm():
     assert len(bundle.reports) == 1
     for k in bundle.matrices:  # stage 0 measured task 0
         assert bundle.matrices[k].values == [[bundle.matrices[k].get(0, 0)]]
+
+
+def comparable(bundle: ResultsBundle) -> ResultsBundle:
+    """``bundle`` with its matrices as their cells and its wall times left out."""
+    return replace(bundle, matrices={k: m.values for k, m in bundle.matrices.items()},
+                   stage_seconds=len(bundle.stage_seconds))
+
+
+@pytest.mark.parametrize("name", ["full", "wo_kap", "w_ft"])
+def test_stage_steps_from_outside_make_the_run_of_run_experiment(tmp_path, name):
+    # wo_kap's inference draws from eval_rng in every stage; w_ft trains the
+    # decoder, so the state carries it from stage to stage
+    cfg = preset_config(tiny_config(), name)
+    expected = run_experiment(cfg, seed=1, run_dir=tmp_path / "run")
+    state = start_run(cfg, seed=1)
+    for t in range(cfg.n_stages):
+        run_stage(state, t)
+    bundle = ResultsBundle(seed=1, config_echo=config_to_kv(cfg), reports=state.reports,
+                           matrices=state.matrices,
+                           fm={k: forgetting_measure(state.matrices[k]) for k in cfg.eval_ks},
+                           stage_seconds=state.stage_seconds)
+    write_run_files(bundle, tmp_path / "steps", state)
+    assert comparable(bundle) == comparable(expected)
+    for fname in RESULT_FILES:
+        assert filecmp.cmp(tmp_path / "run" / fname, tmp_path / "steps" / fname,
+                           shallow=False), fname
+
+
+def test_run_stage_runs_the_next_stage_only():
+    cfg = preset_config(tiny_config(n_stages=3), "wo_kap")
+    state = start_run(cfg, seed=0)
+    assert state.reports == [] and state.final_dump is None
+    for k in range(cfg.n_stages):
+        run_stage(state, k)
+        assert len(state.reports) == len(state.stage_seconds) == k + 1
+        assert state.reports[k].stage == k
+        # the dump holds every arrived task's test rows
+        assert len(state.final_dump[1]) == sum(len(s.test) for s in state.stages[:k + 1])
+        assert [s.train is None for s in state.stages] == [j <= k for j in range(cfg.n_stages)]
+        for matrix in state.matrices.values():
+            assert None not in matrix.values[k]
+            assert all(v is None for row in matrix.values[k + 1:] for v in row)
+        for t in (k, k + 2):  # a stage run again, or one skipped
+            with pytest.raises(ValueError, match=f"stage {t} is not the next"):
+                run_stage(state, t)
+        assert len(state.reports) == k + 1  # a refused call changes nothing
+
+    # the state at a stage boundary is the whole run: a copy of it runs on to
+    # the same reports and the same final dump
+    state = start_run(cfg, seed=0)
+    run_stage(state, 0)
+    twin = copy.deepcopy(state)
+    for t in range(1, cfg.n_stages):
+        run_stage(state, t)
+        run_stage(twin, t)
+    assert twin.reports == state.reports
+    for table, twin_table in zip(state.final_dump, twin.final_dump):
+        for name, column in vars(table).items():
+            assert np.array_equal(column, vars(twin_table)[name]), name
 
 
 def test_rank_pairs_matches_sorted_oracle():

@@ -1,13 +1,15 @@
 """The line rule every text reader shares (``ioutil.data_lines``): blank
 lines and ``#`` comments, indented or not, carry no data, and every line
-counts toward the line number an error names; and the ``array`` record."""
+counts toward the line number an error names; and the ``array`` record,
+its integer bound and its run-by-run decode."""
 
 import numpy as np
 import pytest
 
 from lsgg.datastream import SynthConfig, load_embeddings, save_embeddings, synth_generate
 from lsgg.harness import load_comparison_csv, load_config_file
-from lsgg.ioutil import array_record, read_array
+from lsgg.ioutil import (UNPACK_RUN, array_record, exact_ints, pack_floats, read_array,
+                         unpack_floats)
 from lsgg.metrics import load_gt, load_predictions
 from lsgg.prompt_pool import deserialize_pool
 from lsgg.rng import SeededRng
@@ -62,3 +64,59 @@ def test_array_record_refuses_a_0d_array_that_it_could_not_read_back():
     for scalar in (np.float64(7.0), np.array(7.0), 7):
         with pytest.raises(ValueError, match="'t' is 0-d"):
             array_record("t", scalar)
+
+
+def test_array_record_refuses_integers_it_cannot_write_exactly():
+    # the bound exact_ints reads back; compared as values, so -2**63 (where
+    # np.abs wraps) is refused too
+    for value in (2**53 - 1, -(2**53 - 1)):
+        arrays = {}
+        read_array(arrays, 1, array_record("ids", np.array([0, value])).split(None, 1)[1])
+        assert exact_ints(arrays["ids"]).tolist() == [0, value]
+    for arr in (np.array([0, 2**53]), np.array([-(2**53), 0]), np.array([2**53 + 1]),
+                np.array([2**63 - 1]), np.array([-2**63]), np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"'ids' holds an integer of magnitude 2\*\*53"):
+            array_record("ids", arr)
+
+
+def bit_patterns(n: int) -> np.ndarray:
+    """``n`` float64 values of random bits: NaN payloads, infinities,
+    subnormals and negative zeros among them."""
+    return SeededRng(n)._u64_block(n).view(np.float64)
+
+
+def test_unpack_floats_round_trips_across_run_boundaries():
+    per_run = UNPACK_RUN // 4 * 3 // 8  # float64 values in one run's bytes
+    for n in (0, 1, 2, per_run - 1, per_run, per_run + 1, 2 * per_run + 1, 3 * per_run - 2):
+        arr = bit_patterns(n)
+        back = unpack_floats(pack_floats(arr), (n,))
+        assert back.dtype == np.float64 and back.flags.writeable
+        assert np.array_equal(back.view(np.uint64), arr.view(np.uint64)), n
+    arr = bit_patterns(2 * per_run + 6).reshape(-1, 3)
+    assert np.array_equal(unpack_floats(pack_floats(arr), arr.shape).view(np.uint64),
+                          arr.view(np.uint64))
+
+
+def test_unpack_floats_refuses_what_a_whole_text_decode_refuses():
+    n = 2 * (UNPACK_RUN // 4 * 3 // 8) + 1  # three runs, the last one padded
+    text = pack_floats(bit_patterns(n))
+    assert len(text) > 2 * UNPACK_RUN and text.endswith("=")
+    at_end_of_first_run = text[:UNPACK_RUN - 1] + "=" + text[UNPACK_RUN:]
+    cases = {
+        "a character outside the alphabet": text[:UNPACK_RUN + 7] + "!" + text[UNPACK_RUN + 8:],
+        "whitespace": text[:5] + " " + text[6:],
+        "'=' ending the first run": at_end_of_first_run,
+        "'=' inside the last run": text[:-9] + "=" + text[-8:],
+        "a length that is not a multiple of 4": text[:-5] + text[-4:],
+    }
+    for what, bad in cases.items():
+        with pytest.raises(ValueError, match="bad base64 array payload"):
+            unpack_floats(bad, (n,))
+            pytest.fail(what)
+    for shape in ((n - 1,), (n + 1,), (n, 2)):
+        with pytest.raises(ValueError, match=f"has {8 * n} bytes, expected"):
+            unpack_floats(text, shape)
+    with pytest.raises(ValueError, match=f"has {8 * n - 3} bytes"):  # a quartet less
+        unpack_floats(text[:UNPACK_RUN] + text[UNPACK_RUN + 4:], (n,))
+    with pytest.raises(ValueError, match="has 6 bytes"):  # not a whole float64
+        unpack_floats(pack_floats([1.0])[:8], (1,))

@@ -398,7 +398,8 @@ def test_forgetting_input_validation():
 
 def test_accuracy_matrix_write_once_and_bounds():
     m = AccuracyMatrix(3)
-    assert not m.is_complete()
+    with pytest.raises(ValueError, match="fully measured"):
+        forgetting_measure(m)  # the guard of a run's forgetting measure
     m.set(0, 0, 60.0)
     with pytest.raises(ValueError, match="already"):
         m.set(0, 0, 61.0)
@@ -413,7 +414,6 @@ def test_accuracy_matrix_write_once_and_bounds():
     for l in range(1, 3):
         for j in range(l + 1):
             m.set(l, j, 10.0 * l + j)
-    assert m.is_complete()
     assert m.get(2, 1) == 21.0
     assert forgetting_measure(m) == forgetting_measure(m.values)
     with pytest.raises(ValueError):
