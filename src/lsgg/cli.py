@@ -13,7 +13,8 @@ from .datastream import (SynthConfig, load_embeddings, make_schedule, save_embed
                          synth_generate)
 from .harness import (ABLATION_SUITE, ExperimentConfig, load_comparison_csv,
                       load_config_file, preset_config, run_ablation_suite, run_experiment)
-from .metrics import load_gt, load_predictions, m_at_k, recall_at_ks, score_wtd, weighted_map
+from .metrics import (MATCH_MODES, load_gt, load_predictions, m_at_k, recall_at_ks, score_wtd,
+                      weighted_map)
 from .rng import SeededRng
 from .scorer import default_vocab, save_vocab
 
@@ -75,12 +76,9 @@ def _cmd_eval(args) -> int:
     print(f"mR@{args.k}={mr:.4f}")
     print(f"M@{args.k}={m_at_k(r, mr):.4f}")
     if args.wmap:
-        # the box modes score both box matchings; ids and triplet have one
-        modes = ("rel", "phr") if args.mode in ("rel", "phr") else (args.mode,)
-        wmaps = [weighted_map(preds, gt, mode=mode) for mode in modes]
-        for mode, wmap in zip(modes, wmaps):
-            print(f"wmAP_{mode}={wmap:.4f}")
-        print(f"score_wtd={score_wtd(r, wmaps[0], wmaps[-1]):.4f}")
+        wmap = weighted_map(preds, gt, mode=args.mode)
+        print(f"wmAP_{args.mode}={wmap:.4f}")
+        print(f"score_wtd={score_wtd(r, wmap, wmap):.4f}")
     return 0
 
 
@@ -145,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--k", type=int, default=50)
-    p.add_argument("--mode", choices=("ids", "triplet", "rel", "phr"), default="ids")
+    p.add_argument("--mode", choices=MATCH_MODES, default="ids")
     p.add_argument("--wmap", action="store_true", help="also compute weighted mAP")
     p.set_defaults(func=_cmd_eval)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import array_record, data_lines, exact_ints, parse_int64, read_array
+from .ioutil import data_lines, exact_ints, parse_int64, read_array, write_array
 from .metrics import positions_in_runs
 from .rng import SeededRng, _mix64_block
 from .numerics import random_unit_vector
@@ -21,7 +21,7 @@ EMB_MAGIC = "LSGG-EMB"
 EMB_VERSION = 2
 _EMB_COLUMNS = ("image", "subj", "obj", "pred", "conf")
 _EMB_KINDS = ("c", "r", "s", "o")
-_EMB_ARRAYS = (*_EMB_COLUMNS, "boxes", *(f"f.{kind}" for kind in _EMB_KINDS))
+_EMB_ARRAYS = (*_EMB_COLUMNS, *(f"f.{kind}" for kind in _EMB_KINDS))
 
 
 @dataclass(eq=False)
@@ -29,9 +29,7 @@ class RelationTable:
     """Relation instances as columns, one row each: int64 ``image``,
     ``gt_id`` (the row's occurrence index among its image's rows, in table
     order), ``subj``, ``obj`` and ``pred``; one float64 (n, d_kind) array
-    per feature kind in ``feats``; ``conf`` (NaN where absent); and
-    ``boxes``, None or (n, 8) with subject then object box and a NaN row
-    where absent."""
+    per feature kind in ``feats``; and ``conf`` (NaN where absent)."""
 
     image: np.ndarray
     gt_id: np.ndarray
@@ -40,7 +38,6 @@ class RelationTable:
     pred: np.ndarray
     feats: dict  # kind -> (n, d_kind)
     conf: np.ndarray
-    boxes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.pred)
@@ -50,15 +47,15 @@ class RelationTable:
         return RelationTable(self.image[rows], self.gt_id[rows], self.subj[rows],
                              self.obj[rows], self.pred[rows],
                              {kind: f[rows] for kind, f in self.feats.items()},
-                             self.conf[rows], None if self.boxes is None else self.boxes[rows])
+                             self.conf[rows])
 
 
-def relation_table(image, subj, obj, pred, feats: dict, conf, boxes=None) -> RelationTable:
+def relation_table(image, subj, obj, pred, feats: dict, conf) -> RelationTable:
     """The table of these columns, with ``gt_id`` counted from ``image``."""
     order = np.argsort(image, kind="stable")
     gt_id = np.empty(len(image), dtype=np.int64)
     gt_id[order] = positions_in_runs(image[order])
-    return RelationTable(image, gt_id, subj, obj, pred, feats, conf, boxes)
+    return RelationTable(image, gt_id, subj, obj, pred, feats, conf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +251,8 @@ def synth_generate(config: SynthConfig, rng: SeededRng):
 # -- LSGG-EMB 2 ---------------------------------------------------------------
 # A header line "LSGG-EMB 2 <n_obj> <n_pred>", then ioutil's bit-exact array
 # records, one row per relation instance: image, subj, obj, pred and conf (NaN
-# where absent); boxes (n, 8), only when the table has a box column; then f.c,
-# f.r, f.s and f.o, whose shapes carry the feature widths.
+# where absent), then f.c, f.r, f.s and f.o, whose shapes carry the feature
+# widths.
 
 
 def save_embeddings(data, path, n_obj: int | None = None, n_pred: int | None = None) -> None:
@@ -267,11 +264,9 @@ def save_embeddings(data, path, n_obj: int | None = None, n_pred: int | None = N
     with open(path, "w") as fh:
         fh.write(f"{EMB_MAGIC} {EMB_VERSION} {n_obj} {n_pred}\n")
         for name in _EMB_COLUMNS:
-            fh.write(array_record(name, getattr(data, name)))
-        if data.boxes is not None:
-            fh.write(array_record("boxes", data.boxes))
+            write_array(fh, name, getattr(data, name))
         for kind in _EMB_KINDS:
-            fh.write(array_record(f"f.{kind}", data.feats[kind]))
+            write_array(fh, f"f.{kind}", data.feats[kind])
 
 
 class EmbeddingFormatError(ValueError):
@@ -316,15 +311,14 @@ def _read_embeddings(path):
         tag, _, rest = text.partition(" ")
         if tag != "array" or read_array(arrays, lineno, rest) not in _EMB_ARRAYS:
             raise ValueError(f"line {lineno}: unknown record {' '.join(text.split()[:2])!r}")
-    missing = [name for name in _EMB_ARRAYS if name != "boxes" and name not in arrays]
+    missing = [name for name in _EMB_ARRAYS if name not in arrays]
     if missing:
         raise ValueError(f"no array record {missing[0]!r}")
 
     n = len(arrays["pred"])
     feats = {kind: arrays[f"f.{kind}"] for kind in _EMB_KINDS}
     if not (all(arrays[name].shape == (n,) for name in _EMB_COLUMNS)
-            and all(f.ndim == 2 and len(f) == n for f in feats.values())
-            and ("boxes" not in arrays or arrays["boxes"].shape == (n, 8))):
+            and all(f.ndim == 2 and len(f) == n for f in feats.values())):
         raise ValueError("shapes do not give one row per instance: "
                          + ", ".join(f"{name} {arr.shape}" for name, arr in arrays.items()))
     if min(f.shape[1] for f in feats.values()) < 1 or feats["s"].shape != feats["o"].shape:
@@ -344,12 +338,5 @@ def _read_embeddings(path):
         _refuse_rows(~np.isfinite(f).all(axis=1), f"non-finite value in f.{kind}")
     conf = arrays["conf"]
     _refuse_rows(~(np.isnan(conf) | ((conf >= 0) & (conf <= 1))), "confidence outside [0, 1]")
-    boxes = arrays.get("boxes")
-    if boxes is not None:
-        absent = np.isnan(boxes).all(axis=1)
-        _refuse_rows(~absent & ~np.isfinite(boxes).all(axis=1), "box row neither finite nor all NaN")
-        corners = boxes.reshape(-1, 2, 2, 2)  # (row, box, corner, x|y)
-        _refuse_rows(~absent & ~(corners[:, :, 0] < corners[:, :, 1]).all(axis=(1, 2)),
-                     "degenerate box")
-    table = relation_table(ids["image"], subj, obj, pred, feats, conf, boxes)
+    table = relation_table(ids["image"], subj, obj, pred, feats, conf)
     return table, n_obj, n_pred

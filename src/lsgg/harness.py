@@ -223,8 +223,7 @@ def _gt_table(split) -> GTTable:
     no feature column is copied."""
     d, rows = split.data, split.index
     return GTTable(image=d.image[rows], gt_id=d.gt_id[rows], subj=d.subj[rows],
-                   pred=d.pred[rows], obj=d.obj[rows],
-                   boxes=None if d.boxes is None else d.boxes[rows])
+                   pred=d.pred[rows], obj=d.obj[rows])
 
 
 def _rank_pairs(image_ids: np.ndarray, confs: np.ndarray, gids: np.ndarray):

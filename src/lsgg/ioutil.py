@@ -62,11 +62,17 @@ def unpack_floats(text: str, shape: tuple) -> np.ndarray:
     return out.reshape(shape).astype(np.float64, copy=False)
 
 
-def array_record(name: str, arr) -> str:
-    """The line ``array <name> <shape> <base64>`` that ``read_array`` reads back
-    bit-exactly: comma-separated sizes, then float64 values (``pack_floats``);
-    an empty array's line ends at its shape. Integers must lie below 2**53 in
-    magnitude, where float64 holds them exactly.
+# float64 values packed at a time: a multiple of 3, so each slice's base64 is
+# whole quanta and the slices concatenate to the text of the whole array
+WRITE_SLICE = 3 << 12
+
+
+def write_array(fh, name: str, arr) -> None:
+    """Write the line ``array <name> <shape> <base64>`` that ``read_array`` reads
+    back bit-exactly: comma-separated sizes, then float64 values
+    (``pack_floats``), packed a slice at a time so no full-size copy of the
+    text exists; an empty array's line ends at its shape. Integers must lie
+    below 2**53 in magnitude, where float64 holds them exactly.
     A 0-d array has no shape to write (store a scalar with shape ``(1,)``)."""
     if np.ndim(arr) == 0:
         raise ValueError(f"array {name!r} is 0-d; write it with shape (1,)")
@@ -74,7 +80,11 @@ def array_record(name: str, arr) -> str:
             -2**53 < np.min(arr) and np.max(arr) < 2**53):  # np.abs wraps at -2**63
         raise ValueError(f"array {name!r} holds an integer of magnitude 2**53 or more")
     shape = ",".join(str(n) for n in np.shape(arr))
-    return f"array {name} {shape} {pack_floats(arr)}".rstrip() + "\n"
+    flat = np.ravel(arr)
+    fh.write(f"array {name} {shape}" + (" " if flat.size else ""))
+    for start in range(0, flat.size, WRITE_SLICE):
+        fh.write(pack_floats(flat[start:start + WRITE_SLICE]))
+    fh.write("\n")
 
 
 def put_once(records: dict, key, value, lineno: int) -> None:

@@ -18,15 +18,14 @@ import numpy as np
 
 from .ioutil import data_lines, format_float, parse_int64
 
-MATCH_MODES = ("ids", "triplet", "rel", "phr")
+MATCH_MODES = ("ids", "triplet")
 
 
 @dataclass
 class PredTable:
     """Predictions as columns, one row each. ``rank`` is the 1-based position
     in the image's ranked list; ``gt_id``, the instance-id match target, is
-    read only where ``has_id`` is set. ``boxes`` is None or (n, 8): subject
-    then object box (x1, y1, x2, y2), a NaN row for a prediction without."""
+    read only where ``has_id`` is set."""
 
     image: np.ndarray
     rank: np.ndarray
@@ -36,7 +35,6 @@ class PredTable:
     conf: np.ndarray
     gt_id: np.ndarray
     has_id: np.ndarray
-    boxes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.image)
@@ -44,27 +42,16 @@ class PredTable:
 
 @dataclass
 class GTTable:
-    """Ground truth as columns, one row each, in list order; ``boxes`` as in
-    ``PredTable``."""
+    """Ground truth as columns, one row each, in list order."""
 
     image: np.ndarray
     gt_id: np.ndarray
     subj: np.ndarray
     pred: np.ndarray
     obj: np.ndarray
-    boxes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.image)
-
-
-def box_column(boxes) -> np.ndarray | None:
-    """The (n, 8) box column of per-record ((x1,y1,x2,y2), (x1,y1,x2,y2))
-    pairs or None; None when no record has boxes."""
-    if all(b is None for b in boxes):
-        return None
-    return np.array([(math.nan,) * 8 if b is None else (*b[0], *b[1]) for b in boxes],
-                    dtype=np.float64)
 
 
 def positions_in_runs(values: np.ndarray) -> np.ndarray:
@@ -73,23 +60,6 @@ def positions_in_runs(values: np.ndarray) -> np.ndarray:
     n = len(values)
     starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
     return np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
-
-
-def iou(a, b) -> float:
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    ix1, iy1 = max(ax1, bx1), max(ay1, by1)
-    ix2, iy2 = min(ax2, bx2), min(ay2, by2)
-    iw, ih = max(0.0, ix2 - ix1), max(0.0, iy2 - iy1)
-    inter = iw * ih
-    if inter <= 0.0:
-        return 0.0
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
-
-
-def union_box(a, b):
-    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
 
 
 def _check_inputs(preds: PredTable, gt: GTTable, mode: str) -> None:
@@ -132,54 +102,6 @@ def _key_claims(preds: PredTable, gt: GTTable, order: np.ndarray, mode: str) -> 
     return claims
 
 
-def _box_claims(preds: PredTable, gt: GTTable, order: np.ndarray, mode: str,
-                iou_thr: float) -> np.ndarray:
-    """Greedy box matching: each prediction of ``order`` in turn claims the
-    unclaimed GT row of its image and triplet whose quality is highest and
-    >= ``iou_thr`` (rel: the lower of subject and object IoU; phr: the IoU of
-    the union boxes). Returns claims as ``_key_claims`` does."""
-    by_key: dict = {}
-    for g, key in enumerate(zip(gt.image.tolist(), gt.subj.tolist(), gt.pred.tolist(),
-                                gt.obj.tolist())):
-        by_key.setdefault(key, []).append(g)
-    p_keys = list(zip(preds.image.tolist(), preds.subj.tolist(), preds.pred.tolist(),
-                      preds.obj.tolist()))
-    p_boxes = None if preds.boxes is None else preds.boxes.tolist()
-    g_boxes = None if gt.boxes is None else gt.boxes.tolist()
-    claims = np.full(len(order), -1, dtype=np.int64)
-    claimed: set = set()
-    for j, p in enumerate(order.tolist()):
-        if p_boxes is None or math.isnan(p_boxes[p][0]):
-            raise ValueError(f"prediction in image {p_keys[p][0]} lacks boxes in "
-                             f"{mode!r} matching")
-        pb = p_boxes[p]
-        best, best_q = -1, 0.0
-        for g in by_key.get(p_keys[p], ()):
-            if g in claimed:
-                continue
-            if g_boxes is None or math.isnan(g_boxes[g][0]):
-                raise ValueError(f"GT {gt.gt_id[g]} in image {gt.image[g]} lacks boxes in "
-                                 f"{mode!r} matching")
-            gb = g_boxes[g]
-            if mode == "rel":
-                q = min(iou(pb[:4], gb[:4]), iou(pb[4:], gb[4:]))
-            else:
-                q = iou(union_box(pb[:4], pb[4:]), union_box(gb[:4], gb[4:]))
-            if q >= iou_thr and q > best_q:
-                best, best_q = g, q
-        if best >= 0:
-            claimed.add(best)
-            claims[j] = best
-    return claims
-
-
-def _claims(preds: PredTable, gt: GTTable, order: np.ndarray, mode: str,
-            iou_thr: float = 0.5) -> np.ndarray:
-    if mode in ("ids", "triplet"):
-        return _key_claims(preds, gt, order, mode)
-    return _box_claims(preds, gt, order, mode, iou_thr)
-
-
 def recall_at_ks(preds: PredTable, gt: GTTable, ks, mode: str = "ids") -> dict:
     """R@K and mR@K for every K in ``ks`` from one matching pass, as
     {K: (R@K, mR@K)}, both in [0,100].
@@ -201,7 +123,7 @@ def recall_at_ks(preds: PredTable, gt: GTTable, ks, mode: str = "ids") -> dict:
     pos = positions_in_runs(preds.image[order])
     top = pos < k_max
     order, pos = order[top], pos[top]
-    claims = _claims(preds, gt, order, mode)
+    claims = _key_claims(preds, gt, order, mode)
     hit = claims >= 0
     claim_pos = np.full(len(gt), k_max)
     claim_pos[claims[hit]] = pos[hit]
@@ -310,22 +232,20 @@ def _average_precision(tp: np.ndarray, npos: int) -> float:
     return float(np.cumsum(np.diff(mrec) * mpre[1:])[-1])  # a sequential sum
 
 
-def weighted_map(preds: PredTable, gt: GTTable, mode: str = "rel",
-                 iou_thr: float = 0.5) -> float:
+def weighted_map(preds: PredTable, gt: GTTable, mode: str = "ids") -> float:
     """GT-count-weighted mean AP over predicate classes, [0,100].
 
     Per class, predictions are ranked globally by descending confidence (ties
     by image, rank, then input order) and matched greedily within their image
     (one claim per GT). AP integrates the monotone precision envelope over
-    recall. Matching rule by mode: rel needs subject and object IoU >= thr
-    each; phr needs union-box IoU >= thr; ids uses exact instance ids (the
+    recall. Matching rule by mode: ids uses exact instance ids (the
     PredCls-style dump pathway); triplet, exact triplets.
     """
     _check_inputs(preds, gt, mode)
     classes, npos = np.unique(gt.pred, return_counts=True)
     order = np.lexsort((preds.rank, preds.image, -preds.conf, preds.pred))
     order = order[np.isin(preds.pred[order], classes)]
-    tp = (_claims(preds, gt, order, mode, iou_thr) >= 0).astype(np.float64)
+    tp = (_key_claims(preds, gt, order, mode) >= 0).astype(np.float64)
     ranked = preds.pred[order]
     lo = np.searchsorted(ranked, classes, side="left").tolist()
     hi = np.searchsorted(ranked, classes, side="right").tolist()
@@ -343,56 +263,39 @@ def score_wtd(r50: float, wmap_rel: float, wmap_phr: float) -> float:
 
 # -- dump and GT files -----------------------------------------------------------
 #
-# prediction line:  image_id rank subj pred obj conf [8 box floats] gt_id|-
-# ground truth:     image_id gt_id subj pred obj [8 box floats]
-
-
-def _box_rows(boxes, n: int) -> list:
-    """Per row, its 8 box floats, or None for a row without boxes."""
-    if boxes is None:
-        return [None] * n
-    return [None if math.isnan(b[0]) else b for b in boxes.tolist()]
+# prediction line:  image_id rank subj pred obj conf gt_id|-
+# ground truth:     image_id gt_id subj pred obj
 
 
 def save_predictions(preds: PredTable, path) -> None:
     rows = zip(preds.image.tolist(), preds.rank.tolist(), preds.subj.tolist(),
                preds.pred.tolist(), preds.obj.tolist(), preds.conf.tolist(),
-               _box_rows(preds.boxes, len(preds)), preds.gt_id.tolist(), preds.has_id.tolist())
+               preds.gt_id.tolist(), preds.has_id.tolist())
     with open(path, "w") as fh:
-        for image, rank, subj, pred, obj, conf, boxes, gt_id, has_id in rows:
-            parts = [str(image), str(rank), str(subj), str(pred), str(obj), format_float(conf)]
-            if boxes is not None:
-                parts.extend(format_float(v) for v in boxes)
-            parts.append(str(gt_id) if has_id else "-")
-            fh.write(" ".join(parts) + "\n")
+        for image, rank, subj, pred, obj, conf, gt_id, has_id in rows:
+            fh.write(f"{image} {rank} {subj} {pred} {obj} {format_float(conf)} "
+                     f"{gt_id if has_id else '-'}\n")
 
 
-def _data_lines(path, n_fields: tuple):
+def _data_lines(path, n_fields: int):
     """(line number, fields) of each data line (``ioutil.data_lines``)."""
     for lineno, text in data_lines(path):
         toks = text.split()
-        if len(toks) not in n_fields:
-            raise ValueError(f"line {lineno}: expected {' or '.join(map(str, n_fields))} "
-                             f"fields, got {len(toks)}")
+        if len(toks) != n_fields:
+            raise ValueError(f"line {lineno}: expected {n_fields} fields, got {len(toks)}")
         yield lineno, toks
-
-
-def _boxes_of(toks) -> tuple:
-    vals = [float(t) for t in toks]
-    return tuple(vals[:4]), tuple(vals[4:])
 
 
 def load_predictions(path) -> PredTable:
     """The dump as a ``PredTable``, rows in file order. A NaN confidence is
     refused: it has no place in the descending-confidence ranking of
     ``weighted_map``."""
-    ints, confs, boxes = [], [], []
-    for lineno, toks in _data_lines(path, (7, 15)):
+    ints, confs = [], []
+    for lineno, toks in _data_lines(path, 7):
         try:
             image_id, rank, subj, pred, obj = (parse_int64(t) for t in toks[:5])
             conf = float(toks[5])
-            box = _boxes_of(toks[6:14]) if len(toks) == 15 else None
-            gt_id = None if toks[-1] == "-" else parse_int64(toks[-1])
+            gt_id = None if toks[6] == "-" else parse_int64(toks[6])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if rank < 1:
@@ -402,33 +305,27 @@ def load_predictions(path) -> PredTable:
         ints.append((image_id, rank, subj, pred, obj, 0 if gt_id is None else gt_id,
                      gt_id is not None))
         confs.append(conf)
-        boxes.append(box)
     cols = np.array(ints, dtype=np.int64).reshape(-1, 7).T
     return PredTable(image=cols[0], rank=cols[1], subj=cols[2], pred=cols[3], obj=cols[4],
                      conf=np.array(confs, dtype=np.float64), gt_id=cols[5],
-                     has_id=cols[6].astype(bool), boxes=box_column(boxes))
+                     has_id=cols[6].astype(bool))
 
 
 def save_gt(gt: GTTable, path) -> None:
     rows = zip(gt.image.tolist(), gt.gt_id.tolist(), gt.subj.tolist(), gt.pred.tolist(),
-               gt.obj.tolist(), _box_rows(gt.boxes, len(gt)))
+               gt.obj.tolist())
     with open(path, "w") as fh:
-        for *ids, boxes in rows:
-            parts = [str(v) for v in ids]
-            if boxes is not None:
-                parts.extend(format_float(v) for v in boxes)
-            fh.write(" ".join(parts) + "\n")
+        for ids in rows:
+            fh.write(" ".join(map(str, ids)) + "\n")
 
 
 def load_gt(path) -> GTTable:
     """The ground truth as a ``GTTable``, rows in file order."""
-    ints, boxes = [], []
-    for lineno, toks in _data_lines(path, (5, 13)):
+    ints = []
+    for lineno, toks in _data_lines(path, 5):
         try:
-            ints.append(tuple(parse_int64(t) for t in toks[:5]))
-            boxes.append(_boxes_of(toks[5:]) if len(toks) == 13 else None)
+            ints.append(tuple(parse_int64(t) for t in toks))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     cols = np.array(ints, dtype=np.int64).reshape(-1, 5).T
-    return GTTable(image=cols[0], gt_id=cols[1], subj=cols[2], pred=cols[3], obj=cols[4],
-                   boxes=box_column(boxes))
+    return GTTable(image=cols[0], gt_id=cols[1], subj=cols[2], pred=cols[3], obj=cols[4])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import array_record, data_lines, exact_ints, read_array
+from .ioutil import data_lines, exact_ints, read_array, write_array
 from .numerics import random_unit_vector
 from .rng import SeededRng
 
@@ -250,9 +250,9 @@ def serialize_pool(pool: PromptPool, path) -> None:
         fh.write(f"{POOL_MAGIC} {POOL_VERSION} {pool.n_e}\n")
         for name, arr in (("keys", pool.keys), ("prompts", pool.prompts), ("seen", pool.seen),
                           ("store_len", pool.store_len), ("labels", pool.store_labels[filled])):
-            fh.write(array_record(name, arr))
+            write_array(fh, name, arr)
         for kind in _EX_KINDS if pool.store_feats else ():  # one gathered copy at a time
-            fh.write(array_record(f"ex.{kind}", pool.store_feats[kind][filled]))
+            write_array(fh, f"ex.{kind}", pool.store_feats[kind][filled])
 
 
 class PoolFormatError(ValueError):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ioutil import array_record, data_lines, put_once, read_array
+from .ioutil import data_lines, put_once, read_array, write_array
 from .numerics import softmax
 from .prompt_pool import PromptPool, _relation_norm, admit_exemplar, retrieve_entries
 from .rng import SeededRng
@@ -26,6 +26,11 @@ from .token_mapper import (KINDS, MapperParams, encode_batch, encode_batch_backw
 
 CKPT_MAGIC = "LSGG-CKPT"
 CKPT_VERSION = 2
+# the arrays of a checkpoint, in the order save_checkpoint writes them; the
+# reader refuses a file that lacks any of them or holds another
+CHECKPOINT_ARRAYS = (*(f"mapper.{name}.{kind}" for kind in KINDS
+                       for name in ("proj_w", "proj_b", "pos")),
+                     "y_mask", "scorer.emb", "scorer.readout", "scorer.pos_weight")
 EVAL_BATCH = 256  # instances per inference pass
 
 
@@ -89,11 +94,11 @@ class TrainableSet:
             yield from self.scorer.param_items()
 
     def checkpoint_items(self):
-        """Arrays stored in a checkpoint; the pool is referenced by path."""
-        for name, arr in self.mapper.param_items():
-            yield f"mapper.{name}", arr
-        yield "y_mask", self.y_mask
-        yield from self.scorer.param_items()
+        """The arrays ``CHECKPOINT_ARRAYS`` names, in its order; the pool is
+        referenced by path."""
+        arrays = {f"mapper.{name}": arr for name, arr in self.mapper.param_items()}
+        arrays.update(self.scorer.param_items(), y_mask=self.y_mask)
+        return [(name, arrays[name]) for name in CHECKPOINT_ARRAYS]
 
 
 def init_y_mask(n_mask: int, d_tok: int, rng: SeededRng) -> np.ndarray:
@@ -738,7 +743,7 @@ def save_checkpoint(path, tr: TrainableSet, config_echo: dict, pool_path: str) -
         for key, val in config_echo.items():
             fh.write(f"config {key}={val}\n")
         for name, arr in tr.checkpoint_items():
-            fh.write(array_record(name, arr))
+            write_array(fh, name, arr)
 
 
 class CheckpointFormatError(ValueError):
@@ -747,7 +752,8 @@ class CheckpointFormatError(ValueError):
 
 def load_checkpoint(path):
     """Returns (arrays by name, config echo dict, pool path); any malformed
-    content, a repeated record among it, raises CheckpointFormatError."""
+    content, among it a repeated record or an array set other than
+    ``CHECKPOINT_ARRAYS``, raises CheckpointFormatError."""
     lines = data_lines(path)
     _, head = next(lines, (None, ""))
     if head.split() != [CKPT_MAGIC, str(CKPT_VERSION)]:
@@ -761,12 +767,13 @@ def load_checkpoint(path):
             elif tag == "config":
                 key, _, val = rest.partition("=")
                 put_once(config_echo, key, val, lineno)
-            elif tag == "array":
-                read_array(arrays, lineno, rest)
-            else:
-                raise ValueError(f"line {lineno}: unknown record {tag!r}")
+            elif tag != "array" or read_array(arrays, lineno, rest) not in CHECKPOINT_ARRAYS:
+                raise ValueError(f"line {lineno}: unknown record {' '.join(text.split()[:2])!r}")
         except ValueError as exc:
             raise CheckpointFormatError(str(exc)) from None
     if "pool" not in refs:
         raise CheckpointFormatError("checkpoint is missing its pool reference")
+    missing = [name for name in CHECKPOINT_ARRAYS if name not in arrays]
+    if missing:
+        raise CheckpointFormatError(f"no array record {missing[0]!r}")
     return arrays, config_echo, refs["pool"]

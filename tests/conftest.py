@@ -1,9 +1,12 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import io
+
 import numpy as np
 import pytest
 
 from lsgg.harness import TOKEN_PRESETS
+from lsgg.ioutil import write_array
 from lsgg.prompt_pool import init_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, init_scorer
@@ -11,6 +14,13 @@ from lsgg.token_mapper import init_mapper
 from lsgg.trainer import TrainConfig, TrainableSet, _nearest_slots, init_y_mask
 
 from oracles import RelationInstance, append_exemplar
+
+
+def array_line(name: str, arr) -> str:
+    """The ``array`` record ``ioutil.write_array`` writes, without its newline."""
+    fh = io.StringIO()
+    write_array(fh, name, arr)
+    return fh.getvalue().rstrip("\n")
 
 
 def finite_diff(fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -38,7 +48,7 @@ def grad_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def random_instance(rng: SeededRng, d_c=6, d_r=5, d_o=4, predicate=0,
-                    image_id=0, n_obj=5, boxes=None) -> RelationInstance:
+                    image_id=0, n_obj=5) -> RelationInstance:
     return RelationInstance(
         image_id=image_id,
         f_c=rng.normal(d_c),
@@ -48,7 +58,6 @@ def random_instance(rng: SeededRng, d_c=6, d_r=5, d_o=4, predicate=0,
         subject_class=rng.randint(n_obj),
         object_class=rng.randint(n_obj),
         predicate=predicate,
-        boxes=boxes,
     )
 
 

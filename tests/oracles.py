@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from lsgg.datastream import RelationTable, StageDataset, zipf_counts
-from lsgg.metrics import GTTable, PredTable, box_column, iou, union_box
+from lsgg.metrics import GTTable, PredTable
 from lsgg.numerics import random_unit_vector, softmax
 from lsgg.prompt_pool import _relation_norm, _write_slot, admit_exemplar, retrieve_entries
 from lsgg.rng import SeededRng, _mix64
@@ -416,7 +416,6 @@ class PredRecord:
     pred: int
     obj: int
     conf: float
-    boxes: tuple | None = None  # ((x1,y1,x2,y2) subject, (x1,y1,x2,y2) object)
     gt_id: int | None = None  # instance-id match target, when known
 
 
@@ -427,7 +426,6 @@ class GTRecord:
     subj: int
     pred: int
     obj: int
-    boxes: tuple | None = None
 
 
 def pred_table(records) -> PredTable:
@@ -437,16 +435,14 @@ def pred_table(records) -> PredTable:
                      pred=col("pred"), obj=col("obj"),
                      conf=np.array([r.conf for r in records], dtype=np.float64),
                      gt_id=np.array([r.gt_id or 0 for r in records], dtype=np.int64),
-                     has_id=np.array([r.gt_id is not None for r in records], dtype=bool),
-                     boxes=box_column([r.boxes for r in records]))
+                     has_id=np.array([r.gt_id is not None for r in records], dtype=bool))
 
 
 def gt_table(records) -> GTTable:
     def col(name):
         return np.array([getattr(r, name) for r in records], dtype=np.int64)
     return GTTable(image=col("image_id"), gt_id=col("gt_id"), subj=col("subj"),
-                   pred=col("pred"), obj=col("obj"),
-                   boxes=box_column([r.boxes for r in records]))
+                   pred=col("pred"), obj=col("obj"))
 
 
 def tables(preds, gt) -> tuple:
@@ -455,18 +451,10 @@ def tables(preds, gt) -> tuple:
 
 
 def tables_equal(a, b) -> bool:
-    """Same table type and columns, equal element for element (NaN box rows
-    equal)."""
-    if type(a) is not type(b):
-        return False
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if (x is None) != (y is None):
-            return False
-        if x is not None and not (x.dtype == y.dtype
-                                  and np.array_equal(x, y, equal_nan=(f.name == "boxes"))):
-            return False
-    return True
+    """Same table type and columns, equal element for element."""
+    return type(a) is type(b) and all(
+        getattr(a, f.name).dtype == getattr(b, f.name).dtype
+        and np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 def _group_by_image(items):
@@ -476,7 +464,7 @@ def _group_by_image(items):
     return grouped
 
 
-def _match_one(pred: PredRecord, gts, claimed, mode: str, iou_thr: float):
+def _match_one(pred: PredRecord, gts, claimed, mode: str):
     """Index into gts of the GT this prediction matches, or None."""
     if mode == "ids":
         if pred.gt_id is None:
@@ -487,30 +475,12 @@ def _match_one(pred: PredRecord, gts, claimed, mode: str, iou_thr: float):
             if (gt.subj, gt.pred, gt.obj) == (pred.subj, pred.pred, pred.obj):
                 return gi
         return None
-    if mode == "triplet":
-        for gi, gt in enumerate(gts):
-            if gi in claimed:
-                continue
-            if (gt.subj, gt.pred, gt.obj) == (pred.subj, pred.pred, pred.obj):
-                return gi
-        return None
-    if pred.boxes is None:
-        raise ValueError(f"prediction in image {pred.image_id} lacks boxes in {mode!r} matching")
-    best_gi, best_q = None, 0.0
-    for gi, gt in enumerate(gts):
+    for gi, gt in enumerate(gts):  # triplet
         if gi in claimed:
             continue
-        if (gt.subj, gt.pred, gt.obj) != (pred.subj, pred.pred, pred.obj):
-            continue
-        if gt.boxes is None:
-            raise ValueError(f"GT {gt.gt_id} in image {gt.image_id} lacks boxes in {mode!r} matching")
-        if mode == "rel":
-            q = min(iou(pred.boxes[0], gt.boxes[0]), iou(pred.boxes[1], gt.boxes[1]))
-        else:
-            q = iou(union_box(*pred.boxes), union_box(*gt.boxes))
-        if q >= iou_thr and q > best_q:
-            best_gi, best_q = gi, q
-    return best_gi
+        if (gt.subj, gt.pred, gt.obj) == (pred.subj, pred.pred, pred.obj):
+            return gi
+    return None
 
 
 def record_recall_at_ks(records, gt, ks, mode: str = "ids") -> dict:
@@ -529,7 +499,7 @@ def record_recall_at_ks(records, gt, ks, mode: str = "ids") -> dict:
         preds = sorted(preds_by_img.get(image_id, []), key=lambda p: p.rank)
         claimed: dict = {}
         for pos, pred in enumerate(preds[:k_max]):
-            hit = _match_one(pred, gts, claimed, mode, 0.5)
+            hit = _match_one(pred, gts, claimed, mode)
             if hit is not None:
                 claimed[hit] = pos
         matched[image_id] = claimed
@@ -555,11 +525,10 @@ def record_recall_at_ks(records, gt, ks, mode: str = "ids") -> dict:
     return out
 
 
-def record_weighted_map(records, gt, mode: str = "rel", iou_thr: float = 0.5) -> float:
+def record_weighted_map(records, gt, mode: str = "ids") -> float:
     """``metrics.weighted_map`` one record at a time: per class, predictions
-    by descending confidence, each claiming the first (or, with boxes, the
-    best) unclaimed GT of its image it matches; AP from an explicit envelope
-    loop."""
+    by descending confidence, each claiming the first unclaimed GT of its
+    image it matches; AP from an explicit envelope loop."""
     gt_by_img = _group_by_image(gt)
     gt_count: dict = {}
     for g in gt:
@@ -579,7 +548,7 @@ def record_weighted_map(records, gt, mode: str = "rel", iou_thr: float = 0.5) ->
         tp = np.zeros(len(preds))
         for i, p in enumerate(preds):
             img_claimed = claimed.setdefault(p.image_id, set())
-            hit = _match_one(p, gt_by_img[p.image_id], img_claimed, mode, iou_thr)
+            hit = _match_one(p, gt_by_img[p.image_id], img_claimed, mode)
             if hit is not None:
                 img_claimed.add(hit)
                 tp[i] = 1.0
@@ -612,7 +581,6 @@ class RelationInstance:
     subject_class: int
     object_class: int
     predicate: int
-    boxes: tuple | None = None  # ((x1,y1,x2,y2) subject, (x1,y1,x2,y2) object)
     confidence: float | None = None
 
 
@@ -643,8 +611,7 @@ def table_of(records) -> RelationTable:
                          feats={kind: np.stack([features(r)[kind] for r in records])
                                 for kind in KINDS},
                          conf=np.array([np.nan if r.confidence is None else r.confidence
-                                        for r in records], dtype=np.float64),
-                         boxes=box_column([r.boxes for r in records]))
+                                        for r in records], dtype=np.float64))
 
 
 def records_of(table) -> list:
@@ -652,13 +619,10 @@ def records_of(table) -> list:
     t = table.take(slice(None))
     out = []
     for i in range(len(t)):
-        box = None
-        if t.boxes is not None and not np.isnan(t.boxes[i, 0]):
-            box = (tuple(t.boxes[i, :4].tolist()), tuple(t.boxes[i, 4:].tolist()))
         out.append(RelationInstance(
             image_id=int(t.image[i]), f_c=t.feats["c"][i], f_r=t.feats["r"][i],
             f_s=t.feats["s"][i], f_o=t.feats["o"][i], subject_class=int(t.subj[i]),
-            object_class=int(t.obj[i]), predicate=int(t.pred[i]), boxes=box,
+            object_class=int(t.obj[i]), predicate=int(t.pred[i]),
             confidence=None if np.isnan(t.conf[i]) else float(t.conf[i])))
     return out
 

@@ -130,7 +130,6 @@ def test_train_then_eval_commands(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "R@5=" in stdout and "wmAP_ids=" in stdout and "score_wtd=" in stdout
-    assert "wmAP_rel=" not in stdout  # ids mode computes and prints one wmAP
     # M@K line is the exact mean of the two lines above it
     vals = {ln.split("=")[0]: float(ln.split("=")[1])
             for ln in stdout.strip().splitlines()}
@@ -178,3 +177,11 @@ def test_ablate_has_no_preset_flag(tmp_path, capsys):
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_eval_rejects_the_box_modes(capsys):
+    # box-IoU matching is gone: only the ids and triplet modes are taken
+    for mode in ("rel", "phr"):
+        with pytest.raises(SystemExit):
+            main(["eval", "--dump", "d.txt", "--gt", "g.txt", "--mode", mode])
+        assert f"invalid choice: '{mode}'" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from lsgg.datastream import (EmbeddingFormatError, Rows, StageDataset, SynthConf
                              load_embeddings, make_schedule, make_stage_datasets,
                              relation_table, save_embeddings, split_by_frequency,
                              split_random, synth_generate, zipf_counts)
+from lsgg.ioutil import pack_floats
 from lsgg.rng import SeededRng
 
 from conftest import random_instance
@@ -203,7 +204,7 @@ def test_synth_generate_counts_groups_and_images():
     assert 0 <= data.subj.min() and data.subj.max() < 6
     assert 0 <= data.obj.min() and data.obj.max() < 6
     assert np.bincount(data.pred, minlength=10).tolist() == zipf_counts(10, 0.8, 500)
-    assert np.isnan(data.conf).all() and data.boxes is None
+    assert np.isnan(data.conf).all()
     # image ids: consecutive blocks of pairs_per_image, gt ids count within them
     assert data.image.tolist() == [i // 4 for i in range(500)]
     assert data.gt_id.tolist() == [i % 4 for i in range(500)]
@@ -269,21 +270,18 @@ def test_synth_config_validation():
 
 def columns_equal(a, b) -> bool:
     """Two tables with equal columns, NaN equal to NaN."""
-    if (a.boxes is None) != (b.boxes is None) or a.feats.keys() != b.feats.keys():
+    if a.feats.keys() != b.feats.keys():
         return False
     return (all(np.array_equal(getattr(a, n), getattr(b, n))
                 for n in ("image", "gt_id", "subj", "obj", "pred"))
             and all(np.array_equal(f, b.feats[kind]) for kind, f in a.feats.items())
-            and np.array_equal(a.conf, b.conf, equal_nan=True)
-            and (a.boxes is None or np.array_equal(a.boxes, b.boxes, equal_nan=True)))
+            and np.array_equal(a.conf, b.conf, equal_nan=True))
 
 
 def test_embeddings_round_trip_bit_exact(tmp_path):
     cfg = SynthConfig(n_pred=6, n_groups=2, n_obj=5, d_c=7, d_r=6, d_o=4,
                       total_n=100)
     data, _ = synth_generate(cfg, SeededRng(5))
-    data.boxes = np.full((100, 8), np.nan)
-    data.boxes[0] = (1.0, 2.0, 3.5, 4.25, 0.5, 0.5, 2.0, 2.0)
     data.conf[0] = 0.625
     path = tmp_path / "emb.txt"
     save_embeddings(data, path)
@@ -340,9 +338,6 @@ def test_embeddings_reject_malformed(tmp_path):
     table = small_table()
     table.feats["r"] = table.feats["r"][:-1]
     refused(table, path, r"one row per instance: .*f\.r \(2, 2\)", n_obj=3, n_pred=3)
-    table = small_table()
-    table.boxes = np.full((3, 4), np.nan)
-    refused(table, path, r"one row per instance: .*boxes \(3, 4\)", n_obj=3, n_pred=3)
 
     # a missing record, named
     save_embeddings(small_table(), path)
@@ -351,6 +346,11 @@ def test_embeddings_reject_malformed(tmp_path):
         path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"array {name} ")))
         with pytest.raises(EmbeddingFormatError, match=f"no array record '{name}'"):
             load_embeddings(path)
+    # the box column is no longer read: its record is unknown, named with its line
+    boxes = f"array boxes 3,8 {pack_floats(np.zeros((3, 8)))}"
+    path.write_text("\n".join([*lines[:6], boxes, *lines[6:]]) + "\n")
+    with pytest.raises(EmbeddingFormatError, match="line 7: unknown record 'array boxes'"):
+        load_embeddings(path)
 
 
 def test_embeddings_reject_header_dimensions_below_one(tmp_path):
@@ -414,27 +414,18 @@ def test_embeddings_comments_and_blank_lines(tmp_path):
 
 
 def test_instance_validation(tmp_path):
-    # the loader refuses a class outside the header's counts, a degenerate
-    # box, a box row neither finite nor all NaN, or a confidence outside
-    # [0, 1], naming the first bad row
+    # the loader refuses a class outside the header's counts or a confidence
+    # outside [0, 1], naming the first bad row
     rng = SeededRng(9)
     path = tmp_path / "inst.txt"
-    good = random_instance(rng, boxes=((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)))
+    good = random_instance(rng)
     good.confidence = 1.0
     save_embeddings(table_of([good]), path)
     assert len(load_embeddings(path)[0]) == 1
-    for boxes, conf, match in (
-            (((0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 1.0, 3.0)), None, "degenerate box"),
-            (((0.0, 1.0, 1.0, 1.0), (2.0, 2.0, 3.0, 3.0)), None, "degenerate box"),
-            (None, 1.5, "confidence outside"), (None, -0.25, "confidence outside"),
-            (None, np.inf, "confidence outside")):
-        bad = random_instance(rng, boxes=boxes)
+    for conf in (1.5, -0.25, np.inf):
+        bad = random_instance(rng)
         bad.confidence = conf
-        refused(table_of([good, bad]), path, f"row 1: {match}")
-    for cell, value in ((2, np.nan), (0, np.nan), (7, np.inf)):
-        table = table_of([good, good])
-        table.boxes[1, cell] = value
-        refused(table, path, "row 1: box row neither finite nor all NaN")
+        refused(table_of([good, bad]), path, "row 1: confidence outside")
     for column, value, match in (("subj", 5, "object class outside 0..4"),
                                  ("obj", -1, "object class outside 0..4"),
                                  ("pred", 2, "predicate outside 0..1")):
@@ -502,7 +493,6 @@ def test_loaded_columns_and_splits_equal_per_instance_oracles(tmp_path, seed):
                                            predicate=rng.randint(n_pred), image_id=image_id))
     rng.shuffle(records)
     records[1].confidence = 0.5
-    records[2].boxes = ((0.0, 0.0, 1.0, 2.0), (1.0, 1.0, 2.0, 2.0))
     path = tmp_path / "data.emb"
     save_embeddings(table_of(records), path)
     table = load_embeddings(path)[0]

@@ -1,4 +1,4 @@
-"""Evaluation metrics against independent oracles and hand-built geometry.
+"""Evaluation metrics against independent oracles and hand-built cases.
 
 Cases are written as records and scored as the column tables the metrics
 take (``oracles.tables``). ``oracles`` also holds the metrics' per-record
@@ -11,36 +11,18 @@ AP is recomputed in exact rational arithmetic with the fractions module.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lsgg import metrics
 from lsgg.metrics import (MATCH_MODES, AccuracyMatrix, MetricReport,
-                          forgetting_measure, iou, load_gt, load_predictions,
+                          forgetting_measure, load_gt, load_predictions,
                           m_at_k, mean_recall_at_k, recall_at_k, recall_at_ks, save_gt,
-                          save_predictions, score_wtd, union_box, weighted_map)
+                          save_predictions, score_wtd, weighted_map)
 
 from oracles import (GTRecord, PredRecord, gt_table, pred_table, record_recall_at_ks,
                      record_weighted_map, tables, tables_equal)
-
-
-# -- box helpers --------------------------------------------------------------
-
-
-def test_iou_hand_geometry():
-    a = (0.0, 0.0, 10.0, 10.0)
-    assert iou(a, a) == pytest.approx(1.0, abs=1e-15)
-    assert iou(a, (20.0, 20.0, 30.0, 30.0)) == 0.0
-    assert iou(a, (0.0, 5.0, 10.0, 15.0)) == pytest.approx(50.0 / 150.0, abs=1e-12)
-    assert iou(a, (5.0, 5.0, 15.0, 15.0)) == pytest.approx(25.0 / 175.0, abs=1e-12)
-    assert iou(a, (10.0, 10.0, 20.0, 20.0)) == 0.0  # touching corners
-
-
-def test_union_box():
-    assert union_box((0, 1, 2, 3), (1, 0, 5, 2)) == (0, 0, 5, 3)
 
 
 # -- paper-anchored arithmetic --------------------------------------------------
@@ -209,56 +191,6 @@ def test_recall_requires_gt_for_predicted_images():
         recall_at_k(*tables(preds, gt), 1, "nonsense")
 
 
-# -- box-mode matching -----------------------------------------------------------
-
-
-BOX_A = (0.0, 0.0, 10.0, 10.0)
-
-
-def boxed_gt(image_id=0, gt_id=0, subj_box=BOX_A, obj_box=BOX_A):
-    return GTRecord(image_id=image_id, gt_id=gt_id, subj=1, pred=2, obj=3,
-                    boxes=(subj_box, obj_box))
-
-
-def boxed_pred(image_id=0, rank=1, conf=0.9, subj_box=BOX_A, obj_box=BOX_A):
-    return PredRecord(image_id=image_id, rank=rank, subj=1, pred=2, obj=3,
-                      conf=conf, boxes=(subj_box, obj_box))
-
-
-def test_rel_needs_both_boxes_phr_needs_union():
-    # object box shifted: IoU 1/3 < 0.5 but union-box IoU 2/3 >= 0.5
-    gt = [boxed_gt(obj_box=(0.0, 5.0, 10.0, 15.0))]
-    preds = [boxed_pred()]
-    assert recall_at_k(*tables(preds, gt), 1, "rel") == 0.0
-    assert recall_at_k(*tables(preds, gt), 1, "phr") == 100.0
-
-
-def test_rel_matches_at_exact_threshold():
-    # shifted object box with IoU exactly 1/3; threshold comparison is >=
-    gt = [boxed_gt(obj_box=(0.0, 5.0, 10.0, 15.0))]
-    preds = [boxed_pred()]
-    claims = metrics._claims(*tables(preds, gt), np.arange(1), "rel", iou_thr=1.0 / 3.0)
-    assert claims.tolist() == [0]  # GT 0, claimed by the rank-1 prediction
-
-
-def test_rel_picks_highest_quality_gt():
-    gt = [boxed_gt(gt_id=0, subj_box=(0.0, 0.0, 10.0, 11.0)),   # subj IoU 10/11
-          boxed_gt(gt_id=1)]                                    # exact match
-    preds = [boxed_pred()]
-    claims = metrics._claims(*tables(preds, gt), np.arange(1), "rel")
-    assert claims.tolist() == [1]
-
-
-def test_box_modes_reject_missing_boxes():
-    gt = [boxed_gt()]
-    bare = PredRecord(image_id=0, rank=1, subj=1, pred=2, obj=3, conf=0.5)
-    with pytest.raises(ValueError, match="lacks boxes"):
-        recall_at_k(*tables([bare], gt), 1, "rel")
-    gt_bare = [GTRecord(image_id=0, gt_id=0, subj=1, pred=2, obj=3)]
-    with pytest.raises(ValueError, match="lacks boxes"):
-        recall_at_k(*tables([boxed_pred()], gt_bare), 1, "phr")
-
-
 def test_ids_mode_needs_matching_instance_id():
     gt = [GTRecord(image_id=0, gt_id=5, subj=1, pred=2, obj=3)]
     hit = PredRecord(image_id=0, rank=1, subj=1, pred=2, obj=3, conf=0.9, gt_id=5)
@@ -273,28 +205,6 @@ def test_ids_mode_needs_matching_instance_id():
 # -- every K from one matching pass -------------------------------------------------
 
 
-def add_random_boxes(rng, preds, gt):
-    """Boxed copies of a random case: each prediction aimed at an existing
-    GT gets that GT's boxes, nudged a little or a lot; the rest get random
-    boxes."""
-    def box():
-        x, y = rng.uniform(0, 50), rng.uniform(0, 50)
-        return (x, y, x + rng.uniform(5, 30), y + rng.uniform(5, 30))
-
-    def nudge(b):
-        d = rng.choice((0.0, 1.0, 8.0))
-        return (b[0] + d, b[1], b[2] + d, b[3])
-
-    boxed_gt = [replace(g, boxes=(box(), box())) for g in gt]
-    by_id = {(g.image_id, g.gt_id): g.boxes for g in boxed_gt}
-    boxed_preds = []
-    for p in preds:
-        target = by_id.get((p.image_id, p.gt_id))
-        boxes = (box(), box()) if target is None else (nudge(target[0]), nudge(target[1]))
-        boxed_preds.append(replace(p, boxes=boxes))
-    return boxed_preds, boxed_gt
-
-
 @pytest.mark.parametrize("mode", MATCH_MODES)
 def test_recall_at_ks_equals_separate_calls(mode):
     # up to 10 predictions per image: K = 1, 2, 3 cut inside an image's list
@@ -302,16 +212,13 @@ def test_recall_at_ks_equals_separate_calls(mode):
     ks = (1, 2, 3, 50, 100)
     for case in range(40):
         preds, gt = make_random_case(rng, mode, with_ids=(mode != "triplet"))
-        if mode in ("rel", "phr"):
-            preds, gt = add_random_boxes(rng, preds, gt)
         table = recall_at_ks(*tables(preds, gt), ks, mode)
         assert list(table) == list(ks)
         for k in ks:
             assert table[k] == (recall_at_k(*tables(preds, gt), k, mode),
                                 mean_recall_at_k(*tables(preds, gt), k, mode)), (case, k)
-            if mode in ("ids", "triplet"):
-                assert table[k] == (oracle_recall(preds, gt, k, mode),
-                                    oracle_mean_recall(preds, gt, k, mode)), (case, k)
+            assert table[k] == (oracle_recall(preds, gt, k, mode),
+                                oracle_mean_recall(preds, gt, k, mode)), (case, k)
 
 
 # -- the table metrics against the per-record oracle ---------------------------------
@@ -350,8 +257,6 @@ def test_table_metrics_equal_the_per_record_oracle(mode):
     ks = (1, 3, 5, 10)
     for case in range(150):
         preds, gt = make_dense_case(rng)
-        if mode in ("rel", "phr"):
-            preds, gt = add_random_boxes(rng, preds, gt)
         assert recall_at_ks(*tables(preds, gt), ks, mode) == \
             record_recall_at_ks(preds, gt, ks, mode), case
         assert weighted_map(*tables(preds, gt), mode=mode) == \
@@ -526,8 +431,7 @@ def test_weighted_map_requires_gt_image():
 
 def test_prediction_dump_round_trip(tmp_path):
     records = [
-        PredRecord(image_id=3, rank=1, subj=0, pred=7, obj=2, conf=0.1234567890123,
-                   boxes=((0.0, 0.5, 3.25, 4.0), (1.0, 1.0, 2.0, 2.0)), gt_id=9),
+        PredRecord(image_id=3, rank=1, subj=0, pred=7, obj=2, conf=0.1234567890123, gt_id=9),
         PredRecord(image_id=3, rank=2, subj=1, pred=2, obj=0, conf=1e-8),
     ]
     path = tmp_path / "preds.txt"
@@ -537,15 +441,12 @@ def test_prediction_dump_round_trip(tmp_path):
 
 def test_gt_dump_round_trip(tmp_path):
     records = [
-        GTRecord(image_id=0, gt_id=0, subj=1, pred=2, obj=3,
-                 boxes=((0.0, 0.0, 1.0, 1.0), (0.5, 0.5, 2.0, 2.0))),
+        GTRecord(image_id=0, gt_id=0, subj=1, pred=2, obj=3),
         GTRecord(image_id=1, gt_id=4, subj=5, pred=6, obj=7),
     ]
     path = tmp_path / "gt.txt"
     save_gt(gt_table(records), path)
     assert tables_equal(load_gt(path), gt_table(records))
-    save_gt(gt_table(records[1:]), path)  # no boxes at all
-    assert load_gt(path).boxes is None
 
 
 def test_dump_loaders_skip_comments_and_reject_malformed(tmp_path):
@@ -556,6 +457,10 @@ def test_dump_loaders_skip_comments_and_reject_malformed(tmp_path):
     assert len(load_predictions(path)) == 0
     path.write_text("0 1 2 3 4 0.5\n")  # 6 fields
     with pytest.raises(ValueError, match="line 1"):
+        load_predictions(path)
+    # a line of the box format (8 box floats before gt_id) is no longer read
+    path.write_text("0 1 2 3 4 0.5 -\n0 1 2 3 4 0.5 0.0 0.0 1.0 1.0 0.0 0.0 1.0 1.0 -\n")
+    with pytest.raises(ValueError, match="line 2: expected 7 fields, got 15"):
         load_predictions(path)
     path.write_text("0 1 2 3 4 0.5 -\n0 x 2 3 4 0.5 -\n")
     with pytest.raises(ValueError, match="line 2"):
@@ -571,8 +476,11 @@ def test_dump_loaders_skip_comments_and_reject_malformed(tmp_path):
     gt_path.write_text("0 1 2 3\n")
     with pytest.raises(ValueError, match="line 1"):
         load_gt(gt_path)
-    gt_path.write_text("0 1 2 3 4 5 6\n")  # 7 fields is in neither format
+    gt_path.write_text("0 1 2 3 4 5 6\n")  # 7 fields
     with pytest.raises(ValueError):
+        load_gt(gt_path)
+    gt_path.write_text("0 1 2 3 4\n0 1 2 3 4 0.0 0.0 1.0 1.0 0.0 0.0 1.0 1.0\n")  # with boxes
+    with pytest.raises(ValueError, match="line 2: expected 5 fields, got 13"):
         load_gt(gt_path)
     gt_path.write_text(f"{-2**63 - 1} 1 2 3 4\n")
     with pytest.raises(ValueError, match="line 1"):

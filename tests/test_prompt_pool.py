@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from lsgg.ioutil import array_record, pack_floats
+from lsgg.ioutil import pack_floats
 from lsgg.prompt_pool import (PoolFormatError, _relation_norm, _write_slot, deserialize_pool,
                               init_pool, retrieve_entries, serialize_pool)
 from lsgg.rng import SeededRng
 from lsgg.trainer import TrainConfig, _nearest_slots, _queries, _retrieve, _select
 
-from conftest import nearest_exemplar, random_instance
+from conftest import array_line, nearest_exemplar, random_instance
 from oracles import admit, append_exemplar, cosine, pools_equal, rewrite_relation, table_of
 
 DEGENERATE_ROWS = (np.zeros(5), np.array([1.0, np.nan, 0, 0, 0]),
@@ -454,7 +454,7 @@ def filled_pool_file(tmp_path):
 def with_array(lines, name, arr):
     """The file's lines with the record of array ``name`` rewritten to hold ``arr``."""
     at = next(i for i, line in enumerate(lines) if line.split()[:2] == ["array", name])
-    return lines[:at] + [array_record(name, np.asarray(arr)).rstrip("\n")] + lines[at + 1:]
+    return lines[:at] + [array_line(name, np.asarray(arr))] + lines[at + 1:]
 
 
 def refuses(tmp_path, lines, match=None):

@@ -14,9 +14,9 @@ from lsgg.ioutil import pack_floats
 from lsgg.prompt_pool import deserialize_pool, init_pool, serialize_pool
 from lsgg.rng import SeededRng
 from lsgg.scorer import build_vocab, default_vocab
-from lsgg.trainer import (AdamW, CheckpointFormatError, TrainConfig, load_checkpoint,
-                          loss_total, predict_ranked, save_checkpoint, stage_quota,
-                          train_stage)
+from lsgg.trainer import (CHECKPOINT_ARRAYS, AdamW, CheckpointFormatError, TrainConfig,
+                          load_checkpoint, loss_total, predict_ranked, save_checkpoint,
+                          stage_quota, train_stage)
 
 from conftest import TinyWorld, finite_diff, grad_rel_err
 from oracles import (Item, admit, batch_loss_and_grads, cosine_to_rows, loss_key_alignment,
@@ -459,6 +459,28 @@ def test_checkpoint_round_trip(tmp_path):
     assert list(arrays) == [name for name, _ in w.tr.checkpoint_items()]
     for name, arr in w.tr.checkpoint_items():
         assert np.array_equal(arrays[name], arr), name
+
+
+def test_checkpoint_cut_at_a_record_boundary_or_with_an_added_array_is_refused(tmp_path):
+    w, _ = loop_world()
+    path = tmp_path / "ckpt.lsgg"
+    save_checkpoint(path, w.tr, config_to_kv(ExperimentConfig(train=w.config)), "pool.lsgg")
+    lines = path.read_text().splitlines(keepends=True)
+    assert [line.split()[1] for line in lines if line.startswith("array ")] == \
+        list(CHECKPOINT_ARRAYS)
+    cut = tmp_path / "cut.lsgg"
+    for end in range(len(lines)):
+        cut.write_text("".join(lines[:end]))
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(cut)
+            pytest.fail(f"cut after {end} of {len(lines)} lines")
+    cut.write_text("".join(lines[:-1]))
+    with pytest.raises(CheckpointFormatError, match="no array record 'scorer.pos_weight'"):
+        load_checkpoint(cut)
+    cut.write_text("".join(lines) + f"array scorer.bias 2 {pack_floats(np.zeros(2))}\n")
+    with pytest.raises(CheckpointFormatError,
+                       match=f"line {len(lines) + 1}: unknown record 'array scorer.bias'"):
+        load_checkpoint(cut)
 
 
 def test_checkpoint_rejects_malformed(tmp_path):
